@@ -15,6 +15,7 @@ from .linalg import (
     rng_permutation,
     rng_rademacher,
     semi_orthogonal_init,
+    singular_values,
     svd_reduced,
 )
 from .models import (

@@ -317,6 +317,17 @@ def _artifact_base(command: str, cfg: dict) -> str:
     return os.path.join(out_dir, name)
 
 
+def _require(ok: bool, key: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"config error: key '{key}' {what}, got {value!r}")
+
+
+def _require_widths(cfg: dict) -> None:
+    widths = cfg["widths"]
+    _require(len(widths) > 0 and min(widths) >= 1, "widths",
+             "must list at least one width, each >= 1", widths)
+
+
 def _ns_iters(cfg: dict) -> int | None:
     if cfg.get("spectral.backend", "exact_svd") == "newton_schulz":
         return int(cfg["spectral.iters"])
@@ -429,6 +440,10 @@ def cmd_train(cfg: dict) -> int:
     """One training run; per-step diagnostics to CSV, summary to JSONL."""
     algo = _ALGO_BY_NAME[cfg["optimizer.algo"]]
     light = cfg["optimizer.algo"] == "uscg_light"
+    # light mode reproduces uscg only while the averaging weight stays constant
+    _require(not light or cfg["optimizer.alpha.kind"] == "constant",
+             "optimizer.alpha.kind", "must be constant when key 'optimizer.algo' is "
+             "uscg_light", cfg["optimizer.alpha.kind"])
     horizon = cfg["optimizer.steps"]
     schedule = _build_schedule(cfg, horizon)
     ns_iters = _ns_iters(cfg)
@@ -505,6 +520,9 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_coord_check(cfg: dict) -> int:
+    _require_widths(cfg)
+    _require(cfg["depth"] >= 2, "depth", "must be >= 2", cfg["depth"])
+    _require(cfg["samples"] >= 1, "samples", "must be >= 1", cfg["samples"])
     rows = coordinate_check(
         cfg["widths"],
         depth=cfg["depth"],
@@ -535,6 +553,8 @@ def cmd_coord_check(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
+    _require_widths(cfg)
+    _require(cfg["gamma.count"] >= 1, "gamma.count", "must be >= 1", cfg["gamma.count"])
     problem = SyntheticClassification(
         dim=cfg["problem.dim"],
         classes=cfg["problem.classes"],
@@ -574,6 +594,13 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_rate(cfg: dict) -> int:
+    n_list = cfg["n_list"]
+    _require(len(n_list) > 0 and min(n_list) >= 1, "n_list",
+             "must list at least one horizon, each >= 1", n_list)
+    # constant mode runs only max(n_list); vanishing mode fits a slope across horizons
+    _require(cfg["mode"] != "vanishing" or len(set(n_list)) >= 2, "n_list",
+             "must hold two distinct horizons in vanishing mode", n_list)
+    _require(cfg["trials"] >= 1, "trials", "must be >= 1", cfg["trials"])
     problem = StochasticQuadratic(
         dim=cfg["problem.dim"],
         noise=cfg["problem.noise"],

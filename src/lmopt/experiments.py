@@ -32,7 +32,6 @@ from .norms import (
     NormSpec,
     composite_norm,
     dual_norm,
-    fw_gap,
 )
 from .optim import (
     Algo,
@@ -128,6 +127,30 @@ def _flat_l2(arrays: Sequence[np.ndarray]) -> float:
     return float(np.sqrt(sum(float(np.vdot(a, a)) for a in arrays)))
 
 
+def _gap_from_duals(
+    grads: Sequence[np.ndarray],
+    x: Sequence[np.ndarray],
+    atoms: Sequence[NormSpec],
+    duals: Sequence[float],
+) -> float:
+    """norms.fw_gap's identity <g, x> + sum_i radius_i * dual_i, from duals already taken."""
+    total = 0.0
+    for g, xi, a, dual in zip(grads, x, atoms, duals):
+        total += float(np.vdot(g, xi))
+        total += a.radius * dual
+    return total
+
+
+def _check_light_mode(algo: Algo, schedule: ScheduleSpec) -> None:
+    """Light mode reproduces uSCG only for that rule and a constant averaging weight."""
+    if algo is not Algo.USCG:
+        raise ValueError(f"light_mode requires Algo.USCG, got {algo}")
+    if schedule.alpha_kind is not AlphaKind.CONSTANT:
+        raise ValueError(
+            f"light_mode requires a constant alpha schedule, got {schedule.alpha_kind}"
+        )
+
+
 def apply_step(
     algo: Algo,
     x: list[np.ndarray],
@@ -213,8 +236,10 @@ def train_quadratic(
     The constrained method starts on its ball boundary (composite norm 1); the
     unconstrained ones start at l2 distance `start_scale` from the minimizer. Noise
     is keyed by (problem.seed, trial, step) so different algorithms see the same
-    stream on the same trial.
+    stream on the same trial. Light mode needs Algo.USCG and a constant alpha.
     """
+    if light_mode:
+        _check_light_mode(algo, schedule)
     spec = quadratic_norm_spec(problem.dim, rho)
     atom = spec.atoms()[0]
     x0 = problem.start_point(trial, scale=rho if algo is Algo.SCG else start_scale)
@@ -230,13 +255,14 @@ def train_quadratic(
         if record:
             cnorm = composite_norm(x, spec)
             d_k = _direction_preview(algo, state, [g], alpha, beta, gbuf)
+            dual = dual_norm(exact, atom)
             diags.append(
                 k,
                 gamma,
                 alpha,
                 problem.loss(x[0]),
-                dual_norm(exact, atom),
-                fw_gap([exact], x, spec),
+                dual,
+                _gap_from_duals([exact], x, (atom,), (dual,)),
                 cnorm,
                 _flat_l2([d_k[0] - exact]),
                 cnorm <= 1.0 + FEASIBLE_TOL,
@@ -270,8 +296,12 @@ def train_classifier(
 
     Gradient-dual-norm, gap, and estimator-error columns use a large probe batch
     (probe_factor times the minibatch, capped at the dataset size) as a stand-in for
-    the exact gradient; on data problems these are proxies.
+    the exact gradient; on data problems these are proxies. Each probe gradient's
+    per-atom dual norms are taken once and feed both the dual-norm and gap columns.
+    Light mode needs Algo.USCG and a constant alpha.
     """
+    if light_mode:
+        _check_light_mode(algo, schedule)
     spec = model.norm_spec()
     atoms = spec.atoms()
     n = train_x.shape[1]
@@ -305,13 +335,14 @@ def train_classifier(
             )
             cnorm = composite_norm(x, spec)
             d_k = _direction_preview(algo, state, g, alpha, beta, gbuf)
+            duals = [dual_norm(gi, a) for gi, a in zip(probe_g, atoms)]
             diags.append(
                 k,
                 gamma,
                 alpha,
                 batch_loss,
-                sum(a.radius * dual_norm(gi, a) for gi, a in zip(probe_g, atoms)),
-                fw_gap(probe_g, x, spec),
+                sum(a.radius * dual for dual, a in zip(duals, atoms)),
+                _gap_from_duals(probe_g, x, atoms, duals),
                 cnorm,
                 _flat_l2([di - gi for di, gi in zip(d_k, probe_g)]),
                 cnorm <= 1.0 + FEASIBLE_TOL,
@@ -438,8 +469,8 @@ def lr_transfer_sweep(
     """
     from .problems import gen_synthetic
 
-    if len(gamma_grid) < 1:
-        raise ValueError("gamma grid must be nonempty")
+    if len(widths) < 1 or len(gamma_grid) < 1:
+        raise ValueError("widths and gamma grid must be nonempty")
     train_x, train_y, test_x, test_y = gen_synthetic(problem)
     if test_x.shape[1] == 0:
         test_x, test_y = train_x, train_y
@@ -521,6 +552,12 @@ def rate_harness(
     if mode not in ("vanishing", "constant"):
         raise ValueError(f"mode must be 'vanishing' or 'constant', got {mode!r}")
     n_list = tuple(int(n) for n in n_list)
+    if len(n_list) < 1:
+        raise ValueError("n_list must hold at least one horizon")
+    if mode == "vanishing" and len(set(n_list)) < 2:
+        raise ValueError(
+            f"vanishing mode fits a slope and needs two distinct horizons, got {n_list}"
+        )
     algo = Algo.USCG if optimizer == "uscg" else Algo.SCG
     rho = rho_unconstrained if algo is Algo.USCG else rho_constrained
     constants = {

@@ -1,8 +1,9 @@
 """Dense linear algebra primitives.
 
-Reduced SVD with deterministic sign conventions, Newton-Schulz orthogonalization,
-semi-orthogonal initializers, and a small counter-based PRNG (splitmix64 + Box-Muller)
-so that every random draw is reproducible across platforms and numpy versions.
+Reduced SVD with deterministic sign conventions, singular values without vectors,
+Newton-Schulz orthogonalization, semi-orthogonal initializers, and a small
+counter-based PRNG (splitmix64 + Box-Muller) so that every random draw is
+reproducible across platforms and numpy versions.
 All operations are pure functions of their inputs; there is no hidden state.
 """
 
@@ -64,6 +65,13 @@ class SvdResult:
         return self.u @ self.vt
 
 
+def _nonzero_matrix(a) -> np.ndarray:
+    m = as_matrix(a)
+    if not m.any():
+        raise ValueError("zero matrix has no reduced SVD")
+    return m
+
+
 def svd_reduced(a) -> SvdResult:
     """Reduced SVD, rank-truncated at RANK_RTOL relative to the largest singular value.
 
@@ -71,18 +79,25 @@ def svd_reduced(a) -> SvdResult:
     positive) so repeated calls are deterministic. Raises on an all-zero matrix;
     callers that need an lmo of zero handle that case separately.
     """
-    m = as_matrix(a)
-    if not m.any():
-        raise ValueError("zero matrix has no reduced SVD")
+    m = _nonzero_matrix(a)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     keep = s > RANK_RTOL * s[0]
     u, s, vt = u[:, keep], s[keep], vt[keep, :]
-    for j in range(s.size):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0.0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
+    pivots = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)]
+    flip = pivots < 0.0
+    np.negative(u, out=u, where=flip)
+    np.negative(vt, out=vt, where=flip[:, None])
     return SvdResult(u=u, sigma=s, vt=vt)
+
+
+def singular_values(a) -> np.ndarray:
+    """The `sigma` of svd_reduced(a) without the singular vectors.
+
+    Same validation, RANK_RTOL cutoff and zero-matrix error as svd_reduced, for
+    callers that need only a norm of the spectrum (nuclear norm, sigma_max).
+    """
+    s = np.linalg.svd(_nonzero_matrix(a), compute_uv=False)
+    return s[s > RANK_RTOL * s[0]]
 
 
 def newton_schulz_orthogonalize(a, iters: int = 5) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import newton_schulz_orthogonalize, svd_reduced
+from .linalg import newton_schulz_orthogonalize, singular_values, svd_reduced
 
 
 class NormKind(Enum):
@@ -151,7 +151,7 @@ def op_norm(a, spec: NormSpec) -> float:
     if k is NormKind.SPECTRAL:
         if not m.any():
             return 0.0
-        return float(np.sqrt(spec.d_in / spec.d_out) * np.linalg.norm(m, 2))
+        return float(np.sqrt(spec.d_in / spec.d_out) * singular_values(m)[0])
     if k is NormKind.EUCLIDEAN_VEC:
         return vec_norm(m, VecNorm.L2)
     if k is NormKind.MAX_VEC:
@@ -204,7 +204,8 @@ def dual_norm(s, spec: NormSpec) -> float:
     RowNorm -> sum of row l2 norms / sqrt(d_in); Spectral -> sqrt(d_out / d_in) *
     nuclear norm; EuclideanVec -> l2; MaxVec -> l1; RmsVec -> sqrt(d) * l2. Satisfies
     <s, lmo(s)> == -radius * dual_norm(s), which the test suite checks as a genuinely
-    independent pairing (the two sides share no code beyond the SVD factors).
+    independent pairing: the spectral dual takes its singular values from a separate
+    values-only factorization, so the two sides share no factorization at all.
     """
     m = _operand(s, spec)
     if not m.any():
@@ -213,7 +214,7 @@ def dual_norm(s, spec: NormSpec) -> float:
     if k is NormKind.SIGN or k is NormKind.MAX_VEC:
         return float(np.sum(np.abs(m)))
     if k is NormKind.SPECTRAL:
-        return float(np.sqrt(spec.d_out / spec.d_in) * np.sum(svd_reduced(m).sigma))
+        return float(np.sqrt(spec.d_out / spec.d_in) * np.sum(singular_values(m)))
     if k is NormKind.COL_NORM:
         return float(np.sqrt(spec.d_out) * np.sum(np.linalg.norm(m, axis=0)))
     if k is NormKind.ROW_NORM:

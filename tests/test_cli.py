@@ -234,6 +234,43 @@ class TestCommands:
         for key in ("L=", "sigma=", "zeta=", "rho2=", "D2="):
             assert key in joined
 
+    @pytest.mark.parametrize(
+        "command, setting, key",
+        [
+            ("sweep", "widths=", "widths"),
+            ("coord-check", "widths=", "widths"),
+            ("rate", "n_list=1", "n_list"),
+            ("rate", "n_list=100,100", "n_list"),
+            ("rate", "trials=0", "trials"),
+            ("coord-check", "samples=0", "samples"),
+        ],
+    )
+    def test_degenerate_input_exit_1(self, tmp_path, capsys, command, setting, key):
+        rc = run_cli(command, "--out", str(tmp_path), "--set", setting)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"'{key}'" in err
+        assert os.listdir(tmp_path) == []
+
+    def test_rate_constant_mode_single_horizon(self, tmp_path):
+        rc = run_cli(
+            "rate", "--out", str(tmp_path),
+            "--set", "mode=constant",
+            "--set", "n_list=40",
+            "--set", "trials=1",
+        )
+        assert rc == 0
+
+    def test_light_mode_vanishing_alpha_exit_1(self, tmp_path, capsys):
+        rc = run_cli(
+            "train", "--out", str(tmp_path),
+            "--set", "optimizer.algo=uscg_light",
+            "--set", "optimizer.alpha.kind=vanishing",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'optimizer.alpha.kind'" in err and "'optimizer.algo'" in err
+
     def test_config_file_plus_override(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"optimizer": {"steps": 6}, "problem": {"train_size": 48}}))

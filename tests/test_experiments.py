@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from lmopt.experiments import (
     train_classifier,
     train_quadratic,
 )
-from lmopt.models import Activation, Domain, build_config, init_model
+from lmopt.models import Activation, Domain, Loss, build_config, init_model, loss_and_grad
+from lmopt.norms import dual_norm, fw_gap
 from lmopt.optim import Algo, AlphaKind, GammaKind, ScheduleSpec
 from lmopt.problems import (
     StochasticQuadratic,
@@ -155,11 +158,82 @@ class TestTrainQuadratic:
         np.testing.assert_allclose(xa, xb, atol=1e-10)
 
     def test_light_mode_matches(self):
+        # constant alpha is the one schedule light mode supports; the match is exact
+        # up to rounding, so it holds at 1e-12 for iterates and the est_error column
         prob = small_quadratic(noise=1.0)
         sch = ScheduleSpec(horizon=60, gamma0=0.05, alpha0=0.1)
-        xa, _ = train_quadratic(prob, Algo.USCG, sch, trial=1)
-        xb, _ = train_quadratic(prob, Algo.USCG, sch, trial=1, light_mode=True)
-        np.testing.assert_allclose(xa, xb, atol=1e-10)
+        xa, da = train_quadratic(prob, Algo.USCG, sch, trial=1)
+        xb, db = train_quadratic(prob, Algo.USCG, sch, trial=1, light_mode=True)
+        np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(db.est_error, da.est_error, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("harness", ["quadratic", "classifier"])
+    def test_light_mode_rejects_other_algos(self, harness):
+        sch = ScheduleSpec(horizon=5, gamma0=0.05)
+        with pytest.raises(ValueError, match="light_mode requires Algo.USCG"):
+            _run_light(harness, Algo.SCG, sch)
+
+    @pytest.mark.parametrize("harness", ["quadratic", "classifier"])
+    def test_light_mode_rejects_vanishing_alpha(self, harness):
+        sch = ScheduleSpec(horizon=5, gamma0=0.05, alpha_kind=AlphaKind.VANISHING)
+        with pytest.raises(ValueError, match="light_mode requires a constant alpha"):
+            _run_light(harness, Algo.USCG, sch)
+
+
+def _run_light(harness, algo, schedule):
+    if harness == "quadratic":
+        return train_quadratic(small_quadratic(), algo, schedule, light_mode=True)
+    prob = SyntheticClassification(dim=8, classes=3, train_size=32, test_size=0, seed=3)
+    tx, ty, _, _ = gen_synthetic(prob)
+    model = init_model(build_config(Domain.IMAGE, (8, 8, 3)), 0)
+    return train_classifier(model, tx, ty, algo, schedule, batch_size=16, light_mode=True)
+
+
+class TestRecordedDiagnostics:
+    """The grad_dual_norm and fw_gap columns equal norms.dual_norm / norms.fw_gap
+    recomputed at the iterate each row describes. Constant schedules make a shorter
+    run reach exactly the iterate x^k of the recorded one."""
+
+    def test_spectral_mlp_probe_columns(self):
+        prob = SyntheticClassification(dim=8, classes=3, train_size=64, test_size=0, seed=3)
+        tx, ty, _, _ = gen_synthetic(prob)
+        # recommended family: spectral hidden layers, and a sign output layer whose
+        # radius 1/16 makes a dropped radius show in both columns
+        specs = build_config(Domain.IMAGE, (8, 16, 16, 3))
+        sch = ScheduleSpec(horizon=4, gamma0=0.1, alpha0=0.2)
+        kw = dict(batch_size=16, probe_factor=2)
+        _, diags = train_classifier(init_model(specs, 0), tx, ty, Algo.SCG, sch, **kw)
+        for k in diags.steps:
+            model = init_model(specs, 0)
+            if k > 1:
+                model, _ = train_classifier(
+                    model, tx, ty, Algo.SCG, replace(sch, horizon=k - 1), record=False, **kw
+                )
+            _, probe_g = loss_and_grad(model, tx[:, :32], ty[:32], Loss.LOGISTIC)
+            spec = model.norm_spec()
+            dual = sum(a.radius * dual_norm(g, a) for g, a in zip(probe_g, spec.atoms()))
+            gap = fw_gap(probe_g, model.parameters(), spec)
+            assert diags.grad_dual_norm[k - 1] == pytest.approx(dual, rel=1e-12, abs=0)
+            assert diags.fw_gap[k - 1] == pytest.approx(gap, rel=1e-12, abs=0)
+
+    def test_quadratic_exact_gradient_columns(self):
+        prob = small_quadratic(noise=1.0)
+        sch = ScheduleSpec(horizon=6, gamma0=0.1, alpha0=0.3)
+        rho = 2.0
+        spec = quadratic_norm_spec(prob.dim, rho)
+        _, diags = train_quadratic(prob, Algo.SCG, sch, rho=rho)
+        for k in diags.steps:
+            if k == 1:
+                x = prob.start_point(0, scale=rho)
+            else:
+                x, _ = train_quadratic(
+                    prob, Algo.SCG, replace(sch, horizon=k - 1), rho=rho, record=False
+                )
+            exact = prob.grad(x)
+            dual = dual_norm(exact, spec.atoms()[0])
+            assert diags.grad_dual_norm[k - 1] == pytest.approx(dual, rel=1e-12, abs=0)
+            gap = fw_gap([exact], [x], spec)
+            assert diags.fw_gap[k - 1] == pytest.approx(gap, rel=1e-12, abs=0)
 
 
 class TestTrainClassifier:
@@ -244,6 +318,11 @@ class TestRateHarness:
         rep = rate_harness("scg", "constant", [64], prob, trials=1)
         for key in ("L", "sigma", "zeta", "rho2", "D2"):
             assert key in rep.constants
+
+    @pytest.mark.parametrize("n_list", [[], [100], [100, 100]])
+    def test_vanishing_needs_two_distinct_horizons(self, n_list):
+        with pytest.raises(ValueError, match="horizon"):
+            rate_harness("uscg", "vanishing", n_list, small_quadratic())
 
     def test_bad_arguments(self):
         prob = small_quadratic()

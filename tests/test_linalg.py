@@ -8,6 +8,7 @@ from lmopt.linalg import (
     rng_permutation,
     rng_rademacher,
     semi_orthogonal_init,
+    singular_values,
     svd_reduced,
 )
 
@@ -49,6 +50,25 @@ class TestSvdReduced:
         rel = np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a)
         assert rel <= 1e-8
 
+    @pytest.mark.parametrize("shape", [(16, 7), (7, 16), (1, 5), (5, 1), (32, 32)])
+    def test_sign_convention_matches_column_loop(self, shape):
+        # reference: flip each column so its largest-magnitude entry is positive
+        a = random_matrix(*shape, seed=shape[0] * 7 + shape[1])
+        if min(shape) > 2:
+            a[:, 1] = a[:, 0]  # rank deficient, so truncation runs too
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        keep = s > 1e-10 * s[0]
+        u, s, vt = u[:, keep], s[keep], vt[keep, :]
+        for j in range(s.size):
+            i = int(np.argmax(np.abs(u[:, j])))
+            if u[i, j] < 0.0:
+                u[:, j] = -u[:, j]
+                vt[j, :] = -vt[j, :]
+        res = svd_reduced(a)
+        np.testing.assert_array_equal(res.u, u)
+        np.testing.assert_array_equal(res.sigma, s)
+        np.testing.assert_array_equal(res.vt, vt)
+
     def test_rank_truncation(self):
         a = np.diag([1.0, 1e-14])
         res = svd_reduced(a)
@@ -62,6 +82,32 @@ class TestSvdReduced:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             svd_reduced([[1.0, np.nan], [0.0, 1.0]])
+
+
+class TestSingularValues:
+    @pytest.mark.parametrize("shape", [(16, 7), (7, 16), (1, 9), (9, 1), (32, 32)])
+    def test_matches_svd_reduced_sigma(self, shape):
+        a = random_matrix(*shape, seed=shape[0] * 100 + shape[1])
+        np.testing.assert_allclose(singular_values(a), svd_reduced(a).sigma, rtol=1e-12)
+
+    def test_rank_deficient_drops_values_below_cutoff(self):
+        u = semi_orthogonal_init(12, 3, seed=4)
+        v = semi_orthogonal_init(8, 3, seed=5)
+        a = (u * np.array([3.0, 1.0, 0.5])) @ v.T
+        sv = singular_values(a)
+        assert sv.size == svd_reduced(a).rank == 3
+        assert np.all(sv > 1e-10 * sv[0])
+        np.testing.assert_allclose(sv, svd_reduced(a).sigma, rtol=1e-12)
+        np.testing.assert_allclose(singular_values(np.diag([1.0, 1e-14])), [1.0], rtol=1e-12)
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="zero matrix has no reduced SVD"):
+            singular_values(np.zeros((3, 2)))
+
+    def test_nonfinite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                singular_values([[1.0, bad], [0.0, 1.0]])
 
 
 class TestNewtonSchulz:
