@@ -11,7 +11,6 @@ most the stepsize sum.
 import numpy as np
 
 from lmopt import (
-    Algo,
     LayerNorms,
     ModelNormSpec,
     NormKind,
@@ -43,7 +42,7 @@ stream = [fresh(1000 + k) for k in range(steps)]
 
 # 1) momentum accumulator == averaged direction with alpha = 1 - beta
 xa, xb = fresh(1), fresh(1)
-sa, sb = OptimizerState.init(xa), OptimizerState.init(xb, algo=Algo.MUON_PLAIN)
+sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
 for g in stream:
     xa = uscg_step(xa, sa, g, gamma, 1.0 - beta, spec)
     xb = muon_step(xb, sb, g, gamma, beta, False, spec)
@@ -58,8 +57,8 @@ inflated = ModelNormSpec(layers=tuple(
     for ln in spec.layers
 ))
 xa, xb = fresh(2, scale=0.05), fresh(2, scale=0.05)
-sa = OptimizerState.init(xa, algo=Algo.USCG_WD, wd_mu=mu)
-sb = OptimizerState.init(xb, algo=Algo.SCG)
+sa = OptimizerState.init(xa)
+sb = OptimizerState.init(xb)
 for g in stream:
     xa = uscg_wd_step(xa, sa, g, gamma, 0.15, mu, spec)
     xb = scg_step(xb, sb, g, gamma * mu, 0.15, inflated)
@@ -83,7 +82,7 @@ from lmopt import model_lmo
 
 x_con = model_lmo(fresh(4), spec)   # boundary start
 x_unc = [p.copy() for p in x_con]
-s_con = OptimizerState.init(x_con, algo=Algo.SCG)
+s_con = OptimizerState.init(x_con)
 s_unc = OptimizerState.init(x_unc)
 gamma_sum = 0.0
 for g in stream:

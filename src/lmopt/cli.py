@@ -601,6 +601,10 @@ def cmd_rate(cfg: dict) -> int:
     _require(cfg["mode"] != "vanishing" or len(set(n_list)) >= 2, "n_list",
              "must hold two distinct horizons in vanishing mode", n_list)
     _require(cfg["trials"] >= 1, "trials", "must be >= 1", cfg["trials"])
+    if cfg["probe"] == "error_decay":
+        _require(cfg["probe_trials"] >= 1, "probe_trials", "must be >= 1", cfg["probe_trials"])
+        # the probe fits a log-log slope across its steps
+        _require(cfg["probe_n"] >= 2, "probe_n", "must be >= 2", cfg["probe_n"])
     problem = StochasticQuadratic(
         dim=cfg["problem.dim"],
         noise=cfg["problem.noise"],

@@ -10,6 +10,7 @@ by optimizer state), so equivalence assertions can demand exact agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .norms import (
     NormSpec,
     composite_norm,
     dual_norm,
+    gap_from_duals,
 )
 from .optim import (
     Algo,
@@ -55,11 +57,14 @@ FEASIBLE_TOL = 1e-8
 
 
 class NumericalFailure(RuntimeError):
-    """Raised when a run produces NaN/Inf; carries the 1-based step index."""
+    """Raised when a run produces NaN/Inf; carries the 1-based step index and, for a
+    quadratic run, the index of the trial that failed (None elsewhere)."""
 
-    def __init__(self, step: int, what: str):
-        super().__init__(f"numerical failure at step {step}: {what}")
+    def __init__(self, step: int, what: str, trial: int | None = None):
+        where = f"step {step}" if trial is None else f"step {step} of trial {trial}"
+        super().__init__(f"numerical failure at {where}: {what}")
         self.step = step
+        self.trial = trial
 
 
 @dataclass
@@ -127,18 +132,40 @@ def _flat_l2(arrays: Sequence[np.ndarray]) -> float:
     return float(np.sqrt(sum(float(np.vdot(a, a)) for a in arrays)))
 
 
-def _gap_from_duals(
-    grads: Sequence[np.ndarray],
-    x: Sequence[np.ndarray],
-    atoms: Sequence[NormSpec],
-    duals: Sequence[float],
-) -> float:
-    """norms.fw_gap's identity <g, x> + sum_i radius_i * dual_i, from duals already taken."""
-    total = 0.0
-    for g, xi, a, dual in zip(grads, x, atoms, duals):
-        total += float(np.vdot(g, xi))
-        total += a.radius * dual
-    return total
+def _trial_diagnostics(records: list[tuple], count: int) -> list[RunDiagnostics]:
+    """Split the per-step records of a trial stack into one RunDiagnostics per trial.
+
+    A record is (gamma, alpha, loss, grad_dual_norm, fw_gap, param_norm, est_error),
+    the last five holding one value per trial.
+    """
+    if not records:
+        return [RunDiagnostics() for _ in range(count)]
+    gamma, alpha, *per_trial = zip(*records)
+    loss, dual, gap, pnorm, err = (np.array(column) for column in per_trial)
+    steps = list(range(1, len(records) + 1))
+    gamma = [float(v) for v in gamma]
+    alpha = [float(v) for v in alpha]
+    return [
+        RunDiagnostics(
+            steps=list(steps),
+            gamma=list(gamma),
+            alpha=list(alpha),
+            loss=loss[:, t].tolist(),
+            grad_dual_norm=dual[:, t].tolist(),
+            fw_gap=gap[:, t].tolist(),
+            param_norm=pnorm[:, t].tolist(),
+            est_error=err[:, t].tolist(),
+            feasible=(pnorm[:, t] <= 1.0 + FEASIBLE_TOL).tolist(),
+        )
+        for t in range(count)
+    ]
+
+
+def _check_rows_finite(a: np.ndarray, k: int, trials: Sequence[int], what: str) -> None:
+    """Raise NumericalFailure naming step k and the first trial whose row is not finite."""
+    finite = np.isfinite(a).all(axis=1)
+    if not finite.all():
+        raise NumericalFailure(k, what, trial=trials[int(np.argmin(finite))])
 
 
 def _check_light_mode(algo: Algo, schedule: ScheduleSpec) -> None:
@@ -222,7 +249,7 @@ def train_quadratic(
     problem,
     algo: Algo,
     schedule: ScheduleSpec,
-    trial: int = 0,
+    trial: int | Sequence[int] = 0,
     rho: float = 1.0,
     start_scale: float = 2.0,
     ns_iters: int | None = None,
@@ -230,50 +257,61 @@ def train_quadratic(
     beta: float = 0.9,
     light_mode: bool = False,
     record: bool = True,
-) -> tuple[np.ndarray, RunDiagnostics]:
+) -> tuple[np.ndarray, RunDiagnostics | list[RunDiagnostics]]:
     """Run one optimizer on the stochastic quadratic; diagnostics use the exact gradient.
+
+    `trial` is one trial index, or a sequence of them to run every trial at once on
+    a leading axis: each step then updates the (T, dim) stack of iterates with one
+    call per operation, and the run returns the final stack and a list of one
+    RunDiagnostics per trial. A single index is the batch-of-one case and returns
+    the final iterate and its RunDiagnostics.
 
     The constrained method starts on its ball boundary (composite norm 1); the
     unconstrained ones start at l2 distance `start_scale` from the minimizer. Noise
     is keyed by (problem.seed, trial, step) so different algorithms see the same
     stream on the same trial. Light mode needs Algo.USCG and a constant alpha.
+    A non-finite gradient or iterate raises NumericalFailure naming its trial.
     """
+    stacked = not isinstance(trial, Integral)
+    trials = [int(t) for t in trial] if stacked else [int(trial)]
+    if not trials:
+        raise ValueError("trial must name at least one trial")
     if light_mode:
         _check_light_mode(algo, schedule)
     spec = quadratic_norm_spec(problem.dim, rho)
     atom = spec.atoms()[0]
-    x0 = problem.start_point(trial, scale=rho if algo is Algo.SCG else start_scale)
-    x = [x0]
-    state = OptimizerState.init(x, algo=algo, wd_mu=mu, light_mode=light_mode)
+    x = [problem.start_point(trials, scale=rho if algo is Algo.SCG else start_scale)]
+    state = OptimizerState.init(x, light_mode=light_mode)
     gbuf = [np.zeros_like(p) for p in x] if light_mode else None
-    diags = RunDiagnostics()
+    records = []
     for k in range(1, schedule.horizon + 1):
         gamma = gamma_at(schedule, k)
         alpha = alpha_at(schedule, k)
         exact = problem.grad(x[0])
-        g = problem.noisy_grad(x[0], trial, k)
+        g = problem.noisy_grad(x[0], trials, k)
+        _check_rows_finite(g, k, trials, "non-finite gradient")
         if record:
             cnorm = composite_norm(x, spec)
-            d_k = _direction_preview(algo, state, [g], alpha, beta, gbuf)
+            d_k = _direction_preview(algo, state, [g], alpha, beta, gbuf)[0]
             dual = dual_norm(exact, atom)
-            diags.append(
-                k,
+            records.append((
                 gamma,
                 alpha,
                 problem.loss(x[0]),
                 dual,
-                _gap_from_duals([exact], x, (atom,), (dual,)),
+                gap_from_duals([exact], x, spec, (dual,)),
                 cnorm,
-                _flat_l2([d_k[0] - exact]),
-                cnorm <= 1.0 + FEASIBLE_TOL,
-            )
+                np.linalg.norm(d_k - exact, axis=1),
+            ))
         x = apply_step(
             algo, x, state, [g], gamma, alpha, spec,
             ns_iters=ns_iters, mu=mu, beta=beta, gbuf=gbuf,
         )
-        if not np.all(np.isfinite(x[0])):
-            raise NumericalFailure(k, "non-finite parameters")
-    return x[0], diags
+        _check_rows_finite(x[0], k, trials, "non-finite parameters")
+    diags = _trial_diagnostics(records, len(trials))
+    if stacked:
+        return x[0], diags
+    return x[0][0], diags[0]
 
 
 def train_classifier(
@@ -307,7 +345,7 @@ def train_classifier(
     n = train_x.shape[1]
     batch_size = min(batch_size, n)
     x = model.parameters()
-    state = OptimizerState.init(x, algo=algo, wd_mu=mu, light_mode=light_mode)
+    state = OptimizerState.init(x, light_mode=light_mode)
     gbuf = [np.zeros_like(p) for p in x] if light_mode else None
     diags = RunDiagnostics()
     probe_n = min(n, probe_factor * batch_size)
@@ -342,7 +380,7 @@ def train_classifier(
                 alpha,
                 batch_loss,
                 sum(a.radius * dual for dual, a in zip(duals, atoms)),
-                _gap_from_duals(probe_g, x, atoms, duals),
+                gap_from_duals(probe_g, x, spec, duals),
                 cnorm,
                 _flat_l2([di - gi for di, gi in zip(d_k, probe_g)]),
                 cnorm <= 1.0 + FEASIBLE_TOL,
@@ -543,9 +581,10 @@ def rate_harness(
     dual gradient norm for the unconstrained method and the run-averaged gap for the
     constrained one. Constant mode fixes alpha, sets gamma = 1 / sqrt(n) at the
     largest horizon, and measures the plateau (mean criticality over the last quarter
-    of steps) at the problem's noise level and at double that level. The reported
-    constants block documents the problem's known regularity values; they are not
-    enforced at runtime.
+    of steps) at the problem's noise level and at double that level. Each horizon
+    or noise level runs all its trials at once on train_quadratic's trial axis.
+    The reported constants block documents the problem's known regularity values;
+    they are not enforced at runtime.
     """
     if optimizer not in ("uscg", "scg"):
         raise ValueError(f"optimizer must be 'uscg' or 'scg', got {optimizer!r}")
@@ -558,6 +597,8 @@ def rate_harness(
         raise ValueError(
             f"vanishing mode fits a slope and needs two distinct horizons, got {n_list}"
         )
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     algo = Algo.USCG if optimizer == "uscg" else Algo.SCG
     rho = rho_unconstrained if algo is Algo.USCG else rho_constrained
     constants = {
@@ -570,10 +611,13 @@ def rate_harness(
         "zeta": 1.0,  # the dual norm here is the l2 norm itself
     }
 
-    def run_mean(prob, n, trial, schedule) -> float:
-        _, diags = train_quadratic(prob, algo, schedule, trial=trial, rho=rho)
-        series = diags.grad_dual_norm if algo is Algo.USCG else diags.fw_gap
-        return float(np.mean(series))
+    def mean_criticality(prob, schedule: ScheduleSpec, tail: int = 0) -> float:
+        """Mean over the trials of each run's criticality averaged from step tail + 1."""
+        _, diags = train_quadratic(prob, algo, schedule, trial=range(trials), rho=rho)
+        return float(np.mean([
+            float(np.mean((d.grad_dual_norm if algo is Algo.USCG else d.fw_gap)[tail:]))
+            for d in diags
+        ]))
 
     if mode == "vanishing":
         gammas = []
@@ -585,9 +629,7 @@ def rate_harness(
                 raise AssertionError(f"theory gamma {gamma} outside ({lo}, {hi}) for n={n}")
             gammas.append(gamma)
             schedule = ScheduleSpec(horizon=n, gamma0=gamma, alpha_kind=AlphaKind.VANISHING)
-            means.append(
-                float(np.mean([run_mean(problem, n, t, schedule) for t in range(trials)]))
-            )
+            means.append(mean_criticality(problem, schedule))
         slope = float(np.polyfit(np.log(np.asarray(n_list, float)), np.log(means), 1)[0])
         return RateReport(
             optimizer=optimizer,
@@ -611,12 +653,7 @@ def rate_harness(
             seed=problem.seed,
         )
         schedule = ScheduleSpec(horizon=n, gamma0=gamma, alpha0=alpha)
-        tail_means = []
-        for t in range(trials):
-            _, diags = train_quadratic(scaled, algo, schedule, trial=t, rho=rho)
-            series = diags.grad_dual_norm if algo is Algo.USCG else diags.fw_gap
-            tail_means.append(float(np.mean(series[3 * n // 4 :])))
-        plateaus.append(float(np.mean(tail_means)))
+        plateaus.append(mean_criticality(scaled, schedule, tail=3 * n // 4))
     return RateReport(
         optimizer=optimizer,
         mode=mode,
@@ -647,29 +684,25 @@ def error_decay_probe(
 ) -> ErrorDecayReport:
     """Track ||d^k - grad f(x^k)||_2^2 along unconstrained runs, averaged over trials.
 
-    With the vanishing schedule alpha_k = 1/sqrt(k), the averaged squared error decays
-    like 1/sqrt(k); the report fits the log-log slope over all steps with a positive
-    mean. With constant alpha = 1 the direction is the raw noisy gradient, so the
-    squared error just fluctuates around the injected noise level.
+    The error is train_quadratic's est_error column, squared; all trials run at
+    once on its trial axis. With the vanishing schedule alpha_k = 1/sqrt(k), the
+    averaged squared error decays like 1/sqrt(k); the report fits the log-log slope
+    over all steps with a positive mean. With constant alpha = 1 the direction is
+    the raw noisy gradient, so the squared error just fluctuates around the
+    injected noise level. Needs trials >= 1 and n >= 2.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if n < 2:
+        raise ValueError(f"n must be >= 2 to fit a slope, got {n}")
     if gamma is None:
         gamma = theory_gamma(n)
-    spec = quadratic_norm_spec(problem.dim, 1.0)
     alpha_kind = AlphaKind.VANISHING if vanishing else AlphaKind.CONSTANT
     schedule = ScheduleSpec(horizon=n, gamma0=float(gamma), alpha_kind=alpha_kind, alpha0=alpha)
-    total = np.zeros(n)
-    for t in range(trials):
-        x = [problem.start_point(t, scale=2.0)]
-        state = OptimizerState.init(x)
-        for k in range(1, n + 1):
-            exact = problem.grad(x[0])
-            g = problem.noisy_grad(x[0], t, k)
-            x = apply_step(
-                Algo.USCG, x, state, [g], gamma_at(schedule, k), alpha_at(schedule, k), spec
-            )
-            lam = state.d[0] - exact
-            total[k - 1] += float(lam @ lam)
-    mean_sq = total / trials
+    _, diags = train_quadratic(
+        problem, Algo.USCG, schedule, trial=range(trials), rho=1.0, start_scale=2.0
+    )
+    mean_sq = np.square([d.est_error for d in diags]).sum(axis=0) / trials
     ks = np.arange(1, n + 1)
     mask = mean_sq > 0.0
     if vanishing and mask.sum() >= 2:

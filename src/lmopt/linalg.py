@@ -3,13 +3,15 @@
 Reduced SVD with deterministic sign conventions, singular values without vectors,
 Newton-Schulz orthogonalization, semi-orthogonal initializers, and a small
 counter-based PRNG (splitmix64 + Box-Muller) so that every random draw is
-reproducible across platforms and numpy versions.
+reproducible across platforms and numpy versions. The Gaussian draw also takes a
+sequence of seeds and returns one draw per seed on a leading axis.
 All operations are pure functions of their inputs; there is no hidden state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -142,9 +144,18 @@ def derive_seed(seed: int, *indices: int) -> int:
     return s
 
 
-def _bits(count: int, seed: int) -> np.ndarray:
+def _seed_words(seed) -> np.ndarray:
+    """One seed as a uint64 scalar, or a sequence of seeds as a (S, 1) uint64 column."""
+    if isinstance(seed, Integral):
+        return np.uint64(int(seed) & _MASK64)
+    return np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)[:, None]
+
+
+def _bits(count: int, seed) -> np.ndarray:
     # splitmix64 in counter form: value i is mix(seed + (i+1)*GOLDEN) mod 2^64.
-    s = np.uint64(int(seed) & _MASK64)
+    # A sequence of seeds gives one (count,) row per seed; the uint64 arithmetic
+    # wraps mod 2^64 exactly as the scalar form does.
+    s = _seed_words(seed)
     idx = np.arange(1, count + 1, dtype=np.uint64)
     z = s + idx * np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
@@ -152,22 +163,26 @@ def _bits(count: int, seed: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _uniform01(count: int, seed: int) -> np.ndarray:
+def _uniform01(count: int, seed) -> np.ndarray:
     # Top 53 bits shifted into (0, 1]; never 0, so log() below is safe.
     b = _bits(count, seed)
     return ((b >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
 
-def rng_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Standard normal matrix via Box-Muller over the splitmix64 counter stream."""
+def rng_gaussian(rows: int, cols: int, seed) -> np.ndarray:
+    """Standard normal matrix via Box-Muller over the splitmix64 counter stream.
+
+    `seed` is one integer, or a sequence of S integers for an (S, rows, cols) stack
+    whose slice i equals rng_gaussian(rows, cols, seed[i]) bit for bit.
+    """
     _check_dims(rows, cols)
     n = rows * cols
     half = (n + 1) // 2
     u = _uniform01(2 * half, seed)
-    r = np.sqrt(-2.0 * np.log(u[:half]))
-    theta = (2.0 * np.pi) * u[half:]
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-    return z.reshape(rows, cols)
+    r = np.sqrt(-2.0 * np.log(u[..., :half]))
+    theta = (2.0 * np.pi) * u[..., half:]
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
+    return z.reshape(u.shape[:-1] + (rows, cols))
 
 
 def rng_rademacher(rows: int, cols: int, seed: int) -> np.ndarray:

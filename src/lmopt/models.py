@@ -118,10 +118,6 @@ class LayerSpec:
         ):
             raise ValueError("bias_norm must be a vector norm of length d_out")
 
-    @property
-    def rho_scale(self) -> float:
-        return self.weight_norm.radius
-
 
 @dataclass
 class MlpModel:

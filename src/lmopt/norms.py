@@ -13,6 +13,9 @@ Conventions, chosen once and relied on by everything downstream:
     oracle odd.
   * A zero column (ColNorm) or zero row (RowNorm) maps to a zero column/row.
   * The lmo is positively scale invariant: lmo(a * s) == lmo(s) for a > 0.
+  * Vector kinds also take a (T, d) stack and act row by row: the lmo maps each
+    row (a zero row to a zero row), and op_norm, dual_norm and composite_norm
+    return one value per row. Matrix kinds take one matrix.
 
 Everything here is a pure function with no internal caching, safe to call from
 multiple threads.
@@ -20,6 +23,7 @@ multiple threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -83,13 +87,13 @@ class NormSpec:
 def _operand(s, spec: NormSpec) -> np.ndarray:
     """Validate an operand against the spec's shape and return it as float64."""
     a = np.asarray(s, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("operand contains non-finite entries")
     if spec.is_vector:
-        if a.ndim != 1 or a.shape[0] != spec.d_out:
+        if a.ndim not in (1, 2) or a.shape[-1] != spec.d_out:
             raise ValueError(
-                f"expected vector of length {spec.d_out} for {spec.kind.value}, "
-                f"got shape {a.shape}"
+                f"expected a vector of length {spec.d_out}, or a stack of them, for "
+                f"{spec.kind.value}, got shape {a.shape}"
             )
     else:
         if a.shape != (spec.d_out, spec.d_in):
@@ -98,6 +102,46 @@ def _operand(s, spec: NormSpec) -> np.ndarray:
                 f"got shape {a.shape}"
             )
     return a
+
+
+def _row_values(values: np.ndarray, m: np.ndarray) -> float | np.ndarray:
+    """Per-row results of a vector operand: a float for one vector, the array for a stack."""
+    return float(values) if m.ndim == 1 else values
+
+
+def _row_l2(m: np.ndarray) -> np.ndarray:
+    """l2 norm along the last axis; each row's value is independent of the others."""
+    return np.sqrt(np.einsum("...d,...d->...", m, m))
+
+
+def _vector_op_norm(m: np.ndarray, spec: NormSpec) -> float | np.ndarray:
+    if spec.kind is NormKind.MAX_VEC:
+        values = np.max(np.abs(m), axis=-1)
+    else:
+        values = _row_l2(m)
+        if spec.kind is NormKind.RMS_VEC:
+            values = values / np.sqrt(spec.d_out)
+    return _row_values(values, m)
+
+
+def _vector_dual_norm(m: np.ndarray, spec: NormSpec) -> float | np.ndarray:
+    if spec.kind is NormKind.MAX_VEC:
+        values = np.sum(np.abs(m), axis=-1)
+    else:
+        values = _row_l2(m)
+        if spec.kind is NormKind.RMS_VEC:
+            values = np.sqrt(spec.d_out) * values
+    return _row_values(values, m)
+
+
+def _vector_lmo(m: np.ndarray, spec: NormSpec) -> np.ndarray:
+    rho = spec.radius
+    if spec.kind is NormKind.MAX_VEC:
+        return -rho * np.sign(m)
+    coef = -rho if spec.kind is NormKind.EUCLIDEAN_VEC else -rho * np.sqrt(spec.d_out)
+    norms = _row_l2(m)[..., None]
+    scale = np.divide(coef, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    return scale * m
 
 
 def vec_norm(z, which: VecNorm) -> float:
@@ -138,9 +182,11 @@ def lmo_coefficient(spec: NormSpec) -> float:
     raise ValueError(f"unknown norm kind {k}")
 
 
-def op_norm(a, spec: NormSpec) -> float:
+def op_norm(a, spec: NormSpec) -> float | np.ndarray:
     """The norm named by `spec` (operator norm for matrix kinds, vector norm otherwise)."""
     m = _operand(a, spec)
+    if spec.is_vector:
+        return _vector_op_norm(m, spec)
     k = spec.kind
     if k is NormKind.SIGN:
         return float(np.max(np.abs(m)))
@@ -152,12 +198,6 @@ def op_norm(a, spec: NormSpec) -> float:
         if not m.any():
             return 0.0
         return float(np.sqrt(spec.d_in / spec.d_out) * singular_values(m)[0])
-    if k is NormKind.EUCLIDEAN_VEC:
-        return vec_norm(m, VecNorm.L2)
-    if k is NormKind.MAX_VEC:
-        return vec_norm(m, VecNorm.LINF)
-    if k is NormKind.RMS_VEC:
-        return vec_norm(m, VecNorm.RMS)
     raise ValueError(f"unknown norm kind {k}")
 
 
@@ -170,11 +210,13 @@ def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
     approximation instead, which keeps the boundary only up to its singular-value band.
     """
     m = _operand(s, spec)
+    if spec.is_vector:
+        return _vector_lmo(m, spec)
     if not m.any():
         return np.zeros_like(m)
     k = spec.kind
     rho = spec.radius
-    if k is NormKind.SIGN or k is NormKind.MAX_VEC:
+    if k is NormKind.SIGN:
         return -rho * np.sign(m)
     if k is NormKind.SPECTRAL:
         if ns_iters is None:
@@ -190,14 +232,10 @@ def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
         norms = np.linalg.norm(m, axis=1, keepdims=True)
         scaled = np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)
         return (-rho / np.sqrt(spec.d_in)) * scaled
-    if k is NormKind.EUCLIDEAN_VEC:
-        return (-rho / np.linalg.norm(m)) * m
-    if k is NormKind.RMS_VEC:
-        return (-rho * np.sqrt(m.size) / np.linalg.norm(m)) * m
     raise ValueError(f"unknown norm kind {k}")
 
 
-def dual_norm(s, spec: NormSpec) -> float:
+def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
     """The dual norm of `s`, in closed form per kind.
 
     Duals: Sign -> entrywise l1; ColNorm -> sqrt(d_out) * sum of column l2 norms;
@@ -208,10 +246,12 @@ def dual_norm(s, spec: NormSpec) -> float:
     values-only factorization, so the two sides share no factorization at all.
     """
     m = _operand(s, spec)
+    if spec.is_vector:
+        return _vector_dual_norm(m, spec)
     if not m.any():
         return 0.0
     k = spec.kind
-    if k is NormKind.SIGN or k is NormKind.MAX_VEC:
+    if k is NormKind.SIGN:
         return float(np.sum(np.abs(m)))
     if k is NormKind.SPECTRAL:
         return float(np.sqrt(spec.d_out / spec.d_in) * np.sum(singular_values(m)))
@@ -219,10 +259,6 @@ def dual_norm(s, spec: NormSpec) -> float:
         return float(np.sqrt(spec.d_out) * np.sum(np.linalg.norm(m, axis=0)))
     if k is NormKind.ROW_NORM:
         return float(np.sum(np.linalg.norm(m, axis=1)) / np.sqrt(spec.d_in))
-    if k is NormKind.EUCLIDEAN_VEC:
-        return float(np.linalg.norm(m))
-    if k is NormKind.RMS_VEC:
-        return float(np.sqrt(m.size) * np.linalg.norm(m))
     raise ValueError(f"unknown norm kind {k}")
 
 
@@ -230,12 +266,16 @@ def sharp_op(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
     """Steepest-descent direction: sharp(s) = -(dual_norm(s) / radius) * lmo(s).
 
     Unlike the lmo, the sharp operator scales linearly with its input, and it
-    satisfies <s, sharp(s)> == dual_norm(s)**2. Zero maps to zero.
+    satisfies <s, sharp(s)> == dual_norm(s)**2. Zero maps to zero. On a vector
+    stack each row is scaled by its own dual norm.
     """
     m = _operand(s, spec)
     if not m.any():
         return np.zeros_like(m)
-    return (-dual_norm(m, spec) / spec.radius) * lmo(m, spec, ns_iters=ns_iters)
+    dual = dual_norm(m, spec)
+    if np.ndim(dual):
+        dual = dual[:, None]
+    return (-dual / spec.radius) * lmo(m, spec, ns_iters=ns_iters)
 
 
 @dataclass(frozen=True)
@@ -285,10 +325,16 @@ def _check_aligned(params: Sequence[np.ndarray], spec: ModelNormSpec) -> tuple[N
     return atoms
 
 
-def composite_norm(params: Sequence[np.ndarray], spec: ModelNormSpec) -> float:
-    """max over atoms of op_norm(param) / radius; feasible parameters have value <= 1."""
+def composite_norm(params: Sequence[np.ndarray], spec: ModelNormSpec) -> float | np.ndarray:
+    """max over atoms of op_norm(param) / radius; feasible parameters have value <= 1.
+
+    Stacked vector atoms give one value per row.
+    """
     atoms = _check_aligned(params, spec)
-    return max(op_norm(p, a) / a.radius for p, a in zip(params, atoms))
+    values = [op_norm(p, a) / a.radius for p, a in zip(params, atoms)]
+    if np.ndim(values[0]):
+        return functools.reduce(np.maximum, values)
+    return max(values)
 
 
 def model_lmo(
@@ -299,20 +345,37 @@ def model_lmo(
     return [lmo(g, a, ns_iters=ns_iters) for g, a in zip(grads, atoms)]
 
 
-def fw_gap(
-    grads: Sequence[np.ndarray], x: Sequence[np.ndarray], spec: ModelNormSpec
-) -> float:
-    """Frank-Wolfe gap <grad, x - lmo(grad)> = <grad, x> + sum_i radius_i * dual(grad_i).
-
-    Nonnegative whenever x is feasible for the composite ball; values near zero
-    certify criticality for the constrained problem.
-    """
+def gap_from_duals(
+    grads: Sequence[np.ndarray],
+    x: Sequence[np.ndarray],
+    spec: ModelNormSpec,
+    duals: Sequence[float | np.ndarray],
+) -> float | np.ndarray:
+    """fw_gap's identity <grad, x> + sum_i radius_i * duals_i, from per-atom dual norms
+    the caller has already taken. Stacked vector atoms give one value per row."""
     atoms = _check_aligned(grads, spec)
     if len(x) != len(atoms):
         raise ValueError("x and grads must have the same layout")
     total = 0.0
-    for g, xi, a in zip(grads, x, atoms):
+    for g, xi, a, dual in zip(grads, x, atoms, duals):
         g = np.asarray(g, dtype=np.float64)
-        total += float(np.vdot(g, np.asarray(xi, dtype=np.float64)))
-        total += a.radius * dual_norm(g, a)
+        xi = np.asarray(xi, dtype=np.float64)
+        if a.is_vector and g.ndim == 2:
+            total += np.einsum("td,td->t", g, xi)
+        else:
+            total += float(np.vdot(g, xi))
+        total += a.radius * dual
     return total
+
+
+def fw_gap(
+    grads: Sequence[np.ndarray], x: Sequence[np.ndarray], spec: ModelNormSpec
+) -> float | np.ndarray:
+    """Frank-Wolfe gap <grad, x - lmo(grad)> = <grad, x> + sum_i radius_i * dual(grad_i).
+
+    Nonnegative whenever x is feasible for the composite ball; values near zero
+    certify criticality for the constrained problem. Stacked vector atoms give one
+    value per row.
+    """
+    atoms = _check_aligned(grads, spec)
+    return gap_from_duals(grads, x, spec, [dual_norm(g, a) for g, a in zip(grads, atoms)])

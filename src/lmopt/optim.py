@@ -9,7 +9,9 @@ reproduce the conditional-gradient trajectories bit-for-bit, which the test suit
 asserts at 1e-10 over long runs.
 
 Steppers mutate the passed-in OptimizerState (single-writer contract) and return the
-new parameter list; parameter arrays themselves are never written in place.
+new parameter list; parameter arrays themselves are never written in place. A
+parameter on a vector-kind atom may be a (T, d) stack of independent runs, which
+every rule updates row by row.
 """
 
 from __future__ import annotations
@@ -41,13 +43,11 @@ class OptimizerState:
 
     d: list[np.ndarray]
     step: int = 0
-    algo: Algo = Algo.USCG
-    wd_mu: float = 0.0
     light_mode: bool = False
 
     @classmethod
-    def init(cls, params: Sequence[np.ndarray], algo: Algo = Algo.USCG, **kw) -> "OptimizerState":
-        return cls(d=[np.zeros_like(p) for p in params], step=0, algo=algo, **kw)
+    def init(cls, params: Sequence[np.ndarray], **kw) -> "OptimizerState":
+        return cls(d=[np.zeros_like(p) for p in params], step=0, **kw)
 
 
 def _check_like(a: Sequence[np.ndarray], b: Sequence[np.ndarray], what: str) -> None:
@@ -114,12 +114,13 @@ def scg_step(
 ) -> list[np.ndarray]:
     """Constrained conditional-gradient step: x <- (1 - gamma) * x + gamma * lmo(d).
 
-    Requires a feasible iterate (composite norm <= 1); the convex combination with a
-    ball point keeps every subsequent iterate feasible no matter the gradient stream.
+    Requires a feasible iterate (composite norm <= 1), on every row of a stacked
+    one; the convex combination with a ball point keeps every subsequent iterate
+    feasible no matter the gradient stream.
     """
     _check_gamma(gamma)
     _check_like(x, g, "scg_step")
-    if composite_norm(x, spec) > 1.0 + FEASIBILITY_SLACK:
+    if np.max(composite_norm(x, spec)) > 1.0 + FEASIBILITY_SLACK:
         raise ValueError(
             "scg_step needs a feasible iterate (composite norm <= 1); "
             "initialize on or inside the ball boundary"

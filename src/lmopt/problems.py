@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -26,6 +27,10 @@ class StochasticQuadratic:
 
     The top eigenvalue is 1, so the gradient's Lipschitz constant is exactly 1.
     noisy_grad adds i.i.d. Gaussian noise with E||noise||_2^2 = noise**2.
+
+    Every method also takes a (T, dim) stack of iterates, one row per trial; the
+    trial-keyed methods then take a sequence of T trial indices, and row i is
+    bit-identical to the single-trial call with trial[i].
     """
 
     dim: int
@@ -40,29 +45,50 @@ class StochasticQuadratic:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
         if self.conditioning < 1.0:
             raise ValueError(f"conditioning must be >= 1, got {self.conditioning}")
+        if self.dim == 1:
+            eig = np.ones(1)
+        else:
+            eig = np.logspace(-np.log10(self.conditioning), 0.0, self.dim)
+        eig.flags.writeable = False
+        # Computed once per instance; not a field, so equality and hashing ignore it.
+        object.__setattr__(self, "_eigenvalues", eig)
 
     def eigenvalues(self) -> np.ndarray:
-        if self.dim == 1:
-            return np.ones(1)
-        return np.logspace(-np.log10(self.conditioning), 0.0, self.dim)
+        """The diagonal of H (read-only, shared by every call on this instance)."""
+        return self._eigenvalues
 
-    def loss(self, x: np.ndarray) -> float:
-        return 0.5 * float(x @ (self.eigenvalues() * x))
+    def loss(self, x: np.ndarray) -> float | np.ndarray:
+        """f(x): a float for one iterate, one value per row of a (T, dim) stack."""
+        f = 0.5 * np.einsum("...d,...d->...", x, self._eigenvalues * x)
+        return float(f) if f.ndim == 0 else f
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.eigenvalues() * x
+        return self._eigenvalues * x
 
-    def noisy_grad(self, x: np.ndarray, trial: int, step: int) -> np.ndarray:
+    def _seeds(self, trial, step: int):
+        if isinstance(trial, Integral):
+            return derive_seed(self.seed, trial, step)
+        return [derive_seed(self.seed, t, step) for t in trial]
+
+    def noisy_grad(self, x: np.ndarray, trial, step: int) -> np.ndarray:
+        """grad(x) plus the noise keyed by (seed, trial, step); `trial` is one index
+        for a single iterate or a sequence of indices, one per row of a stack."""
         g = self.grad(x)
+        if not isinstance(trial, Integral) and g.shape[:-1] != (len(trial),):
+            raise ValueError(
+                f"a stack of shape {np.shape(x)} needs one trial index per row, "
+                f"got {len(trial)}"
+            )
         if self.noise == 0.0:
             return g
-        eps = rng_gaussian(self.dim, 1, derive_seed(self.seed, trial, step))[:, 0]
+        eps = rng_gaussian(self.dim, 1, self._seeds(trial, step))[..., 0]
         return g + (self.noise / np.sqrt(self.dim)) * eps
 
-    def start_point(self, trial: int, scale: float = 2.0) -> np.ndarray:
-        """A deterministic start at l2 distance `scale` from the minimizer."""
-        v = rng_gaussian(self.dim, 1, derive_seed(self.seed, trial, 0))[:, 0]
-        return scale * v / np.linalg.norm(v)
+    def start_point(self, trial, scale: float = 2.0) -> np.ndarray:
+        """A deterministic start at l2 distance `scale` from the minimizer; a
+        sequence of trial indices gives one start per row of a (T, dim) stack."""
+        v = rng_gaussian(self.dim, 1, self._seeds(trial, 0))[..., 0]
+        return scale * v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ from lmopt.norms import (
     op_norm,
 )
 from lmopt.optim import (
-    Algo,
     OptimizerState,
     muon_step,
     scg_step,
@@ -156,7 +155,7 @@ def test_criterion_02_brute_force_optimality():
 def test_criterion_03_scg_feasibility():
     spec = mixed_model_spec()
     x = model_lmo(random_params(spec, 30), spec)  # boundary start
-    state = OptimizerState.init(x, algo=Algo.SCG)
+    state = OptimizerState.init(x)
     for k, g in enumerate(gradient_stream(spec, 31, 500), start=1):
         x = scg_step(x, state, g, 0.05, 0.3, spec)
         assert composite_norm(x, spec) <= 1.0 + 1e-8, f"infeasible at step {k}"
@@ -187,7 +186,7 @@ def test_criterion_05_equivalences():
     beta = 0.9
     xa = random_params(spec, 35)
     xb = [p.copy() for p in xa]
-    sa, sb = OptimizerState.init(xa), OptimizerState.init(xb, algo=Algo.MUON_PLAIN)
+    sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
     for g in stream:
         xa = uscg_step(xa, sa, g, 0.02, 1.0 - beta, spec)
         xb = muon_step(xb, sb, g, 0.02, beta, False, spec)
@@ -208,8 +207,8 @@ def test_criterion_05_equivalences():
     )
     xa = random_params(spec, 36, scale=0.05)
     xb = [p.copy() for p in xa]
-    sa = OptimizerState.init(xa, algo=Algo.USCG_WD, wd_mu=mu)
-    sb = OptimizerState.init(xb, algo=Algo.SCG)
+    sa = OptimizerState.init(xa)
+    sb = OptimizerState.init(xb)
     for g in stream:
         xa = uscg_wd_step(xa, sa, g, gamma, 0.15, mu, spec)
         xb = scg_step(xb, sb, g, gamma * mu, 0.15, inflated)

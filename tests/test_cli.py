@@ -252,6 +252,28 @@ class TestCommands:
         assert err.startswith("config error") and f"'{key}'" in err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "setting, key",
+        [
+            ("probe_trials=0", "probe_trials"),
+            ("probe_n=1", "probe_n"),
+            ("probe_n=0", "probe_n"),
+        ],
+    )
+    def test_error_decay_probe_bad_input_exit_1(self, tmp_path, capsys, setting, key):
+        rc = run_cli(
+            "rate", "--out", str(tmp_path),
+            "--set", "n_list=20,40",
+            "--set", "trials=1",
+            "--set", "probe=error_decay",
+            "--set", setting,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"'{key}'" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_rate_constant_mode_single_horizon(self, tmp_path):
         rc = run_cli(
             "rate", "--out", str(tmp_path),

@@ -5,6 +5,7 @@ import pytest
 
 from lmopt.experiments import (
     NumericalFailure,
+    RunDiagnostics,
     apply_step,
     coordinate_check,
     coordinate_check_ratios,
@@ -15,9 +16,10 @@ from lmopt.experiments import (
     train_classifier,
     train_quadratic,
 )
+from lmopt.linalg import derive_seed, rng_gaussian
 from lmopt.models import Activation, Domain, Loss, build_config, init_model, loss_and_grad
 from lmopt.norms import dual_norm, fw_gap
-from lmopt.optim import Algo, AlphaKind, GammaKind, ScheduleSpec
+from lmopt.optim import Algo, AlphaKind, GammaKind, ScheduleSpec, theory_gamma
 from lmopt.problems import (
     StochasticQuadratic,
     SyntheticClassification,
@@ -57,6 +59,46 @@ class TestProblems:
         np.testing.assert_array_equal(a, b)
         c = prob.noisy_grad(x, trial=4, step=7)
         assert np.any(a != c)
+
+    def test_eigenvalues_computed_once_and_read_only(self):
+        prob = small_quadratic()
+        ev = prob.eigenvalues()
+        assert ev is prob.eigenvalues()
+        np.testing.assert_array_equal(ev, np.logspace(-np.log10(5.0), 0.0, 8))
+        with pytest.raises(ValueError):
+            ev[0] = 2.0
+        assert prob == small_quadratic() and hash(prob) == hash(small_quadratic())
+        with pytest.raises(AttributeError):
+            prob.dim = 9
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    def test_stacked_noise_and_starts_match_per_trial_draws(self, seed):
+        prob = StochasticQuadratic(dim=32, noise=0.7, conditioning=10.0, seed=seed)
+        trials = [0, 3, 1, 17]
+        starts = prob.start_point(trials, scale=1.5)
+        noise = prob.noisy_grad(np.zeros((4, 32)), trials, 9)
+        assert starts.shape == noise.shape == (4, 32)
+        for i, t in enumerate(trials):
+            assert np.array_equal(starts[i], prob.start_point(t, scale=1.5))
+            v = rng_gaussian(32, 1, derive_seed(seed, t, 0))[:, 0]
+            length = np.linalg.norm(v, axis=-1, keepdims=True)
+            assert np.array_equal(starts[i], 1.5 * v / length)
+            eps = rng_gaussian(32, 1, derive_seed(seed, t, 9))[:, 0]
+            assert np.array_equal(noise[i], (0.7 / np.sqrt(32)) * eps)
+            assert np.array_equal(noise[i], prob.noisy_grad(np.zeros(32), t, 9))
+
+    def test_stacked_loss_and_grad_match_rows(self):
+        prob = small_quadratic(noise=1.0)
+        x = prob.start_point(range(3))
+        losses = prob.loss(x)
+        for i in range(3):
+            assert losses[i] == prob.loss(x[i])
+            assert np.array_equal(prob.grad(x)[i], prob.grad(x[i]))
+
+    def test_stack_needs_one_trial_per_row(self):
+        prob = small_quadratic(noise=1.0)
+        with pytest.raises(ValueError, match="one trial index per row"):
+            prob.noisy_grad(np.zeros((3, 8)), [0, 1], 1)
 
     def test_gen_synthetic_deterministic(self):
         spec = SyntheticClassification(dim=32, classes=4, seed=7)
@@ -178,6 +220,69 @@ class TestTrainQuadratic:
         sch = ScheduleSpec(horizon=5, gamma0=0.05, alpha_kind=AlphaKind.VANISHING)
         with pytest.raises(ValueError, match="light_mode requires a constant alpha"):
             _run_light(harness, Algo.USCG, sch)
+
+
+class TestTrialStack:
+    """A sequence of trials runs on a leading axis; row i is the single-trial run."""
+
+    COLUMNS = ("loss", "grad_dual_norm", "fw_gap", "param_norm", "est_error")
+
+    @pytest.mark.parametrize("algo, light", [*((a, False) for a in Algo), (Algo.USCG, True)])
+    def test_rows_equal_single_trial_runs(self, algo, light):
+        prob = small_quadratic(noise=1.0)
+        sch = ScheduleSpec(horizon=40, gamma0=0.05, alpha0=0.2)
+        trials = [4, 0, 2]
+        kw = dict(rho=2.0 if algo is Algo.SCG else 1.0, light_mode=light)
+        xs, diags = train_quadratic(prob, algo, sch, trial=trials, **kw)
+        assert xs.shape == (3, 8) and len(diags) == 3
+        for i, t in enumerate(trials):
+            x, d = train_quadratic(prob, algo, sch, trial=t, **kw)
+            np.testing.assert_allclose(xs[i], x, rtol=1e-12, atol=0)
+            assert diags[i].steps == d.steps and diags[i].feasible == d.feasible
+            assert diags[i].gamma == d.gamma and diags[i].alpha == d.alpha
+            for col in self.COLUMNS:
+                np.testing.assert_allclose(
+                    getattr(diags[i], col), getattr(d, col), rtol=1e-12, atol=0
+                )
+
+    def test_single_trial_is_unstacked(self):
+        x, diags = train_quadratic(small_quadratic(), Algo.USCG, ScheduleSpec(horizon=3))
+        assert x.shape == (8,) and isinstance(diags, RunDiagnostics) and len(diags) == 3
+
+    def test_unrecorded_stack_gives_empty_diagnostics(self):
+        _, diags = train_quadratic(
+            small_quadratic(), Algo.USCG, ScheduleSpec(horizon=3), trial=[0, 1], record=False
+        )
+        assert [len(d) for d in diags] == [0, 0]
+
+    def test_empty_trial_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            train_quadratic(small_quadratic(), Algo.USCG, ScheduleSpec(horizon=3), trial=[])
+
+    @pytest.mark.parametrize(
+        "algo, value, what",
+        [
+            (Algo.USCG, np.nan, "non-finite gradient"),
+            (Algo.SSD, 1e308, "non-finite parameters"),
+        ],
+    )
+    def test_numerical_failure_names_the_trial(self, algo, value, what):
+        class PoisonedTrial(StochasticQuadratic):
+            """Trial 9's gradient turns to `value` at step 3."""
+
+            def noisy_grad(self, x, trial, step):
+                g = super().noisy_grad(x, trial, step)
+                if step == 3:
+                    g = g.copy()
+                    g[list(trial).index(9)] = value
+                return g
+
+        prob = PoisonedTrial(dim=8, noise=1.0, conditioning=5.0, seed=0)
+        sch = ScheduleSpec(horizon=6, gamma0=1.0)
+        with pytest.raises(NumericalFailure, match=what) as info, np.errstate(all="ignore"):
+            train_quadratic(prob, algo, sch, trial=[4, 7, 9, 1])
+        assert info.value.step == 3 and info.value.trial == 9
+        assert "step 3 of trial 9" in str(info.value)
 
 
 def _run_light(harness, algo, schedule):
@@ -330,6 +435,40 @@ class TestRateHarness:
             rate_harness("sgd", "vanishing", [10], prob)
         with pytest.raises(ValueError):
             rate_harness("uscg", "sometimes", [10], prob)
+        with pytest.raises(ValueError, match="trials"):
+            rate_harness("uscg", "vanishing", [10, 20], prob, trials=0)
+
+    @pytest.mark.parametrize("optimizer", ["uscg", "scg"])
+    @pytest.mark.parametrize("mode", ["vanishing", "constant"])
+    def test_matches_per_trial_reference(self, optimizer, mode):
+        prob = small_quadratic(noise=1.0, dim=8)
+        n_list, trials, alpha, rho = [24, 64], 3, 0.2, (1.0 if optimizer == "uscg" else 2.0)
+        algo = Algo.USCG if optimizer == "uscg" else Algo.SCG
+
+        def reference(p, schedule, tail=0):
+            means = []
+            for t in range(trials):
+                _, d = train_quadratic(p, algo, schedule, trial=t, rho=rho)
+                series = d.grad_dual_norm if optimizer == "uscg" else d.fw_gap
+                means.append(np.mean(series[tail:]))
+            return np.mean(means)
+
+        if mode == "vanishing":
+            want = [
+                reference(prob, ScheduleSpec(horizon=n, gamma0=theory_gamma(n),
+                                             alpha_kind=AlphaKind.VANISHING))
+                for n in n_list
+            ]
+        else:
+            n = max(n_list)
+            want = [
+                reference(replace(prob, noise=prob.noise * f),
+                          ScheduleSpec(horizon=n, gamma0=1.0 / np.sqrt(n), alpha0=alpha),
+                          tail=3 * n // 4)
+                for f in (1.0, 2.0)
+            ]
+        rep = rate_harness(optimizer, mode, n_list, prob, trials=trials, alpha=alpha)
+        np.testing.assert_allclose(rep.mean_criticality, want, rtol=1e-12, atol=0)
 
 
 class TestErrorDecayProbe:
@@ -343,6 +482,28 @@ class TestErrorDecayProbe:
         rep = error_decay_probe(prob, n=512, trials=5, vanishing=False, alpha=1.0)
         mean = float(np.mean(rep.mean_sq_error))
         assert 1.0 / 3.0 <= mean <= 3.0
+
+    @pytest.mark.parametrize("vanishing, alpha", [(True, 1.0), (False, 0.3)])
+    def test_matches_per_trial_reference(self, vanishing, alpha):
+        prob = small_quadratic(noise=1.0, dim=16)
+        n, trials = 96, 4
+        schedule = ScheduleSpec(
+            horizon=n, gamma0=theory_gamma(n), alpha0=alpha,
+            alpha_kind=AlphaKind.VANISHING if vanishing else AlphaKind.CONSTANT,
+        )
+        total = np.zeros(n)
+        for t in range(trials):
+            _, d = train_quadratic(prob, Algo.USCG, schedule, trial=t)
+            total += np.square(d.est_error)
+        rep = error_decay_probe(prob, n=n, trials=trials, vanishing=vanishing, alpha=alpha)
+        np.testing.assert_allclose(rep.mean_sq_error, total / trials, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "kw, match", [({"trials": 0}, "trials"), ({"n": 1}, "n must"), ({"n": 0}, "n must")]
+    )
+    def test_degenerate_inputs_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            error_decay_probe(small_quadratic(noise=1.0), **{"n": 16, "trials": 2, **kw})
 
     def test_vanishing_slope_negative(self):
         prob = small_quadratic(noise=1.0, dim=16)

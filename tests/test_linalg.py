@@ -215,6 +215,17 @@ class TestRng:
         with pytest.raises(ValueError):
             rng_gaussian(0, 3, 1)
 
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (7, 1), (32, 1), (3, 5), (33, 2)])
+    def test_seed_stack_matches_per_seed_draws(self, rows, cols):
+        seeds = [0, 5, derive_seed(3, 1, 2), 2**63, 2**63 + 12345, 2**64 - 1]
+        stack = rng_gaussian(rows, cols, seeds)
+        assert stack.shape == (len(seeds), rows, cols)
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(stack[i], rng_gaussian(rows, cols, seed))
+
+    def test_seed_stack_of_one(self):
+        assert np.array_equal(rng_gaussian(4, 1, [2**63 + 1])[0], rng_gaussian(4, 1, 2**63 + 1))
+
     def test_derive_seed_distinct(self):
         seeds = {derive_seed(0, i) for i in range(100)}
         assert len(seeds) == 100

@@ -287,6 +287,66 @@ class TestComposite:
         assert composite_norm(outs, spec) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestVectorStacks:
+    """Vector kinds act row by row on a (T, d) stack, one row per independent run."""
+
+    def stack(self, d, seed):
+        rows = rng_gaussian(d, 1, [derive_seed(seed, t) for t in range(5)])[..., 0]
+        rows[2] = 0.0
+        return rows
+
+    @pytest.mark.parametrize("kind", sorted(VECTOR_KINDS, key=lambda k: k.value))
+    def test_rows_equal_vector_calls(self, kind):
+        spec = NormSpec.vector(kind, 9, radius=1.7)
+        s = self.stack(9, KIND_ID[kind])
+        out = lmo(s, spec)
+        assert out.shape == s.shape
+        for fn in (op_norm, dual_norm):
+            values = fn(s, spec)
+            assert values.shape == (5,)
+            for i, row in enumerate(s):
+                assert values[i] == fn(row, spec)
+        for i, row in enumerate(s):
+            assert np.array_equal(out[i], lmo(row, spec))
+            assert np.array_equal(sharp_op(s, spec)[i], sharp_op(row, spec))
+        np.testing.assert_array_equal(out[2], np.zeros(9))
+
+    @pytest.mark.parametrize("kind", sorted(VECTOR_KINDS, key=lambda k: k.value))
+    def test_all_zero_stack(self, kind):
+        spec = NormSpec.vector(kind, 4)
+        s = np.zeros((3, 4))
+        np.testing.assert_array_equal(lmo(s, spec), s)
+        np.testing.assert_array_equal(op_norm(s, spec), np.zeros(3))
+        np.testing.assert_array_equal(dual_norm(s, spec), np.zeros(3))
+
+    def test_composite_norm_per_row(self):
+        spec = ModelNormSpec(
+            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 9, radius=2.0)),)
+        )
+        s = self.stack(9, 3)
+        values = composite_norm([s], spec)
+        assert values.shape == (5,)
+        for i, row in enumerate(s):
+            assert values[i] == composite_norm([row], spec)
+
+    def test_fw_gap_per_row(self):
+        spec = ModelNormSpec(
+            layers=(LayerNorms(NormSpec.vector(NormKind.RMS_VEC, 9, radius=0.5)),)
+        )
+        g, x = self.stack(9, 4), self.stack(9, 5)
+        gaps = fw_gap([g], [x], spec)
+        assert gaps.shape == (5,)
+        for i in range(5):
+            assert gaps[i] == pytest.approx(fw_gap([g[i]], [x[i]], spec), rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(5, 8), (5, 10), (2, 5, 9), (9, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        spec = NormSpec.vector(NormKind.RMS_VEC, 9)
+        for fn in (lmo, op_norm, dual_norm):
+            with pytest.raises(ValueError, match="length 9"):
+                fn(np.ones(shape), spec)
+
+
 class TestFwGap:
     def test_at_origin_is_scaled_dual(self):
         spec = ModelNormSpec(

@@ -11,7 +11,6 @@ from lmopt.norms import (
     lmo,
 )
 from lmopt.optim import (
-    Algo,
     AlphaKind,
     GammaKind,
     OptimizerState,
@@ -145,7 +144,7 @@ class TestUscg:
         results = []
         for c in (1.0, 7.3):
             x = boundary_params(spec, 5)
-            state = OptimizerState.init(x, algo=Algo.SCG)
+            state = OptimizerState.init(x)
             for g in stream:
                 scaled = [c * gi for gi in g]
                 x = scg_step(x, state, scaled, 0.05, 0.2, spec)
@@ -159,7 +158,7 @@ class TestScg:
             layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2)),)
         )
         x = [np.array([1.0, 0.0])]
-        state = OptimizerState.init(x, algo=Algo.SCG)
+        state = OptimizerState.init(x)
         # gradient pointing along +x so lmo(d) = [-1, 0]
         g = [np.array([1.0, 0.0])]
         x = scg_step(x, state, g, gamma=0.5, alpha=1.0, spec=spec)
@@ -170,7 +169,7 @@ class TestScg:
             layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3, radius=2.0)),)
         )
         x = [np.zeros(3)]
-        state = OptimizerState.init(x, algo=Algo.SCG)
+        state = OptimizerState.init(x)
         g = [np.array([1.0, 2.0, -2.0])]
         x = scg_step(x, state, g, gamma=1.0, alpha=1.0, spec=spec)
         assert composite_norm(x, spec) == pytest.approx(1.0)
@@ -180,7 +179,7 @@ class TestScg:
         spec = mixed_spec()
         x = boundary_params(spec, 11)
         assert composite_norm(x, spec) == pytest.approx(1.0, abs=1e-9)
-        state = OptimizerState.init(x, algo=Algo.SCG)
+        state = OptimizerState.init(x)
         for k, g in enumerate(gradient_stream(spec, 29, 500), start=1):
             x = scg_step(x, state, g, 0.05, 0.3, spec)
             assert composite_norm(x, spec) <= 1.0 + 1e-8
@@ -188,10 +187,23 @@ class TestScg:
     def test_infeasible_start_rejected(self):
         spec = mixed_spec()
         x = [3.0 * p for p in boundary_params(spec, 13)]
-        state = OptimizerState.init(x, algo=Algo.SCG)
+        state = OptimizerState.init(x)
         g = random_params(spec, 14)
         with pytest.raises(ValueError, match="feasible"):
             scg_step(x, state, g, 0.1, 0.5, spec)
+
+
+    def test_one_infeasible_trial_in_a_stack_rejected(self):
+        spec = ModelNormSpec(
+            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 6, radius=2.0)),)
+        )
+        rows = rng_gaussian(6, 1, [derive_seed(15, t) for t in range(4)])[..., 0]
+        x = [2.0 * rows / np.linalg.norm(rows, axis=1, keepdims=True)]
+        g = [rng_gaussian(6, 1, [derive_seed(16, t) for t in range(4)])[..., 0]]
+        scg_step(x, OptimizerState.init(x), g, 0.1, 0.5, spec)
+        x[0][2] *= 1.5
+        with pytest.raises(ValueError, match="feasible"):
+            scg_step(x, OptimizerState.init(x), g, 0.1, 0.5, spec)
 
 
 class TestWeightDecay:
@@ -211,8 +223,8 @@ class TestWeightDecay:
         stream = gradient_stream(spec, 37, 40)
         xa = boundary_params(spec, 7)
         xb = [p.copy() for p in xa]
-        sa = OptimizerState.init(xa, algo=Algo.SCG)
-        sb = OptimizerState.init(xb, algo=Algo.USCG_WD, wd_mu=1.0)
+        sa = OptimizerState.init(xa)
+        sb = OptimizerState.init(xb)
         for g in stream:
             xa = scg_step(xa, sa, g, 0.05, 0.2, spec)
             xb = uscg_wd_step(xb, sb, g, 0.05, 0.2, 1.0, spec)
@@ -239,8 +251,8 @@ class TestWeightDecay:
         stream = gradient_stream(base, 41, 100)
         xa = random_params(base, 8, scale=0.05)
         xb = [p.copy() for p in xa]
-        sa = OptimizerState.init(xa, algo=Algo.USCG_WD, wd_mu=mu)
-        sb = OptimizerState.init(xb, algo=Algo.SCG)
+        sa = OptimizerState.init(xa)
+        sb = OptimizerState.init(xb)
         for g in stream:
             xa = uscg_wd_step(xa, sa, g, gamma, 0.15, mu, base)
             xb = scg_step(xb, sb, g, gamma * mu, 0.15, inflated)
@@ -251,7 +263,7 @@ class TestAlmond:
     def test_first_step(self):
         spec = ModelNormSpec(layers=(LayerNorms(NormSpec(NormKind.SIGN, 1.0, 1, 2)),))
         x = [np.zeros((1, 2))]
-        state = OptimizerState.init(x, algo=Algo.ALMOND)
+        state = OptimizerState.init(x)
         g = [np.array([[2.0, -3.0]])]
         x = almond_step(x, state, g, gamma=0.1, alpha=0.5, spec=spec)
         np.testing.assert_allclose(state.d[0], [[-0.5, 0.5]])
@@ -260,7 +272,7 @@ class TestAlmond:
     def test_direction_stays_in_ball(self):
         spec = mixed_spec()
         x = random_params(spec, 9)
-        state = OptimizerState.init(x, algo=Algo.ALMOND)
+        state = OptimizerState.init(x)
         for g in gradient_stream(spec, 43, 120):
             x = almond_step(x, state, g, 0.05, 0.3, spec)
             assert composite_norm(state.d, spec) <= 1.0 + 1e-9
@@ -270,7 +282,7 @@ class TestAlmond:
             layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3)),)
         )
         x = [np.zeros(3)]
-        state = OptimizerState.init(x, algo=Algo.ALMOND)
+        state = OptimizerState.init(x)
         g = [np.array([1.0, 2.0, 2.0])]
         x = almond_step(x, state, g, 0.1, 0.25, spec)
         d0 = np.linalg.norm(state.d[0])
@@ -287,8 +299,8 @@ class TestMuon:
         stream = gradient_stream(spec, 47, 120)
         xa = random_params(spec, 10)
         xb = [p.copy() for p in xa]
-        sa = OptimizerState.init(xa, algo=Algo.USCG)
-        sb = OptimizerState.init(xb, algo=Algo.MUON_PLAIN)
+        sa = OptimizerState.init(xa)
+        sb = OptimizerState.init(xb)
         for g in stream:
             xa = uscg_step(xa, sa, g, 0.02, 1.0 - beta, spec)
             xb = muon_step(xb, sb, g, 0.02, beta, False, spec)
@@ -299,7 +311,7 @@ class TestMuon:
         stream = gradient_stream(spec, 53, 10)
         for nesterov in (False, True):
             x = random_params(spec, 11)
-            state = OptimizerState.init(x, algo=Algo.MUON_PLAIN)
+            state = OptimizerState.init(x)
             xref = [p.copy() for p in x]
             for g in stream:
                 x = muon_step(x, state, g, 0.05, 0.0, nesterov, spec)
