@@ -1,9 +1,10 @@
 """The update-rule family and the exact identities connecting its members.
 
-Three rearrangements of the same averaged-direction method produce bit-near-identical
+Every rule is a row of lmopt's rule table, run by the one kernel `step`. Three
+rows rearrange the same averaged-direction method and produce bit-near-identical
 trajectories: the momentum-accumulator form (scale invariance of the lmo), the
 weight-decay form (a constrained run on an inflated ball in disguise), and the
-two-buffer form that stores only one gradient-shaped buffer. The constrained method
+Scion-light form that stores only one gradient-shaped buffer. The constrained method
 caps the composite parameter norm at 1 while the unconstrained one grows it by at
 most the stepsize sum.
 """
@@ -11,6 +12,7 @@ most the stepsize sum.
 import numpy as np
 
 from lmopt import (
+    Algo,
     LayerNorms,
     ModelNormSpec,
     NormKind,
@@ -18,12 +20,11 @@ from lmopt import (
     OptimizerState,
     composite_norm,
     derive_seed,
-    muon_step,
     rng_gaussian,
+    rule_for,
     scg_step,
-    scion_light_update,
+    step,
     uscg_step,
-    uscg_wd_step,
 )
 
 spec = ModelNormSpec(layers=(
@@ -45,7 +46,7 @@ xa, xb = fresh(1), fresh(1)
 sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
 for g in stream:
     xa = uscg_step(xa, sa, g, gamma, 1.0 - beta, spec)
-    xb = muon_step(xb, sb, g, gamma, beta, False, spec)
+    xb, _ = step(xb, sb, g, gamma, 1.0, spec, rule_for(Algo.MUON_PLAIN, beta=beta))
 gap = max(float(np.max(np.abs(a - b))) for a, b in zip(xa, xb))
 print(f"accumulator vs averaged-direction, {steps} steps: max gap {gap:.2e}")
 
@@ -60,22 +61,19 @@ xa, xb = fresh(2, scale=0.05), fresh(2, scale=0.05)
 sa = OptimizerState.init(xa)
 sb = OptimizerState.init(xb)
 for g in stream:
-    xa = uscg_wd_step(xa, sa, g, gamma, 0.15, mu, spec)
+    xa, _ = step(xa, sa, g, gamma, 0.15, spec, rule_for(Algo.USCG_WD, mu=mu))
     xb = scg_step(xb, sb, g, gamma * mu, 0.15, inflated)
 gap = max(float(np.max(np.abs(a - b))) for a, b in zip(xa, xb))
 print(f"weight-decay vs inflated-ball constrained run:  max gap {gap:.2e}")
 
-# 3) two-buffer form: accumulate, step, decay; one auxiliary buffer total
+# 3) Scion-light: accumulate d <- (1 - alpha) d + g, the averaged direction / alpha
 xa, xb = fresh(3), fresh(3)
-sa = OptimizerState.init(xa)
-gbuf = [np.zeros_like(p) for p in xb]
+sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
 for g in stream:
     xa = uscg_step(xa, sa, g, gamma, 0.1, spec)
-    for bi, gi in zip(gbuf, g):
-        bi += gi
-    xb, gbuf = scion_light_update(xb, gbuf, gamma, 0.1, spec)
+    xb, _ = step(xb, sb, g, gamma, 0.1, spec, rule_for(Algo.USCG_LIGHT))
 gap = max(float(np.max(np.abs(a - b))) for a, b in zip(xa, xb))
-print(f"two-buffer vs averaged-direction form:          max gap {gap:.2e}")
+print(f"Scion-light vs averaged-direction form:         max gap {gap:.2e}")
 
 # 4) norm control: the constrained method never leaves the unit composite ball
 from lmopt import model_lmo

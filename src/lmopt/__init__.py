@@ -50,22 +50,23 @@ from .norms import (
     vec_norm,
 )
 from .optim import (
+    RULES,
     Algo,
     AlphaKind,
+    Buffer,
     GammaKind,
+    Move,
     OptimizerState,
+    Rule,
     ScheduleSpec,
-    almond_step,
     alpha_at,
     gamma_at,
     momentum_update,
-    muon_step,
+    rule_for,
     scg_step,
-    scion_light_update,
-    ssd_step,
+    step,
     theory_gamma,
     uscg_step,
-    uscg_wd_step,
 )
 
 __version__ = "0.1.0"

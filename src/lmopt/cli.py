@@ -65,7 +65,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Field:
     path: str
-    kind: str  # int | float | str | bool | int_list | float_list
+    kind: str  # int | float | str | int_list
     default: object
     help: str
     choices: tuple[str, ...] | None = None
@@ -194,7 +194,7 @@ _ALGO_BY_NAME = {
     "muon": Algo.MUON_PLAIN,
     "muon_nesterov": Algo.MUON_NESTEROV,
     "ssd": Algo.SSD,
-    "uscg_light": Algo.USCG,
+    "uscg_light": Algo.USCG_LIGHT,
 }
 
 
@@ -206,14 +206,6 @@ def _coerce(field: Field, value) -> object:
             return int(value)
         if field.kind == "float":
             return float(value)
-        if field.kind == "bool":
-            if isinstance(value, bool):
-                return value
-            if str(value).lower() in ("true", "1", "yes"):
-                return True
-            if str(value).lower() in ("false", "0", "no"):
-                return False
-            raise ValueError
         if field.kind == "str":
             value = str(value)
             if field.choices and value not in field.choices:
@@ -222,13 +214,12 @@ def _coerce(field: Field, value) -> object:
                     f"{', '.join(field.choices)}, got {value!r}"
                 )
             return value
-        if field.kind in ("int_list", "float_list"):
+        if field.kind == "int_list":
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v != ""]
             if not isinstance(value, (list, tuple)):
                 raise ValueError
-            cast = int if field.kind == "int_list" else float
-            return [cast(v) for v in value]
+            return [int(v) for v in value]
     except ConfigError:
         raise
     except (TypeError, ValueError):
@@ -436,19 +427,52 @@ def _build_schedule(cfg: dict, horizon: int) -> ScheduleSpec:
     )
 
 
-def cmd_train(cfg: dict) -> int:
-    """One training run; per-step diagnostics to CSV, summary to JSONL."""
-    algo = _ALGO_BY_NAME[cfg["optimizer.algo"]]
-    light = cfg["optimizer.algo"] == "uscg_light"
-    # light mode reproduces uscg only while the averaging weight stays constant
-    _require(not light or cfg["optimizer.alpha.kind"] == "constant",
+def _check_train(cfg: dict) -> None:
+    """Range checks for `train`, by key, before anything runs or is written."""
+    name = cfg["optimizer.algo"]
+    for key in ("optimizer.steps", "optimizer.batch_size"):
+        _require(cfg[key] >= 1, key, "must be >= 1", cfg[key])
+    gamma, alpha = cfg["optimizer.gamma.value"], cfg["optimizer.alpha.value"]
+    _require(0.0 <= gamma <= 1.0, "optimizer.gamma.value", "must be in [0, 1]", gamma)
+    _require(0.0 < alpha <= 1.0, "optimizer.alpha.value", "must be in (0, 1]", alpha)
+    frac = cfg["optimizer.gamma.warmdown_frac"]
+    _require(cfg["optimizer.gamma.kind"] != "constant_then_linear" or 0.0 < frac <= 1.0,
+             "optimizer.gamma.warmdown_frac", "must be in (0, 1]", frac)
+    _require(name != "uscg_wd" or 0.0 <= cfg["optimizer.mu"] <= 1.0, "optimizer.mu",
+             "must be in [0, 1] for uscg_wd", cfg["optimizer.mu"])
+    _require(name not in ("muon", "muon_nesterov") or 0.0 <= cfg["optimizer.beta"] < 1.0,
+             "optimizer.beta", f"must be in [0, 1) for {name}", cfg["optimizer.beta"])
+    # Scion-light reproduces uscg only while the averaging weight stays constant
+    _require(name != "uscg_light" or cfg["optimizer.alpha.kind"] == "constant",
              "optimizer.alpha.kind", "must be constant when key 'optimizer.algo' is "
              "uscg_light", cfg["optimizer.alpha.kind"])
+    hidden = cfg["model.hidden"]
+    _require(len(hidden) > 0 and min(hidden) >= 1, "model.hidden",
+             "must list at least one width, each >= 1", hidden)
+
+
+def _load_idx(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    if not cfg["problem.images"] or not cfg["problem.labels"]:
+        raise ConfigError(
+            "config error: key 'problem.images' and 'problem.labels' are "
+            "required for the idx problem"
+        )
+    try:
+        return load_idx_dataset(cfg["problem.images"], cfg["problem.labels"])
+    except OSError as exc:
+        raise ConfigError(f"config error: cannot read {exc.filename}: {exc.strerror}")
+    except ValueError as exc:
+        raise ConfigError(f"config error: {exc}")
+
+
+def cmd_train(cfg: dict) -> int:
+    """One training run; per-step diagnostics to CSV, summary to JSONL."""
+    _check_train(cfg)
+    algo = _ALGO_BY_NAME[cfg["optimizer.algo"]]
     horizon = cfg["optimizer.steps"]
     schedule = _build_schedule(cfg, horizon)
     ns_iters = _ns_iters(cfg)
     seed = cfg["seed"]
-    base = _artifact_base("train", cfg)
     summary: dict = {"command": "train", "config": cfg, "steps": horizon}
     if cfg["problem.kind"] == "quadratic":
         problem = StochasticQuadratic(
@@ -463,18 +487,13 @@ def cmd_train(cfg: dict) -> int:
             ns_iters=ns_iters,
             mu=cfg["optimizer.mu"],
             beta=cfg["optimizer.beta"],
-            light_mode=light,
         )
+        base = _artifact_base("train", cfg)
         summary["final_loss"] = problem.loss(x)
         summary["final_param_norm"] = diags.param_norm[-1] if len(diags) else None
     else:
         if cfg["problem.kind"] == "idx":
-            if not cfg["problem.images"] or not cfg["problem.labels"]:
-                raise ConfigError(
-                    "config error: key 'problem.images' and 'problem.labels' are "
-                    "required for the idx problem"
-                )
-            train_x, train_y = load_idx_dataset(cfg["problem.images"], cfg["problem.labels"])
+            train_x, train_y = _load_idx(cfg)
             if cfg["problem.limit"]:
                 train_x = train_x[:, : cfg["problem.limit"]]
                 train_y = train_y[: cfg["problem.limit"]]
@@ -507,8 +526,8 @@ def cmd_train(cfg: dict) -> int:
             ns_iters=ns_iters,
             mu=cfg["optimizer.mu"],
             beta=cfg["optimizer.beta"],
-            light_mode=light,
         )
+        base = _artifact_base("train", cfg)
         save_model(model, base + ".checkpoint.json")
         summary["final_loss"] = diags.loss[-1] if len(diags) else None
         summary["final_param_norm"] = diags.param_norm[-1] if len(diags) else None

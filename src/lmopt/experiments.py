@@ -41,16 +41,12 @@ from .optim import (
     GammaKind,
     OptimizerState,
     ScheduleSpec,
-    almond_step,
     alpha_at,
     gamma_at,
-    muon_step,
-    scg_step,
-    scion_light_update,
-    ssd_step,
+    rule_for,
+    step,
     theory_gamma,
     uscg_step,
-    uscg_wd_step,
 )
 
 FEASIBLE_TOL = 1e-8
@@ -168,13 +164,11 @@ def _check_rows_finite(a: np.ndarray, k: int, trials: Sequence[int], what: str) 
         raise NumericalFailure(k, what, trial=trials[int(np.argmin(finite))])
 
 
-def _check_light_mode(algo: Algo, schedule: ScheduleSpec) -> None:
-    """Light mode reproduces uSCG only for that rule and a constant averaging weight."""
-    if algo is not Algo.USCG:
-        raise ValueError(f"light_mode requires Algo.USCG, got {algo}")
-    if schedule.alpha_kind is not AlphaKind.CONSTANT:
+def _check_schedule(algo: Algo, schedule: ScheduleSpec) -> None:
+    """Scion-light reproduces uSCG only while the averaging weight stays constant."""
+    if algo is Algo.USCG_LIGHT and schedule.alpha_kind is not AlphaKind.CONSTANT:
         raise ValueError(
-            f"light_mode requires a constant alpha schedule, got {schedule.alpha_kind}"
+            f"Algo.USCG_LIGHT requires a constant alpha schedule, got {schedule.alpha_kind}"
         )
 
 
@@ -189,54 +183,10 @@ def apply_step(
     ns_iters: int | None = None,
     mu: float = 0.5,
     beta: float = 0.9,
-    gbuf: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Dispatch one update. In light mode the fresh gradient is accumulated into gbuf
-    here, mirroring backprop writing into a never-zeroed gradient buffer."""
-    if state.light_mode:
-        assert gbuf is not None
-        for bi, gi in zip(gbuf, g):
-            bi += gi
-        x, _ = scion_light_update(x, gbuf, gamma, alpha, spec, ns_iters=ns_iters)
-        state.step += 1
-        return x
-    if algo is Algo.USCG:
-        return uscg_step(x, state, g, gamma, alpha, spec, ns_iters=ns_iters)
-    if algo is Algo.SCG:
-        return scg_step(x, state, g, gamma, alpha, spec, ns_iters=ns_iters)
-    if algo is Algo.USCG_WD:
-        return uscg_wd_step(x, state, g, gamma, alpha, mu, spec, ns_iters=ns_iters)
-    if algo is Algo.ALMOND:
-        return almond_step(x, state, g, gamma, alpha, spec, ns_iters=ns_iters)
-    if algo is Algo.MUON_PLAIN:
-        return muon_step(x, state, g, gamma, beta, False, spec, ns_iters=ns_iters)
-    if algo is Algo.MUON_NESTEROV:
-        return muon_step(x, state, g, gamma, beta, True, spec, ns_iters=ns_iters)
-    if algo is Algo.SSD:
-        state.step += 1
-        return ssd_step(x, g, gamma, spec, ns_iters=ns_iters)
-    raise ValueError(f"unknown algorithm {algo}")
-
-
-def _direction_preview(
-    algo: Algo,
-    state: OptimizerState,
-    g: list[np.ndarray],
-    alpha: float,
-    beta: float,
-    gbuf: list[np.ndarray] | None,
-) -> list[np.ndarray]:
-    """The averaged direction d^k that the coming step will act on (read-only)."""
-    if state.light_mode:
-        assert gbuf is not None
-        return [alpha * (bi + gi) for bi, gi in zip(gbuf, g)]
-    if algo in (Algo.MUON_PLAIN, Algo.MUON_NESTEROV):
-        return [(1.0 - beta) * (gi + beta * di) for gi, di in zip(g, state.d)]
-    if algo is Algo.SSD:
-        return list(g)
-    if algo is Algo.ALMOND:
-        return list(g)  # ALMOND averages oriented steps, not gradients
-    return [(1.0 - alpha) * di + alpha * gi for di, gi in zip(state.d, g)]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One harness update: optim.step under the algo's rule; returns (x, d_k).
+    An unknown algo raises ValueError."""
+    return step(x, state, g, gamma, alpha, spec, rule_for(algo, mu, beta), ns_iters)
 
 
 def quadratic_norm_spec(dim: int, rho: float) -> ModelNormSpec:
@@ -255,7 +205,6 @@ def train_quadratic(
     ns_iters: int | None = None,
     mu: float = 0.5,
     beta: float = 0.9,
-    light_mode: bool = False,
     record: bool = True,
 ) -> tuple[np.ndarray, RunDiagnostics | list[RunDiagnostics]]:
     """Run one optimizer on the stochastic quadratic; diagnostics use the exact gradient.
@@ -269,20 +218,18 @@ def train_quadratic(
     The constrained method starts on its ball boundary (composite norm 1); the
     unconstrained ones start at l2 distance `start_scale` from the minimizer. Noise
     is keyed by (problem.seed, trial, step) so different algorithms see the same
-    stream on the same trial. Light mode needs Algo.USCG and a constant alpha.
+    stream on the same trial. Algo.USCG_LIGHT needs a constant alpha schedule.
     A non-finite gradient or iterate raises NumericalFailure naming its trial.
     """
     stacked = not isinstance(trial, Integral)
     trials = [int(t) for t in trial] if stacked else [int(trial)]
     if not trials:
         raise ValueError("trial must name at least one trial")
-    if light_mode:
-        _check_light_mode(algo, schedule)
+    _check_schedule(algo, schedule)
     spec = quadratic_norm_spec(problem.dim, rho)
     atom = spec.atoms()[0]
     x = [problem.start_point(trials, scale=rho if algo is Algo.SCG else start_scale)]
-    state = OptimizerState.init(x, light_mode=light_mode)
-    gbuf = [np.zeros_like(p) for p in x] if light_mode else None
+    state = OptimizerState.init(x)
     records = []
     for k in range(1, schedule.horizon + 1):
         gamma = gamma_at(schedule, k)
@@ -291,22 +238,20 @@ def train_quadratic(
         g = problem.noisy_grad(x[0], trials, k)
         _check_rows_finite(g, k, trials, "non-finite gradient")
         if record:
-            cnorm = composite_norm(x, spec)
-            d_k = _direction_preview(algo, state, [g], alpha, beta, gbuf)[0]
             dual = dual_norm(exact, atom)
-            records.append((
+            row = (
                 gamma,
                 alpha,
                 problem.loss(x[0]),
                 dual,
                 gap_from_duals([exact], x, spec, (dual,)),
-                cnorm,
-                np.linalg.norm(d_k - exact, axis=1),
-            ))
-        x = apply_step(
-            algo, x, state, [g], gamma, alpha, spec,
-            ns_iters=ns_iters, mu=mu, beta=beta, gbuf=gbuf,
+                composite_norm(x, spec),
+            )
+        x, d_k = apply_step(
+            algo, x, state, [g], gamma, alpha, spec, ns_iters=ns_iters, mu=mu, beta=beta
         )
+        if record:
+            records.append((*row, np.linalg.norm(d_k[0] - exact, axis=1)))
         _check_rows_finite(x[0], k, trials, "non-finite parameters")
     diags = _trial_diagnostics(records, len(trials))
     if stacked:
@@ -326,7 +271,6 @@ def train_classifier(
     ns_iters: int | None = None,
     mu: float = 0.5,
     beta: float = 0.9,
-    light_mode: bool = False,
     probe_factor: int = 16,
     record: bool = True,
 ) -> tuple[MlpModel, RunDiagnostics]:
@@ -336,17 +280,15 @@ def train_classifier(
     (probe_factor times the minibatch, capped at the dataset size) as a stand-in for
     the exact gradient; on data problems these are proxies. Each probe gradient's
     per-atom dual norms are taken once and feed both the dual-norm and gap columns.
-    Light mode needs Algo.USCG and a constant alpha.
+    Algo.USCG_LIGHT needs a constant alpha schedule.
     """
-    if light_mode:
-        _check_light_mode(algo, schedule)
+    _check_schedule(algo, schedule)
     spec = model.norm_spec()
     atoms = spec.atoms()
     n = train_x.shape[1]
     batch_size = min(batch_size, n)
     x = model.parameters()
-    state = OptimizerState.init(x, light_mode=light_mode)
-    gbuf = [np.zeros_like(p) for p in x] if light_mode else None
+    state = OptimizerState.init(x)
     diags = RunDiagnostics()
     probe_n = min(n, probe_factor * batch_size)
     cursor = 0
@@ -372,23 +314,24 @@ def train_classifier(
                 model, train_x[:, :probe_n], train_y[:probe_n], loss
             )
             cnorm = composite_norm(x, spec)
-            d_k = _direction_preview(algo, state, g, alpha, beta, gbuf)
             duals = [dual_norm(gi, a) for gi, a in zip(probe_g, atoms)]
+            grad_dual = sum(a.radius * dual for dual, a in zip(duals, atoms))
+            gap = gap_from_duals(probe_g, x, spec, duals)
+        x, d_k = apply_step(
+            algo, x, state, g, gamma, alpha, spec, ns_iters=ns_iters, mu=mu, beta=beta
+        )
+        if record:
             diags.append(
                 k,
                 gamma,
                 alpha,
                 batch_loss,
-                sum(a.radius * dual for dual, a in zip(duals, atoms)),
-                gap_from_duals(probe_g, x, spec, duals),
+                grad_dual,
+                gap,
                 cnorm,
                 _flat_l2([di - gi for di, gi in zip(d_k, probe_g)]),
                 cnorm <= 1.0 + FEASIBLE_TOL,
             )
-        x = apply_step(
-            algo, x, state, g, gamma, alpha, spec,
-            ns_iters=ns_iters, mu=mu, beta=beta, gbuf=gbuf,
-        )
         for p in x:
             if not np.all(np.isfinite(p)):
                 raise NumericalFailure(k, "non-finite parameters")

@@ -1,23 +1,33 @@
-"""Momentum averaging and the lmo-based update rules.
+"""Momentum buffers, the lmo-based update rules, and their schedules.
 
-All steppers operate on a list of parameter arrays aligned with a ModelNormSpec's
-atoms and share one momentum recursion d <- (1 - alpha) * d + alpha * g with d
-starting at zero. Because the lmo ignores input magnitude, the very first update
-already moves along lmo(g1) exactly as if alpha were 1 on that step; the plain
-recursion is also what makes the Muon, weight-decay, and two-buffer forms below
-reproduce the conditional-gradient trajectories bit-for-bit, which the test suite
-asserts at 1e-10 over long runs.
+Every update rule is a row of one rule table (`RULES`) run by one kernel (`step`).
+A row (`Rule`) says how the momentum buffer is updated, whether a Nesterov
+look-ahead feeds the oracle, and how the parameters move. The paper's equivalences
+are choices of row and parameter, which the tests assert at 1e-10 over long runs:
 
-Steppers mutate the passed-in OptimizerState (single-writer contract) and return the
-new parameter list; parameter arrays themselves are never written in place. A
-parameter on a vector-kind atom may be a (T, d) stack of independent runs, which
-every rule updates row by row.
+- Muon with plain momentum accumulates d <- beta * d + g. That buffer is the
+  averaged direction divided by 1 - beta, and the lmo cannot see the scale, so it is
+  uSCG with alpha = 1 - beta.
+- Decoupled weight decay mu is the constrained method on the ball inflated to
+  radius / mu with stepsize gamma * mu.
+- Scion-light (`Algo.USCG_LIGHT`) accumulates d <- (1 - alpha) * d + g, the uSCG
+  direction divided by alpha under a constant alpha, so it is uSCG again while
+  storing one gradient-shaped buffer.
+
+Buffers start at zero. Because the lmo ignores magnitude, the very first update
+already moves along lmo(g1) exactly as if alpha were 1 on that step.
+
+`step` mutates the passed-in OptimizerState (single-writer contract) and returns
+the new parameter list with the gradient estimate it formed; parameter arrays
+themselves are never written in place. A parameter on a vector-kind atom may be a
+(T, d) stack of independent runs, which every rule updates row by row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -35,19 +45,92 @@ class Algo(Enum):
     MUON_PLAIN = "muon_plain"
     MUON_NESTEROV = "muon_nesterov"
     SSD = "ssd"
+    USCG_LIGHT = "uscg_light"
+
+
+class Buffer(Enum):
+    """How a step updates the momentum buffer d from the fresh gradient g."""
+
+    AVERAGE = "average"  # d <- (1 - alpha) d + alpha g
+    ACCUMULATE = "accumulate"  # d <- keep d + g, keep = beta, or 1 - alpha without one
+    ORIENTED = "oriented"  # d <- (1 - alpha) d + alpha lmo(g)
+    NONE = "none"  # no buffer
+
+
+class Move(Enum):
+    """How a step moves the parameters x; v is the buffer or its Nesterov look-ahead."""
+
+    ADD = "add"  # x + gamma lmo(v)
+    CONVEX = "convex"  # (1 - gamma) x + gamma lmo(v), from a feasible x
+    DECAY = "decay"  # x + gamma lmo(v) - gamma mu x
+    BUFFER = "buffer"  # x + gamma d
+    SHARP = "sharp"  # x - gamma sharp(g)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One update rule: the buffer update, an optional Nesterov look-ahead
+    v = g + keep * d on an accumulated buffer, and the parameter move.
+
+    `mu` is the DECAY move's decay, in [0, 1]. `beta` is the ACCUMULATE buffer's keep
+    factor, in [0, 1); without one the buffer keeps 1 - alpha (Scion-light). Both are
+    range-checked here, when the rule is built, not on every step.
+    """
+
+    buffer: Buffer
+    move: Move
+    nesterov: bool = False
+    mu: float = 0.0
+    beta: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.mu <= 1.0:
+            raise ValueError(f"mu must be in [0, 1], got {self.mu}")
+        if self.beta is not None and not 0.0 <= self.beta < 1.0:
+            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
+        if self.nesterov and self.buffer is not Buffer.ACCUMULATE:
+            raise ValueError("a Nesterov look-ahead needs an accumulated buffer")
+
+
+RULES: dict[Algo, Rule] = {
+    Algo.USCG: Rule(Buffer.AVERAGE, Move.ADD),
+    Algo.SCG: Rule(Buffer.AVERAGE, Move.CONVEX),
+    Algo.USCG_WD: Rule(Buffer.AVERAGE, Move.DECAY, mu=0.5),
+    Algo.ALMOND: Rule(Buffer.ORIENTED, Move.BUFFER),
+    Algo.MUON_PLAIN: Rule(Buffer.ACCUMULATE, Move.ADD, beta=0.9),
+    Algo.MUON_NESTEROV: Rule(Buffer.ACCUMULATE, Move.ADD, nesterov=True, beta=0.9),
+    Algo.SSD: Rule(Buffer.NONE, Move.SHARP),
+    Algo.USCG_LIGHT: Rule(Buffer.ACCUMULATE, Move.ADD),
+}
+
+
+@lru_cache
+def rule_for(algo: Algo, mu: float = 0.5, beta: float = 0.9) -> Rule:
+    """The algo's row of RULES with `mu` and `beta` set on the rows that use them.
+
+    Cached, so a harness that maps its algo on every step builds and range-checks
+    each rule once. An unknown algo raises ValueError.
+    """
+    row = RULES.get(algo)
+    if row is None:
+        raise ValueError(f"unknown algorithm {algo}")
+    if row.move is Move.DECAY:
+        row = replace(row, mu=mu)
+    if row.beta is not None:
+        row = replace(row, beta=beta)
+    return row
 
 
 @dataclass
 class OptimizerState:
-    """Averaged direction (or raw accumulator for the Muon variants) plus a step count."""
+    """The rule's momentum buffer d (zero until the first step) plus a step count."""
 
     d: list[np.ndarray]
     step: int = 0
-    light_mode: bool = False
 
     @classmethod
-    def init(cls, params: Sequence[np.ndarray], **kw) -> "OptimizerState":
-        return cls(d=[np.zeros_like(p) for p in params], step=0, **kw)
+    def init(cls, params: Sequence[np.ndarray]) -> "OptimizerState":
+        return cls(d=[np.zeros_like(p) for p in params], step=0)
 
 
 def _check_like(a: Sequence[np.ndarray], b: Sequence[np.ndarray], what: str) -> None:
@@ -81,6 +164,64 @@ def momentum_update(
     return [(1.0 - alpha) * di + alpha * gi for di, gi in zip(d, g)]
 
 
+def step(
+    x: Sequence[np.ndarray],
+    state: OptimizerState,
+    g: Sequence[np.ndarray],
+    gamma: float,
+    alpha: float,
+    spec: ModelNormSpec,
+    rule: Rule,
+    ns_iters: int | None = None,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One update of x under `rule`; returns (new parameters, d_k).
+
+    d_k is the gradient estimate the step formed: the averaged buffer, an
+    accumulated buffer rescaled to an average (by 1 - beta, or by alpha), or g
+    itself for the rules that keep no gradient buffer (ALMOND averages oracle
+    outputs, SSD keeps none). The CONVEX move needs a feasible iterate (composite
+    norm <= 1, on every row of a stack) and then keeps every iterate feasible, no
+    matter the gradient stream. The ADD move changes x by at most gamma in the
+    composite norm (radii included).
+    """
+    _check_gamma(gamma)
+    _check_alpha(alpha)
+    _check_like(x, g, "step")
+    if rule.move is Move.CONVEX and np.max(composite_norm(x, spec)) > 1.0 + FEASIBILITY_SLACK:
+        raise ValueError(
+            "the convex move needs a feasible iterate (composite norm <= 1); "
+            "initialize on or inside the ball boundary"
+        )
+    atoms = spec.atoms()
+
+    def oracle(vs):
+        return [lmo(v, a, ns_iters=ns_iters) for v, a in zip(vs, atoms)]
+
+    d_k = v = list(g)
+    if rule.buffer is Buffer.AVERAGE:
+        state.d = d_k = v = momentum_update(state.d, g, alpha)
+    elif rule.buffer is Buffer.ORIENTED:
+        state.d = momentum_update(state.d, oracle(g), alpha)
+    elif rule.buffer is Buffer.ACCUMULATE:
+        keep, scale = (1.0 - alpha, alpha) if rule.beta is None else (rule.beta, 1.0 - rule.beta)
+        state.d = v = [keep * di + gi for di, gi in zip(state.d, g)]
+        d_k = [scale * di for di in state.d]
+        if rule.nesterov:
+            v = [gi + keep * di for gi, di in zip(g, state.d)]
+    state.step += 1
+    if rule.move is Move.SHARP:
+        new = [xi - gamma * sharp_op(gi, a, ns_iters=ns_iters) for xi, gi, a in zip(x, g, atoms)]
+    elif rule.move is Move.BUFFER:
+        new = [xi + gamma * di for xi, di in zip(x, state.d)]
+    elif rule.move is Move.CONVEX:
+        new = [(1.0 - gamma) * xi + gamma * si for xi, si in zip(x, oracle(v))]
+    elif rule.move is Move.DECAY:
+        new = [xi + gamma * si - (gamma * rule.mu) * xi for xi, si in zip(x, oracle(v))]
+    else:
+        new = [xi + gamma * si for xi, si in zip(x, oracle(v))]
+    return new, d_k
+
+
 def uscg_step(
     x: Sequence[np.ndarray],
     state: OptimizerState,
@@ -90,17 +231,9 @@ def uscg_step(
     spec: ModelNormSpec,
     ns_iters: int | None = None,
 ) -> list[np.ndarray]:
-    """Unconstrained conditional-gradient step: x <- x + gamma * lmo(d), layer by layer.
-
-    Every step moves by at most gamma in the composite norm (radii included), so the
-    trajectory obeys ||x^n - x^1|| <= sum of the gammas regardless of the gradients.
-    """
-    _check_gamma(gamma)
-    _check_like(x, g, "uscg_step")
-    state.d = momentum_update(state.d, g, alpha)
-    state.step += 1
-    atoms = spec.atoms()
-    return [xi + gamma * lmo(di, a, ns_iters=ns_iters) for xi, di, a in zip(x, state.d, atoms)]
+    """Unconstrained conditional-gradient step x <- x + gamma * lmo(d), layer by
+    layer: `step` under the Algo.USCG rule, returning the new parameters."""
+    return step(x, state, g, gamma, alpha, spec, RULES[Algo.USCG], ns_iters)[0]
 
 
 def scg_step(
@@ -112,158 +245,10 @@ def scg_step(
     spec: ModelNormSpec,
     ns_iters: int | None = None,
 ) -> list[np.ndarray]:
-    """Constrained conditional-gradient step: x <- (1 - gamma) * x + gamma * lmo(d).
-
-    Requires a feasible iterate (composite norm <= 1), on every row of a stacked
-    one; the convex combination with a ball point keeps every subsequent iterate
-    feasible no matter the gradient stream.
-    """
-    _check_gamma(gamma)
-    _check_like(x, g, "scg_step")
-    if np.max(composite_norm(x, spec)) > 1.0 + FEASIBILITY_SLACK:
-        raise ValueError(
-            "scg_step needs a feasible iterate (composite norm <= 1); "
-            "initialize on or inside the ball boundary"
-        )
-    state.d = momentum_update(state.d, g, alpha)
-    state.step += 1
-    atoms = spec.atoms()
-    return [
-        (1.0 - gamma) * xi + gamma * lmo(di, a, ns_iters=ns_iters)
-        for xi, di, a in zip(x, state.d, atoms)
-    ]
-
-
-def uscg_wd_step(
-    x: Sequence[np.ndarray],
-    state: OptimizerState,
-    g: Sequence[np.ndarray],
-    gamma: float,
-    alpha: float,
-    mu: float,
-    spec: ModelNormSpec,
-    ns_iters: int | None = None,
-) -> list[np.ndarray]:
-    """Unconstrained step with decoupled weight decay: x <- x + gamma * lmo(d) - gamma * mu * x.
-
-    mu interpolates between the unconstrained rule (mu = 0) and the constrained one
-    (mu = 1); for mu in (0, 1) the trajectory coincides with the constrained method
-    run on the ball inflated to radius / mu with stepsize gamma * mu.
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    _check_gamma(gamma)
-    _check_like(x, g, "uscg_wd_step")
-    state.d = momentum_update(state.d, g, alpha)
-    state.step += 1
-    atoms = spec.atoms()
-    return [
-        xi + gamma * lmo(di, a, ns_iters=ns_iters) - (gamma * mu) * xi
-        for xi, di, a in zip(x, state.d, atoms)
-    ]
-
-
-def almond_step(
-    x: Sequence[np.ndarray],
-    state: OptimizerState,
-    g: Sequence[np.ndarray],
-    gamma: float,
-    alpha: float,
-    spec: ModelNormSpec,
-    ns_iters: int | None = None,
-) -> list[np.ndarray]:
-    """Average the lmo outputs instead of the gradients: d <- (1-alpha) d + alpha lmo(g).
-
-    The buffer is a convex combination of ball points, so it never leaves the ball;
-    the parameters then drift along the averaged direction, x <- x + gamma * d.
-    Normalizing before averaging biases the direction, which is why this variant
-    wants large batches; it is kept as a baseline.
-    """
-    _check_gamma(gamma)
-    _check_like(x, g, "almond_step")
-    atoms = spec.atoms()
-    oriented = [lmo(gi, a, ns_iters=ns_iters) for gi, a in zip(g, atoms)]
-    state.d = momentum_update(state.d, oriented, alpha)
-    state.step += 1
-    return [xi + gamma * di for xi, di in zip(x, state.d)]
-
-
-def muon_step(
-    x: Sequence[np.ndarray],
-    state: OptimizerState,
-    g: Sequence[np.ndarray],
-    gamma: float,
-    beta: float,
-    nesterov: bool,
-    spec: ModelNormSpec,
-    ns_iters: int | None = None,
-) -> list[np.ndarray]:
-    """Momentum-accumulator form: G <- g + beta * G, then step along lmo of the buffer.
-
-    The plain (non-Nesterov) variant is the unconstrained conditional-gradient method
-    with alpha = 1 - beta: the accumulator equals d / alpha, and the lmo cannot tell
-    the difference. The Nesterov variant applies the lmo to g + beta * G using the
-    freshly updated buffer.
-    """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0, 1), got {beta}")
-    _check_gamma(gamma)
-    _check_like(x, g, "muon_step")
-    state.d = [gi + beta * Gi for gi, Gi in zip(g, state.d)]
-    state.step += 1
-    atoms = spec.atoms()
-    if nesterov:
-        probe = [gi + beta * Gi for gi, Gi in zip(g, state.d)]
-    else:
-        probe = state.d
-    return [xi + gamma * lmo(pi, a, ns_iters=ns_iters) for xi, pi, a in zip(x, probe, atoms)]
-
-
-def ssd_step(
-    x: Sequence[np.ndarray],
-    g: Sequence[np.ndarray],
-    gamma: float,
-    spec: ModelNormSpec,
-    ns_iters: int | None = None,
-) -> list[np.ndarray]:
-    """Steepest descent in the chosen norm: x <- x - gamma * sharp(g), no momentum.
-
-    Equals x + (gamma / radius) * dual_norm(g) * lmo(g); unlike the lmo methods the
-    step size inherits the gradient magnitude, so rescaling gradients rescales the
-    trajectory.
-    """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    _check_like(x, g, "ssd_step")
-    atoms = spec.atoms()
-    return [
-        xi - gamma * sharp_op(gi, a, ns_iters=ns_iters) for xi, gi, a in zip(x, g, atoms)
-    ]
-
-
-def scion_light_update(
-    x: Sequence[np.ndarray],
-    gbuf: list[np.ndarray],
-    gamma: float,
-    alpha: float,
-    spec: ModelNormSpec,
-    ns_iters: int | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Two-buffer rearrangement of the unconstrained step for one-gradient memory.
-
-    The caller accumulates fresh gradients into gbuf (never zeroing it), then this
-    update applies x <- x + gamma * lmo(gbuf) and decays gbuf <- (1 - alpha) * gbuf
-    in place. Scale invariance of the lmo makes the iterates identical to running
-    the averaged-direction form, while the only auxiliary storage is gbuf itself.
-    """
-    _check_alpha(alpha)
-    _check_gamma(gamma)
-    _check_like(x, gbuf, "scion_light_update")
-    atoms = spec.atoms()
-    x_new = [xi + gamma * lmo(bi, a, ns_iters=ns_iters) for xi, bi, a in zip(x, gbuf, atoms)]
-    for bi in gbuf:
-        bi *= 1.0 - alpha
-    return x_new, gbuf
+    """Constrained conditional-gradient step x <- (1 - gamma) * x + gamma * lmo(d):
+    `step` under the Algo.SCG rule, returning the new parameters. Needs a feasible
+    iterate."""
+    return step(x, state, g, gamma, alpha, spec, RULES[Algo.SCG], ns_iters)[0]
 
 
 class GammaKind(Enum):

@@ -4,7 +4,7 @@
 returns the five diagnostic columns plus the final iterates as plain lists:
 
 - `train_quadratic` on a two-trial stack for 30 steps (dim 8, linear-decay gamma,
-  constant alpha, so the light-mode rule runs too);
+  constant alpha, so Algo.USCG_LIGHT runs too);
 - `train_classifier` for 10 steps on a recommended-family 6-8-8-3 MLP with biases.
 
 `tests/test_behaviour_lock.py` compares `capture()` with the committed
@@ -31,13 +31,6 @@ MU = 0.3
 BETA = 0.8
 
 
-def _runs():
-    """(name, algo, extra keyword arguments) for every update rule."""
-    runs = [(a.value, a, {}) for a in Algo]
-    runs.append(("uscg_light", Algo.USCG, {"light_mode": True}))
-    return runs
-
-
 def _columns(diags) -> dict:
     return {col: list(getattr(diags, col)) for col in COLUMNS}
 
@@ -54,20 +47,20 @@ def capture() -> dict:
         horizon=10, gamma_kind=GammaKind.LINEAR_DECAY, gamma0=0.2, alpha0=0.3
     )
     out: dict = {"quadratic": {}, "classifier": {}}
-    for name, algo, kw in _runs():
+    for algo in Algo:
         xs, diags = train_quadratic(
             quadratic, algo, q_schedule, trial=[0, 1],
-            rho=2.0 if algo is Algo.SCG else 1.0, mu=MU, beta=BETA, **kw,
+            rho=2.0 if algo is Algo.SCG else 1.0, mu=MU, beta=BETA,
         )
-        out["quadratic"][name] = {
+        out["quadratic"][algo.value] = {
             "final": xs.tolist(),
             "trials": [_columns(d) for d in diags],
         }
         model, diags = train_classifier(
             init_model(specs, 7), train_x, train_y, algo, c_schedule,
-            seed=3, batch_size=16, mu=MU, beta=BETA, **kw,
+            seed=3, batch_size=16, mu=MU, beta=BETA,
         )
-        out["classifier"][name] = {
+        out["classifier"][algo.value] = {
             "final": [p.tolist() for p in model.parameters()],
             **_columns(diags),
         }

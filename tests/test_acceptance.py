@@ -48,12 +48,12 @@ from lmopt.norms import (
     op_norm,
 )
 from lmopt.optim import (
+    Algo,
     OptimizerState,
-    muon_step,
+    rule_for,
     scg_step,
-    scion_light_update,
+    step,
     uscg_step,
-    uscg_wd_step,
 )
 from lmopt.problems import StochasticQuadratic, SyntheticClassification
 
@@ -189,7 +189,7 @@ def test_criterion_05_equivalences():
     sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
     for g in stream:
         xa = uscg_step(xa, sa, g, 0.02, 1.0 - beta, spec)
-        xb = muon_step(xb, sb, g, 0.02, beta, False, spec)
+        xb, _ = step(xb, sb, g, 0.02, 1.0, spec, rule_for(Algo.MUON_PLAIN, beta=beta))
     for a, b in zip(xa, xb):
         np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
 
@@ -210,7 +210,7 @@ def test_criterion_05_equivalences():
     sa = OptimizerState.init(xa)
     sb = OptimizerState.init(xb)
     for g in stream:
-        xa = uscg_wd_step(xa, sa, g, gamma, 0.15, mu, spec)
+        xa, _ = step(xa, sa, g, gamma, 0.15, spec, rule_for(Algo.USCG_WD, mu=mu))
         xb = scg_step(xb, sb, g, gamma * mu, 0.15, inflated)
     for a, b in zip(xa, xb):
         np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
@@ -219,13 +219,10 @@ def test_criterion_05_equivalences():
     alpha = 0.1
     xa = random_params(spec, 37)
     xb = [p.copy() for p in xa]
-    sa = OptimizerState.init(xa)
-    gbuf = [np.zeros_like(p) for p in xb]
+    sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
     for g in stream:
         xa = uscg_step(xa, sa, g, 0.03, alpha, spec)
-        for bi, gi in zip(gbuf, g):
-            bi += gi
-        xb, gbuf = scion_light_update(xb, gbuf, 0.03, alpha, spec)
+        xb, _ = step(xb, sb, g, 0.03, alpha, spec, rule_for(Algo.USCG_LIGHT))
     for a, b in zip(xa, xb):
         np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
 

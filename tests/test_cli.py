@@ -293,6 +293,81 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "'optimizer.alpha.kind'" in err and "'optimizer.algo'" in err
 
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            (["optimizer.steps=0"], "optimizer.steps"),
+            (["optimizer.batch_size=0"], "optimizer.batch_size"),
+            (["optimizer.gamma.value=2"], "optimizer.gamma.value"),
+            (["optimizer.gamma.value=-0.1"], "optimizer.gamma.value"),
+            (["optimizer.alpha.value=0"], "optimizer.alpha.value"),
+            (["optimizer.alpha.value=nan"], "optimizer.alpha.value"),
+            (["optimizer.gamma.kind=constant_then_linear",
+              "optimizer.gamma.warmdown_frac=2"], "optimizer.gamma.warmdown_frac"),
+            (["optimizer.algo=uscg_wd", "optimizer.mu=2"], "optimizer.mu"),
+            (["optimizer.algo=muon", "optimizer.beta=1.0"], "optimizer.beta"),
+            (["optimizer.algo=muon_nesterov", "optimizer.beta=-0.5"], "optimizer.beta"),
+            (["model.hidden="], "model.hidden"),
+            (["model.hidden=0"], "model.hidden"),
+            (["model.hidden=16,-4"], "model.hidden"),
+        ],
+    )
+    def test_train_out_of_range_exit_1(self, tmp_path, capsys, settings, key):
+        args = [a for setting in settings for a in ("--set", setting)]
+        rc = run_cli("train", "--out", str(tmp_path / "out"), *args)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"'{key}'" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("setting", ["optimizer.mu=2", "optimizer.beta=1.0"])
+    def test_unused_rule_parameter_ignored(self, tmp_path, setting):
+        rc = run_cli(
+            "train", "--out", str(tmp_path),
+            "--set", "optimizer.steps=2",
+            "--set", "problem.train_size=16",
+            "--set", "optimizer.batch_size=8",
+            "--set", setting,
+        )
+        assert rc == 0
+
+    @pytest.mark.parametrize("missing", ["images", "labels"])
+    def test_train_idx_missing_file_exit_1(self, tmp_path, capsys, missing):
+        import struct
+
+        img = tmp_path / "img.idx"
+        lab = tmp_path / "lab.idx"
+        img.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(8))
+        lab.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([0, 1]))
+        gone = tmp_path / f"gone_{missing}.idx"
+        paths = {"images": img, "labels": lab, missing: gone}
+        rc = run_cli(
+            "train", "--out", str(tmp_path / "out"),
+            "--set", "problem.kind=idx",
+            "--set", f"problem.images={paths['images']}",
+            "--set", f"problem.labels={paths['labels']}",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(gone) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_train_idx_malformed_file_exit_1(self, tmp_path, capsys):
+        img = tmp_path / "img.idx"
+        img.write_bytes(b"\x00\x00")
+        rc = run_cli(
+            "train", "--out", str(tmp_path / "out"),
+            "--set", "problem.kind=idx",
+            "--set", f"problem.images={img}",
+            "--set", f"problem.labels={img}",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(img) in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_plus_override(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"optimizer": {"steps": 6}, "problem": {"train_size": 48}}))

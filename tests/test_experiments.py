@@ -205,21 +205,15 @@ class TestTrainQuadratic:
         prob = small_quadratic(noise=1.0)
         sch = ScheduleSpec(horizon=60, gamma0=0.05, alpha0=0.1)
         xa, da = train_quadratic(prob, Algo.USCG, sch, trial=1)
-        xb, db = train_quadratic(prob, Algo.USCG, sch, trial=1, light_mode=True)
+        xb, db = train_quadratic(prob, Algo.USCG_LIGHT, sch, trial=1)
         np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
         np.testing.assert_allclose(db.est_error, da.est_error, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("harness", ["quadratic", "classifier"])
-    def test_light_mode_rejects_other_algos(self, harness):
-        sch = ScheduleSpec(horizon=5, gamma0=0.05)
-        with pytest.raises(ValueError, match="light_mode requires Algo.USCG"):
-            _run_light(harness, Algo.SCG, sch)
-
-    @pytest.mark.parametrize("harness", ["quadratic", "classifier"])
     def test_light_mode_rejects_vanishing_alpha(self, harness):
         sch = ScheduleSpec(horizon=5, gamma0=0.05, alpha_kind=AlphaKind.VANISHING)
-        with pytest.raises(ValueError, match="light_mode requires a constant alpha"):
-            _run_light(harness, Algo.USCG, sch)
+        with pytest.raises(ValueError, match="Algo.USCG_LIGHT requires a constant alpha"):
+            _run_light(harness, sch)
 
 
 class TestTrialStack:
@@ -227,12 +221,17 @@ class TestTrialStack:
 
     COLUMNS = ("loss", "grad_dual_norm", "fw_gap", "param_norm", "est_error")
 
-    @pytest.mark.parametrize("algo, light", [*((a, False) for a in Algo), (Algo.USCG, True)])
+    # (Algo.USCG, True) is uSCG in light mode, Algo.USCG_LIGHT
+    @pytest.mark.parametrize(
+        "algo, light",
+        [*((a, False) for a in Algo if a is not Algo.USCG_LIGHT), (Algo.USCG, True)],
+    )
     def test_rows_equal_single_trial_runs(self, algo, light):
+        algo = Algo.USCG_LIGHT if light else algo
         prob = small_quadratic(noise=1.0)
         sch = ScheduleSpec(horizon=40, gamma0=0.05, alpha0=0.2)
         trials = [4, 0, 2]
-        kw = dict(rho=2.0 if algo is Algo.SCG else 1.0, light_mode=light)
+        kw = dict(rho=2.0 if algo is Algo.SCG else 1.0)
         xs, diags = train_quadratic(prob, algo, sch, trial=trials, **kw)
         assert xs.shape == (3, 8) and len(diags) == 3
         for i, t in enumerate(trials):
@@ -285,13 +284,13 @@ class TestTrialStack:
         assert "step 3 of trial 9" in str(info.value)
 
 
-def _run_light(harness, algo, schedule):
+def _run_light(harness, schedule):
     if harness == "quadratic":
-        return train_quadratic(small_quadratic(), algo, schedule, light_mode=True)
+        return train_quadratic(small_quadratic(), Algo.USCG_LIGHT, schedule)
     prob = SyntheticClassification(dim=8, classes=3, train_size=32, test_size=0, seed=3)
     tx, ty, _, _ = gen_synthetic(prob)
     model = init_model(build_config(Domain.IMAGE, (8, 8, 3)), 0)
-    return train_classifier(model, tx, ty, algo, schedule, batch_size=16, light_mode=True)
+    return train_classifier(model, tx, ty, Algo.USCG_LIGHT, schedule, batch_size=16)
 
 
 class TestRecordedDiagnostics:

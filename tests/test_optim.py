@@ -11,21 +11,23 @@ from lmopt.norms import (
     lmo,
 )
 from lmopt.optim import (
+    RULES,
+    Algo,
     AlphaKind,
+    Buffer,
     GammaKind,
+    Move,
     OptimizerState,
+    Rule,
     ScheduleSpec,
-    almond_step,
     alpha_at,
     gamma_at,
     momentum_update,
-    muon_step,
+    rule_for,
     scg_step,
-    scion_light_update,
-    ssd_step,
+    step,
     theory_gamma,
     uscg_step,
-    uscg_wd_step,
 )
 
 
@@ -60,6 +62,11 @@ def boundary_params(spec, seed):
     from lmopt.norms import model_lmo
 
     return model_lmo(random_params(spec, seed), spec)
+
+
+def rule_step(algo, x, state, g, gamma, alpha, spec, **params):
+    """optim.step under the algo's rule, returning only the new parameters."""
+    return step(x, state, g, gamma, alpha, spec, rule_for(algo, **params))[0]
 
 
 def assert_close_lists(a, b, tol=1e-10):
@@ -215,7 +222,7 @@ class TestWeightDecay:
         sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
         for g in stream:
             xa = uscg_step(xa, sa, g, 0.03, 0.2, spec)
-            xb = uscg_wd_step(xb, sb, g, 0.03, 0.2, 0.0, spec)
+            xb = rule_step(Algo.USCG_WD, xb, sb, g, 0.03, 0.2, spec, mu=0.0)
         assert_close_lists(xa, xb, tol=0.0)
 
     def test_mu_one_equals_scg(self):
@@ -227,7 +234,7 @@ class TestWeightDecay:
         sb = OptimizerState.init(xb)
         for g in stream:
             xa = scg_step(xa, sa, g, 0.05, 0.2, spec)
-            xb = uscg_wd_step(xb, sb, g, 0.05, 0.2, 1.0, spec)
+            xb = rule_step(Algo.USCG_WD, xb, sb, g, 0.05, 0.2, spec, mu=1.0)
         assert_close_lists(xa, xb, tol=1e-12)
 
     def test_interpolation_matches_rescaled_constrained_run(self):
@@ -254,7 +261,7 @@ class TestWeightDecay:
         sa = OptimizerState.init(xa)
         sb = OptimizerState.init(xb)
         for g in stream:
-            xa = uscg_wd_step(xa, sa, g, gamma, 0.15, mu, base)
+            xa = rule_step(Algo.USCG_WD, xa, sa, g, gamma, 0.15, base, mu=mu)
             xb = scg_step(xb, sb, g, gamma * mu, 0.15, inflated)
         assert_close_lists(xa, xb, tol=1e-10)
 
@@ -265,7 +272,7 @@ class TestAlmond:
         x = [np.zeros((1, 2))]
         state = OptimizerState.init(x)
         g = [np.array([[2.0, -3.0]])]
-        x = almond_step(x, state, g, gamma=0.1, alpha=0.5, spec=spec)
+        x = rule_step(Algo.ALMOND, x, state, g, 0.1, 0.5, spec)
         np.testing.assert_allclose(state.d[0], [[-0.5, 0.5]])
         np.testing.assert_allclose(x[0], 0.1 * state.d[0])
 
@@ -274,7 +281,7 @@ class TestAlmond:
         x = random_params(spec, 9)
         state = OptimizerState.init(x)
         for g in gradient_stream(spec, 43, 120):
-            x = almond_step(x, state, g, 0.05, 0.3, spec)
+            x = rule_step(Algo.ALMOND, x, state, g, 0.05, 0.3, spec)
             assert composite_norm(state.d, spec) <= 1.0 + 1e-9
 
     def test_direction_decays_geometrically_without_gradient(self):
@@ -284,12 +291,18 @@ class TestAlmond:
         x = [np.zeros(3)]
         state = OptimizerState.init(x)
         g = [np.array([1.0, 2.0, 2.0])]
-        x = almond_step(x, state, g, 0.1, 0.25, spec)
+        x = rule_step(Algo.ALMOND, x, state, g, 0.1, 0.25, spec)
         d0 = np.linalg.norm(state.d[0])
         zeros = [np.zeros(3)]
         for k in range(1, 6):
-            x = almond_step(x, state, zeros, 0.1, 0.25, spec)
+            x = rule_step(Algo.ALMOND, x, state, zeros, 0.1, 0.25, spec)
             assert np.linalg.norm(state.d[0]) == pytest.approx(d0 * 0.75**k)
+
+
+def muon(x, state, g, gamma, beta, nesterov, spec):
+    """A Muon step; its rows keep beta of the buffer and ignore alpha."""
+    algo = Algo.MUON_NESTEROV if nesterov else Algo.MUON_PLAIN
+    return rule_step(algo, x, state, g, gamma, 1.0, spec, beta=beta)
 
 
 class TestMuon:
@@ -303,7 +316,7 @@ class TestMuon:
         sb = OptimizerState.init(xb)
         for g in stream:
             xa = uscg_step(xa, sa, g, 0.02, 1.0 - beta, spec)
-            xb = muon_step(xb, sb, g, 0.02, beta, False, spec)
+            xb = muon(xb, sb, g, 0.02, beta, False, spec)
         assert_close_lists(xa, xb, tol=1e-10)
 
     def test_beta_zero_is_lmo_of_fresh_gradient(self):
@@ -314,7 +327,7 @@ class TestMuon:
             state = OptimizerState.init(x)
             xref = [p.copy() for p in x]
             for g in stream:
-                x = muon_step(x, state, g, 0.05, 0.0, nesterov, spec)
+                x = muon(x, state, g, 0.05, 0.0, nesterov, spec)
                 from lmopt.norms import model_lmo
 
                 xref = [xi + 0.05 * li for xi, li in zip(xref, model_lmo(g, spec))]
@@ -338,10 +351,15 @@ class TestMuon:
         for nesterov, expected in ((False, plain), (True, nest)):
             x = [np.zeros(2)]
             state = OptimizerState.init(x)
-            x = muon_step(x, state, [g1], 0.1, beta, nesterov, spec)
-            x = muon_step(x, state, [g2], 0.1, beta, nesterov, spec)
+            x = muon(x, state, [g1], 0.1, beta, nesterov, spec)
+            x = muon(x, state, [g2], 0.1, beta, nesterov, spec)
             np.testing.assert_allclose(x[0], expected, atol=1e-14)
         assert np.linalg.norm(plain - nest) > 1e-3
+
+
+def ssd(x, g, gamma, spec):
+    """A steepest-descent step; the rule keeps no buffer and ignores alpha."""
+    return rule_step(Algo.SSD, x, OptimizerState.init(x), g, gamma, 1.0, spec)
 
 
 class TestSsd:
@@ -351,20 +369,20 @@ class TestSsd:
         )
         x = [np.array([1.0, -1.0, 2.0])]
         g = [np.array([0.5, 0.25, -1.0])]
-        out = ssd_step(x, g, 0.1, spec)
+        out = ssd(x, g, 0.1, spec)
         np.testing.assert_allclose(out[0], x[0] - 0.1 * g[0], atol=1e-14)
 
     def test_maxvec_reduces_to_scaled_sign(self):
         spec = ModelNormSpec(layers=(LayerNorms(NormSpec.vector(NormKind.MAX_VEC, 2)),))
         x = [np.array([1.0, 1.0])]
         g = [np.array([2.0, -1.0])]
-        out = ssd_step(x, g, 0.1, spec)
+        out = ssd(x, g, 0.1, spec)
         np.testing.assert_allclose(out[0], x[0] - 0.1 * 3.0 * np.sign(g[0]))
 
     def test_zero_gradient(self):
         spec = mixed_spec()
         x = random_params(spec, 12)
-        out = ssd_step(x, [np.zeros_like(p) for p in x], 0.1, spec)
+        out = ssd(x, [np.zeros_like(p) for p in x], 0.1, spec)
         assert_close_lists(out, x, tol=0.0)
 
     def test_trajectory_scales_with_gradients(self):
@@ -376,8 +394,8 @@ class TestSsd:
         base = [np.zeros(4)]
         scaled = [np.zeros(4)]
         for g in stream:
-            base = ssd_step(base, g, 0.05, spec)
-            scaled = ssd_step(scaled, [3.0 * gi for gi in g], 0.05, spec)
+            base = ssd(base, g, 0.05, spec)
+            scaled = ssd(scaled, [3.0 * gi for gi in g], 0.05, spec)
         np.testing.assert_allclose(scaled[0], 3.0 * base[0], atol=1e-12)
         assert np.linalg.norm(base[0]) > 0
 
@@ -390,34 +408,92 @@ class TestScionLight:
         xa = random_params(spec, 13)
         xb = [p.copy() for p in xa]
         state = OptimizerState.init(xa)
-        gbuf = [np.zeros_like(p) for p in xb]
+        sb = OptimizerState.init(xb)
         for g in stream:
             xa = uscg_step(xa, state, g, 0.03, alpha, spec)
-            for bi, gi in zip(gbuf, g):
-                bi += gi
-            xb, gbuf = scion_light_update(xb, gbuf, 0.03, alpha, spec)
+            xb = rule_step(Algo.USCG_LIGHT, xb, sb, g, 0.03, alpha, spec)
         assert_close_lists(xa, xb, tol=1e-10)
 
     def test_alpha_one_zeroes_buffer(self):
+        # alpha = 1 keeps none of the accumulated buffer: it holds the latest gradient
         spec = ModelNormSpec(
             layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3)),)
         )
         x = [np.zeros(3)]
-        gbuf = [np.array([1.0, 2.0, -1.0])]
-        x, gbuf = scion_light_update(x, gbuf, 0.1, 1.0, spec)
-        np.testing.assert_array_equal(gbuf[0], np.zeros(3))
+        state = OptimizerState.init(x)
+        g1, g2 = [np.array([1.0, 2.0, -1.0])], [np.array([0.5, -1.0, 3.0])]
+        x = rule_step(Algo.USCG_LIGHT, x, state, g1, 0.1, 1.0, spec)
+        x = rule_step(Algo.USCG_LIGHT, x, state, g2, 0.1, 1.0, spec)
+        np.testing.assert_array_equal(state.d[0], g2[0])
 
-    def test_buffer_mutated_in_place(self):
-        # structural claim: the only auxiliary state is the one gradient-shaped buffer
-        spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3)),)
-        )
-        x = [np.zeros(3)]
-        gbuf = [np.array([1.0, 2.0, -1.0])]
-        before = gbuf[0]
-        _, gbuf_out = scion_light_update(x, gbuf, 0.1, 0.25, spec)
-        assert gbuf_out[0] is before
-        np.testing.assert_allclose(before, 0.75 * np.array([1.0, 2.0, -1.0]))
+
+class TestRuleTable:
+    def test_every_algo_has_a_row(self):
+        assert set(RULES) == set(Algo)
+        assert all(isinstance(rule, Rule) for rule in RULES.values())
+
+    def test_unknown_algo_rejected(self):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            rule_for("nope")
+
+    def test_parameters_set_only_where_used(self):
+        assert rule_for(Algo.USCG_WD, mu=0.25).mu == 0.25
+        assert rule_for(Algo.MUON_NESTEROV, beta=0.5).beta == 0.5
+        assert rule_for(Algo.USCG, mu=0.25, beta=0.5) == RULES[Algo.USCG]
+        assert rule_for(Algo.USCG_LIGHT, beta=0.5).beta is None
+
+    def test_rule_built_once(self):
+        assert rule_for(Algo.USCG_WD, 0.3, 0.9) is rule_for(Algo.USCG_WD, 0.3, 0.9)
+
+    @pytest.mark.parametrize(
+        "algo, params, what",
+        [
+            (Algo.USCG_WD, dict(mu=1.5), "mu"),
+            (Algo.USCG_WD, dict(mu=-0.1), "mu"),
+            (Algo.MUON_PLAIN, dict(beta=1.0), "beta"),
+            (Algo.MUON_NESTEROV, dict(beta=-0.5), "beta"),
+        ],
+    )
+    def test_parameter_ranges_checked_when_built(self, algo, params, what):
+        with pytest.raises(ValueError, match=what):
+            rule_for(algo, **params)
+
+    def test_nesterov_needs_accumulated_buffer(self):
+        with pytest.raises(ValueError, match="Nesterov"):
+            Rule(Buffer.AVERAGE, Move.ADD, nesterov=True)
+
+    @pytest.mark.parametrize("gamma, alpha", [(1.5, 0.5), (-0.1, 0.5), (0.1, 0.0)])
+    def test_step_ranges_checked(self, gamma, alpha):
+        spec = mixed_spec()
+        x = random_params(spec, 17)
+        with pytest.raises(ValueError):
+            step(x, OptimizerState.init(x), x, gamma, alpha, spec, RULES[Algo.SSD])
+
+    def test_gradient_estimate_per_buffer(self):
+        # d_k is the averaged direction each rule's buffer stands for
+        spec = mixed_spec()
+        stream = gradient_stream(spec, 71, 3)
+        alpha, beta = 0.25, 0.6
+        for algo, expected_scale in (
+            (Algo.USCG, 1.0),
+            (Algo.USCG_LIGHT, alpha),
+            (Algo.MUON_PLAIN, 1.0 - beta),
+        ):
+            x = random_params(spec, 18)
+            state = OptimizerState.init(x)
+            ref = OptimizerState.init(x).d
+            rule = rule_for(algo, beta=beta)
+            for g in stream:
+                a = alpha if algo is not Algo.MUON_PLAIN else 1.0 - beta
+                ref = momentum_update(ref, g, a)
+                x, d_k = step(x, state, g, 0.1, alpha, spec, rule)
+                assert_close_lists(d_k, ref, tol=1e-12)
+                if algo is not Algo.USCG:
+                    assert_close_lists(state.d, [r / expected_scale for r in ref], tol=1e-12)
+        for algo in (Algo.ALMOND, Algo.SSD):
+            x = random_params(spec, 18)
+            _, d_k = step(x, OptimizerState.init(x), stream[0], 0.1, alpha, spec, RULES[algo])
+            assert_close_lists(d_k, stream[0], tol=0.0)
 
 
 class TestSchedules:
