@@ -6,8 +6,8 @@ per-step CSV diagnostics), `coord-check` (width invariance of preactivation upda
 
 Configuration is a JSON tree (--config file.json) overridden by repeatable
 `--set path=value` flags; `--seed` and `--out` are shortcuts for the corresponding
-config keys. Every accepted key is listed in each subcommand's --help. Unknown keys
-are rejected before any computation. Artifacts (CSV per step or per cell, a JSONL
+config keys. Every accepted key is listed, with its range, in each subcommand's --help.
+Unknown keys and out-of-range values are rejected by name before any computation. Artifacts (CSV per step or per cell, a JSONL
 summary, and model checkpoints where applicable) land in the output directory under
 `<command>_<confighash>_<seed>.*`, and reruns with the same config and seed are
 byte-identical.
@@ -69,20 +69,38 @@ class Field:
     default: object
     help: str
     choices: tuple[str, ...] | None = None
+    # accepted interval, "[" "]" closed and "(" ")" open, e.g. "(0, 1]"; int kinds
+    # default to [1, inf), and an int_list must be non-empty with every element inside
+    within: str | None = None
+
+    @property
+    def interval(self) -> str | None:
+        if self.within is None and self.kind in ("int", "int_list"):
+            return "[1, inf)"
+        return self.within
 
 
 def _fields(*fields: Field) -> dict[str, Field]:
     return {f.path: f for f in fields}
 
 
+def _values(enum) -> tuple[str, ...]:
+    return tuple(e.value for e in enum)
+
+
+_ACTIVATIONS = tuple(a.value for a in Activation if a is not Activation.IDENTITY)
+# CLI algo names are the enum values, except that Muon-plain is plain "muon"
+_ALGO_BY_NAME = {"muon" if a is Algo.MUON_PLAIN else a.value: a for a in Algo}
+
 _SPECTRAL_FIELDS = (
     Field("spectral.backend", "str", "exact_svd",
           "spectral lmo backend", ("exact_svd", "newton_schulz")),
-    Field("spectral.iters", "int", 5, "newton-schulz iteration count"),
+    Field("spectral.iters", "int", 5, "newton-schulz iteration count", within="[0, inf)"),
 )
 
 _COMMON_FIELDS = (
-    Field("seed", "int", 0, "master seed; every artifact is a pure function of (config, seed)"),
+    Field("seed", "int", 0, "master seed; every artifact is a pure function of (config, seed)",
+          within="(-inf, inf)"),
     Field("out", "str", "runs", "output directory"),
 )
 
@@ -100,101 +118,84 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         Field("problem.kind", "str", "classification", "problem family",
               ("classification", "quadratic", "idx")),
         Field("problem.dim", "int", 32, "input dimension (classification/quadratic)"),
-        Field("problem.classes", "int", 4, "class count (classification)"),
+        Field("problem.classes", "int", 4, "class count (classification)", within="[2, inf)"),
         Field("problem.clusters", "int", 2, "clusters per class (classification)"),
-        Field("problem.noise", "float", 0.3,
-              "feature noise (classification) or gradient noise level (quadratic)"),
+        Field("problem.noise", "float", 0.3, "feature noise (classification) or gradient "
+              "noise level (quadratic)", within="[0, inf)"),
         Field("problem.train_size", "int", 512, "training samples (classification)"),
-        Field("problem.test_size", "int", 128, "held-out samples (classification)"),
-        Field("problem.conditioning", "float", 10.0, "curvature spread (quadratic)"),
-        Field("problem.rho", "float", 1.0, "norm-ball radius (quadratic)"),
+        Field("problem.test_size", "int", 128, "held-out samples (classification)",
+              within="[0, inf)"),
+        Field("problem.conditioning", "float", 10.0, "curvature spread (quadratic)",
+              within="[1, inf)"),
+        Field("problem.rho", "float", 1.0, "norm-ball radius (quadratic)", within="(0, inf)"),
         Field("problem.images", "str", "", "IDX images path (idx)"),
         Field("problem.labels", "str", "", "IDX labels path (idx)"),
-        Field("problem.limit", "int", 0, "cap on idx samples, 0 = all"),
+        Field("problem.limit", "int", 0, "cap on idx samples, 0 = all", within="[0, inf)"),
         Field("model.hidden", "int_list", [64, 64], "hidden layer widths"),
-        Field("model.domain", "str", "image", "input-domain preset",
-              ("image", "one_hot", "weight_shared")),
+        Field("model.domain", "str", "image", "input-domain preset", _values(Domain)),
         Field("model.family", "str", "recommended", "layer norm family",
               ("recommended", "spectral", "colnorm", "rownorm", "sign")),
-        Field("model.activation", "str", "relu", "hidden activation",
-              ("relu", "scaled_relu2", "scaled_gelu", "tanh")),
-        Field("optimizer.algo", "str", "uscg", "update rule",
-              ("uscg", "scg", "uscg_wd", "almond", "muon", "muon_nesterov", "ssd",
-               "uscg_light")),
+        Field("model.activation", "str", "relu", "hidden activation", _ACTIVATIONS),
+        Field("optimizer.algo", "str", "uscg", "update rule", tuple(_ALGO_BY_NAME)),
         Field("optimizer.steps", "int", 100, "horizon n"),
         Field("optimizer.batch_size", "int", 64, "minibatch size (data problems)"),
-        Field("optimizer.gamma.kind", "str", "linear", "stepsize schedule",
-              ("constant", "linear", "constant_then_linear")),
-        Field("optimizer.gamma.value", "float", 0.05, "base stepsize gamma"),
+        Field("optimizer.gamma.kind", "str", "linear", "stepsize schedule", _values(GammaKind)),
+        Field("optimizer.gamma.value", "float", 0.05, "base stepsize gamma", within="[0, 1]"),
         Field("optimizer.gamma.warmdown_frac", "float", 0.25,
-              "tail fraction for constant_then_linear"),
-        Field("optimizer.alpha.kind", "str", "constant", "averaging schedule",
-              ("constant", "vanishing")),
-        Field("optimizer.alpha.value", "float", 0.1, "averaging weight alpha"),
-        Field("optimizer.mu", "float", 0.5, "weight decay (uscg_wd)"),
-        Field("optimizer.beta", "float", 0.9, "momentum (muon variants)"),
+              "tail fraction for constant_then_linear", within="(0, 1]"),
+        Field("optimizer.alpha.kind", "str", "constant", "averaging schedule", _values(AlphaKind)),
+        Field("optimizer.alpha.value", "float", 0.1, "averaging weight alpha", within="(0, 1]"),
+        Field("optimizer.mu", "float", 0.5, "weight decay (uscg_wd, in [0, 1])"),
+        Field("optimizer.beta", "float", 0.9, "momentum (muon variants, in [0, 1))"),
         *_SPECTRAL_FIELDS,
     ),
     "coord-check": _fields(
         *_COMMON_FIELDS,
         Field("widths", "int_list", [64, 256, 1024], "hidden widths to compare"),
-        Field("depth", "int", 3, "number of weight layers"),
-        Field("gamma", "float", 0.01, "stepsize for the probe update"),
+        Field("depth", "int", 3, "number of weight layers", within="[2, inf)"),
+        Field("gamma", "float", 0.01, "stepsize for the probe update", within="(0, 1]"),
         Field("samples", "int", 32, "seeds averaged per width"),
         Field("input_dim", "int", 32, "input dimension"),
         Field("classes", "int", 10, "output dimension"),
-        Field("activation", "str", "scaled_gelu", "hidden activation",
-              ("relu", "scaled_relu2", "scaled_gelu", "tanh")),
+        Field("activation", "str", "scaled_gelu", "hidden activation", _ACTIVATIONS),
         *_SPECTRAL_FIELDS,
     ),
     "sweep": _fields(
         *_COMMON_FIELDS,
         Field("widths", "int_list", [128, 512], "hidden widths to compare"),
-        Field("gamma.start", "float", 0.005, "smallest grid stepsize"),
-        Field("gamma.factor", "float", 2.0, "geometric grid spacing"),
+        Field("gamma.start", "float", 0.005, "smallest grid stepsize", within="(0, 1]"),
+        Field("gamma.factor", "float", 2.0, "geometric grid spacing (top stepsize <= 1)",
+              within="(0, inf)"),
         Field("gamma.count", "int", 8, "grid size"),
         Field("epochs", "int", 4, "training epochs per cell"),
-        Field("alpha", "float", 0.1, "averaging weight"),
+        Field("alpha", "float", 0.1, "averaging weight", within="(0, 1]"),
         Field("batch_size", "int", 128, "minibatch size"),
-        Field("depth", "int", 3, "number of weight layers"),
-        Field("activation", "str", "scaled_gelu", "hidden activation",
-              ("relu", "scaled_relu2", "scaled_gelu", "tanh")),
+        Field("depth", "int", 3, "number of weight layers", within="[2, inf)"),
+        Field("activation", "str", "scaled_gelu", "hidden activation", _ACTIVATIONS),
         Field("problem.dim", "int", 32, "input dimension"),
-        Field("problem.classes", "int", 8, "class count"),
+        Field("problem.classes", "int", 8, "class count", within="[2, inf)"),
         Field("problem.clusters", "int", 2, "clusters per class"),
-        Field("problem.noise", "float", 1.0, "feature noise"),
+        Field("problem.noise", "float", 1.0, "feature noise", within="[0, inf)"),
         Field("problem.train_size", "int", 512, "training samples"),
-        Field("problem.test_size", "int", 256, "held-out samples"),
+        Field("problem.test_size", "int", 256, "held-out samples", within="[0, inf)"),
         *_SPECTRAL_FIELDS,
     ),
     "rate": _fields(
         *_COMMON_FIELDS,
         Field("optimizer", "str", "uscg", "method under test", ("uscg", "scg")),
         Field("mode", "str", "vanishing", "momentum regime", ("vanishing", "constant")),
-        Field("n_list", "int_list", [100, 400, 1600, 6400], "horizons"),
+        Field("n_list", "int_list", [100, 400, 1600, 6400], "horizons (2 distinct if vanishing)"),
         Field("trials", "int", 10, "independent runs per horizon"),
-        Field("alpha", "float", 0.1, "averaging weight (constant mode)"),
+        Field("alpha", "float", 0.1, "averaging weight (constant mode)", within="(0, 1]"),
         Field("probe", "str", "none", "extra probe to run", ("none", "error_decay")),
-        Field("probe_n", "int", 4096, "error-decay horizon"),
+        Field("probe_n", "int", 4096, "error-decay horizon", within="[2, inf)"),
         Field("probe_trials", "int", 20, "error-decay trials"),
         Field("problem.dim", "int", 32, "quadratic dimension"),
-        Field("problem.noise", "float", 1.0, "gradient noise level sigma"),
-        Field("problem.conditioning", "float", 10.0, "curvature spread"),
-        Field("rho", "float", 1.0, "unconstrained ball radius"),
-        Field("rho_constrained", "float", 2.0, "constrained ball radius"),
+        Field("problem.noise", "float", 1.0, "gradient noise level sigma", within="[0, inf)"),
+        Field("problem.conditioning", "float", 10.0, "curvature spread", within="[1, inf)"),
+        Field("rho", "float", 1.0, "unconstrained ball radius", within="(0, inf)"),
+        Field("rho_constrained", "float", 2.0, "constrained ball radius", within="(0, inf)"),
     ),
-}
-
-_KIND_BY_NAME = {k.value: k for k in NormKind}
-_ALGO_BY_NAME = {
-    "uscg": Algo.USCG,
-    "scg": Algo.SCG,
-    "uscg_wd": Algo.USCG_WD,
-    "almond": Algo.ALMOND,
-    "muon": Algo.MUON_PLAIN,
-    "muon_nesterov": Algo.MUON_NESTEROV,
-    "ssd": Algo.SSD,
-    "uscg_light": Algo.USCG_LIGHT,
 }
 
 
@@ -222,11 +223,33 @@ def _coerce(field: Field, value) -> object:
             return [int(v) for v in value]
     except ConfigError:
         raise
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(
         f"config error: key '{field.path}' expects {field.kind}, got {value!r}"
     )
+
+
+def _require(ok: bool, key: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"config error: key '{key}' {what}, got {value!r}")
+
+
+def _contains(interval: str, value) -> bool:
+    """Whether `value` lies in `interval` ("[lo, hi)" and the like); NaN never does."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo <= value if interval[0] == "[" else lo < value
+    below = value <= hi if interval[-1] == "]" else value < hi
+    return above and below
+
+
+def _check_range(field: Field, value) -> None:
+    interval = field.interval
+    if field.kind == "int_list":
+        _require(len(value) > 0 and all(_contains(interval, v) for v in value), field.path,
+                 f"must list at least one value, each in {interval}", value)
+    elif interval is not None:
+        _require(_contains(interval, value), field.path, f"must be in {interval}", value)
 
 
 def _flatten(tree: dict, prefix: str = "") -> dict:
@@ -244,7 +267,8 @@ def resolve_config(command: str, file_config: dict, overrides: list[str],
                    seed: int | None, out: str | None) -> dict:
     """Defaults <- config file <- --set overrides <- --seed/--out shortcuts.
 
-    Rejects unknown keys by name and coerces every value to its declared type.
+    Rejects unknown keys by name, coerces every value to its declared type and
+    checks it against its field's interval.
     """
     schema = SCHEMAS[command]
     resolved = {path: f.default for path, f in schema.items()}
@@ -263,6 +287,8 @@ def resolve_config(command: str, file_config: dict, overrides: list[str],
         resolved["seed"] = int(seed)
     if out is not None:
         resolved["out"] = str(out)
+    for path, field in schema.items():
+        _check_range(field, resolved[path])
     return resolved
 
 
@@ -308,17 +334,6 @@ def _artifact_base(command: str, cfg: dict) -> str:
     return os.path.join(out_dir, name)
 
 
-def _require(ok: bool, key: str, what: str, value) -> None:
-    if not ok:
-        raise ConfigError(f"config error: key '{key}' {what}, got {value!r}")
-
-
-def _require_widths(cfg: dict) -> None:
-    widths = cfg["widths"]
-    _require(len(widths) > 0 and min(widths) >= 1, "widths",
-             "must list at least one width, each >= 1", widths)
-
-
 def _ns_iters(cfg: dict) -> int | None:
     if cfg.get("spectral.backend", "exact_svd") == "newton_schulz":
         return int(cfg["spectral.iters"])
@@ -338,9 +353,9 @@ def cmd_lmo_check(cfg: dict) -> int:
         kinds = [k for _, k in sorted((k.value, k) for k in NormKind)]
     else:
         try:
-            kinds = [_KIND_BY_NAME[name.strip()] for name in cfg["kinds"].split(",")]
-        except KeyError as exc:
-            raise ConfigError(f"config error: unknown norm kind {exc.args[0]!r}")
+            kinds = [NormKind(name.strip()) for name in cfg["kinds"].split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"config error: key 'kinds' names an unknown norm kind: {exc}")
     trials = cfg["trials"]
     max_dim = cfg["max_dim"]
     seed = cfg["seed"]
@@ -407,15 +422,8 @@ def cmd_lmo_check(cfg: dict) -> int:
 
 
 def _build_schedule(cfg: dict, horizon: int) -> ScheduleSpec:
-    gamma_kind = {
-        "constant": GammaKind.CONSTANT,
-        "linear": GammaKind.LINEAR_DECAY,
-        "constant_then_linear": GammaKind.CONSTANT_THEN_LINEAR,
-    }[cfg["optimizer.gamma.kind"]]
-    alpha_kind = {
-        "constant": AlphaKind.CONSTANT,
-        "vanishing": AlphaKind.VANISHING,
-    }[cfg["optimizer.alpha.kind"]]
+    gamma_kind = GammaKind(cfg["optimizer.gamma.kind"])
+    alpha_kind = AlphaKind(cfg["optimizer.alpha.kind"])
     warmdown = max(1, int(round(cfg["optimizer.gamma.warmdown_frac"] * horizon)))
     return ScheduleSpec(
         horizon=horizon,
@@ -428,16 +436,8 @@ def _build_schedule(cfg: dict, horizon: int) -> ScheduleSpec:
 
 
 def _check_train(cfg: dict) -> None:
-    """Range checks for `train`, by key, before anything runs or is written."""
+    """`train`'s rules that tie one key's range to another key's value."""
     name = cfg["optimizer.algo"]
-    for key in ("optimizer.steps", "optimizer.batch_size"):
-        _require(cfg[key] >= 1, key, "must be >= 1", cfg[key])
-    gamma, alpha = cfg["optimizer.gamma.value"], cfg["optimizer.alpha.value"]
-    _require(0.0 <= gamma <= 1.0, "optimizer.gamma.value", "must be in [0, 1]", gamma)
-    _require(0.0 < alpha <= 1.0, "optimizer.alpha.value", "must be in (0, 1]", alpha)
-    frac = cfg["optimizer.gamma.warmdown_frac"]
-    _require(cfg["optimizer.gamma.kind"] != "constant_then_linear" or 0.0 < frac <= 1.0,
-             "optimizer.gamma.warmdown_frac", "must be in (0, 1]", frac)
     _require(name != "uscg_wd" or 0.0 <= cfg["optimizer.mu"] <= 1.0, "optimizer.mu",
              "must be in [0, 1] for uscg_wd", cfg["optimizer.mu"])
     _require(name not in ("muon", "muon_nesterov") or 0.0 <= cfg["optimizer.beta"] < 1.0,
@@ -446,9 +446,6 @@ def _check_train(cfg: dict) -> None:
     _require(name != "uscg_light" or cfg["optimizer.alpha.kind"] == "constant",
              "optimizer.alpha.kind", "must be constant when key 'optimizer.algo' is "
              "uscg_light", cfg["optimizer.alpha.kind"])
-    hidden = cfg["model.hidden"]
-    _require(len(hidden) > 0 and min(hidden) >= 1, "model.hidden",
-             "must list at least one width, each >= 1", hidden)
 
 
 def _load_idx(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -539,9 +536,6 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_coord_check(cfg: dict) -> int:
-    _require_widths(cfg)
-    _require(cfg["depth"] >= 2, "depth", "must be >= 2", cfg["depth"])
-    _require(cfg["samples"] >= 1, "samples", "must be >= 1", cfg["samples"])
     rows = coordinate_check(
         cfg["widths"],
         depth=cfg["depth"],
@@ -572,8 +566,13 @@ def cmd_coord_check(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    _require_widths(cfg)
-    _require(cfg["gamma.count"] >= 1, "gamma.count", "must be >= 1", cfg["gamma.count"])
+    start, factor = cfg["gamma.start"], cfg["gamma.factor"]
+    try:
+        grid = [start * factor**i for i in range(cfg["gamma.count"])]
+    except OverflowError:  # the top of the grid is then > 1 too
+        grid = [float("inf")]
+    _require(max(grid) <= 1.0, "gamma.start", "times key 'gamma.factor' ** (gamma.count - 1), "
+             "the largest grid stepsize, must be <= 1", max(grid))
     problem = SyntheticClassification(
         dim=cfg["problem.dim"],
         classes=cfg["problem.classes"],
@@ -583,7 +582,6 @@ def cmd_sweep(cfg: dict) -> int:
         test_size=cfg["problem.test_size"],
         seed=cfg["seed"],
     )
-    grid = [cfg["gamma.start"] * cfg["gamma.factor"] ** i for i in range(cfg["gamma.count"])]
     report = lr_transfer_sweep(
         cfg["widths"], grid, problem,
         epochs=cfg["epochs"],
@@ -614,16 +612,9 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_rate(cfg: dict) -> int:
     n_list = cfg["n_list"]
-    _require(len(n_list) > 0 and min(n_list) >= 1, "n_list",
-             "must list at least one horizon, each >= 1", n_list)
     # constant mode runs only max(n_list); vanishing mode fits a slope across horizons
     _require(cfg["mode"] != "vanishing" or len(set(n_list)) >= 2, "n_list",
-             "must hold two distinct horizons in vanishing mode", n_list)
-    _require(cfg["trials"] >= 1, "trials", "must be >= 1", cfg["trials"])
-    if cfg["probe"] == "error_decay":
-        _require(cfg["probe_trials"] >= 1, "probe_trials", "must be >= 1", cfg["probe_trials"])
-        # the probe fits a log-log slope across its steps
-        _require(cfg["probe_n"] >= 2, "probe_n", "must be >= 2", cfg["probe_n"])
+             "must hold two distinct horizons when key 'mode' is vanishing", n_list)
     problem = StochasticQuadratic(
         dim=cfg["problem.dim"],
         noise=cfg["problem.noise"],
@@ -691,7 +682,9 @@ def _schema_epilog(command: str) -> str:
     lines = ["config keys (set via --config JSON or --set key=value):"]
     for path, f in sorted(SCHEMAS[command].items()):
         choices = f" [{'|'.join(f.choices)}]" if f.choices else ""
-        lines.append(f"  {path} ({f.kind}, default {f.default!r}){choices}: {f.help}")
+        each = "each " if f.kind == "int_list" else ""
+        bounds = f", {each}in {f.interval}" if f.interval else ""
+        lines.append(f"  {path} ({f.kind}{bounds}, default {f.default!r}){choices}: {f.help}")
     return "\n".join(lines)
 
 

@@ -406,7 +406,7 @@ def coordinate_check_ratios(rows: Sequence[CoordinateCheckRow]) -> dict[int, flo
     by_layer: dict[int, list[float]] = {}
     for r in rows:
         by_layer.setdefault(r.layer, []).append(r.rms_dpreact)
-    return {layer: max(vals) / min(vals) for layer, vals in by_layer.items()}
+    return {layer: float(max(vals) / min(vals)) for layer, vals in by_layer.items()}
 
 
 @dataclass(frozen=True)
@@ -450,8 +450,8 @@ def lr_transfer_sweep(
     """
     from .problems import gen_synthetic
 
-    if len(widths) < 1 or len(gamma_grid) < 1:
-        raise ValueError("widths and gamma grid must be nonempty")
+    if len(widths) < 1 or len(gamma_grid) < 1 or depth < 2:
+        raise ValueError("need nonempty widths and gamma grid and depth >= 2")
     train_x, train_y, test_x, test_y = gen_synthetic(problem)
     if test_x.shape[1] == 0:
         test_x, test_y = train_x, train_y

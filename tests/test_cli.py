@@ -67,6 +67,20 @@ class TestConfigPlumbing:
             for path in schema:
                 assert path in text, f"{command} --help is missing {path}"
 
+    def test_help_shows_each_interval(self, capsys):
+        for command, schema in SCHEMAS.items():
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            lines = capsys.readouterr().out.splitlines()
+            for path, field in schema.items():
+                line = next(l for l in lines if l.startswith(f"  {path} ("))
+                if field.interval is not None:
+                    assert f"in {field.interval}," in line, line
+
+    def test_defaults_lie_in_their_intervals(self):
+        for command in SCHEMAS:
+            resolve_config(command, {}, [], None, None)
+
 
 class TestCommands:
     def test_lmo_check_default_passes(self, tmp_path, capsys):
@@ -320,6 +334,77 @@ class TestCommands:
         assert err.startswith("config error") and f"'{key}'" in err
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "command, settings, key",
+        [
+            ("train", ["problem.dim=0"], "problem.dim"),
+            ("train", ["problem.classes=1"], "problem.classes"),
+            ("train", ["problem.train_size=0"], "problem.train_size"),
+            ("train", ["problem.test_size=-1"], "problem.test_size"),
+            ("train", ["problem.clusters=0"], "problem.clusters"),
+            ("train", ["problem.kind=quadratic", "problem.rho=0"], "problem.rho"),
+            ("train", ["problem.kind=quadratic", "problem.conditioning=0.5"],
+             "problem.conditioning"),
+            ("train", ["problem.kind=quadratic", "problem.noise=-1"], "problem.noise"),
+            ("train", ["problem.kind=idx", "problem.limit=-1"], "problem.limit"),
+            ("lmo-check", ["max_dim=0"], "max_dim"),
+            ("lmo-check", ["trials=0"], "trials"),
+            ("lmo-check", ["kinds=spectral,nope"], "kinds"),
+            ("coord-check", ["input_dim=0"], "input_dim"),
+            ("coord-check", ["classes=0"], "classes"),
+            ("coord-check", ["gamma=-1"], "gamma"),
+            ("coord-check", ["gamma=0"], "gamma"),
+            ("sweep", ["batch_size=0"], "batch_size"),
+            ("sweep", ["alpha=0"], "alpha"),
+            ("sweep", ["depth=1"], "depth"),
+            ("sweep", ["gamma.start=0.5", "gamma.factor=2", "gamma.count=3"], "gamma.start"),
+            ("sweep", ["gamma.count=3000"], "gamma.start"),
+            ("rate", ["problem.dim=0"], "problem.dim"),
+            ("rate", ["rho=0"], "rho"),
+            ("rate", ["mode=constant", "n_list=40", "alpha=0"], "alpha"),
+            ("rate", ["problem.noise=nan"], "problem.noise"),
+        ],
+    )
+    def test_declared_range_exit_1(self, tmp_path, capsys, command, settings, key):
+        args = [a for setting in settings for a in ("--set", setting)]
+        rc = run_cli(command, "--out", str(tmp_path / "out"), *args)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"'{key}'" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_sweep_grid_top_names_both_keys(self, tmp_path, capsys):
+        rc = run_cli("sweep", "--out", str(tmp_path), "--set", "gamma.start=0.5",
+                     "--set", "gamma.factor=2", "--set", "gamma.count=3")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'gamma.start'" in err and "'gamma.factor'" in err and "got 2.0" in err
+
+    def test_sweep_grid_top_at_one_runs(self, tmp_path):
+        rc = run_cli(
+            "sweep", "--out", str(tmp_path),
+            "--set", "gamma.start=0.5", "--set", "gamma.factor=2", "--set", "gamma.count=2",
+            "--set", "widths=4", "--set", "epochs=1", "--set", "problem.train_size=16",
+            "--set", "problem.test_size=8", "--set", "batch_size=8",
+        )
+        assert rc == 0
+
+    def test_json_infinity_for_int_exit_1(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text('{"optimizer": {"steps": Infinity}}')
+        rc = run_cli("train", "--config", str(conf), "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert "'optimizer.steps'" in capsys.readouterr().err
+
+    def test_coord_check_prints_plain_ratios(self, tmp_path, capsys):
+        rc = run_cli("coord-check", "--out", str(tmp_path), "--set", "widths=4,8",
+                     "--set", "samples=1", "--set", "input_dim=4", "--set", "classes=2")
+        assert rc == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("per-layer max/min ratios: {1: ")
+        assert "np." not in last
 
     @pytest.mark.parametrize("setting", ["optimizer.mu=2", "optimizer.beta=1.0"])
     def test_unused_rule_parameter_ignored(self, tmp_path, setting):

@@ -396,6 +396,13 @@ class TestCoordinateCheck:
                                 input_dim=8, classes=4)
         assert [(r.width, r.layer) for r in rows] == [(16, 1), (16, 2), (16, 3)]
 
+    def test_ratios_are_plain_floats(self):
+        rows = coordinate_check([8, 16], depth=2, gamma=0.01, seed=0, samples=1,
+                                input_dim=4, classes=2)
+        ratios = coordinate_check_ratios(rows)
+        assert sorted(ratios) == [1, 2]
+        assert all(type(v) is float for v in ratios.values())
+
 
 class TestRateHarness:
     def test_vanishing_gammas_inside_theorem_interval(self):
@@ -527,6 +534,12 @@ class TestSweep:
         a = lr_transfer_sweep([8], grid, prob, epochs=1, seed=4, batch_size=32)
         b = lr_transfer_sweep([8], grid, prob, epochs=1, seed=4, batch_size=32)
         assert a == b
+
+    def test_rejects_depth_below_two(self):
+        # depth 1 is a width-free linear model: every width would pick the same gamma
+        prob = SyntheticClassification(dim=8, classes=3, train_size=16, test_size=8, seed=0)
+        with pytest.raises(ValueError, match="depth >= 2"):
+            lr_transfer_sweep([8, 16], [0.05], prob, epochs=1, depth=1)
 
 
 class TestApplyStepDispatch:
