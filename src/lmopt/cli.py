@@ -304,6 +304,8 @@ def config_hash(resolved: dict) -> str:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, np.generic):  # numpy scalars print as the Python values they hold
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

@@ -53,3 +53,15 @@ def test_reference_covers_every_command(runs):
         assert run["csv"], command
         for csv in run["csv"].values():
             assert csv["head"][0] == "# schema=1" and csv["rows"], command
+
+
+def test_cells_print_plain_values(runs):
+    """Numpy scalars print as plain numbers and bools as true/false, never in repr form."""
+    for current in runs:
+        for command, run in current.items():
+            for name, csv in run["csv"].items():
+                for row in csv["rows"]:
+                    for cell in row:
+                        assert "np." not in cell and cell not in ("True", "False"), (
+                            f"{command} {name}: {cell!r}"
+                        )
