@@ -199,13 +199,21 @@ SCHEMAS: dict[str, dict[str, Field]] = {
 }
 
 
+def _integer(value) -> int:
+    """An int from an int, a numeral string or an integral JSON number; bools and
+    fractional numbers raise ValueError instead of truncating."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError
+    return int(value)
+
+
 def _coerce(field: Field, value) -> object:
     try:
         if field.kind == "int":
+            return _integer(value)
+        if field.kind == "float":
             if isinstance(value, bool):
                 raise ValueError
-            return int(value)
-        if field.kind == "float":
             return float(value)
         if field.kind == "str":
             value = str(value)
@@ -220,7 +228,7 @@ def _coerce(field: Field, value) -> object:
                 value = [v for v in value.split(",") if v != ""]
             if not isinstance(value, (list, tuple)):
                 raise ValueError
-            return [int(v) for v in value]
+            return [_integer(v) for v in value]
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError):
@@ -289,7 +297,20 @@ def resolve_config(command: str, file_config: dict, overrides: list[str],
         resolved["out"] = str(out)
     for path, field in schema.items():
         _check_range(field, resolved[path])
+    _require(_can_hold_files(resolved["out"]), "out",
+             "must name a directory, existing or not, under no file", resolved["out"])
     return resolved
+
+
+def _can_hold_files(out: str) -> bool:
+    """Whether `out` is a directory, or can be made one: nonempty, and its nearest
+    existing ancestor is a directory (not a file)."""
+    if out == "":
+        return False
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    return os.path.isdir(path)
 
 
 def config_hash(resolved: dict) -> str:

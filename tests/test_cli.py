@@ -398,6 +398,48 @@ class TestCommands:
         assert rc == 1
         assert "'optimizer.steps'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, conf, key",
+        [
+            ("lmo-check", {"trials": 2.7}, "trials"),
+            ("coord-check", {"widths": [8, 2.5]}, "widths"),
+            ("train", {"optimizer": {"gamma": {"value": True}}}, "optimizer.gamma.value"),
+            ("rate", {"problem": {"noise": False}}, "problem.noise"),
+        ],
+    )
+    def test_json_number_of_wrong_kind_exit_1(self, tmp_path, capsys, command, conf, key):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        rc = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error") and f"'{key}'" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_json_integral_number_for_int_accepted(self):
+        cfg = resolve_config("lmo-check", {"trials": 3.0, "max_dim": 2}, [], None, None)
+        assert cfg["trials"] == 3 and isinstance(cfg["trials"], int)
+
+    @pytest.mark.parametrize("where", ["empty", "file", "under_file"])
+    def test_out_not_a_directory_exit_1(self, tmp_path, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        out = {"empty": "", "file": str(blocker), "under_file": str(blocker / "sub")}[where]
+        rc = run_cli("lmo-check", "--out", out, "--set", "trials=1", "--set", "max_dim=2")
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error") and "'out'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # rejected before the checks run
+        assert os.listdir(tmp_path) == ["blocker"] and blocker.read_text() == "keep"
+
+    def test_out_made_when_missing(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        rc = run_cli("lmo-check", "--out", str(out), "--set", "trials=1", "--set", "max_dim=2")
+        assert rc == 0
+        artifact(str(out), "lmo_check", ".csv")
+
     def test_coord_check_prints_plain_ratios(self, tmp_path, capsys):
         rc = run_cli("coord-check", "--out", str(tmp_path), "--set", "widths=4,8",
                      "--set", "samples=1", "--set", "input_dim=4", "--set", "classes=2")
