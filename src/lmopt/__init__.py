@@ -8,9 +8,12 @@ manual backpropagation (`models`), and experiment harnesses plus problems
 """
 
 from .linalg import (
+    LowRank,
     SvdResult,
     derive_seed,
+    lowrank_svd,
     newton_schulz_orthogonalize,
+    polar_factor,
     rng_gaussian,
     rng_permutation,
     rng_rademacher,
@@ -26,6 +29,7 @@ from .models import (
     Loss,
     MlpModel,
     backward,
+    backward_factors,
     build_config,
     forward,
     init_model,

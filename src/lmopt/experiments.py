@@ -21,6 +21,7 @@ from .models import (
     Domain,
     Loss,
     MlpModel,
+    backward_factors,
     build_config,
     forward,
     init_model,
@@ -36,6 +37,7 @@ from .norms import (
     gap_from_duals,
 )
 from .optim import (
+    RULES,
     Algo,
     AlphaKind,
     GammaKind,
@@ -46,7 +48,6 @@ from .optim import (
     rule_for,
     step,
     theory_gamma,
-    uscg_step,
 )
 
 FEASIBLE_TOL = 1e-8
@@ -364,6 +365,9 @@ def coordinate_check(
     target), and measures RMS over coordinates of each layer's preactivation change.
     Values are averaged over `samples` seeds. Width-independence of these numbers,
     all sitting near gamma, is the transfer signature the builders aim for.
+
+    The step reuses the measuring forward pass, and each weight gradient reaches
+    the lmo as its rank-1 factors, so the exact spectral lmo needs no dense SVD.
     """
     if len(widths) < 1 or depth < 2:
         raise ValueError("need at least one width and depth >= 2")
@@ -378,13 +382,14 @@ def coordinate_check(
             z = rng_gaussian(input_dim, 1, derive_seed(run_seed, 1))[:, 0]
             z *= np.sqrt(input_dim) / np.linalg.norm(z)
             y = rng_gaussian(classes, 1, derive_seed(run_seed, 2))[:, 0]
-            _, cache_before = forward(model, z)
-            pre_before = [f.copy() for f in cache_before.preacts]
+            logits, cache_before = forward(model, z)
+            pre_before = cache_before.preacts
             if gamma > 0.0:
-                _, g = loss_and_grad(model, z, y, Loss.MSE)
+                # MSE on one sample: dL/dlogits = logits - y
+                g = backward_factors(model, cache_before, logits - y)
                 x = model.parameters()
-                state = OptimizerState.init(x)
-                x = uscg_step(x, state, g, gamma, 1.0, model.norm_spec(), ns_iters=ns_iters)
+                x, _ = step(x, OptimizerState.init(x), g, gamma, 1.0, model.norm_spec(),
+                            RULES[Algo.USCG], ns_iters)
                 model.set_parameters(x)
             _, cache_after = forward(model, z)
             for layer in range(depth):

@@ -1,7 +1,8 @@
 """Dense linear algebra primitives.
 
 Reduced SVD with deterministic sign conventions, singular values without vectors,
-Newton-Schulz orthogonalization, semi-orthogonal initializers, and a small
+the polar factor u @ vt, the same factorization of a low-rank product taken from
+its factors (`LowRank`, `lowrank_svd`), Newton-Schulz orthogonalization, semi-orthogonal initializers, and a small
 counter-based PRNG (splitmix64 + Box-Muller) so that every random draw is
 reproducible across platforms and numpy versions. The Gaussian draw also takes a
 sequence of seeds and returns one draw per seed on a leading axis.
@@ -67,11 +68,53 @@ class SvdResult:
         return self.u @ self.vt
 
 
+@dataclass(frozen=True)
+class LowRank:
+    """The matrix left @ right.T held as its factors: left is (m, b), right is (n, b).
+
+    A product of b outer products, such as a batch-of-b weight gradient, has rank at
+    most b; `lowrank_svd` factors it without forming the (m, n) product. It is an
+    operand, not an array: `dense()` forms the product.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.left.shape[0], self.right.shape[0])
+
+    @property
+    def width(self) -> int:
+        """b, the factors' shared column count: a bound on the rank."""
+        return self.left.shape[1]
+
+    def dense(self) -> np.ndarray:
+        return self.left @ self.right.T
+
+    def checked(self) -> "LowRank":
+        """Both factors through as_matrix, with a shared column count."""
+        left, right = as_matrix(self.left, "left factor"), as_matrix(self.right, "right factor")
+        if left.shape[1] != right.shape[1]:
+            raise ValueError(
+                f"factors must share their column count, got {left.shape} and {right.shape}"
+            )
+        return LowRank(left, right)
+
+
 def _nonzero_matrix(a) -> np.ndarray:
     m = as_matrix(a)
     if not m.any():
         raise ValueError("zero matrix has no reduced SVD")
     return m
+
+
+def _cut_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd of a nonzero matrix, cut at RANK_RTOL relative to sigma_max."""
+    m = _nonzero_matrix(a)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    keep = s > RANK_RTOL * s[0]
+    return u[:, keep], s[keep], vt[keep, :]
 
 
 def svd_reduced(a) -> SvdResult:
@@ -81,10 +124,7 @@ def svd_reduced(a) -> SvdResult:
     positive) so repeated calls are deterministic. Raises on an all-zero matrix;
     callers that need an lmo of zero handle that case separately.
     """
-    m = _nonzero_matrix(a)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = s > RANK_RTOL * s[0]
-    u, s, vt = u[:, keep], s[keep], vt[keep, :]
+    u, s, vt = _cut_svd(a)
     pivots = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)]
     flip = pivots < 0.0
     np.negative(u, out=u, where=flip)
@@ -100,6 +140,40 @@ def singular_values(a) -> np.ndarray:
     """
     s = np.linalg.svd(_nonzero_matrix(a), compute_uv=False)
     return s[s > RANK_RTOL * s[0]]
+
+
+def polar_factor(a) -> np.ndarray:
+    """svd_reduced(a).orthogonal_factor() without the sign canonicalization.
+
+    Flipping the sign of a column of u and of the matching row of vt leaves u @ vt
+    unchanged, and negation is exact, so the result is bit-identical. Same
+    validation, cutoff and zero-matrix error as svd_reduced.
+    """
+    u, _, vt = _cut_svd(a)
+    return u @ vt
+
+
+def lowrank_svd(a: LowRank) -> SvdResult:
+    """Reduced SVD of left @ right.T from its factors, in O((m + n) b^2) work.
+
+    The exact-rank case of a randomized range finder (Halko, Martinsson & Tropp
+    2011) with the factors as the range: QR each factor, left = Ql Rl and
+    right = Qr Rr, take the SVD of the b x b core Rl Rr^T and map its vectors back
+    through Ql and Qr. The cutoff is RANK_RTOL relative to the largest singular
+    value, as in svd_reduced, and the signs are not canonicalized. A product
+    below RANK_RTOL * ||Rl||_F ||Rr||_F, which bounds sigma_max, is numerically
+    zero, including factors that cancel: it has rank 0 and empty factors.
+    """
+    a = a.checked()
+    ql, rl = np.linalg.qr(a.left)
+    qr, rr = np.linalg.qr(a.right)
+    core = rl @ rr.T
+    scale = np.linalg.norm(rl) * np.linalg.norm(rr)
+    if not (np.isfinite(core).all() and np.isfinite(scale)):
+        raise ValueError("low-rank product overflows float64")
+    u, s, vt = np.linalg.svd(core, full_matrices=False)
+    keep = (s > RANK_RTOL * s[0]) & (s[0] > RANK_RTOL * scale)
+    return SvdResult(u=ql @ u[:, keep], sigma=s[keep], vt=vt[keep, :] @ qr.T)
 
 
 def newton_schulz_orthogonalize(a, iters: int = 5) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import derive_seed, rng_gaussian, rng_rademacher, semi_orthogonal_init
+from .linalg import LowRank, derive_seed, rng_gaussian, rng_rademacher, semi_orthogonal_init
 from .norms import (
     LayerNorms,
     ModelNormSpec,
@@ -319,12 +319,16 @@ def forward(model: MlpModel, z) -> tuple[np.ndarray, ForwardCache]:
     return (logits[:, 0] if single else logits), cache
 
 
-def backward(model: MlpModel, cache: ForwardCache, loss_grad_at_logits) -> list[np.ndarray]:
-    """Exact reverse-mode gradients for every parameter, aligned with parameters().
+def backward_factors(
+    model: MlpModel, cache: ForwardCache, loss_grad_at_logits
+) -> list[np.ndarray | LowRank]:
+    """Exact reverse-mode gradients for every parameter, aligned with parameters(),
+    with each weight gradient left as its factors.
 
     loss_grad_at_logits is dL/d(logits) with the same shape convention as forward's
-    output; per-sample weight gradients are outer products, so each weight gradient
-    has rank at most the batch size.
+    output. Layer l's weight gradient is delta_l @ h_{l-1}^T, a sum of one outer
+    product per sample, returned as LowRank(delta_l, h_{l-1}) of rank at most the
+    batch size; bias gradients are dense vectors. The factors alias the cache.
     """
     delta = np.asarray(loss_grad_at_logits, dtype=np.float64)
     if delta.ndim == 1:
@@ -340,13 +344,19 @@ def backward(model: MlpModel, cache: ForwardCache, loss_grad_at_logits) -> list[
         h_prev = cache.inputs if idx == 0 else cache.posts[idx - 1]
         if ls.bias_norm is not None:
             grads_rev.append(delta.sum(axis=1))
-        grads_rev.append(delta @ h_prev.T)
+        grads_rev.append(LowRank(delta, h_prev))
         if idx > 0:
             prev_act = model.layers[idx - 1].activation
             delta = (model.weights[idx].T @ delta) * activation_grad(
                 prev_act, cache.preacts[idx - 1]
             )
     return grads_rev[::-1]
+
+
+def backward(model: MlpModel, cache: ForwardCache, loss_grad_at_logits) -> list[np.ndarray]:
+    """backward_factors with every weight gradient formed as its dense product."""
+    grads = backward_factors(model, cache, loss_grad_at_logits)
+    return [g.dense() if isinstance(g, LowRank) else g for g in grads]
 
 
 def loss_and_grad(

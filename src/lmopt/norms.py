@@ -16,6 +16,11 @@ Conventions, chosen once and relied on by everything downstream:
   * Vector kinds also take a (T, d) stack and act row by row: the lmo maps each
     row (a zero row to a zero row), and op_norm, dual_norm and composite_norm
     return one value per row. Matrix kinds take one matrix.
+  * Matrix kinds also take a `linalg.LowRank` left @ right.T. The exact spectral
+    kind works from its factors (`lowrank_svd`) while the factor width b is below
+    min(m, n) / 2; every other kind, width or backend works on the product. A
+    product that is numerically zero relative to its factors, as when they
+    cancel, counts as zero.
 
 Everything here is a pure function with no internal caching, safe to call from
 multiple threads.
@@ -30,7 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import newton_schulz_orthogonalize, singular_values, svd_reduced
+from .linalg import (
+    LowRank,
+    lowrank_svd,
+    newton_schulz_orthogonalize,
+    polar_factor,
+    singular_values,
+)
 
 
 class NormKind(Enum):
@@ -84,8 +95,25 @@ class NormSpec:
         return cls(kind=kind, radius=radius, d_out=length, d_in=1)
 
 
-def _operand(s, spec: NormSpec) -> np.ndarray:
-    """Validate an operand against the spec's shape and return it as float64."""
+def _operand(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray | LowRank:
+    """Validate an operand against the spec's shape and return it as float64.
+
+    A LowRank keeps its factors only on the factored route: the spectral kind, the
+    exact backend (ns_iters None) and a factor width b < min(m, n) / 2. Otherwise
+    it comes back as its product, which is checked like any dense operand.
+    """
+    if isinstance(s, LowRank):
+        if spec.is_vector:
+            raise ValueError(f"a low-rank operand needs a matrix kind, not {spec.kind.value}")
+        a = s.checked()
+        if a.shape != (spec.d_out, spec.d_in):
+            raise ValueError(
+                f"expected shape ({spec.d_out}, {spec.d_in}) for {spec.kind.value}, "
+                f"got low-rank shape {a.shape}"
+            )
+        if spec.kind is NormKind.SPECTRAL and ns_iters is None and 2 * a.width < min(a.shape):
+            return a
+        s = a.dense()
     a = np.asarray(s, dtype=np.float64)
     if not np.isfinite(a).all():
         raise ValueError("operand contains non-finite entries")
@@ -195,10 +223,16 @@ def op_norm(a, spec: NormSpec) -> float | np.ndarray:
     if k is NormKind.ROW_NORM:
         return float(np.sqrt(spec.d_in) * np.max(np.linalg.norm(m, axis=1)))
     if k is NormKind.SPECTRAL:
-        if not m.any():
-            return 0.0
-        return float(np.sqrt(spec.d_in / spec.d_out) * singular_values(m)[0])
+        sigma = _spectrum(m)
+        return float(np.sqrt(spec.d_in / spec.d_out) * sigma[0]) if sigma.size else 0.0
     raise ValueError(f"unknown norm kind {k}")
+
+
+def _spectrum(m: np.ndarray | LowRank) -> np.ndarray:
+    """Singular values past the RANK_RTOL cut, none for a zero operand."""
+    if isinstance(m, LowRank):
+        return lowrank_svd(m).sigma
+    return singular_values(m) if m.any() else np.empty(0)
 
 
 def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
@@ -206,12 +240,16 @@ def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
 
     For nonzero input the output sits on the ball boundary (op_norm == radius) and
     pairs with the input as <s, lmo(s)> == -radius * dual_norm(s). The spectral kind
-    uses the exact reduced SVD by default; pass ns_iters to use the Newton-Schulz
+    uses the exact polar factor by default; pass ns_iters to use the Newton-Schulz
     approximation instead, which keeps the boundary only up to its singular-value band.
     """
-    m = _operand(s, spec)
+    m = _operand(s, spec, ns_iters)
     if spec.is_vector:
         return _vector_lmo(m, spec)
+    if isinstance(m, LowRank):  # the factored spectral route; a zero product has rank 0
+        return (-spec.radius * np.sqrt(spec.d_out / spec.d_in)) * (
+            lowrank_svd(m).orthogonal_factor()
+        )
     if not m.any():
         return np.zeros_like(m)
     k = spec.kind
@@ -220,7 +258,7 @@ def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
         return -rho * np.sign(m)
     if k is NormKind.SPECTRAL:
         if ns_iters is None:
-            q = svd_reduced(m).orthogonal_factor()
+            q = polar_factor(m)
         else:
             q = newton_schulz_orthogonalize(m, ns_iters)
         return (-rho * np.sqrt(spec.d_out / spec.d_in)) * q
@@ -248,13 +286,13 @@ def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
     m = _operand(s, spec)
     if spec.is_vector:
         return _vector_dual_norm(m, spec)
+    k = spec.kind
+    if k is NormKind.SPECTRAL:
+        return float(np.sqrt(spec.d_out / spec.d_in) * np.sum(_spectrum(m)))
     if not m.any():
         return 0.0
-    k = spec.kind
     if k is NormKind.SIGN:
         return float(np.sum(np.abs(m)))
-    if k is NormKind.SPECTRAL:
-        return float(np.sqrt(spec.d_out / spec.d_in) * np.sum(singular_values(m)))
     if k is NormKind.COL_NORM:
         return float(np.sqrt(spec.d_out) * np.sum(np.linalg.norm(m, axis=0)))
     if k is NormKind.ROW_NORM:
@@ -269,8 +307,8 @@ def sharp_op(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
     satisfies <s, sharp(s)> == dual_norm(s)**2. Zero maps to zero. On a vector
     stack each row is scaled by its own dual norm.
     """
-    m = _operand(s, spec)
-    if not m.any():
+    m = _operand(s, spec, ns_iters)
+    if not isinstance(m, LowRank) and not m.any():
         return np.zeros_like(m)
     dual = dual_norm(m, spec)
     if np.ndim(dual):

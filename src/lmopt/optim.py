@@ -20,7 +20,10 @@ already moves along lmo(g1) exactly as if alpha were 1 on that step.
 `step` mutates the passed-in OptimizerState (single-writer contract) and returns
 the new parameter list with the gradient estimate it formed; parameter arrays
 themselves are never written in place. A parameter on a vector-kind atom may be a
-(T, d) stack of independent runs, which every rule updates row by row.
+(T, d) stack of independent runs, which every rule updates row by row. A weight
+gradient may be a `linalg.LowRank` where the rule does no arithmetic on it: the
+AVERAGE buffer at alpha = 1 hands it to the lmo as is, so a single step from a
+fresh buffer takes the factored spectral route.
 """
 
 from __future__ import annotations
@@ -156,11 +159,14 @@ def momentum_update(
 ) -> list[np.ndarray]:
     """Exponential averaging (1 - alpha) * d + alpha * g, elementwise per array.
 
-    alpha = 1 discards the history and returns g, the conventional first-iteration
-    choice when the caller manages the buffer itself.
+    alpha = 1 discards the history and returns g's own arrays, untouched by any
+    arithmetic, the conventional first-iteration choice when the caller manages the
+    buffer itself.
     """
     _check_alpha(alpha)
     _check_like(d, g, "momentum_update")
+    if alpha == 1.0:
+        return list(g)
     return [(1.0 - alpha) * di + alpha * gi for di, gi in zip(d, g)]
 
 

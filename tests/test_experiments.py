@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lmopt import experiments
 from lmopt.experiments import (
     NumericalFailure,
     RunDiagnostics,
@@ -17,7 +18,15 @@ from lmopt.experiments import (
     train_quadratic,
 )
 from lmopt.linalg import derive_seed, rng_gaussian
-from lmopt.models import Activation, Domain, Loss, build_config, init_model, loss_and_grad
+from lmopt.models import (
+    Activation,
+    Domain,
+    Loss,
+    backward,
+    build_config,
+    init_model,
+    loss_and_grad,
+)
 from lmopt.norms import dual_norm, fw_gap
 from lmopt.optim import Algo, AlphaKind, GammaKind, ScheduleSpec, theory_gamma
 from lmopt.problems import (
@@ -390,6 +399,17 @@ class TestCoordinateCheck:
         assert all(v <= 2.0 for v in ratios.values())
         for r in rows:
             assert 0.02 / 3 <= r.rms_dpreact <= 3 * 0.02
+
+    @pytest.mark.parametrize("ns_iters", [None, 5])
+    def test_factored_rows_match_dense_gradient_rows(self, monkeypatch, ns_iters):
+        args = dict(widths=[8, 32, 48], depth=3, gamma=0.01, seed=2, samples=3,
+                    input_dim=12, classes=4, ns_iters=ns_iters)
+        rows = coordinate_check(**args)
+        monkeypatch.setattr(experiments, "backward_factors", backward)
+        dense = coordinate_check(**args)
+        assert [(r.width, r.layer) for r in rows] == [(r.width, r.layer) for r in dense]
+        np.testing.assert_allclose([r.rms_dpreact for r in rows],
+                                   [r.rms_dpreact for r in dense], rtol=1e-12, atol=0)
 
     def test_row_layout(self):
         rows = coordinate_check([16], depth=3, gamma=0.01, seed=0, samples=1,

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from lmopt.linalg import (
+    LowRank,
     derive_seed,
+    lowrank_svd,
     newton_schulz_orthogonalize,
+    polar_factor,
     rng_gaussian,
     rng_permutation,
     rng_rademacher,
@@ -108,6 +111,66 @@ class TestSingularValues:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 singular_values([[1.0, bad], [0.0, 1.0]])
+
+
+class TestPolarFactor:
+    @pytest.mark.parametrize("shape", [(12, 12), (20, 7), (7, 20), (1, 9), (9, 1)])
+    def test_bit_identical_to_svd_reduced(self, shape):
+        a = random_matrix(*shape, seed=shape[0] * 100 + shape[1])
+        np.testing.assert_array_equal(polar_factor(a), svd_reduced(a).orthogonal_factor())
+
+    @pytest.mark.parametrize("shape", [(12, 12), (20, 7), (7, 20)])
+    def test_rank_deficient_bit_identical(self, shape):
+        u = random_matrix(shape[0], 3, seed=1)
+        v = random_matrix(shape[1], 3, seed=2)
+        a = u @ v.T
+        assert svd_reduced(a).rank == 3
+        np.testing.assert_array_equal(polar_factor(a), svd_reduced(a).orthogonal_factor())
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="zero matrix has no reduced SVD"):
+            polar_factor(np.zeros((3, 2)))
+
+
+def low_rank(rows, cols, width, seed):
+    return LowRank(random_matrix(rows, width, seed), random_matrix(cols, width, seed + 1))
+
+
+class TestLowRankSvd:
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    @pytest.mark.parametrize("shape", [(24, 24), (40, 12), (12, 40), (3, 30)])
+    def test_matches_dense_svd(self, shape, width):
+        a = low_rank(*shape, width, seed=shape[0] + 10 * width)
+        got, want = lowrank_svd(a), svd_reduced(a.dense())
+        assert got.rank == want.rank == min(width, *shape)
+        scale = want.sigma[0]
+        np.testing.assert_allclose(got.sigma, want.sigma, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(got.orthogonal_factor(), want.orthogonal_factor(),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.reconstruct(), a.dense(), rtol=0, atol=1e-12 * scale)
+
+    def test_shape_and_width(self):
+        a = low_rank(7, 4, 2, seed=3)
+        assert a.shape == (7, 4) and a.width == 2 and a.dense().shape == (7, 4)
+
+    def test_zero_and_cancelling_factors_have_rank_zero(self):
+        x, y = random_matrix(6, 1, 1), random_matrix(5, 1, 2)
+        for a in (LowRank(np.zeros((6, 1)), y), LowRank(x, np.zeros((5, 2))[:, :1]),
+                  LowRank(np.hstack([x, x]), np.hstack([y, -y]))):
+            res = lowrank_svd(a)
+            assert res.rank == 0
+            np.testing.assert_array_equal(res.orthogonal_factor(), np.zeros((6, 5)))
+
+    def test_bad_factors_rejected(self):
+        x, y = random_matrix(6, 2, 1), random_matrix(5, 2, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            lowrank_svd(LowRank(np.where(x > 0, np.inf, x), y))
+        with pytest.raises(ValueError, match="column count"):
+            lowrank_svd(LowRank(x, y[:, :1]))
+        with pytest.raises(ValueError, match="2-D"):
+            lowrank_svd(LowRank(x[:, 0], y))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            lowrank_svd(LowRank(1e200 * x, 1e200 * y))
 
 
 class TestNewtonSchulz:

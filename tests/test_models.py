@@ -11,6 +11,7 @@ from lmopt.models import (
     activation_grad,
     activation_value,
     backward,
+    backward_factors,
     build_config,
     forward,
     init_model,
@@ -19,7 +20,7 @@ from lmopt.models import (
     save_model,
 )
 from lmopt.norms import NormKind, NormSpec, composite_norm, op_norm
-from lmopt.linalg import svd_reduced
+from lmopt.linalg import LowRank, svd_reduced
 
 HIDDEN_ACTS = [Activation.RELU, Activation.SCALED_RELU2, Activation.SCALED_GELU, Activation.TANH]
 
@@ -215,6 +216,22 @@ class TestBackward:
         for g in grads:
             res = svd_reduced(g)
             assert res.sigma.size == 1 or res.sigma[1] / res.sigma[0] <= 1e-10
+
+    def test_backward_is_the_dense_product_of_its_factors(self):
+        specs = build_config(Domain.IMAGE, (6, 8, 8, 3), activation=Activation.TANH,
+                             with_bias=True)
+        model = init_model(specs, 3)
+        z = rng_gaussian(6, 4, 7)
+        _, cache = forward(model, z)
+        dlogits = rng_gaussian(3, 4, 8)
+        factored = backward_factors(model, cache, dlogits)
+        dense = backward(model, cache, dlogits)
+        assert len(factored) == len(dense) == len(model.parameters())
+        for f, g, p in zip(factored, dense, model.parameters()):
+            if p.ndim == 2:
+                assert isinstance(f, LowRank) and f.width == 4
+                f = f.dense()
+            np.testing.assert_array_equal(f, g)
 
     def test_zero_loss_gradient_gives_zero_grads(self):
         model = simple_model((4, 6, 2), seed=2)

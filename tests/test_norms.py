@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from lmopt.linalg import derive_seed, rng_gaussian
+from lmopt import norms
+from lmopt.linalg import LowRank, derive_seed, rng_gaussian
 from lmopt.norms import (
     VECTOR_KINDS,
     LayerNorms,
@@ -409,3 +410,84 @@ class TestSpecValidation:
                 assert np.linalg.norm(out, 2) == pytest.approx(coeff)
             else:
                 assert np.linalg.norm(out) == pytest.approx(coeff)
+
+
+def random_low_rank(d_out, d_in, width, seed):
+    return LowRank(rng_gaussian(d_out, width, seed), rng_gaussian(d_in, width, seed + 1))
+
+
+def forbid_dense_svd(monkeypatch):
+    """Make the dense spectral factorizations fail, so only the factored route works."""
+    def refuse(*_):
+        raise AssertionError("dense SVD on the factored route")
+
+    monkeypatch.setattr(norms, "polar_factor", refuse)
+    monkeypatch.setattr(norms, "singular_values", refuse)
+
+
+class TestLowRankOperand:
+    SHAPES = [(24, 24), (40, 12), (12, 40)]
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_factored_matches_dense(self, monkeypatch, shape, width):
+        spec = NormSpec(NormKind.SPECTRAL, 1.3, *shape)
+        s = random_low_rank(*shape, width, seed=shape[0] + 10 * width)
+        dense = s.dense()
+        want = (lmo(dense, spec), dual_norm(dense, spec), op_norm(dense, spec),
+                sharp_op(dense, spec))
+        forbid_dense_svd(monkeypatch)
+        got = (lmo(s, spec), dual_norm(s, spec), op_norm(s, spec), sharp_op(s, spec))
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
+        assert got[2] == pytest.approx(want[2], rel=1e-12)
+        np.testing.assert_allclose(got[3], want[3], rtol=0, atol=1e-12 * np.abs(want[3]).max())
+        pairing = float(np.vdot(dense, got[0]))
+        assert pairing == pytest.approx(-spec.radius * got[1], rel=1e-12)
+
+    @pytest.mark.parametrize("shape, width", [((8, 8), 4), ((12, 6), 3), ((6, 30), 5)])
+    def test_wide_factors_take_the_dense_route(self, shape, width):
+        spec = NormSpec(NormKind.SPECTRAL, 1.0, *shape)
+        s = random_low_rank(*shape, width, seed=width)
+        for fn in (lmo, sharp_op):
+            np.testing.assert_array_equal(fn(s, spec), fn(s.dense(), spec))
+        for fn in (dual_norm, op_norm):
+            assert fn(s, spec) == fn(s.dense(), spec)
+
+    def test_other_kinds_and_backend_take_the_dense_route(self):
+        s = random_low_rank(16, 12, 1, seed=7)
+        for kind in (NormKind.SIGN, NormKind.COL_NORM, NormKind.ROW_NORM):
+            spec = NormSpec(kind, 0.5, 16, 12)
+            for fn in (lmo, dual_norm, op_norm, sharp_op):
+                np.testing.assert_array_equal(fn(s, spec), fn(s.dense(), spec))
+        spec = NormSpec(NormKind.SPECTRAL, 1.0, 16, 12)
+        for fn in (lmo, sharp_op):
+            np.testing.assert_array_equal(fn(s, spec, ns_iters=5), fn(s.dense(), spec, ns_iters=5))
+
+    def test_zero_and_cancelling_factors_map_to_zero(self, monkeypatch):
+        forbid_dense_svd(monkeypatch)
+        spec = NormSpec(NormKind.SPECTRAL, 1.0, 10, 8)
+        x, y = rng_gaussian(10, 1, 1), rng_gaussian(8, 1, 2)
+        for s in (LowRank(np.zeros((10, 1)), y), LowRank(x, np.zeros((8, 1))),
+                  LowRank(np.hstack([x, x]), np.hstack([y, -y]))):
+            np.testing.assert_array_equal(lmo(s, spec), np.zeros((10, 8)))
+            np.testing.assert_array_equal(sharp_op(s, spec), np.zeros((10, 8)))
+            assert dual_norm(s, spec) == 0.0 and op_norm(s, spec) == 0.0
+
+    def test_bad_factors_rejected(self):
+        spec = NormSpec(NormKind.SPECTRAL, 1.0, 10, 8)
+        x, y = rng_gaussian(10, 1, 1), rng_gaussian(8, 1, 2)
+        bad = [
+            LowRank(np.where(x > 0, np.nan, x), y),  # non-finite left factor
+            LowRank(x, np.full((8, 1), np.inf)),  # non-finite right factor
+            LowRank(x[:9], y),  # product (9, 8)
+            LowRank(x, rng_gaussian(8, 2, 3)),  # column counts differ
+            LowRank(x[:, 0], y),  # a 1-D factor
+            LowRank(1e200 * x, 1e200 * y),  # finite factors, overflowing product
+        ]
+        for s in bad:
+            for fn in (lmo, dual_norm, op_norm, sharp_op):
+                with np.errstate(over="ignore"), pytest.raises(ValueError):
+                    fn(s, spec)
+        with pytest.raises(ValueError, match="matrix kind"):
+            lmo(LowRank(x, np.ones((1, 1))), NormSpec.vector(NormKind.EUCLIDEAN_VEC, 10))

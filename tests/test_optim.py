@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lmopt.linalg import derive_seed, rng_gaussian
+from lmopt.linalg import LowRank, derive_seed, rng_gaussian
 from lmopt.norms import (
     LayerNorms,
     ModelNormSpec,
@@ -80,6 +80,12 @@ class TestMomentumUpdate:
         d = [np.array([5.0, -2.0])]
         g = [np.array([1.0, 1.0])]
         assert_close_lists(momentum_update(d, g, 1.0), g, tol=0.0)
+
+    def test_alpha_one_returns_gradient_arrays_untouched(self):
+        d = [np.full((3, 2), np.nan), np.array([5.0, -2.0])]
+        g = [LowRank(np.ones((3, 1)), np.ones((2, 1))), np.array([-0.0, 1.0])]
+        out = momentum_update(d, g, 1.0)
+        assert len(out) == 2 and all(o is gi for o, gi in zip(out, g))
 
     def test_convex_combination(self):
         d = [np.array([1.0, 1.0])]
