@@ -1,12 +1,12 @@
 """Dense linear algebra primitives.
 
 Reduced SVD with deterministic sign conventions, singular values without vectors,
-the polar factor u @ vt, the same factorization of a low-rank product taken from
-its factors (`LowRank`, `lowrank_svd`), Newton-Schulz orthogonalization, semi-orthogonal initializers, and a small
-counter-based PRNG (splitmix64 + Box-Muller) so that every random draw is
-reproducible across platforms and numpy versions. The Gaussian draw also takes a
-sequence of seeds and returns one draw per seed on a leading axis.
-All operations are pure functions of their inputs; there is no hidden state.
+the polar factor u @ vt, the reduced SVD of a low-rank product taken from its
+factors (`LowRank`, `lowrank_svd`), Newton-Schulz orthogonalization,
+semi-orthogonal initializers, and a small counter-based PRNG (splitmix64 +
+Box-Muller) so that every random draw is reproducible across platforms and numpy
+versions. The Gaussian draw also takes a sequence of seeds and returns one draw
+per seed on a leading axis. All operations are pure functions of their inputs; there is no hidden state.
 """
 
 from __future__ import annotations

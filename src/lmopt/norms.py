@@ -247,9 +247,7 @@ def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
     if spec.is_vector:
         return _vector_lmo(m, spec)
     if isinstance(m, LowRank):  # the factored spectral route; a zero product has rank 0
-        return (-spec.radius * np.sqrt(spec.d_out / spec.d_in)) * (
-            lowrank_svd(m).orthogonal_factor()
-        )
+        return -lmo_coefficient(spec) * lowrank_svd(m).orthogonal_factor()
     if not m.any():
         return np.zeros_like(m)
     k = spec.kind
