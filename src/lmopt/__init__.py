@@ -13,7 +13,6 @@ from .linalg import (
     derive_seed,
     lowrank_svd,
     newton_schulz_orthogonalize,
-    polar_factor,
     rng_gaussian,
     rng_permutation,
     rng_rademacher,

@@ -1,12 +1,12 @@
 """Dense linear algebra primitives.
 
 Reduced SVD with deterministic sign conventions, singular values without vectors,
-the polar factor u @ vt, the reduced SVD of a low-rank product taken from its
-factors (`LowRank`, `lowrank_svd`), Newton-Schulz orthogonalization,
-semi-orthogonal initializers, and a small counter-based PRNG (splitmix64 +
-Box-Muller) so that every random draw is reproducible across platforms and numpy
-versions. The Gaussian draw also takes a sequence of seeds and returns one draw
-per seed on a leading axis. All operations are pure functions of their inputs; there is no hidden state.
+the reduced SVD of a low-rank product taken from its factors (`LowRank`,
+`lowrank_svd`), Newton-Schulz orthogonalization, semi-orthogonal initializers,
+and a small counter-based PRNG (splitmix64 + Box-Muller) so that every random
+draw is reproducible across platforms and numpy versions. The Gaussian draw also
+takes a sequence of seeds and returns one draw per seed on a leading axis.
+All operations are pure functions of their inputs; there is no hidden state.
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ class LowRank:
     def shape(self) -> tuple[int, int]:
         return (self.left.shape[0], self.right.shape[0])
 
-    @property
-    def width(self) -> int:
-        """b, the factors' shared column count: a bound on the rank."""
-        return self.left.shape[1]
-
     def dense(self) -> np.ndarray:
         return self.left @ self.right.T
 
@@ -109,14 +104,6 @@ def _nonzero_matrix(a) -> np.ndarray:
     return m
 
 
-def _cut_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.linalg.svd of a nonzero matrix, cut at RANK_RTOL relative to sigma_max."""
-    m = _nonzero_matrix(a)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = s > RANK_RTOL * s[0]
-    return u[:, keep], s[keep], vt[keep, :]
-
-
 def svd_reduced(a) -> SvdResult:
     """Reduced SVD, rank-truncated at RANK_RTOL relative to the largest singular value.
 
@@ -124,7 +111,10 @@ def svd_reduced(a) -> SvdResult:
     positive) so repeated calls are deterministic. Raises on an all-zero matrix;
     callers that need an lmo of zero handle that case separately.
     """
-    u, s, vt = _cut_svd(a)
+    m = _nonzero_matrix(a)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    keep = s > RANK_RTOL * s[0]
+    u, s, vt = u[:, keep], s[keep], vt[keep, :]
     pivots = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)]
     flip = pivots < 0.0
     np.negative(u, out=u, where=flip)
@@ -140,17 +130,6 @@ def singular_values(a) -> np.ndarray:
     """
     s = np.linalg.svd(_nonzero_matrix(a), compute_uv=False)
     return s[s > RANK_RTOL * s[0]]
-
-
-def polar_factor(a) -> np.ndarray:
-    """svd_reduced(a).orthogonal_factor() without the sign canonicalization.
-
-    Flipping the sign of a column of u and of the matching row of vt leaves u @ vt
-    unchanged, and negation is exact, so the result is bit-identical. Same
-    validation, cutoff and zero-matrix error as svd_reduced.
-    """
-    u, _, vt = _cut_svd(a)
-    return u @ vt
 
 
 def lowrank_svd(a: LowRank) -> SvdResult:

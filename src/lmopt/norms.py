@@ -17,10 +17,10 @@ Conventions, chosen once and relied on by everything downstream:
     row (a zero row to a zero row), and op_norm, dual_norm and composite_norm
     return one value per row. Matrix kinds take one matrix.
   * Matrix kinds also take a `linalg.LowRank` left @ right.T. The exact spectral
-    kind works from its factors (`lowrank_svd`) while the factor width b is below
-    min(m, n) / 2; every other kind, width or backend works on the product. A
+    lmo works from its factors (`lowrank_svd`), so a rank-b gradient needs no
+    (m, n) SVD; every other function, kind and backend works on the product. A
     product that is numerically zero relative to its factors, as when they
-    cancel, counts as zero.
+    cancel, has the zero lmo.
 
 Everything here is a pure function with no internal caching, safe to call from
 multiple threads.
@@ -39,8 +39,8 @@ from .linalg import (
     LowRank,
     lowrank_svd,
     newton_schulz_orthogonalize,
-    polar_factor,
     singular_values,
+    svd_reduced,
 )
 
 
@@ -95,12 +95,12 @@ class NormSpec:
         return cls(kind=kind, radius=radius, d_out=length, d_in=1)
 
 
-def _operand(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray | LowRank:
+def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowRank:
     """Validate an operand against the spec's shape and return it as float64.
 
-    A LowRank keeps its factors only on the factored route: the spectral kind, the
-    exact backend (ns_iters None) and a factor width b < min(m, n) / 2. Otherwise
-    it comes back as its product, which is checked like any dense operand.
+    A LowRank needs a matrix kind and has its factors checked. It comes back as its
+    factors when keep_factors is set, and otherwise as its product, which is
+    checked like any dense operand.
     """
     if isinstance(s, LowRank):
         if spec.is_vector:
@@ -111,7 +111,7 @@ def _operand(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray | Low
                 f"expected shape ({spec.d_out}, {spec.d_in}) for {spec.kind.value}, "
                 f"got low-rank shape {a.shape}"
             )
-        if spec.kind is NormKind.SPECTRAL and ns_iters is None and 2 * a.width < min(a.shape):
+        if keep_factors:
             return a
         s = a.dense()
     a = np.asarray(s, dtype=np.float64)
@@ -223,16 +223,10 @@ def op_norm(a, spec: NormSpec) -> float | np.ndarray:
     if k is NormKind.ROW_NORM:
         return float(np.sqrt(spec.d_in) * np.max(np.linalg.norm(m, axis=1)))
     if k is NormKind.SPECTRAL:
-        sigma = _spectrum(m)
-        return float(np.sqrt(spec.d_in / spec.d_out) * sigma[0]) if sigma.size else 0.0
+        if not m.any():
+            return 0.0
+        return float(np.sqrt(spec.d_in / spec.d_out) * singular_values(m)[0])
     raise ValueError(f"unknown norm kind {k}")
-
-
-def _spectrum(m: np.ndarray | LowRank) -> np.ndarray:
-    """Singular values past the RANK_RTOL cut, none for a zero operand."""
-    if isinstance(m, LowRank):
-        return lowrank_svd(m).sigma
-    return singular_values(m) if m.any() else np.empty(0)
 
 
 def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
@@ -240,14 +234,17 @@ def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
 
     For nonzero input the output sits on the ball boundary (op_norm == radius) and
     pairs with the input as <s, lmo(s)> == -radius * dual_norm(s). The spectral kind
-    uses the exact polar factor by default; pass ns_iters to use the Newton-Schulz
-    approximation instead, which keeps the boundary only up to its singular-value band.
+    uses the exact reduced SVD by default, taken from the factors of a LowRank;
+    pass ns_iters to use the Newton-Schulz approximation instead, which keeps the
+    boundary only up to its singular-value band.
     """
-    m = _operand(s, spec, ns_iters)
+    factored = isinstance(s, LowRank) and spec.kind is NormKind.SPECTRAL and ns_iters is None
+    m = _operand(s, spec, keep_factors=factored)
     if spec.is_vector:
         return _vector_lmo(m, spec)
-    if isinstance(m, LowRank):  # the factored spectral route; a zero product has rank 0
-        return -lmo_coefficient(spec) * lowrank_svd(m).orthogonal_factor()
+    if factored:  # a zero product has rank 0, so its orthogonal factor is zero
+        q = lowrank_svd(m).orthogonal_factor()
+        return (-spec.radius * np.sqrt(spec.d_out / spec.d_in)) * q
     if not m.any():
         return np.zeros_like(m)
     k = spec.kind
@@ -256,7 +253,7 @@ def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
         return -rho * np.sign(m)
     if k is NormKind.SPECTRAL:
         if ns_iters is None:
-            q = polar_factor(m)
+            q = svd_reduced(m).orthogonal_factor()
         else:
             q = newton_schulz_orthogonalize(m, ns_iters)
         return (-rho * np.sqrt(spec.d_out / spec.d_in)) * q
@@ -284,13 +281,13 @@ def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
     m = _operand(s, spec)
     if spec.is_vector:
         return _vector_dual_norm(m, spec)
-    k = spec.kind
-    if k is NormKind.SPECTRAL:
-        return float(np.sqrt(spec.d_out / spec.d_in) * np.sum(_spectrum(m)))
     if not m.any():
         return 0.0
+    k = spec.kind
     if k is NormKind.SIGN:
         return float(np.sum(np.abs(m)))
+    if k is NormKind.SPECTRAL:
+        return float(np.sqrt(spec.d_out / spec.d_in) * np.sum(singular_values(m)))
     if k is NormKind.COL_NORM:
         return float(np.sqrt(spec.d_out) * np.sum(np.linalg.norm(m, axis=0)))
     if k is NormKind.ROW_NORM:
@@ -305,8 +302,8 @@ def sharp_op(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
     satisfies <s, sharp(s)> == dual_norm(s)**2. Zero maps to zero. On a vector
     stack each row is scaled by its own dual norm.
     """
-    m = _operand(s, spec, ns_iters)
-    if not isinstance(m, LowRank) and not m.any():
+    m = _operand(s, spec)
+    if not m.any():
         return np.zeros_like(m)
     dual = dual_norm(m, spec)
     if np.ndim(dual):

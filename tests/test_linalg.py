@@ -6,7 +6,6 @@ from lmopt.linalg import (
     derive_seed,
     lowrank_svd,
     newton_schulz_orthogonalize,
-    polar_factor,
     rng_gaussian,
     rng_permutation,
     rng_rademacher,
@@ -113,25 +112,6 @@ class TestSingularValues:
                 singular_values([[1.0, bad], [0.0, 1.0]])
 
 
-class TestPolarFactor:
-    @pytest.mark.parametrize("shape", [(12, 12), (20, 7), (7, 20), (1, 9), (9, 1)])
-    def test_bit_identical_to_svd_reduced(self, shape):
-        a = random_matrix(*shape, seed=shape[0] * 100 + shape[1])
-        np.testing.assert_array_equal(polar_factor(a), svd_reduced(a).orthogonal_factor())
-
-    @pytest.mark.parametrize("shape", [(12, 12), (20, 7), (7, 20)])
-    def test_rank_deficient_bit_identical(self, shape):
-        u = random_matrix(shape[0], 3, seed=1)
-        v = random_matrix(shape[1], 3, seed=2)
-        a = u @ v.T
-        assert svd_reduced(a).rank == 3
-        np.testing.assert_array_equal(polar_factor(a), svd_reduced(a).orthogonal_factor())
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError, match="zero matrix has no reduced SVD"):
-            polar_factor(np.zeros((3, 2)))
-
-
 def low_rank(rows, cols, width, seed):
     return LowRank(random_matrix(rows, width, seed), random_matrix(cols, width, seed + 1))
 
@@ -149,9 +129,9 @@ class TestLowRankSvd:
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.reconstruct(), a.dense(), rtol=0, atol=1e-12 * scale)
 
-    def test_shape_and_width(self):
+    def test_shape(self):
         a = low_rank(7, 4, 2, seed=3)
-        assert a.shape == (7, 4) and a.width == 2 and a.dense().shape == (7, 4)
+        assert a.shape == (7, 4) and a.dense().shape == (7, 4)
 
     def test_zero_and_cancelling_factors_have_rank_zero(self):
         x, y = random_matrix(6, 1, 1), random_matrix(5, 1, 2)

@@ -229,7 +229,7 @@ class TestBackward:
         assert len(factored) == len(dense) == len(model.parameters())
         for f, g, p in zip(factored, dense, model.parameters()):
             if p.ndim == 2:
-                assert isinstance(f, LowRank) and f.width == 4
+                assert isinstance(f, LowRank) and f.left.shape[1] == f.right.shape[1] == 4
                 f = f.dense()
             np.testing.assert_array_equal(f, g)
 
