@@ -407,9 +407,19 @@ def coordinate_check(
 
 
 def coordinate_check_ratios(rows: Sequence[CoordinateCheckRow]) -> dict[int, float]:
-    """Per-layer max/min ratio of the RMS statistic across widths."""
+    """Per-layer max/min ratio of the RMS statistic across widths.
+
+    A layer whose preactivation did not move at some width (rms 0, as when the
+    probe step underflows) has no ratio: that raises NumericalFailure at step 1,
+    naming the layer and the width.
+    """
     by_layer: dict[int, list[float]] = {}
     for r in rows:
+        if not r.rms_dpreact > 0.0:
+            raise NumericalFailure(
+                1, f"layer {r.layer}'s preactivation did not move at width {r.width} "
+                f"(rms_dpreact = {r.rms_dpreact})"
+            )
         by_layer.setdefault(r.layer, []).append(r.rms_dpreact)
     return {layer: float(max(vals) / min(vals)) for layer, vals in by_layer.items()}
 

@@ -132,6 +132,28 @@ def singular_values(a) -> np.ndarray:
     return s[s > RANK_RTOL * s[0]]
 
 
+def sigma_max(a) -> float:
+    """The largest singular value of `a`, from one symmetric eigensolve.
+
+    sigma_max is the square root of the top eigenvalue of the smaller Gram matrix
+    (a^T a or a a^T), which a symmetric eigensolver finds in about half the time of
+    a values-only SVD and to the same relative accuracy: the eigenvalue's error is
+    about eps * sigma_max^2, so the root's is about eps * sigma_max / 2. The matrix
+    is divided by its largest entry magnitude first, so the Gram matrix neither
+    overflows nor underflows, and the root is scaled back. The small singular
+    values lose half their digits this way, so a norm that sums the spectrum
+    (nuclear) takes singular_values instead. A zero matrix gives 0; input is
+    validated as in as_matrix.
+    """
+    m = as_matrix(a)
+    scale = np.max(np.abs(m))
+    if scale == 0.0:
+        return 0.0
+    m = m / scale
+    gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
+    return float(scale * np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+
+
 def lowrank_svd(a: LowRank) -> SvdResult:
     """Reduced SVD of left @ right.T from its factors, in O((m + n) b^2) work.
 

@@ -21,6 +21,13 @@ Conventions, chosen once and relied on by everything downstream:
     (m, n) SVD; every other function, kind and backend works on the product. A
     product that is numerically zero relative to its factors, as when they
     cancel, has the zero lmo.
+  * The spectral op_norm takes sigma_max from the top eigenvalue of the smaller
+    Gram matrix (`linalg.sigma_max`), about half the cost of a values-only SVD
+    at the same relative accuracy. The spectral dual norm sums every singular
+    value, which a Gram matrix would blur, so it keeps `singular_values`.
+  * `composite_norm` is the SCG kernel's feasibility measure, but the kernel
+    takes it only for iterates it has not certified: its own outputs are
+    read-only and carry a convexity bound (see `optim`).
 
 Everything here is a pure function with no internal caching, safe to call from
 multiple threads.
@@ -39,6 +46,7 @@ from .linalg import (
     LowRank,
     lowrank_svd,
     newton_schulz_orthogonalize,
+    sigma_max,
     singular_values,
     svd_reduced,
 )
@@ -223,9 +231,7 @@ def op_norm(a, spec: NormSpec) -> float | np.ndarray:
     if k is NormKind.ROW_NORM:
         return float(np.sqrt(spec.d_in) * np.max(np.linalg.norm(m, axis=1)))
     if k is NormKind.SPECTRAL:
-        if not m.any():
-            return 0.0
-        return float(np.sqrt(spec.d_in / spec.d_out) * singular_values(m)[0])
+        return float(np.sqrt(spec.d_in / spec.d_out) * sigma_max(m))
     raise ValueError(f"unknown norm kind {k}")
 
 

@@ -24,6 +24,14 @@ themselves are never written in place. A parameter on a vector-kind atom may be 
 gradient may be a `linalg.LowRank` where the rule does no arithmetic on it: the
 AVERAGE buffer at alpha = 1 hands it to the lmo as is, so a single step from a
 fresh buffer takes the factored spectral route.
+
+SCG iterates are read-only. The CONVEX move needs a feasible iterate, and an exact
+lmo output sits on the ball boundary, so the move certifies its own output by
+convexity: the state keeps a `Certificate` with an upper bound on the composite
+norm of the arrays it returned, and the next step takes those arrays without
+measuring them. Any other iterate (a fresh one, a copy, one made writeable again,
+one from a Newton-Schulz step, or one whose bound has crept past the slack) is
+measured exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +46,11 @@ import numpy as np
 from .norms import ModelNormSpec, composite_norm, lmo, sharp_op
 
 FEASIBILITY_SLACK = 1e-6
+# Allowance added to the convexity certificate on every CONVEX step, for the rounding
+# in the lmo's boundary (an exact lmo output has composite norm 1 to a few ulps) and
+# in the convex combination. It lets the certificate vouch for about 1e6 steps before
+# it passes 1 + FEASIBILITY_SLACK and the kernel measures again.
+CERTIFICATE_ROUNDING = 1e-12
 
 
 class Algo(Enum):
@@ -124,12 +137,39 @@ def rule_for(algo: Algo, mu: float = 0.5, beta: float = 0.9) -> Rule:
     return row
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """The read-only arrays a CONVEX move returned and an upper bound on their
+    composite norm under `spec`.
+
+    The bound is the convexity certificate ||(1 - gamma) x + gamma s|| <=
+    (1 - gamma) ||x|| + gamma, which holds for an exact lmo output s (composite norm
+    at most 1), plus CERTIFICATE_ROUNDING per step.
+    """
+
+    x: tuple[np.ndarray, ...]
+    spec: ModelNormSpec
+    bound: float
+
+    def vouches_for(self, x: Sequence[np.ndarray], spec: ModelNormSpec) -> bool:
+        """Whether x is these same arrays, still read-only, under an equal spec, with
+        the bound within FEASIBILITY_SLACK of the ball."""
+        return (
+            self.bound <= 1.0 + FEASIBILITY_SLACK
+            and len(x) == len(self.x)
+            and all(xi is vi and not vi.flags.writeable for xi, vi in zip(x, self.x))
+            and spec == self.spec
+        )
+
+
 @dataclass
 class OptimizerState:
-    """The rule's momentum buffer d (zero until the first step) plus a step count."""
+    """The rule's momentum buffer d (zero until the first step), a step count, and
+    the certificate of the last CONVEX move's output (None until one vouches)."""
 
     d: list[np.ndarray]
     step: int = 0
+    certificate: Certificate | None = None
 
     @classmethod
     def init(cls, params: Sequence[np.ndarray]) -> "OptimizerState":
@@ -170,6 +210,21 @@ def momentum_update(
     return [(1.0 - alpha) * di + alpha * gi for di, gi in zip(d, g)]
 
 
+def _feasible_bound(x: Sequence[np.ndarray], state: OptimizerState, spec: ModelNormSpec) -> float:
+    """An upper bound on x's composite norm (the max over a stack's rows) for the
+    CONVEX move: the state's certificate when it vouches for x, else the exact norm,
+    which raises when x is infeasible."""
+    if state.certificate is not None and state.certificate.vouches_for(x, spec):
+        return state.certificate.bound
+    measured = float(np.max(composite_norm(x, spec)))
+    if measured > 1.0 + FEASIBILITY_SLACK:
+        raise ValueError(
+            "the convex move needs a feasible iterate (composite norm <= 1); "
+            "initialize on or inside the ball boundary"
+        )
+    return measured
+
+
 def step(
     x: Sequence[np.ndarray],
     state: OptimizerState,
@@ -187,17 +242,16 @@ def step(
     itself for the rules that keep no gradient buffer (ALMOND averages oracle
     outputs, SSD keeps none). The CONVEX move needs a feasible iterate (composite
     norm <= 1, on every row of a stack) and then keeps every iterate feasible, no
-    matter the gradient stream. The ADD move changes x by at most gamma in the
-    composite norm (radii included).
+    matter the gradient stream. It returns read-only arrays and records in `state` a
+    bound on their norm, so the next step takes them without measuring them again
+    (see Certificate). The ADD move changes x by at most gamma in the composite
+    norm (radii included).
     """
     _check_gamma(gamma)
     _check_alpha(alpha)
     _check_like(x, g, "step")
-    if rule.move is Move.CONVEX and np.max(composite_norm(x, spec)) > 1.0 + FEASIBILITY_SLACK:
-        raise ValueError(
-            "the convex move needs a feasible iterate (composite norm <= 1); "
-            "initialize on or inside the ball boundary"
-        )
+    if rule.move is Move.CONVEX:
+        bound = _feasible_bound(x, state, spec)
     atoms = spec.atoms()
 
     def oracle(vs):
@@ -221,6 +275,12 @@ def step(
         new = [xi + gamma * di for xi, di in zip(x, state.d)]
     elif rule.move is Move.CONVEX:
         new = [(1.0 - gamma) * xi + gamma * si for xi, si in zip(x, oracle(v))]
+        for xi in new:
+            xi.flags.writeable = False
+        # A Newton-Schulz lmo output can leave the ball, so only an exact one vouches.
+        state.certificate = None if ns_iters is not None else Certificate(
+            tuple(new), spec, (1.0 - gamma) * bound + gamma + CERTIFICATE_ROUNDING
+        )
     elif rule.move is Move.DECAY:
         new = [xi + gamma * si - (gamma * rule.mu) * xi for xi, si in zip(x, oracle(v))]
     else:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -90,7 +91,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "spectral" in out and "ok" in out
         csv = artifact(str(tmp_path), "lmo_check", ".csv")
-        assert open(csv).readline() == "# schema=1\n"
+        assert Path(csv).read_text().startswith("# schema=1\n")
 
     def test_lmo_check_ns_zero_iters_fails(self, tmp_path):
         rc = run_cli(
@@ -115,7 +116,7 @@ class TestCommands:
         )
         assert rc == 0
         csv = artifact(str(tmp_path), "train", ".csv")
-        lines = open(csv).read().splitlines()
+        lines = Path(csv).read_text().splitlines()
         assert lines[0] == "# schema=1"
         assert lines[1].startswith("step,gamma,alpha,loss,")
         assert len(lines) == 2 + 10
@@ -154,7 +155,7 @@ class TestCommands:
         )
         assert rc == 0
         csv = artifact(str(tmp_path), "train", ".csv")
-        rows = [l for l in open(csv).read().splitlines() if not l.startswith("#")][1:]
+        rows = [l for l in Path(csv).read_text().splitlines() if not l.startswith("#")][1:]
         assert all(row.endswith(",true") for row in rows)
 
     def test_train_quadratic_problem(self, tmp_path):
@@ -165,7 +166,7 @@ class TestCommands:
             "--set", "optimizer.steps=20",
         )
         assert rc == 0
-        summary = json.loads(open(artifact(str(tmp_path), "train", ".jsonl")).read())
+        summary = json.loads(Path(artifact(str(tmp_path), "train", ".jsonl")).read_text())
         assert "final_loss" in summary
 
     def test_train_ssd_divergence_exit_3(self, tmp_path, capsys):
@@ -217,9 +218,28 @@ class TestCommands:
         )
         assert rc == 0
         csv = artifact(str(tmp_path), "coord_check", ".csv")
-        rows = [l for l in open(csv).read().splitlines() if not l.startswith("#")]
+        rows = [l for l in Path(csv).read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == "width,layer,rms_dpreact"
         assert len(rows) == 1 + 2 * 3
+
+    def test_coord_check_underflowing_step_exit_3(self, tmp_path, capsys):
+        # The smallest positive gamma is in range, but its step rounds away, so no
+        # preactivation moves and no width ratio exists.
+        out = tmp_path / "out"
+        rc = run_cli(
+            "coord-check", "--out", str(out),
+            "--set", "gamma=5e-324",
+            "--set", "widths=8,16",
+            "--set", "samples=1",
+            "--set", "input_dim=8",
+            "--set", "classes=3",
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure at step 1" in err
+        assert "layer 1's preactivation did not move at width 8" in err
+        assert "Traceback" not in err
+        assert not out.exists() or os.listdir(out) == []
 
     def test_sweep_command(self, tmp_path):
         rc = run_cli(
@@ -232,7 +252,7 @@ class TestCommands:
             "--set", "batch_size=24",
         )
         assert rc == 0
-        summary = json.loads(open(artifact(str(tmp_path), "sweep", ".jsonl")).read())
+        summary = json.loads(Path(artifact(str(tmp_path), "sweep", ".jsonl")).read_text())
         assert set(summary["best_gamma"]) == {"8", "16"}
 
     def test_rate_command_constants_header(self, tmp_path):
@@ -243,7 +263,7 @@ class TestCommands:
         )
         assert rc == 0
         csv = artifact(str(tmp_path), "rate", ".csv")
-        head = open(csv).read().splitlines()[:10]
+        head = Path(csv).read_text().splitlines()[:10]
         joined = "\n".join(head)
         for key in ("L=", "sigma=", "zeta=", "rho2=", "D2="):
             assert key in joined
@@ -505,7 +525,7 @@ class TestCommands:
         )
         assert rc == 0
         csv = artifact(str(tmp_path), "train", ".csv")
-        rows = [l for l in open(csv).read().splitlines() if not l.startswith("#")][1:]
+        rows = [l for l in Path(csv).read_text().splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 4  # --set beats the file
 
     def test_unreadable_config_exit_1(self, tmp_path, capsys):
@@ -522,8 +542,8 @@ class TestDeterminism:
         csv1 = [n for n in os.listdir(out1) if n.endswith(".csv")][0]
         assert csv1 in os.listdir(out2)
         return (
-            open(os.path.join(out1, csv1), "rb").read(),
-            open(os.path.join(out2, csv1), "rb").read(),
+            Path(os.path.join(out1, csv1)).read_bytes(),
+            Path(os.path.join(out2, csv1)).read_bytes(),
         )
 
     def test_train_csv_byte_identical(self, tmp_path):

@@ -10,6 +10,7 @@ from lmopt.linalg import (
     rng_permutation,
     rng_rademacher,
     semi_orthogonal_init,
+    sigma_max,
     singular_values,
     svd_reduced,
 )
@@ -110,6 +111,42 @@ class TestSingularValues:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 singular_values([[1.0, bad], [0.0, 1.0]])
+
+
+def _spectrum_matrix(rows, cols, sigma, seed):
+    """u diag(sigma) v^T with semi-orthogonal u (rows, r) and v (cols, r), r = len(sigma)."""
+    r = len(sigma)
+    u = semi_orthogonal_init(rows, r, seed)
+    v = semi_orthogonal_init(cols, r, seed + 1)
+    return (u * np.asarray(sigma)) @ v.T
+
+
+SIGMA_MAX_CASES = {
+    "square": random_matrix(32, 32, 40),
+    "tall": random_matrix(48, 9, 41),
+    "wide": random_matrix(9, 48, 42),
+    "row": random_matrix(1, 17, 43),
+    "column": random_matrix(17, 1, 44),
+    "rank_one": np.outer(random_matrix(20, 1, 45), random_matrix(12, 1, 46)),
+    "rank_deficient": _spectrum_matrix(24, 16, [3.0, 1.0, 0.5], 47),
+    "condition_1e12": _spectrum_matrix(20, 14, np.logspace(0.0, -12.0, 14), 48),
+}
+
+
+class TestSigmaMax:
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    @pytest.mark.parametrize("case", sorted(SIGMA_MAX_CASES))
+    def test_matches_top_singular_value(self, case, scale):
+        a = scale * SIGMA_MAX_CASES[case]
+        np.testing.assert_allclose(sigma_max(a), singular_values(a)[0], rtol=1e-13, atol=0)
+
+    def test_zero_matrix_gives_zero(self):
+        assert sigma_max(np.zeros((3, 2))) == 0.0
+
+    def test_nonfinite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                sigma_max([[1.0, bad], [0.0, 1.0]])
 
 
 def low_rank(rows, cols, width, seed):

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lmopt import optim
 from lmopt.linalg import LowRank, derive_seed, rng_gaussian
 from lmopt.norms import (
     LayerNorms,
@@ -11,6 +14,8 @@ from lmopt.norms import (
     lmo,
 )
 from lmopt.optim import (
+    CERTIFICATE_ROUNDING,
+    FEASIBILITY_SLACK,
     RULES,
     Algo,
     AlphaKind,
@@ -217,6 +222,129 @@ class TestScg:
         x[0][2] *= 1.5
         with pytest.raises(ValueError, match="feasible"):
             scg_step(x, OptimizerState.init(x), g, 0.1, 0.5, spec)
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Counts the kernel's exact composite-norm measurements."""
+    calls = []
+
+    def counting(params, spec):
+        calls.append(len(params))
+        return composite_norm(params, spec)
+
+    monkeypatch.setattr(optim, "composite_norm", counting)
+    return calls
+
+
+class TestScgCertificate:
+    def test_fresh_state_measures_then_vouches(self, norm_calls):
+        spec = mixed_spec()
+        x = boundary_params(spec, 70)
+        state = OptimizerState.init(x)
+        assert state.certificate is None
+        for k, g in enumerate(gradient_stream(spec, 71, 20), start=1):
+            x = scg_step(x, state, g, 0.05, 0.3, spec)
+            assert len(norm_calls) == 1, k
+            assert all(c is p for c, p in zip(state.certificate.x, x, strict=True))
+            assert composite_norm(x, spec) <= state.certificate.bound <= 1.0 + 1e-10
+
+    def test_other_infeasible_arrays_still_rejected(self, norm_calls):
+        spec = mixed_spec()
+        x = boundary_params(spec, 72)
+        state = OptimizerState.init(x)
+        g = random_params(spec, 73)
+        vouched = scg_step(x, state, g, 0.1, 0.5, spec)
+        infeasible = [3.0 * p for p in vouched]
+        for p in infeasible:
+            p.flags.writeable = False
+        with pytest.raises(ValueError, match="feasible"):
+            scg_step(infeasible, state, g, 0.1, 0.5, spec)
+        assert len(norm_calls) == 2
+        # The rejected step left the certificate standing for the arrays it names.
+        scg_step(list(vouched), state, g, 0.1, 0.5, spec)
+        assert len(norm_calls) == 2
+
+    def test_newton_schulz_measures_every_step(self, norm_calls):
+        spec = ModelNormSpec(layers=(LayerNorms(NormSpec(NormKind.SPECTRAL, 1.0, 6, 4)),))
+        x = [0.5 * p for p in boundary_params(spec, 74)]
+        state = OptimizerState.init(x)
+        for k, g in enumerate(gradient_stream(spec, 75, 5), start=1):
+            x = scg_step(x, state, g, 0.1, 0.3, spec, ns_iters=5)
+            assert len(norm_calls) == k
+            assert state.certificate is None
+
+    def test_outputs_are_read_only(self):
+        spec = mixed_spec()
+        x = boundary_params(spec, 76)
+        out = scg_step(x, OptimizerState.init(x), random_params(spec, 77), 0.1, 0.5, spec)
+        for p in out:
+            assert not p.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                p[...] = 10.0
+
+    def test_writeable_again_is_measured(self, norm_calls):
+        spec = mixed_spec()
+        x = boundary_params(spec, 78)
+        state = OptimizerState.init(x)
+        g = random_params(spec, 79)
+        x = scg_step(x, state, g, 0.1, 0.5, spec)
+        x[0].flags.writeable = True
+        x[0] *= 3.0
+        with pytest.raises(ValueError, match="feasible"):
+            scg_step(x, state, g, 0.1, 0.5, spec)
+        assert len(norm_calls) == 2
+
+    def test_other_spec_is_measured(self, norm_calls):
+        spec = mixed_spec()
+        x = boundary_params(spec, 80)
+        state = OptimizerState.init(x)
+        g = random_params(spec, 81)
+        x = scg_step(x, state, g, 0.1, 0.5, spec)
+        shrunk = ModelNormSpec(layers=tuple(
+            LayerNorms(replace(layer.weight, radius=layer.weight.radius / 4))
+            for layer in spec.layers
+        ))
+        with pytest.raises(ValueError, match="feasible"):
+            scg_step(x, state, g, 0.1, 0.5, shrunk)
+        assert len(norm_calls) == 2
+
+    def test_bound_past_slack_measures_once_and_resets(self, norm_calls):
+        spec = mixed_spec()
+        x = boundary_params(spec, 82)
+        state = OptimizerState.init(x)
+        stream = gradient_stream(spec, 83, 3)
+        x = scg_step(x, state, stream[0], 0.1, 0.5, spec)
+        state.certificate = replace(state.certificate, bound=1.0 + 2 * FEASIBILITY_SLACK)
+        measured = float(np.max(composite_norm(x, spec)))
+        x = scg_step(x, state, stream[1], 0.1, 0.5, spec)
+        assert len(norm_calls) == 2
+        assert state.certificate.bound == 0.9 * measured + 0.1 + CERTIFICATE_ROUNDING
+        scg_step(x, state, stream[2], 0.1, 0.5, spec)
+        assert len(norm_calls) == 2
+
+    def test_stacked_rows_vouched(self, norm_calls):
+        spec = ModelNormSpec(
+            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 6, radius=2.0)),)
+        )
+        rows = rng_gaussian(6, 1, [derive_seed(84, t) for t in range(4)])[..., 0]
+        x = [2.0 * rows / np.linalg.norm(rows, axis=1, keepdims=True)]
+        state = OptimizerState.init(x)
+        for k in range(5):
+            g = [rng_gaussian(6, 1, [derive_seed(85, k, t) for t in range(4)])[..., 0]]
+            x = scg_step(x, state, g, 0.2, 0.5, spec)
+            assert np.max(composite_norm(x, spec)) <= state.certificate.bound
+        assert len(norm_calls) == 1
+
+    @pytest.mark.parametrize("algo", [a for a in Algo if a is not Algo.SCG])
+    def test_other_moves_return_writeable_arrays(self, algo):
+        spec = mixed_spec()
+        x = random_params(spec, 86)
+        state = OptimizerState.init(x)
+        for g in gradient_stream(spec, 87, 2):
+            x = rule_step(algo, x, state, g, 0.1, 0.5, spec)
+            assert all(p.flags.writeable for p in x)
+        assert state.certificate is None
 
 
 class TestWeightDecay:
