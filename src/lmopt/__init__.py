@@ -11,6 +11,7 @@ from .linalg import (
     LowRank,
     SvdResult,
     derive_seed,
+    derive_seeds,
     lowrank_svd,
     newton_schulz_orthogonalize,
     rng_gaussian,
@@ -41,7 +42,6 @@ from .norms import (
     ModelNormSpec,
     NormKind,
     NormSpec,
-    VecNorm,
     composite_norm,
     dual_norm,
     fw_gap,
@@ -50,7 +50,6 @@ from .norms import (
     model_lmo,
     op_norm,
     sharp_op,
-    vec_norm,
 )
 from .optim import (
     RULES,

@@ -52,6 +52,11 @@ from .optim import (
 
 FEASIBLE_TOL = 1e-8
 
+# Steps of quadratic gradient noise drawn at once: one seed derivation and one
+# Gaussian draw per block, holding _NOISE_BLOCK * trials * dim doubles, where a
+# whole-horizon draw would grow with the horizon.
+_NOISE_BLOCK = 64
+
 
 class NumericalFailure(RuntimeError):
     """Raised when a run produces NaN/Inf; carries the 1-based step index and, for a
@@ -159,10 +164,12 @@ def _trial_diagnostics(records: list[tuple], count: int) -> list[RunDiagnostics]
 
 
 def _check_rows_finite(a: np.ndarray, k: int, trials: Sequence[int], what: str) -> None:
-    """Raise NumericalFailure naming step k and the first trial whose row is not finite."""
-    finite = np.isfinite(a).all(axis=1)
+    """Raise NumericalFailure naming step k and the first trial whose row (or value,
+    for one value per trial) is not finite."""
+    finite = np.isfinite(a)
     if not finite.all():
-        raise NumericalFailure(k, what, trial=trials[int(np.argmin(finite))])
+        rows = finite.reshape(len(trials), -1).all(axis=1)
+        raise NumericalFailure(k, what, trial=trials[int(np.argmin(rows))])
 
 
 def _check_schedule(algo: Algo, schedule: ScheduleSpec) -> None:
@@ -219,8 +226,11 @@ def train_quadratic(
     The constrained method starts on its ball boundary (composite norm 1); the
     unconstrained ones start at l2 distance `start_scale` from the minimizer. Noise
     is keyed by (problem.seed, trial, step) so different algorithms see the same
-    stream on the same trial. Algo.USCG_LIGHT needs a constant alpha schedule.
-    A non-finite gradient or iterate raises NumericalFailure naming its trial.
+    stream on the same trial. It is drawn _NOISE_BLOCK steps at a time by
+    problem.step_noise, so a step's gradient equals problem.noisy_grad at that step
+    bit for bit. Algo.USCG_LIGHT needs a constant alpha schedule. A non-finite
+    gradient or iterate, or a recorded fw_gap or param_norm past float64's range
+    (as under a tiny rho), raises NumericalFailure naming its step and trial.
     """
     stacked = not isinstance(trial, Integral)
     trials = [int(t) for t in trial] if stacked else [int(trial)]
@@ -236,18 +246,22 @@ def train_quadratic(
         gamma = gamma_at(schedule, k)
         alpha = alpha_at(schedule, k)
         exact = problem.grad(x[0])
-        g = problem.noisy_grad(x[0], trials, k)
+        g = exact
+        if problem.noise != 0.0:
+            i = (k - 1) % _NOISE_BLOCK
+            if i == 0:
+                noise = problem.step_noise(trials, k, min(k + _NOISE_BLOCK, schedule.horizon + 1))
+            g = exact + noise[i]
         _check_rows_finite(g, k, trials, "non-finite gradient")
         if record:
             dual = dual_norm(exact, atom)
-            row = (
-                gamma,
-                alpha,
-                problem.loss(x[0]),
-                dual,
-                gap_from_duals([exact], x, spec, (dual,)),
-                composite_norm(x, spec),
-            )
+            # A norm past float64's range (a tiny radius) fails below, by name.
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = gap_from_duals([exact], x, spec, (dual,))
+                pnorm = composite_norm(x, spec)
+            _check_rows_finite(gap, k, trials, "non-finite fw_gap")
+            _check_rows_finite(pnorm, k, trials, "non-finite param_norm")
+            row = (gamma, alpha, problem.loss(x[0]), dual, gap, pnorm)
         x, d_k = apply_step(
             algo, x, state, [g], gamma, alpha, spec, ns_iters=ns_iters, mu=mu, beta=beta
         )

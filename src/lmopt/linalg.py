@@ -5,7 +5,8 @@ the reduced SVD of a low-rank product taken from its factors (`LowRank`,
 `lowrank_svd`), Newton-Schulz orthogonalization, semi-orthogonal initializers,
 and a small counter-based PRNG (splitmix64 + Box-Muller) so that every random
 draw is reproducible across platforms and numpy versions. The Gaussian draw also
-takes a sequence of seeds and returns one draw per seed on a leading axis.
+takes a sequence or uint64 array of seeds and returns one draw per seed on leading
+axes; `derive_seeds` derives such an array for many indices in one vectorized pass.
 All operations are pure functions of their inputs; there is no hidden state.
 """
 
@@ -220,22 +221,44 @@ def derive_seed(seed: int, *indices: int) -> int:
 
 
 def _seed_words(seed) -> np.ndarray:
-    """One seed as a uint64 scalar, or a sequence of seeds as a (S, 1) uint64 column."""
+    """One seed as a uint64 scalar. A sequence of seeds becomes a (S, 1) uint64
+    column, and a uint64 array (as derive_seeds returns) gains a trailing axis."""
     if isinstance(seed, Integral):
         return np.uint64(int(seed) & _MASK64)
+    if isinstance(seed, np.ndarray) and seed.dtype == np.uint64:
+        return seed[..., None]
     return np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)[:, None]
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    # _mix64_int on uint64 arrays, whose arithmetic wraps mod 2^64 as its mask does.
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+    return z ^ (z >> np.uint64(31))
+
+
+def derive_seeds(seeds, indices) -> np.ndarray:
+    """derive_seed(s, i) for every seed s in `seeds` and every index i in `indices`.
+
+    Returns a (len(seeds), len(indices)) uint64 array whose entry [j, m] equals
+    derive_seed(seeds[j], indices[m]) bit for bit. Folding index i into s is value i
+    of splitmix64's counter stream from s, so a whole range of indices is one
+    vectorized mix. `seeds` is a sequence of integers or a uint64 array, `indices`
+    a 1-D integer array or sequence. rng_gaussian takes the result as its seeds.
+    """
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError(f"indices must be a 1-D integer sequence, got {idx.dtype} {idx.shape}")
+    # astype wraps a negative index mod 2^64, as derive_seed's mask does.
+    return _mix64(_seed_words(seeds) + (idx.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
 
 
 def _bits(count: int, seed) -> np.ndarray:
     # splitmix64 in counter form: value i is mix(seed + (i+1)*GOLDEN) mod 2^64.
     # A sequence of seeds gives one (count,) row per seed; the uint64 arithmetic
     # wraps mod 2^64 exactly as the scalar form does.
-    s = _seed_words(seed)
     idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = s + idx * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    return _mix64(_seed_words(seed) + idx * np.uint64(_GOLDEN))
 
 
 def _uniform01(count: int, seed) -> np.ndarray:
@@ -248,7 +271,9 @@ def rng_gaussian(rows: int, cols: int, seed) -> np.ndarray:
     """Standard normal matrix via Box-Muller over the splitmix64 counter stream.
 
     `seed` is one integer, or a sequence of S integers for an (S, rows, cols) stack
-    whose slice i equals rng_gaussian(rows, cols, seed[i]) bit for bit.
+    whose slice i equals rng_gaussian(rows, cols, seed[i]) bit for bit. A uint64
+    seed array of any shape, such as derive_seeds returns, gives a stack with those
+    leading axes, each slice again equal to the draw from its own seed.
     """
     _check_dims(rows, cols)
     n = rows * cols

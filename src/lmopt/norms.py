@@ -70,13 +70,6 @@ VECTOR_KINDS = frozenset(
 )
 
 
-class VecNorm(Enum):
-    L1 = "l1"
-    L2 = "l2"
-    LINF = "linf"
-    RMS = "rms"
-
-
 @dataclass(frozen=True)
 class NormSpec:
     """A norm ball: kind + radius + operand dimensions (vector kinds use d_in = 1)."""
@@ -178,22 +171,6 @@ def _vector_lmo(m: np.ndarray, spec: NormSpec) -> np.ndarray:
     norms = _row_l2(m)[..., None]
     scale = np.divide(coef, norms, out=np.zeros_like(norms), where=norms > 0.0)
     return scale * m
-
-
-def vec_norm(z, which: VecNorm) -> float:
-    """One of the l1 / l2 / l-infinity / RMS vector norms; RMS is l2 / sqrt(d)."""
-    v = np.asarray(z, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ValueError("vec_norm of an empty vector")
-    if which is VecNorm.L1:
-        return float(np.sum(np.abs(v)))
-    if which is VecNorm.L2:
-        return float(np.linalg.norm(v))
-    if which is VecNorm.LINF:
-        return float(np.max(np.abs(v)))
-    if which is VecNorm.RMS:
-        return float(np.linalg.norm(v) / np.sqrt(v.size))
-    raise ValueError(f"unknown vector norm {which}")
 
 
 def lmo_coefficient(spec: NormSpec) -> float:

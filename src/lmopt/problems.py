@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import derive_seed, rng_gaussian
+from .linalg import derive_seed, derive_seeds, rng_gaussian
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -26,7 +26,8 @@ class StochasticQuadratic:
     """f(x) = 0.5 x^T H x with H diagonal, eigenvalues log-spaced over the conditioning.
 
     The top eigenvalue is 1, so the gradient's Lipschitz constant is exactly 1.
-    noisy_grad adds i.i.d. Gaussian noise with E||noise||_2^2 = noise**2.
+    noisy_grad adds i.i.d. Gaussian noise with E||noise||_2^2 = noise**2;
+    step_noise draws that noise for a range of steps at once.
 
     Every method also takes a (T, dim) stack of iterates, one row per trial; the
     trial-keyed methods then take a sequence of T trial indices, and row i is
@@ -65,10 +66,20 @@ class StochasticQuadratic:
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self._eigenvalues * x
 
-    def _seeds(self, trial, step: int):
-        if isinstance(trial, Integral):
-            return derive_seed(self.seed, trial, step)
-        return [derive_seed(self.seed, t, step) for t in trial]
+    def _gaussian(self, trial, start: int, stop: int) -> np.ndarray:
+        """Standard normal draws keyed by (seed, trial, step) for steps start..stop-1:
+        (stop - start, dim) for one trial index, (stop - start, T, dim) for T."""
+        single = isinstance(trial, Integral)
+        base = [derive_seed(self.seed, t) for t in ([trial] if single else trial)]
+        seeds = derive_seeds(base, np.arange(start, stop)).T
+        eps = rng_gaussian(self.dim, 1, seeds)[..., 0]
+        return eps[:, 0] if single else eps
+
+    def step_noise(self, trial, start: int, stop: int) -> np.ndarray:
+        """The noise noisy_grad adds at steps start..stop-1, in one draw: shaped
+        (stop - start, dim) for one trial index and (stop - start, T, dim) for a
+        sequence of T, with row k - start bit-identical to step k's noise."""
+        return (self.noise / np.sqrt(self.dim)) * self._gaussian(trial, start, stop)
 
     def noisy_grad(self, x: np.ndarray, trial, step: int) -> np.ndarray:
         """grad(x) plus the noise keyed by (seed, trial, step); `trial` is one index
@@ -81,13 +92,12 @@ class StochasticQuadratic:
             )
         if self.noise == 0.0:
             return g
-        eps = rng_gaussian(self.dim, 1, self._seeds(trial, step))[..., 0]
-        return g + (self.noise / np.sqrt(self.dim)) * eps
+        return g + self.step_noise(trial, step, step + 1)[0]
 
     def start_point(self, trial, scale: float = 2.0) -> np.ndarray:
         """A deterministic start at l2 distance `scale` from the minimizer; a
         sequence of trial indices gives one start per row of a (T, dim) stack."""
-        v = rng_gaussian(self.dim, 1, self._seeds(trial, 0))[..., 0]
+        v = self._gaussian(trial, 0, 1)[0]
         return scale * v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -170,8 +171,6 @@ class TestCommands:
         assert "final_loss" in summary
 
     def test_train_ssd_divergence_exit_3(self, tmp_path, capsys):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rc = run_cli(
@@ -238,6 +237,24 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "numerical failure at step 1" in err
         assert "layer 1's preactivation did not move at width 8" in err
+        assert "Traceback" not in err
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_rate_overflowing_param_norm_exit_3(self, tmp_path, capsys):
+        # The smallest positive rho is in range, but ||x|| / rho overflows float64, so
+        # the recorded param_norm of the first iterate is infinite.
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(
+                "rate", "--out", str(out),
+                "--set", "rho=5e-324",
+                "--set", "n_list=4,8",
+                "--set", "trials=3",
+            )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure at step 1 of trial 0: non-finite param_norm" in err
         assert "Traceback" not in err
         assert not out.exists() or os.listdir(out) == []
 

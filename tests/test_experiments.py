@@ -28,7 +28,16 @@ from lmopt.models import (
     loss_and_grad,
 )
 from lmopt.norms import dual_norm, fw_gap
-from lmopt.optim import Algo, AlphaKind, GammaKind, ScheduleSpec, theory_gamma
+from lmopt.optim import (
+    Algo,
+    AlphaKind,
+    GammaKind,
+    OptimizerState,
+    ScheduleSpec,
+    alpha_at,
+    gamma_at,
+    theory_gamma,
+)
 from lmopt.problems import (
     StochasticQuadratic,
     SyntheticClassification,
@@ -95,6 +104,20 @@ class TestProblems:
             eps = rng_gaussian(32, 1, derive_seed(seed, t, 9))[:, 0]
             assert np.array_equal(noise[i], (0.7 / np.sqrt(32)) * eps)
             assert np.array_equal(noise[i], prob.noisy_grad(np.zeros(32), t, 9))
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    def test_step_noise_rows_equal_per_step_noisy_grad(self, seed):
+        prob = StochasticQuadratic(dim=32, noise=0.7, conditioning=10.0, seed=seed)
+        trials = [0, 3, 1, 17]
+        x = prob.start_point(trials)
+        block = prob.step_noise(trials, 5, 70)
+        single = prob.step_noise(3, 5, 70)
+        assert block.shape == (65, 4, 32) and single.shape == (65, 32)
+        for k in range(5, 70):
+            g = prob.grad(x)
+            assert np.array_equal(g + block[k - 5], prob.noisy_grad(x, trials, k))
+            assert np.array_equal(single[k - 5], block[k - 5, 1])
+            assert np.array_equal(g[1] + single[k - 5], prob.noisy_grad(x[1], 3, k))
 
     def test_stacked_loss_and_grad_match_rows(self):
         prob = small_quadratic(noise=1.0)
@@ -253,6 +276,33 @@ class TestTrialStack:
                     getattr(diags[i], col), getattr(d, col), rtol=1e-12, atol=0
                 )
 
+    @pytest.mark.parametrize("noise", [0.0, 0.8])
+    @pytest.mark.parametrize("alpha_kind", [AlphaKind.VANISHING, AlphaKind.CONSTANT])
+    @pytest.mark.parametrize("algo", [Algo.USCG, Algo.SCG])
+    @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 129])
+    def test_block_noise_equals_per_step_noisy_grad(self, horizon, algo, alpha_kind, noise):
+        # The noise is drawn a block of steps at a time; this reference loop asks
+        # noisy_grad for every step, and the runs must agree bit for bit.
+        prob = small_quadratic(noise=noise)
+        sch = ScheduleSpec(horizon=horizon, gamma0=0.05, alpha_kind=alpha_kind, alpha0=0.2)
+        trials = [4, 0, 2]
+        rho = 2.0 if algo is Algo.SCG else 1.0
+        spec = quadratic_norm_spec(prob.dim, rho)
+        x = [prob.start_point(trials, scale=rho if algo is Algo.SCG else 2.0)]
+        state = OptimizerState.init(x)
+        loss, err = [], []
+        for k in range(1, horizon + 1):
+            g = prob.noisy_grad(x[0], trials, k)
+            loss.append(prob.loss(x[0]))
+            exact = prob.grad(x[0])
+            x, d_k = apply_step(algo, x, state, [g], gamma_at(sch, k), alpha_at(sch, k), spec)
+            err.append(np.linalg.norm(d_k[0] - exact, axis=1))
+        xs, diags = train_quadratic(prob, algo, sch, trial=trials, rho=rho)
+        assert np.array_equal(xs, x[0])
+        for i, d in enumerate(diags):
+            assert np.array_equal(d.loss, np.array(loss)[:, i])
+            assert np.array_equal(d.est_error, np.array(err)[:, i])
+
     def test_single_trial_is_unstacked(self):
         x, diags = train_quadratic(small_quadratic(), Algo.USCG, ScheduleSpec(horizon=3))
         assert x.shape == (8,) and isinstance(diags, RunDiagnostics) and len(diags) == 3
@@ -276,14 +326,13 @@ class TestTrialStack:
     )
     def test_numerical_failure_names_the_trial(self, algo, value, what):
         class PoisonedTrial(StochasticQuadratic):
-            """Trial 9's gradient turns to `value` at step 3."""
+            """Trial 9's gradient noise, and so its gradient, turns to `value` at step 3."""
 
-            def noisy_grad(self, x, trial, step):
-                g = super().noisy_grad(x, trial, step)
-                if step == 3:
-                    g = g.copy()
-                    g[list(trial).index(9)] = value
-                return g
+            def step_noise(self, trial, start, stop):
+                noise = super().step_noise(trial, start, stop)
+                if start <= 3 < stop:
+                    noise[3 - start, list(trial).index(9)] = value
+                return noise
 
         prob = PoisonedTrial(dim=8, noise=1.0, conditioning=5.0, seed=0)
         sch = ScheduleSpec(horizon=6, gamma0=1.0)

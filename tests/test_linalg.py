@@ -4,6 +4,7 @@ import pytest
 from lmopt.linalg import (
     LowRank,
     derive_seed,
+    derive_seeds,
     lowrank_svd,
     newton_schulz_orthogonalize,
     rng_gaussian,
@@ -311,3 +312,27 @@ class TestRng:
         assert len(seeds) == 100
         assert derive_seed(3, 1, 2) != derive_seed(3, 2, 1)
         assert derive_seed(3, 1, 2) == derive_seed(3, 1, 2)
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    def test_derive_seeds_match_scalar_folds(self, seed):
+        trials = [0, 9, 3]
+        steps = [0, 1, 2, 63, 64, 65, 129, 4096]
+        base = [derive_seed(seed, t) for t in trials]
+        want = np.array([[derive_seed(seed, t, k) for k in steps] for t in trials], np.uint64)
+        for seeds in (base, np.array(base, dtype=np.uint64)):
+            got = derive_seeds(seeds, steps)
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
+        assert np.array_equal(derive_seeds(base, np.arange(64, 66)), want[:, 4:6])
+
+    def test_uint64_seed_array_gives_a_stack_per_seed(self):
+        seeds = derive_seeds([derive_seed(1, t) for t in range(3)], range(1, 3)).T
+        stack = rng_gaussian(5, 2, seeds)
+        assert stack.shape == (2, 3, 5, 2)
+        for k, t in np.ndindex(2, 3):
+            assert np.array_equal(stack[k, t], rng_gaussian(5, 2, int(seeds[k, t])))
+
+    def test_derive_seeds_needs_integer_indices(self):
+        with pytest.raises(ValueError, match="1-D integer"):
+            derive_seeds([0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="1-D integer"):
+            derive_seeds([0], [[1, 2]])

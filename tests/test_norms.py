@@ -11,7 +11,6 @@ from lmopt.norms import (
     ModelNormSpec,
     NormKind,
     NormSpec,
-    VecNorm,
     composite_norm,
     dual_norm,
     fw_gap,
@@ -20,7 +19,6 @@ from lmopt.norms import (
     model_lmo,
     op_norm,
     sharp_op,
-    vec_norm,
 )
 
 ALL_KINDS = sorted(NormKind, key=lambda k: k.value)
@@ -46,23 +44,34 @@ def random_dims(kind, seed, max_dim=64):
 
 
 class TestVecNorm:
+    """The l1 / l2 / l-infinity / RMS vector norms, as the vector kinds' norms and
+    duals: l2 is EUCLIDEAN_VEC, RMS is RMS_VEC, l-infinity is MAX_VEC and l1 its dual."""
+
     def test_l2(self):
-        assert vec_norm([3.0, 4.0], VecNorm.L2) == pytest.approx(5.0)
+        spec = NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2)
+        assert op_norm([3.0, 4.0], spec) == pytest.approx(5.0)
+        assert dual_norm([3.0, 4.0], spec) == pytest.approx(5.0)
 
     def test_rms_of_ones(self):
-        assert vec_norm([1.0, 1.0, 1.0, 1.0], VecNorm.RMS) == pytest.approx(1.0)
+        spec = NormSpec.vector(NormKind.RMS_VEC, 4)
+        assert op_norm([1.0, 1.0, 1.0, 1.0], spec) == pytest.approx(1.0)
 
     def test_chain_holds(self):
         z = [3.0, -4.0]
-        l1 = vec_norm(z, VecNorm.L1)
-        l2 = vec_norm(z, VecNorm.L2)
-        linf = vec_norm(z, VecNorm.LINF)
+        max_vec = NormSpec.vector(NormKind.MAX_VEC, 2)
+        l1 = dual_norm(z, max_vec)
+        l2 = op_norm(z, NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2))
+        linf = op_norm(z, max_vec)
         assert (l1, l2, linf) == pytest.approx((7.0, 5.0, 4.0))
         assert linf <= l2 <= l1
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            vec_norm([], VecNorm.L2)
+        for kind in VECTOR_KINDS:
+            with pytest.raises(ValueError):
+                NormSpec.vector(kind, 0)
+            for norm in (op_norm, dual_norm):
+                with pytest.raises(ValueError):
+                    norm([], NormSpec.vector(kind, 1))
 
 
 class TestOpNorm:
