@@ -334,13 +334,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, columns, rows, comments=()) -> None:
+def write_csv(path: str, header, columns, comments=()) -> None:
+    """One CSV row per index of the equal-length `columns`, under `header`."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# schema=1\n")
         for line in comments:
             fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -429,7 +430,7 @@ def cmd_lmo_check(cfg: dict) -> int:
         base + ".csv",
         ("kind", "trials", "max_boundary_dev", "boundary_tol", "max_pairing_dev",
          "pairing_tol", "max_scale_dev", "scale_tol", "ok"),
-        rows,
+        zip(*rows),
         comments=(f"backend={cfg['spectral.backend']}", f"iters={cfg['spectral.iters']}"),
     )
     write_jsonl(base + ".jsonl", [{
@@ -552,7 +553,7 @@ def cmd_train(cfg: dict) -> int:
         summary["final_loss"] = diags.loss[-1] if len(diags) else None
         summary["final_param_norm"] = diags.param_norm[-1] if len(diags) else None
         summary["checkpoint"] = os.path.basename(base) + ".checkpoint.json"
-    write_csv(base + ".csv", RunDiagnostics.COLUMNS, diags.rows())
+    write_csv(base + ".csv", RunDiagnostics.COLUMNS, diags.columns())
     write_jsonl(base + ".jsonl", [summary])
     print(f"wrote {base}.csv")
     return 0
@@ -575,7 +576,7 @@ def cmd_coord_check(cfg: dict) -> int:
     write_csv(
         base + ".csv",
         ("width", "layer", "rms_dpreact"),
-        ((r.width, r.layer, r.rms_dpreact) for r in rows),
+        zip(*((r.width, r.layer, r.rms_dpreact) for r in rows)),
     )
     write_jsonl(base + ".jsonl", [{
         "command": "coord-check",
@@ -619,7 +620,7 @@ def cmd_sweep(cfg: dict) -> int:
     write_csv(
         base + ".csv",
         ("width", "gamma", "final_loss"),
-        ((r.width, r.gamma, r.final_loss) for r in report.rows),
+        zip(*((r.width, r.gamma, r.final_loss) for r in report.rows)),
     )
     write_jsonl(base + ".jsonl", [{
         "command": "sweep",
@@ -654,15 +655,13 @@ def cmd_rate(cfg: dict) -> int:
     base = _artifact_base("rate", cfg)
     comments = [f"{k}={v}" for k, v in sorted(report.constants.items())]
     if report.mode == "vanishing":
-        rows = list(zip(report.n_list, report.gammas, report.mean_criticality))
-        write_csv(base + ".csv", ("n", "gamma", "mean_criticality"), rows, comments=comments)
+        write_csv(base + ".csv", ("n", "gamma", "mean_criticality"),
+                  (report.n_list, report.gammas, report.mean_criticality), comments=comments)
         print(f"{report.optimizer} fitted log-log slope: {report.slope:.4f}")
     else:
-        rows = [
-            (max(report.n_list), report.gammas[0], "sigma", report.plateaus[0]),
-            (max(report.n_list), report.gammas[0], "2sigma", report.plateaus[1]),
-        ]
-        write_csv(base + ".csv", ("n", "gamma", "noise_level", "plateau"), rows,
+        n, gamma = max(report.n_list), report.gammas[0]
+        write_csv(base + ".csv", ("n", "gamma", "noise_level", "plateau"),
+                  ((n, n), (gamma, gamma), ("sigma", "2sigma"), report.plateaus),
                   comments=comments)
         print(
             f"{report.optimizer} plateaus: {report.plateaus[0]:.5f} @ sigma, "

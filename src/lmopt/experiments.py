@@ -9,7 +9,7 @@ by optimizer state), so equivalence assertions can demand exact agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from numbers import Integral
 from typing import Sequence
 
@@ -71,23 +71,28 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class RunDiagnostics:
-    """Dense per-step records from one training run (step k = 1..n, no gaps).
+    """Dense per-step records from one training run (step k = 1..n, no gaps), one
+    array per column: bool for feasible, int for steps, float64 for the rest.
 
     loss / grad_dual_norm / fw_gap / param_norm / feasible describe the iterate x^k
     before the step; est_error is ||d^k - g_ref(x^k)||_2 pairing the freshly updated
     averaged direction with a reference gradient at that same iterate (exact on the
     quadratic, a large-batch proxy on data problems).
+
+    A trial stack allocates its per-trial columns as (T, n) arrays; each trial's
+    record then holds row views of them and shares the stack's steps, gamma and
+    alpha columns.
     """
 
-    steps: list[int] = field(default_factory=list)
-    gamma: list[float] = field(default_factory=list)
-    alpha: list[float] = field(default_factory=list)
-    loss: list[float] = field(default_factory=list)
-    grad_dual_norm: list[float] = field(default_factory=list)
-    fw_gap: list[float] = field(default_factory=list)
-    param_norm: list[float] = field(default_factory=list)
-    est_error: list[float] = field(default_factory=list)
-    feasible: list[bool] = field(default_factory=list)
+    steps: np.ndarray
+    gamma: np.ndarray
+    alpha: np.ndarray
+    loss: np.ndarray
+    grad_dual_norm: np.ndarray
+    fw_gap: np.ndarray
+    param_norm: np.ndarray
+    est_error: np.ndarray
+    feasible: np.ndarray
 
     COLUMNS = (
         "step",
@@ -101,75 +106,61 @@ class RunDiagnostics:
         "feasible",
     )
 
-    def append(self, k, gamma, alpha, loss, grad_dual, gap, pnorm, err, feas) -> None:
-        self.steps.append(int(k))
-        self.gamma.append(float(gamma))
-        self.alpha.append(float(alpha))
-        self.loss.append(float(loss))
-        self.grad_dual_norm.append(float(grad_dual))
-        self.fw_gap.append(float(gap))
-        self.param_norm.append(float(pnorm))
-        self.est_error.append(float(err))
-        self.feasible.append(bool(feas))
+    @classmethod
+    def allocate(cls, n: int, trials: int | None = None) -> "RunDiagnostics":
+        """Columns for n steps, to be filled in: (n,) each, or (trials, n) for the
+        per-trial columns of a stack (steps, gamma and alpha stay (n,))."""
+        shape = (n,) if trials is None else (trials, n)
+        return cls(
+            np.arange(1, n + 1),
+            np.empty(n),
+            np.empty(n),
+            *(np.empty(shape) for _ in range(5)),
+            np.empty(shape, dtype=bool),
+        )
+
+    def trial(self, i: int) -> "RunDiagnostics":
+        """Row i of a stack's record, as views."""
+        return RunDiagnostics(
+            self.steps, self.gamma, self.alpha, *(c[i] for c in self.columns()[3:])
+        )
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The column arrays, in COLUMNS order."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def rows(self):
-        for i in range(len(self.steps)):
-            yield (
-                self.steps[i],
-                self.gamma[i],
-                self.alpha[i],
-                self.loss[i],
-                self.grad_dual_norm[i],
-                self.fw_gap[i],
-                self.param_norm[i],
-                self.est_error[i],
-                self.feasible[i],
-            )
 
 
 def _flat_l2(arrays: Sequence[np.ndarray]) -> float:
     return float(np.sqrt(sum(float(np.vdot(a, a)) for a in arrays)))
 
 
-def _trial_diagnostics(records: list[tuple], count: int) -> list[RunDiagnostics]:
-    """Split the per-step records of a trial stack into one RunDiagnostics per trial.
-
-    A record is (gamma, alpha, loss, grad_dual_norm, fw_gap, param_norm, est_error),
-    the last five holding one value per trial.
-    """
-    if not records:
-        return [RunDiagnostics() for _ in range(count)]
-    gamma, alpha, *per_trial = zip(*records)
-    loss, dual, gap, pnorm, err = (np.array(column) for column in per_trial)
-    steps = list(range(1, len(records) + 1))
-    gamma = [float(v) for v in gamma]
-    alpha = [float(v) for v in alpha]
-    return [
-        RunDiagnostics(
-            steps=list(steps),
-            gamma=list(gamma),
-            alpha=list(alpha),
-            loss=loss[:, t].tolist(),
-            grad_dual_norm=dual[:, t].tolist(),
-            fw_gap=gap[:, t].tolist(),
-            param_norm=pnorm[:, t].tolist(),
-            est_error=err[:, t].tolist(),
-            feasible=(pnorm[:, t] <= 1.0 + FEASIBLE_TOL).tolist(),
-        )
-        for t in range(count)
-    ]
+# The checks of one quadratic step, in the order a failure is reported: the
+# gradient, the recorded fw_gap and param_norm of x^k, the new iterate, and the
+# recorded est_error of d^k.
+_CHECKS = ("gradient", "fw_gap", "param_norm", "parameters", "est_error")
 
 
-def _check_rows_finite(a: np.ndarray, k: int, trials: Sequence[int], what: str) -> None:
-    """Raise NumericalFailure naming step k and the first trial whose row (or value,
-    for one value per trial) is not finite."""
-    finite = np.isfinite(a)
-    if not finite.all():
-        rows = finite.reshape(len(trials), -1).all(axis=1)
-        raise NumericalFailure(k, what, trial=trials[int(np.argmin(rows))])
+def _failure(values: np.ndarray, start: int, trials: Sequence[int], check: str):
+    """The first non-finite row of a block of values (one row per step from step
+    `start`, then one per trial, then any trailing axes) as (step, rank of the
+    check in _CHECKS, trial), or None when every value is finite."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    bad = ~finite.reshape(len(values), len(trials), -1).all(axis=2)
+    s, t = np.unravel_index(np.argmax(bad), bad.shape)
+    return int(start + s), _CHECKS.index(check), trials[int(t)]
+
+
+def _raise_first(*failures) -> None:
+    """Raise NumericalFailure for the earliest of the failures that are not None."""
+    found = [f for f in failures if f is not None]
+    if found:
+        step_k, rank, trial = min(found)
+        raise NumericalFailure(step_k, f"non-finite {_CHECKS[rank]}", trial=trial)
 
 
 def _check_schedule(algo: Algo, schedule: ScheduleSpec) -> None:
@@ -228,9 +219,18 @@ def train_quadratic(
     is keyed by (problem.seed, trial, step) so different algorithms see the same
     stream on the same trial. It is drawn _NOISE_BLOCK steps at a time by
     problem.step_noise, so a step's gradient equals problem.noisy_grad at that step
-    bit for bit. Algo.USCG_LIGHT needs a constant alpha schedule. A non-finite
-    gradient or iterate, or a recorded fw_gap or param_norm past float64's range
-    (as under a tiny rho), raises NumericalFailure naming its step and trial.
+    bit for bit. Algo.USCG_LIGHT needs a constant alpha schedule.
+
+    The recorded columns are taken once per block of _NOISE_BLOCK steps (and at the
+    horizon): each step copies x^k, the exact gradient and d^k into block buffers,
+    and each column is then one call on the block's (steps * T, dim) stack.
+
+    A non-finite gradient or iterate, or a recorded fw_gap, param_norm or est_error
+    past float64's range (as under a tiny rho or a huge noise), raises
+    NumericalFailure naming its step and trial. The earliest step fails first, and
+    within a step the order is gradient, fw_gap, param_norm, parameters, est_error.
+    The gradient and the parameters are checked every step; when one fails, the
+    block's recorded steps up to it are checked first.
     """
     stacked = not isinstance(trial, Integral)
     trials = [int(t) for t in trial] if stacked else [int(trial)]
@@ -241,34 +241,61 @@ def train_quadratic(
     atom = spec.atoms()[0]
     x = [problem.start_point(trials, scale=rho if algo is Algo.SCG else start_scale)]
     state = OptimizerState.init(x)
-    records = []
-    for k in range(1, schedule.horizon + 1):
+    n, count = schedule.horizon, len(trials)
+    stack = RunDiagnostics.allocate(n if record else 0, count)
+    # Row i of a block holds x^k, grad f(x^k) and d^k of the block's i-th step.
+    block = np.empty((3, min(n, _NOISE_BLOCK), count, problem.dim)) if record else None
+
+    def flush(rows: int, start: int):
+        """Record the block's first `rows` steps, from step `start` on, into the
+        stack's columns; return the first failure (or None) of each recorded check."""
+        xb, eb, db = (b[:rows].reshape(rows * count, problem.dim) for b in block)
+        dual = dual_norm(eb, atom)
+        # A value past float64's range (a tiny rho, a huge noise) fails below, by name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = gap_from_duals([eb], [xb], spec, (dual,))
+            pnorm = composite_norm([xb], spec)
+            err = np.linalg.norm(db - eb, axis=-1)
+        cut = slice(start - 1, start - 1 + rows)
+        for column, values in (
+            (stack.loss, problem.loss(xb)),
+            (stack.grad_dual_norm, dual),
+            (stack.fw_gap, gap),
+            (stack.param_norm, pnorm),
+            (stack.est_error, err),
+        ):
+            column[:, cut] = values.reshape(rows, count).T
+        stack.feasible[:, cut] = stack.param_norm[:, cut] <= 1.0 + FEASIBLE_TOL
+        checked = (("fw_gap", gap), ("param_norm", pnorm), ("est_error", err))
+        return [_failure(v.reshape(rows, count), start, trials, c) for c, v in checked]
+
+    for k in range(1, n + 1):
+        i = (k - 1) % _NOISE_BLOCK
         gamma = gamma_at(schedule, k)
         alpha = alpha_at(schedule, k)
         exact = problem.grad(x[0])
         g = exact
         if problem.noise != 0.0:
-            i = (k - 1) % _NOISE_BLOCK
             if i == 0:
-                noise = problem.step_noise(trials, k, min(k + _NOISE_BLOCK, schedule.horizon + 1))
+                noise = problem.step_noise(trials, k, min(k + _NOISE_BLOCK, n + 1))
             g = exact + noise[i]
-        _check_rows_finite(g, k, trials, "non-finite gradient")
+        failure = _failure(g[None], k, trials, "gradient")
+        if failure is not None and record:
+            _raise_first(*flush(i, k - i), failure)
+        _raise_first(failure)
         if record:
-            dual = dual_norm(exact, atom)
-            # A norm past float64's range (a tiny radius) fails below, by name.
-            with np.errstate(over="ignore", invalid="ignore"):
-                gap = gap_from_duals([exact], x, spec, (dual,))
-                pnorm = composite_norm(x, spec)
-            _check_rows_finite(gap, k, trials, "non-finite fw_gap")
-            _check_rows_finite(pnorm, k, trials, "non-finite param_norm")
-            row = (gamma, alpha, problem.loss(x[0]), dual, gap, pnorm)
+            stack.gamma[k - 1], stack.alpha[k - 1] = gamma, alpha
+            block[0, i], block[1, i] = x[0], exact
         x, d_k = apply_step(
             algo, x, state, [g], gamma, alpha, spec, ns_iters=ns_iters, mu=mu, beta=beta
         )
+        failure = _failure(x[0][None], k, trials, "parameters")
         if record:
-            records.append((*row, np.linalg.norm(d_k[0] - exact, axis=1)))
-        _check_rows_finite(x[0], k, trials, "non-finite parameters")
-    diags = _trial_diagnostics(records, len(trials))
+            block[2, i] = d_k[0]
+            if failure is not None or i == _NOISE_BLOCK - 1 or k == n:
+                _raise_first(*flush(i + 1, k - i), failure)
+        _raise_first(failure)
+    diags = [stack.trial(t) for t in range(count)]
     if stacked:
         return x[0], diags
     return x[0][0], diags[0]
@@ -304,7 +331,7 @@ def train_classifier(
     batch_size = min(batch_size, n)
     x = model.parameters()
     state = OptimizerState.init(x)
-    diags = RunDiagnostics()
+    diags = RunDiagnostics.allocate(schedule.horizon if record else 0)
     probe_n = min(n, probe_factor * batch_size)
     cursor = 0
     epoch = 0
@@ -336,8 +363,7 @@ def train_classifier(
             algo, x, state, g, gamma, alpha, spec, ns_iters=ns_iters, mu=mu, beta=beta
         )
         if record:
-            diags.append(
-                k,
+            row = (
                 gamma,
                 alpha,
                 batch_loss,
@@ -347,6 +373,8 @@ def train_classifier(
                 _flat_l2([di - gi for di, gi in zip(d_k, probe_g)]),
                 cnorm <= 1.0 + FEASIBLE_TOL,
             )
+            for column, value in zip(diags.columns()[1:], row):
+                column[k - 1] = value
         for p in x:
             if not np.all(np.isfinite(p)):
                 raise NumericalFailure(k, "non-finite parameters")

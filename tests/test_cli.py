@@ -258,6 +258,28 @@ class TestCommands:
         assert "Traceback" not in err
         assert not out.exists() or os.listdir(out) == []
 
+    def test_rate_overflowing_est_error_exit_3(self, tmp_path, capsys):
+        # Every gradient is finite, but ||d^k - grad f(x^k)|| overflows float64 at a
+        # noise level this large, so the recorded est_error of step 1 is infinite.
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(
+                "rate", "--out", str(out),
+                "--set", "problem.noise=1e306",
+                "--set", "probe=error_decay",
+                "--set", "n_list=4,8",
+                "--set", "trials=2",
+                "--set", "probe_n=8",
+                "--set", "probe_trials=2",
+            )
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "numerical failure at step 1 of trial 0: non-finite est_error" in captured.err
+        assert "Traceback" not in captured.err
+        assert "slope" not in captured.out
+        assert not out.exists() or os.listdir(out) == []
+
     def test_sweep_command(self, tmp_path):
         rc = run_cli(
             "sweep", "--out", str(tmp_path),

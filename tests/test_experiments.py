@@ -1,10 +1,12 @@
-from dataclasses import replace
+import tracemalloc
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
 from lmopt import experiments
 from lmopt.experiments import (
+    FEASIBLE_TOL,
     NumericalFailure,
     RunDiagnostics,
     apply_step,
@@ -27,7 +29,7 @@ from lmopt.models import (
     init_model,
     loss_and_grad,
 )
-from lmopt.norms import dual_norm, fw_gap
+from lmopt.norms import composite_norm, dual_norm, fw_gap, gap_from_duals
 from lmopt.optim import (
     Algo,
     AlphaKind,
@@ -208,13 +210,14 @@ class TestTrainQuadratic:
         xa, da = train_quadratic(prob, Algo.USCG, sch, trial=0)
         xb, db = train_quadratic(prob, Algo.USCG, sch, trial=0)
         np.testing.assert_array_equal(xa, xb)
-        assert da.loss == db.loss
+        assert np.array_equal(da.loss, db.loss)
 
     def test_records_dense_in_k(self):
         prob = small_quadratic()
         sch = ScheduleSpec(horizon=30, gamma0=0.05)
         _, diags = train_quadratic(prob, Algo.USCG, sch)
-        assert diags.steps == list(range(1, 31))
+        assert np.array_equal(diags.steps, np.arange(1, 31))
+        assert [len(c) for c in diags.columns()] == [30] * len(RunDiagnostics.COLUMNS)
 
     def test_scg_stays_feasible(self):
         prob = small_quadratic(noise=1.0)
@@ -269,8 +272,10 @@ class TestTrialStack:
         for i, t in enumerate(trials):
             x, d = train_quadratic(prob, algo, sch, trial=t, **kw)
             np.testing.assert_allclose(xs[i], x, rtol=1e-12, atol=0)
-            assert diags[i].steps == d.steps and diags[i].feasible == d.feasible
-            assert diags[i].gamma == d.gamma and diags[i].alpha == d.alpha
+            assert np.array_equal(diags[i].steps, d.steps)
+            assert np.array_equal(diags[i].feasible, d.feasible)
+            assert np.array_equal(diags[i].gamma, d.gamma)
+            assert np.array_equal(diags[i].alpha, d.alpha)
             for col in self.COLUMNS:
                 np.testing.assert_allclose(
                     getattr(diags[i], col), getattr(d, col), rtol=1e-12, atol=0
@@ -281,27 +286,54 @@ class TestTrialStack:
     @pytest.mark.parametrize("algo", [Algo.USCG, Algo.SCG])
     @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 129])
     def test_block_noise_equals_per_step_noisy_grad(self, horizon, algo, alpha_kind, noise):
-        # The noise is drawn a block of steps at a time; this reference loop asks
-        # noisy_grad for every step, and the runs must agree bit for bit.
+        # The noise is drawn and the columns are recorded a block of steps at a time;
+        # the reference loop asks noisy_grad and the norms for every step, and the
+        # runs must agree bit for bit.
         prob = small_quadratic(noise=noise)
         sch = ScheduleSpec(horizon=horizon, gamma0=0.05, alpha_kind=alpha_kind, alpha0=0.2)
         trials = [4, 0, 2]
         rho = 2.0 if algo is Algo.SCG else 1.0
-        spec = quadratic_norm_spec(prob.dim, rho)
-        x = [prob.start_point(trials, scale=rho if algo is Algo.SCG else 2.0)]
-        state = OptimizerState.init(x)
-        loss, err = [], []
-        for k in range(1, horizon + 1):
-            g = prob.noisy_grad(x[0], trials, k)
-            loss.append(prob.loss(x[0]))
-            exact = prob.grad(x[0])
-            x, d_k = apply_step(algo, x, state, [g], gamma_at(sch, k), alpha_at(sch, k), spec)
-            err.append(np.linalg.norm(d_k[0] - exact, axis=1))
+        x, columns = _per_step_run(prob, algo, sch, trials, rho)
         xs, diags = train_quadratic(prob, algo, sch, trial=trials, rho=rho)
-        assert np.array_equal(xs, x[0])
+        assert np.array_equal(xs, x)
         for i, d in enumerate(diags):
-            assert np.array_equal(d.loss, np.array(loss)[:, i])
-            assert np.array_equal(d.est_error, np.array(err)[:, i])
+            assert np.array_equal(d.steps, np.arange(1, horizon + 1))
+            assert d.feasible.dtype == bool
+            for name, values in columns.items():
+                want = values if name in ("gamma", "alpha") else values[:, i]
+                assert np.array_equal(getattr(d, name), want), name
+
+    @pytest.mark.parametrize(
+        "algo, rho, poison",
+        [
+            # the param_norm of every iterate overflows, so step 1 fails, at the block's end
+            (Algo.USCG, 5e-324, {}),
+            # ... and still before a gradient that turns NaN later in the block
+            (Algo.USCG, 5e-324, {(3, 9): np.nan}),
+            # an est_error that overflows at step 3 comes before a NaN gradient at step 5
+            (Algo.USCG, 1.0, {(3, 7): 1e306, (5, 9): np.nan}),
+            # the same across a block boundary
+            (Algo.USCG, 1.0, {(65, 7): 1e306, (67, 9): np.nan}),
+            (Algo.USCG, 1.0, {(64, 7): 1e306, (65, 9): np.nan}),
+            # a gradient that fails at a block's first step has no recorded steps before it
+            (Algo.USCG, 1.0, {(65, 9): np.nan}),
+            # within a step, non-finite parameters come before the est_error
+            (Algo.SSD, 1.0, {(3, 7): 1e306, (3, 9): 1e308}),
+        ],
+    )
+    def test_failure_order_is_per_step(self, algo, rho, poison):
+        # A failure is reported at its earliest step, and within a step in the order
+        # gradient, fw_gap, param_norm, parameters, est_error, even where a block's
+        # recorded columns are only checked once a later step has failed.
+        prob = PoisonedNoise(dim=8, noise=1.0, conditioning=5.0, seed=0, poison=poison)
+        sch = ScheduleSpec(horizon=70, gamma0=1.0)
+        trials = [4, 7, 9, 1]
+        with pytest.raises(NumericalFailure) as want, np.errstate(all="ignore"):
+            _per_step_run(prob, algo, sch, trials, rho)
+        with pytest.raises(NumericalFailure) as got, np.errstate(all="ignore"):
+            train_quadratic(prob, algo, sch, trial=trials, rho=rho)
+        assert (got.value.step, got.value.trial) == (want.value.step, want.value.trial)
+        assert str(got.value) == str(want.value)
 
     def test_single_trial_is_unstacked(self):
         x, diags = train_quadratic(small_quadratic(), Algo.USCG, ScheduleSpec(horizon=3))
@@ -340,6 +372,58 @@ class TestTrialStack:
             train_quadratic(prob, algo, sch, trial=[4, 7, 9, 1])
         assert info.value.step == 3 and info.value.trial == 9
         assert "step 3 of trial 9" in str(info.value)
+
+
+@dataclass(frozen=True)
+class PoisonedNoise(StochasticQuadratic):
+    """Each (step, trial) key of `poison` sets the first entry of that step's noise
+    for that trial to its value."""
+
+    poison: dict = field(default_factory=dict, compare=False)
+
+    def step_noise(self, trial, start, stop):
+        noise = super().step_noise(trial, start, stop)
+        for (k, t), value in self.poison.items():
+            if start <= k < stop and t in trial:
+                noise[k - start, list(trial).index(t), 0] = value
+        return noise
+
+
+def _per_step_run(prob, algo, sch, trials, rho):
+    """train_quadratic's recorded stacked run, one step at a time: each step takes
+    its gradient from noisy_grad and its columns from the norms, and checks its
+    values in the documented order. Returns the final stack and the gamma and
+    alpha columns (n,) and the per-trial ones (n, T)."""
+    spec = quadratic_norm_spec(prob.dim, rho)
+    x = [prob.start_point(trials, scale=rho if algo is Algo.SCG else 2.0)]
+    state = OptimizerState.init(x)
+
+    def check(values, k, what):
+        bad = ~np.isfinite(values).reshape(len(trials), -1).all(axis=1)
+        if bad.any():
+            raise NumericalFailure(k, f"non-finite {what}", trial=trials[int(np.argmax(bad))])
+
+    rows = []
+    for k in range(1, sch.horizon + 1):
+        g = prob.noisy_grad(x[0], trials, k)
+        check(g, k, "gradient")
+        exact = prob.grad(x[0])
+        dual = dual_norm(exact, spec.atoms()[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = gap_from_duals([exact], x, spec, (dual,))
+            pnorm = composite_norm(x, spec)
+        check(gap, k, "fw_gap")
+        check(pnorm, k, "param_norm")
+        gamma, alpha = gamma_at(sch, k), alpha_at(sch, k)
+        row = (gamma, alpha, prob.loss(x[0]), dual, gap, pnorm)
+        x, d_k = apply_step(algo, x, state, [g], gamma, alpha, spec)
+        check(x[0], k, "parameters")
+        with np.errstate(over="ignore"):
+            err = np.linalg.norm(d_k[0] - exact, axis=1)
+        check(err, k, "est_error")
+        rows.append((*row, err, pnorm <= 1.0 + FEASIBLE_TOL))
+    names = RunDiagnostics.COLUMNS[1:]
+    return x[0], {name: np.array(column) for name, column in zip(names, zip(*rows))}
 
 
 def _run_light(harness, schedule):
@@ -584,6 +668,18 @@ class TestErrorDecayProbe:
         prob = small_quadratic(noise=1.0, dim=16)
         rep = error_decay_probe(prob, n=512, trials=5)
         assert rep.slope <= -0.25
+
+    def test_memory_peak_at_cli_defaults(self):
+        # `lmopt rate --set probe=error_decay` at its defaults: the recorded columns
+        # take 8 bytes per step and trial, and the per-step work one block's buffers.
+        prob = StochasticQuadratic(dim=32, noise=1.0, conditioning=10.0, seed=0)
+        tracemalloc.start()
+        try:
+            error_decay_probe(prob, n=4096, trials=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"tracemalloc peak {peak / 1e6:.2f} MB"
 
 
 class TestSweep:
