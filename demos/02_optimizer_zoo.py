@@ -4,7 +4,8 @@ Every rule is a row of lmopt's rule table, run by the one kernel `step`. Three
 rows rearrange the same averaged-direction method and produce bit-near-identical
 trajectories: the momentum-accumulator form (scale invariance of the lmo), the
 weight-decay form (a constrained run on an inflated ball in disguise), and the
-Scion-light form that stores only one gradient-shaped buffer. The constrained method
+Scion-light form that stores only one gradient-shaped buffer, under a constant and
+under the vanishing alpha_k = 1 / sqrt(k) alike. The constrained method
 caps the composite parameter norm at 1 while the unconstrained one grows it by at
 most the stepsize sum.
 """
@@ -66,14 +67,16 @@ for g in stream:
 gap = max(float(np.max(np.abs(a - b))) for a, b in zip(xa, xb))
 print(f"weight-decay vs inflated-ball constrained run:  max gap {gap:.2e}")
 
-# 3) Scion-light: accumulate d <- (1 - alpha) d + g, the averaged direction / alpha
-xa, xb = fresh(3), fresh(3)
-sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
-for g in stream:
-    xa = uscg_step(xa, sa, g, gamma, 0.1, spec)
-    xb, _ = step(xb, sb, g, gamma, 0.1, spec, rule_for(Algo.USCG_LIGHT))
-gap = max(float(np.max(np.abs(a - b))) for a, b in zip(xa, xb))
-print(f"Scion-light vs averaged-direction form:         max gap {gap:.2e}")
+# 3) Scion-light: accumulate D_k = (1 - alpha_k) (alpha_{k-1} / alpha_k) D_{k-1} + g_k,
+#    the averaged direction / alpha_k, under a constant and a vanishing alpha
+for label, alpha_of in (("constant", lambda k: 0.1), ("vanishing", lambda k: 1.0 / np.sqrt(k))):
+    xa, xb = fresh(3), fresh(3)
+    sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
+    for k, g in enumerate(stream, start=1):
+        xa = uscg_step(xa, sa, g, gamma, alpha_of(k), spec)
+        xb, _ = step(xb, sb, g, gamma, alpha_of(k), spec, rule_for(Algo.USCG_LIGHT))
+    gap = max(float(np.max(np.abs(a - b))) for a, b in zip(xa, xb))
+    print(f"Scion-light vs averaged form, {label + ' alpha:':17s} max gap {gap:.2e}")
 
 # 4) norm control: the constrained method never leaves the unit composite ball
 from lmopt import model_lmo

@@ -466,10 +466,6 @@ def _check_train(cfg: dict) -> None:
              "must be in [0, 1] for uscg_wd", cfg["optimizer.mu"])
     _require(name not in ("muon", "muon_nesterov") or 0.0 <= cfg["optimizer.beta"] < 1.0,
              "optimizer.beta", f"must be in [0, 1) for {name}", cfg["optimizer.beta"])
-    # Scion-light reproduces uscg only while the averaging weight stays constant
-    _require(name != "uscg_light" or cfg["optimizer.alpha.kind"] == "constant",
-             "optimizer.alpha.kind", "must be constant when key 'optimizer.algo' is "
-             "uscg_light", cfg["optimizer.alpha.kind"])
 
 
 def _load_idx(cfg: dict) -> tuple[np.ndarray, np.ndarray]:

@@ -163,14 +163,6 @@ def _raise_first(*failures) -> None:
         raise NumericalFailure(step_k, f"non-finite {_CHECKS[rank]}", trial=trial)
 
 
-def _check_schedule(algo: Algo, schedule: ScheduleSpec) -> None:
-    """Scion-light reproduces uSCG only while the averaging weight stays constant."""
-    if algo is Algo.USCG_LIGHT and schedule.alpha_kind is not AlphaKind.CONSTANT:
-        raise ValueError(
-            f"Algo.USCG_LIGHT requires a constant alpha schedule, got {schedule.alpha_kind}"
-        )
-
-
 def apply_step(
     algo: Algo,
     x: list[np.ndarray],
@@ -219,7 +211,7 @@ def train_quadratic(
     is keyed by (problem.seed, trial, step) so different algorithms see the same
     stream on the same trial. It is drawn _NOISE_BLOCK steps at a time by
     problem.step_noise, so a step's gradient equals problem.noisy_grad at that step
-    bit for bit. Algo.USCG_LIGHT needs a constant alpha schedule.
+    bit for bit.
 
     The recorded columns are taken once per block of _NOISE_BLOCK steps (and at the
     horizon): each step copies x^k, the exact gradient and d^k into block buffers,
@@ -236,7 +228,6 @@ def train_quadratic(
     trials = [int(t) for t in trial] if stacked else [int(trial)]
     if not trials:
         raise ValueError("trial must name at least one trial")
-    _check_schedule(algo, schedule)
     spec = quadratic_norm_spec(problem.dim, rho)
     atom = spec.atoms()[0]
     x = [problem.start_point(trials, scale=rho if algo is Algo.SCG else start_scale)]
@@ -322,9 +313,7 @@ def train_classifier(
     (probe_factor times the minibatch, capped at the dataset size) as a stand-in for
     the exact gradient; on data problems these are proxies. Each probe gradient's
     per-atom dual norms are taken once and feed both the dual-norm and gap columns.
-    Algo.USCG_LIGHT needs a constant alpha schedule.
     """
-    _check_schedule(algo, schedule)
     spec = model.norm_spec()
     atoms = spec.atoms()
     n = train_x.shape[1]

@@ -47,7 +47,6 @@ class InitScheme(Enum):
     COL_NORMALIZED_GAUSSIAN = "col_normalized_gaussian"
     ROW_NORMALIZED_GAUSSIAN = "row_normalized_gaussian"
     RANDOM_SIGN = "random_sign"
-    KAIMING = "kaiming"
 
 
 class Domain(Enum):
@@ -274,24 +273,19 @@ def _base_draw(scheme: InitScheme, d_out: int, d_in: int, seed: int) -> np.ndarr
         return g / np.linalg.norm(g, axis=1, keepdims=True)
     if scheme is InitScheme.RANDOM_SIGN:
         return rng_rademacher(d_out, d_in, seed)
-    if scheme is InitScheme.KAIMING:
-        return rng_gaussian(d_out, d_in, seed) / np.sqrt(d_in)
     raise ValueError(f"unknown init scheme {scheme}")
 
 
 def init_model(specs: Sequence[LayerSpec], seed: int) -> MlpModel:
     """Draw weights per each layer's scheme, scaled elementwise by the layer's lmo
     coefficient so boundary schemes land exactly on the composite ball boundary.
-    Kaiming draws N(0, 1/d_in) entries and is deliberately left unscaled. Biases
-    start at zero."""
+    Biases start at zero."""
     specs = list(specs)
     weights: list[np.ndarray] = []
     biases: list[np.ndarray | None] = []
     for idx, ls in enumerate(specs):
         w = _base_draw(ls.init, ls.d_out, ls.d_in, derive_seed(seed, idx))
-        if ls.init is not InitScheme.KAIMING:
-            w = lmo_coefficient(ls.weight_norm) * w
-        weights.append(w)
+        weights.append(lmo_coefficient(ls.weight_norm) * w)
         biases.append(np.zeros(ls.d_out) if ls.bias_norm is not None else None)
     return MlpModel(layers=tuple(specs), weights=weights, biases=biases)
 

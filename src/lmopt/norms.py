@@ -327,10 +327,6 @@ class ModelNormSpec:
             out.extend(layer.atoms())
         return tuple(out)
 
-    @property
-    def rhos(self) -> tuple[float, ...]:
-        return tuple(layer.weight.radius for layer in self.layers)
-
 
 def _check_aligned(params: Sequence[np.ndarray], spec: ModelNormSpec) -> tuple[NormSpec, ...]:
     atoms = spec.atoms()

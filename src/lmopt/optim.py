@@ -10,9 +10,10 @@ are choices of row and parameter, which the tests assert at 1e-10 over long runs
   uSCG with alpha = 1 - beta.
 - Decoupled weight decay mu is the constrained method on the ball inflated to
   radius / mu with stepsize gamma * mu.
-- Scion-light (`Algo.USCG_LIGHT`) accumulates d <- (1 - alpha) * d + g, the uSCG
-  direction divided by alpha under a constant alpha, so it is uSCG again while
-  storing one gradient-shaped buffer.
+- Scion-light (`Algo.USCG_LIGHT`) accumulates D_k = (1 - alpha_k) *
+  (alpha_{k-1} / alpha_k) * D_{k-1} + g_k, the uSCG direction divided by alpha_k
+  under any alpha schedule, so it is uSCG again while storing one gradient-shaped
+  buffer (and the last step's alpha).
 
 Buffers start at zero. Because the lmo ignores magnitude, the very first update
 already moves along lmo(g1) exactly as if alpha were 1 on that step.
@@ -68,7 +69,7 @@ class Buffer(Enum):
     """How a step updates the momentum buffer d from the fresh gradient g."""
 
     AVERAGE = "average"  # d <- (1 - alpha) d + alpha g
-    ACCUMULATE = "accumulate"  # d <- keep d + g, keep = beta, or 1 - alpha without one
+    ACCUMULATE = "accumulate"  # d <- keep d + g, keep = beta, or (1 - alpha) * prev / alpha
     ORIENTED = "oriented"  # d <- (1 - alpha) d + alpha lmo(g)
     NONE = "none"  # no buffer
 
@@ -89,8 +90,9 @@ class Rule:
     v = g + keep * d on an accumulated buffer, and the parameter move.
 
     `mu` is the DECAY move's decay, in [0, 1]. `beta` is the ACCUMULATE buffer's keep
-    factor, in [0, 1); without one the buffer keeps 1 - alpha (Scion-light). Both are
-    range-checked here, when the rule is built, not on every step.
+    factor, in [0, 1); without one the buffer keeps (1 - alpha_k) * (alpha_{k-1} /
+    alpha_k), which tracks the averaged buffer under any alpha schedule (Scion-light).
+    Both are range-checked here, when the rule is built, not on every step.
     """
 
     buffer: Buffer
@@ -164,16 +166,17 @@ class Certificate:
 
 @dataclass
 class OptimizerState:
-    """The rule's momentum buffer d (zero until the first step), a step count, and
-    the certificate of the last CONVEX move's output (None until one vouches)."""
+    """The rule's momentum buffer d (zero until the first step), the last step's
+    alpha (None until the first step; Scion-light's keep factor reads it), and the
+    certificate of the last CONVEX move's output (None until one vouches)."""
 
     d: list[np.ndarray]
-    step: int = 0
+    alpha: float | None = None
     certificate: Certificate | None = None
 
     @classmethod
     def init(cls, params: Sequence[np.ndarray]) -> "OptimizerState":
-        return cls(d=[np.zeros_like(p) for p in params], step=0)
+        return cls(d=[np.zeros_like(p) for p in params])
 
 
 def _check_like(a: Sequence[np.ndarray], b: Sequence[np.ndarray], what: str) -> None:
@@ -263,12 +266,17 @@ def step(
     elif rule.buffer is Buffer.ORIENTED:
         state.d = momentum_update(state.d, oracle(g), alpha)
     elif rule.buffer is Buffer.ACCUMULATE:
-        keep, scale = (1.0 - alpha, alpha) if rule.beta is None else (rule.beta, 1.0 - rule.beta)
+        if rule.beta is None:
+            # The ratio first: under a constant alpha it is exactly 1, bit for bit.
+            prev = alpha if state.alpha is None else state.alpha
+            keep, scale = (1.0 - alpha) * (prev / alpha), alpha
+        else:
+            keep, scale = rule.beta, 1.0 - rule.beta
         state.d = v = [keep * di + gi for di, gi in zip(state.d, g)]
         d_k = [scale * di for di in state.d]
         if rule.nesterov:
             v = [gi + keep * di for gi, di in zip(g, state.d)]
-    state.step += 1
+    state.alpha = alpha
     if rule.move is Move.SHARP:
         new = [xi - gamma * sharp_op(gi, a, ns_iters=ns_iters) for xi, gi, a in zip(x, g, atoms)]
     elif rule.move is Move.BUFFER:

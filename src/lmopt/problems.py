@@ -133,7 +133,11 @@ def gen_synthetic(
     labels = np.arange(total) % spec.classes
     cluster = (np.arange(total) // spec.classes) % spec.clusters
     noise = rng_gaussian(spec.dim, total, derive_seed(spec.seed, 1))
-    x = centers[:, labels * spec.clusters + cluster] + spec.noise * noise
+    # Built at the power-of-two scale 2^-e, so a noise up to float64's max stays
+    # finite; the rescale below cancels the scale exactly.
+    e = max(0, int(np.frexp(spec.noise)[1]))
+    centers, scale = np.ldexp(centers, -e), np.ldexp(spec.noise, -e)
+    x = centers[:, labels * spec.clusters + cluster] + scale * noise
     # One global rescale keeps relative geometry while bounding every sample's RMS norm.
     rms = np.linalg.norm(x, axis=0) / np.sqrt(spec.dim)
     x = x / max(float(rms.max()), 1e-12)

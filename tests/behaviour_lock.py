@@ -4,7 +4,7 @@
 returns the five diagnostic columns plus the final iterates as plain lists:
 
 - `train_quadratic` on a two-trial stack for 30 steps (dim 8, linear-decay gamma,
-  constant alpha, so Algo.USCG_LIGHT runs too);
+  constant alpha);
 - `train_classifier` for 10 steps on a recommended-family 6-8-8-3 MLP with biases.
 
 `tests/test_behaviour_lock.py` compares `capture()` with the committed

@@ -176,7 +176,8 @@ def test_criterion_04_uscg_norm_growth():
     assert composite_norm(disp, spec) <= total + 1e-8
 
 
-@criterion(5, "exact equivalences: momentum-accumulator, weight-decay, two-buffer forms")
+@criterion(5, "exact equivalences: momentum-accumulator, weight-decay, two-buffer forms, "
+              "the last under constant and vanishing alpha")
 def test_criterion_05_equivalences():
     spec = mixed_model_spec()
     steps = 120
@@ -221,6 +222,17 @@ def test_criterion_05_equivalences():
     xb = [p.copy() for p in xa]
     sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
     for g in stream:
+        xa = uscg_step(xa, sa, g, 0.03, alpha, spec)
+        xb, _ = step(xb, sb, g, 0.03, alpha, spec, rule_for(Algo.USCG_LIGHT))
+    for a, b in zip(xa, xb):
+        np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
+
+    # the same under the vanishing alpha_k = 1 / sqrt(k) of the rate theory
+    xa = random_params(spec, 38)
+    xb = [p.copy() for p in xa]
+    sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
+    for k, g in enumerate(stream, start=1):
+        alpha = 1.0 / np.sqrt(k)
         xa = uscg_step(xa, sa, g, 0.03, alpha, spec)
         xb, _ = step(xb, sb, g, 0.03, alpha, spec, rule_for(Algo.USCG_LIGHT))
     for a, b in zip(xa, xb):

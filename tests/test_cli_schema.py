@@ -5,8 +5,13 @@ finite end of the key's interval, a value just outside each end, NaN, an empty l
 (int_list keys) and a bad choice (str keys). Every run must return 0, 1, 2 or 3
 without an escaping exception. An exit 1 must name the key on stderr and leave the
 output directory empty, and every value outside the declared interval must exit 1.
+
+On the same base configs, every declared choice of every str key runs (or exits 1
+naming another key that the choice needs), and every train algorithm runs under
+every alpha schedule on both built-in problems.
 """
 
+import itertools
 import math
 import os
 
@@ -83,6 +88,50 @@ def test_every_value_runs_or_names_its_key(tmp_path, capsys, command, path):
         if rc == 1:
             assert err.startswith("config error") and f"'{path}'" in err, case
             assert not out_dir.exists() or os.listdir(out_dir) == [], case
+
+
+CHOICES = [
+    (command, path, choice)
+    for command, schema in SCHEMAS.items()
+    for path, field in schema.items()
+    for choice in field.choices or ()
+]
+
+
+@pytest.mark.parametrize(
+    "command, path, choice", CHOICES, ids=[f"{c}:{p}={v}" for c, p, v in CHOICES]
+)
+def test_every_choice_runs_or_names_what_it_needs(tmp_path, capsys, command, path, choice):
+    base = [a for setting in BASE[command] for a in ("--set", setting)]
+    rc = main([command, "--seed", str(SEED), "--out", str(tmp_path), *base,
+               "--set", f"{path}={choice}"])
+    err = capsys.readouterr().err
+    case = f"{command} {path}={choice}: exit {rc}, stderr {err!r}"
+    assert rc in (0, 1), case
+    assert "Traceback" not in err, case
+    if rc == 1:
+        needed = [key for key in SCHEMAS[command] if key != path and f"'{key}'" in err]
+        assert err.startswith("config error") and needed, case
+        assert os.listdir(tmp_path) == [], case
+
+
+TRAIN_GRID = list(itertools.product(
+    SCHEMAS["train"]["optimizer.algo"].choices,
+    SCHEMAS["train"]["optimizer.alpha.kind"].choices,
+    ("classification", "quadratic"),
+))
+
+
+@pytest.mark.parametrize(
+    "algo, alpha_kind, problem", TRAIN_GRID, ids=["-".join(case) for case in TRAIN_GRID]
+)
+def test_every_algo_runs_under_every_alpha_schedule(tmp_path, capsys, algo, alpha_kind, problem):
+    base = [a for setting in BASE["train"] for a in ("--set", setting)]
+    rc = main(["train", "--seed", str(SEED), "--out", str(tmp_path), *base,
+               "--set", f"optimizer.algo={algo}",
+               "--set", f"optimizer.alpha.kind={alpha_kind}",
+               "--set", f"problem.kind={problem}"])
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_seed_accepts_any_integer(tmp_path):

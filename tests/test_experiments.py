@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,6 +151,29 @@ class TestProblems:
         assert train_x.shape == (16, 512)
         assert set(train_y) <= set(range(3))
 
+    @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0, 2.0, 1e100])
+    def test_gen_synthetic_equals_unscaled_build(self, noise):
+        # x is built at a power-of-two scale that the rescale cancels exactly, so the
+        # features equal the plain build's wherever that one stays finite
+        spec = SyntheticClassification(dim=16, classes=3, noise=noise, seed=1)
+        k = np.arange(spec.train_size + spec.test_size)
+        centers = rng_gaussian(16, 3 * spec.clusters, derive_seed(1, 0))
+        x = centers[:, (k % 3) * spec.clusters + (k // 3) % spec.clusters]
+        x = x + noise * rng_gaussian(16, len(k), derive_seed(1, 1))
+        x = x / max(float((np.linalg.norm(x, axis=0) / 4.0).max()), 1e-12)
+        train_x, _, test_x, _ = gen_synthetic(spec)
+        assert np.array_equal(np.concatenate([train_x, test_x], axis=1), x)
+
+    @pytest.mark.parametrize("noise", [1e160, 1e300, np.finfo(float).max])
+    def test_gen_synthetic_huge_noise_stays_finite(self, noise):
+        spec = SyntheticClassification(dim=16, classes=3, noise=noise, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_x, _, test_x, _ = gen_synthetic(spec)
+        rms = np.linalg.norm(np.concatenate([train_x, test_x], axis=1), axis=0) / 4.0
+        assert np.all(rms > 0) and np.all(rms <= 1.0 + 1e-12)
+        assert rms.max() == pytest.approx(1.0, abs=1e-12)
+
 
 class TestIdxLoader:
     def _write_images(self, path, arr):
@@ -235,8 +259,9 @@ class TestTrainQuadratic:
         np.testing.assert_allclose(xa, xb, atol=1e-10)
 
     def test_light_mode_matches(self):
-        # constant alpha is the one schedule light mode supports; the match is exact
-        # up to rounding, so it holds at 1e-12 for iterates and the est_error column
+        # under a constant alpha light mode's keep factor is exactly 1 - alpha; the
+        # match is exact up to rounding, so it holds at 1e-12 for iterates and the
+        # est_error column
         prob = small_quadratic(noise=1.0)
         sch = ScheduleSpec(horizon=60, gamma0=0.05, alpha0=0.1)
         xa, da = train_quadratic(prob, Algo.USCG, sch, trial=1)
@@ -244,11 +269,20 @@ class TestTrainQuadratic:
         np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
         np.testing.assert_allclose(db.est_error, da.est_error, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("harness", ["quadratic", "classifier"])
-    def test_light_mode_rejects_vanishing_alpha(self, harness):
-        sch = ScheduleSpec(horizon=5, gamma0=0.05, alpha_kind=AlphaKind.VANISHING)
-        with pytest.raises(ValueError, match="Algo.USCG_LIGHT requires a constant alpha"):
-            _run_light(harness, sch)
+    @pytest.mark.parametrize(
+        "harness, tol", [("quadratic", 1e-12), ("classifier", 1e-10)],
+        ids=["quadratic", "classifier"],
+    )
+    def test_light_mode_matches_under_vanishing_alpha(self, harness, tol):
+        # the keep factor (1 - alpha_k) * (alpha_{k-1} / alpha_k) tracks the averaged
+        # buffer under alpha_k = 1 / sqrt(k) too; the classifier stays at 40 steps,
+        # since rounding grows chaotically over longer training runs
+        sch = ScheduleSpec(horizon=40, gamma0=0.05, alpha_kind=AlphaKind.VANISHING)
+        xa, da = _run_light(harness, sch, Algo.USCG)
+        xb, db = _run_light(harness, sch, Algo.USCG_LIGHT)
+        for a, b in zip(xa, xb):
+            np.testing.assert_allclose(b, a, rtol=0, atol=tol)
+        np.testing.assert_allclose(db.est_error, da.est_error, rtol=0, atol=tol)
 
 
 class TestTrialStack:
@@ -426,13 +460,16 @@ def _per_step_run(prob, algo, sch, trials, rho):
     return x[0], {name: np.array(column) for name, column in zip(names, zip(*rows))}
 
 
-def _run_light(harness, schedule):
+def _run_light(harness, schedule, algo):
+    """(final parameter arrays, diagnostics) of a small run of one harness."""
     if harness == "quadratic":
-        return train_quadratic(small_quadratic(), Algo.USCG_LIGHT, schedule)
+        x, diags = train_quadratic(small_quadratic(noise=1.0), algo, schedule, trial=1)
+        return [x], diags
     prob = SyntheticClassification(dim=8, classes=3, train_size=32, test_size=0, seed=3)
     tx, ty, _, _ = gen_synthetic(prob)
     model = init_model(build_config(Domain.IMAGE, (8, 8, 3)), 0)
-    return train_classifier(model, tx, ty, Algo.USCG_LIGHT, schedule, batch_size=16)
+    model, diags = train_classifier(model, tx, ty, algo, schedule, batch_size=16)
+    return model.parameters(), diags
 
 
 class TestRecordedDiagnostics:

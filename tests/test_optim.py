@@ -674,13 +674,14 @@ class TestSchedules:
 
 
 class TestStateBookkeeping:
-    def test_step_counter_increments(self):
+    def test_state_holds_last_alpha(self):
         spec = mixed_spec()
         x = random_params(spec, 14)
         state = OptimizerState.init(x)
+        assert state.alpha is None
         for k, g in enumerate(gradient_stream(spec, 67, 5), start=1):
-            x = uscg_step(x, state, g, 0.1, 0.5, spec)
-            assert state.step == k
+            x = uscg_step(x, state, g, 0.1, 1.0 / np.sqrt(k), spec)
+            assert state.alpha == 1.0 / np.sqrt(k)
 
     def test_direction_shapes_mirror_params(self):
         spec = mixed_spec()
