@@ -163,6 +163,16 @@ def _raise_first(*failures) -> None:
         raise NumericalFailure(step_k, f"non-finite {_CHECKS[rank]}", trial=trial)
 
 
+def _scheduled_steps(schedule: ScheduleSpec, diags: RunDiagnostics, record: bool):
+    """(k, gamma_k, alpha_k) for k = 1..horizon as Python numbers, from one array
+    call per schedule; a recorded run's gamma and alpha columns are filled here."""
+    steps = np.arange(1, schedule.horizon + 1)
+    gammas, alphas = gamma_at(schedule, steps), alpha_at(schedule, steps)
+    if record:
+        diags.gamma[:], diags.alpha[:] = gammas, alphas
+    return zip(steps.tolist(), gammas.tolist(), alphas.tolist())
+
+
 def apply_step(
     algo: Algo,
     x: list[np.ndarray],
@@ -220,8 +230,16 @@ def train_quadratic(
     A non-finite gradient or iterate, or a recorded fw_gap, param_norm or est_error
     past float64's range (as under a tiny rho or a huge noise), raises
     NumericalFailure naming its step and trial. The earliest step fails first, and
-    within a step the order is gradient, fw_gap, param_norm, parameters, est_error.
-    The gradient and the parameters are checked every step; when one fails, the
+    within a step the order is gradient, fw_gap, param_norm, parameters, est_error:
+    the failure reported is the one a check of every value on every step would
+    report. The loop itself does not check the gradient or the iterate on each
+    step. Every rule hands the gradient, or a buffer built from it, to the oracle,
+    which rejects a non-finite operand with ValueError, and a non-finite iterate
+    makes the next gradient non-finite (the eigenvalues are positive). That
+    ValueError is taken as the previous step's parameters failing when the iterate
+    is non-finite, else as this step's gradient failing; with both finite it is
+    raised as it is. The iterate is also checked at the end of each block and at
+    the horizon, and the recorded columns once per block. When a step fails, the
     block's recorded steps up to it are checked first.
     """
     stacked = not isinstance(trial, Integral)
@@ -241,9 +259,9 @@ def train_quadratic(
         """Record the block's first `rows` steps, from step `start` on, into the
         stack's columns; return the first failure (or None) of each recorded check."""
         xb, eb, db = (b[:rows].reshape(rows * count, problem.dim) for b in block)
-        dual = dual_norm(eb, atom)
         # A value past float64's range (a tiny rho, a huge noise) fails below, by name.
         with np.errstate(over="ignore", invalid="ignore"):
+            dual = dual_norm(eb, atom)
             gap = gap_from_duals([eb], [xb], spec, (dual,))
             pnorm = composite_norm([xb], spec)
             err = np.linalg.norm(db - eb, axis=-1)
@@ -260,32 +278,38 @@ def train_quadratic(
         checked = (("fw_gap", gap), ("param_norm", pnorm), ("est_error", err))
         return [_failure(v.reshape(rows, count), start, trials, c) for c, v in checked]
 
-    for k in range(1, n + 1):
+    def close(rows: int, start: int, failure) -> None:
+        """Record the block's first `rows` steps when recording, then raise the
+        earliest failure among their checks and `failure`, if there is one."""
+        if record:
+            _raise_first(*flush(rows, start), failure)
+        _raise_first(failure)
+
+    for k, gamma, alpha in _scheduled_steps(schedule, stack, record):
         i = (k - 1) % _NOISE_BLOCK
-        gamma = gamma_at(schedule, k)
-        alpha = alpha_at(schedule, k)
         exact = problem.grad(x[0])
         g = exact
         if problem.noise != 0.0:
             if i == 0:
                 noise = problem.step_noise(trials, k, min(k + _NOISE_BLOCK, n + 1))
             g = exact + noise[i]
-        failure = _failure(g[None], k, trials, "gradient")
-        if failure is not None and record:
-            _raise_first(*flush(i, k - i), failure)
-        _raise_first(failure)
         if record:
-            stack.gamma[k - 1], stack.alpha[k - 1] = gamma, alpha
             block[0, i], block[1, i] = x[0], exact
-        x, d_k = apply_step(
-            algo, x, state, [g], gamma, alpha, spec, ns_iters=ns_iters, mu=mu, beta=beta
-        )
-        failure = _failure(x[0][None], k, trials, "parameters")
+        try:
+            x, d_k = apply_step(
+                algo, x, state, [g], gamma, alpha, spec, ns_iters=ns_iters, mu=mu, beta=beta
+            )
+        except ValueError:
+            # The start is not the output of a step, so a failure at step 1 is the gradient's.
+            failure = _failure(x[0][None], k - 1, trials, "parameters") if k > 1 else None
+            failure = failure or _failure(g[None], k, trials, "gradient")
+            if failure is None:
+                raise
+            close(i, k - i, failure)
         if record:
             block[2, i] = d_k[0]
-            if failure is not None or i == _NOISE_BLOCK - 1 or k == n:
-                _raise_first(*flush(i + 1, k - i), failure)
-        _raise_first(failure)
+        if i == _NOISE_BLOCK - 1 or k == n:
+            close(i + 1, k - i, _failure(x[0][None], k, trials, "parameters"))
     diags = [stack.trial(t) for t in range(count)]
     if stacked:
         return x[0], diags
@@ -325,15 +349,13 @@ def train_classifier(
     cursor = 0
     epoch = 0
     order = rng_permutation(n, derive_seed(seed, 7, epoch))
-    for k in range(1, schedule.horizon + 1):
+    for k, gamma, alpha in _scheduled_steps(schedule, diags, record):
         if cursor + batch_size > n:
             epoch += 1
             order = rng_permutation(n, derive_seed(seed, 7, epoch))
             cursor = 0
         idx = order[cursor : cursor + batch_size]
         cursor += batch_size
-        gamma = gamma_at(schedule, k)
-        alpha = alpha_at(schedule, k)
         batch_loss, g = loss_and_grad(model, train_x[:, idx], train_y[idx], loss)
         if not np.isfinite(batch_loss):
             raise NumericalFailure(k, "non-finite loss")
@@ -353,8 +375,6 @@ def train_classifier(
         )
         if record:
             row = (
-                gamma,
-                alpha,
                 batch_loss,
                 grad_dual,
                 gap,
@@ -362,7 +382,7 @@ def train_classifier(
                 _flat_l2([di - gi for di, gi in zip(d_k, probe_g)]),
                 cnorm <= 1.0 + FEASIBLE_TOL,
             )
-            for column, value in zip(diags.columns()[1:], row):
+            for column, value in zip(diags.columns()[3:], row):
                 column[k - 1] = value
         for p in x:
             if not np.all(np.isfinite(p)):
@@ -635,6 +655,9 @@ def rate_harness(
     gamma = float(1.0 / np.sqrt(n))
     plateaus = []
     for factor in (1.0, 2.0):
+        if not np.isfinite(problem.noise * factor):
+            # The level itself overflows; its run would fail at its first gradient.
+            raise NumericalFailure(1, f"non-finite noise level {factor:g} * {problem.noise!r}")
         scaled = type(problem)(
             dim=problem.dim,
             noise=problem.noise * factor,

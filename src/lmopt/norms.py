@@ -29,8 +29,8 @@ Conventions, chosen once and relied on by everything downstream:
     takes it only for iterates it has not certified: its own outputs are
     read-only and carry a convexity bound (see `optim`).
 
-Everything here is a pure function with no internal caching, safe to call from
-multiple threads.
+Everything here is a pure function, safe to call from multiple threads. The only
+state kept is a ModelNormSpec's atom tuple, built once with the (frozen) spec.
 """
 
 from __future__ import annotations
@@ -101,7 +101,9 @@ def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowR
 
     A LowRank needs a matrix kind and has its factors checked. It comes back as its
     factors when keep_factors is set, and otherwise as its product, which is
-    checked like any dense operand.
+    checked like any dense operand. A non-finite entry raises ValueError; the l2
+    vector kinds leave that check to `_l2_rows`, whose range guard catches every
+    non-finite entry without a pass of its own.
     """
     if isinstance(s, LowRank):
         if spec.is_vector:
@@ -116,21 +118,27 @@ def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowR
             return a
         s = a.dense()
     a = np.asarray(s, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise ValueError("operand contains non-finite entries")
     if spec.is_vector:
         if a.ndim not in (1, 2) or a.shape[-1] != spec.d_out:
             raise ValueError(
                 f"expected a vector of length {spec.d_out}, or a stack of them, for "
                 f"{spec.kind.value}, got shape {a.shape}"
             )
+        if spec.kind is NormKind.MAX_VEC:
+            _check_finite(a)
     else:
         if a.shape != (spec.d_out, spec.d_in):
             raise ValueError(
                 f"expected shape ({spec.d_out}, {spec.d_in}) for {spec.kind.value}, "
                 f"got shape {a.shape}"
             )
+        _check_finite(a)
     return a
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("operand contains non-finite entries")
 
 
 def _row_values(values: np.ndarray, m: np.ndarray) -> float | np.ndarray:
@@ -138,9 +146,36 @@ def _row_values(values: np.ndarray, m: np.ndarray) -> float | np.ndarray:
     return float(values) if m.ndim == 1 else values
 
 
+# Squared row norms in [_TINY, _HUGE] are finite normal numbers: the plain formulas
+# neither overflow nor lose precision on such a row, and all its entries are finite.
+_TINY = np.finfo(np.float64).tiny
+_HUGE = np.finfo(np.float64).max
+
+
+def _l2_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(r, norms, e) with r = m * 2**-e row by row and norms the l2 norm of each
+    row of r, keeping the last axis; e is None when r is m.
+
+    A row whose squared norm is zero, subnormal or past float64's range is scaled by
+    the power of two that brings its largest |entry| into [0.5, 1), so its norm is
+    formed without overflow or underflow; every other row keeps e = 0 and its bits.
+    A non-finite entry raises ValueError.
+    """
+    sq = np.einsum("...d,...d->...", m, m)[..., None]
+    if not sq.size or (_TINY <= sq.min() and sq.max() <= _HUGE):
+        return m, np.sqrt(sq), None
+    _check_finite(m)
+    top = np.frexp(np.max(np.abs(m), axis=-1, keepdims=True))[1]
+    e = np.where((_TINY <= sq) & (sq <= _HUGE), 0, top)
+    r = np.ldexp(m, -e)
+    return r, np.sqrt(np.einsum("...d,...d->...", r, r)[..., None]), e
+
+
 def _row_l2(m: np.ndarray) -> np.ndarray:
-    """l2 norm along the last axis; each row's value is independent of the others."""
-    return np.sqrt(np.einsum("...d,...d->...", m, m))
+    """l2 norm along the last axis; each row's value is independent of the others.
+    A norm past float64's range is inf."""
+    _, norms, e = _l2_rows(m)
+    return (norms if e is None else np.ldexp(norms, e))[..., 0]
 
 
 def _vector_op_norm(m: np.ndarray, spec: NormSpec) -> float | np.ndarray:
@@ -168,9 +203,10 @@ def _vector_lmo(m: np.ndarray, spec: NormSpec) -> np.ndarray:
     if spec.kind is NormKind.MAX_VEC:
         return -rho * np.sign(m)
     coef = -rho if spec.kind is NormKind.EUCLIDEAN_VEC else -rho * np.sqrt(spec.d_out)
-    norms = _row_l2(m)[..., None]
-    scale = np.divide(coef, norms, out=np.zeros_like(norms), where=norms > 0.0)
-    return scale * m
+    r, norms, e = _l2_rows(m)
+    if e is None:  # every norm is positive
+        return (coef / norms) * m
+    return np.divide(coef, norms, out=np.zeros_like(norms), where=norms > 0.0) * r
 
 
 def lmo_coefficient(spec: NormSpec) -> float:
@@ -320,12 +356,13 @@ class ModelNormSpec:
     def __post_init__(self):
         if len(self.layers) == 0:
             raise ValueError("ModelNormSpec needs at least one layer")
+        atoms = tuple(atom for layer in self.layers for atom in layer.atoms())
+        # Built once per instance; not a field, so equality and hashing ignore it.
+        object.__setattr__(self, "_atoms", atoms)
 
     def atoms(self) -> tuple[NormSpec, ...]:
-        out: list[NormSpec] = []
-        for layer in self.layers:
-            out.extend(layer.atoms())
-        return tuple(out)
+        """Every layer's atoms in order: the weight, then the bias if there is one."""
+        return self._atoms
 
 
 def _check_aligned(params: Sequence[np.ndarray], spec: ModelNormSpec) -> tuple[NormSpec, ...]:

@@ -160,7 +160,7 @@ class Certificate:
             self.bound <= 1.0 + FEASIBILITY_SLACK
             and len(x) == len(self.x)
             and all(xi is vi and not vi.flags.writeable for xi, vi in zip(x, self.x))
-            and spec == self.spec
+            and (spec is self.spec or spec == self.spec)
         )
 
 
@@ -360,34 +360,44 @@ class ScheduleSpec:
             raise ValueError("constant-then-linear decay needs 0 < warmdown <= horizon")
 
 
-def _check_step(schedule: ScheduleSpec, k: int) -> None:
-    if not 1 <= k <= schedule.horizon:
-        raise ValueError(f"step {k} outside schedule horizon 1..{schedule.horizon}")
+def _check_step(schedule: ScheduleSpec, k) -> None:
+    for step in (k,) if np.ndim(k) == 0 else (np.min(k), np.max(k)):
+        if not 1 <= step <= schedule.horizon:
+            raise ValueError(f"step {step} outside schedule horizon 1..{schedule.horizon}")
 
 
-def gamma_at(schedule: ScheduleSpec, k: int) -> float:
+def _constant(value: float, k):
+    """`value` at every step of k: itself for one step, an array for an array of them."""
+    return value if np.ndim(k) == 0 else np.full(np.shape(k), value, dtype=np.float64)
+
+
+def gamma_at(schedule: ScheduleSpec, k):
     """Scheduled stepsize at step k. Linear decay is gamma0 * (1 - k / n); the
     constant-then-linear form holds gamma0 until the final `warmdown` steps and then
-    decays as gamma0 * (n - k) / warmdown. The k = n value may be 0 (a no-op step)."""
+    decays as gamma0 * (n - k) / warmdown. The k = n value may be 0 (a no-op step).
+
+    k may also be an integer array of steps: the result is then the array of their
+    stepsizes, each equal to the scalar call's value."""
     _check_step(schedule, k)
     n = schedule.horizon
     if schedule.gamma_kind is GammaKind.CONSTANT:
-        return schedule.gamma0
+        return _constant(schedule.gamma0, k)
     if schedule.gamma_kind is GammaKind.LINEAR_DECAY:
         return schedule.gamma0 * (1.0 - k / n)
     if schedule.gamma_kind is GammaKind.CONSTANT_THEN_LINEAR:
         m = schedule.warmdown
-        if k < n - m:
-            return schedule.gamma0
-        return schedule.gamma0 * (n - k) / m
+        if np.ndim(k) == 0:
+            return schedule.gamma0 if k < n - m else schedule.gamma0 * (n - k) / m
+        return np.where(k < n - m, schedule.gamma0, schedule.gamma0 * (n - k) / m)
     raise ValueError(f"unknown gamma kind {schedule.gamma_kind}")
 
 
-def alpha_at(schedule: ScheduleSpec, k: int) -> float:
-    """Scheduled averaging weight at step k; the vanishing schedule is 1 / sqrt(k)."""
+def alpha_at(schedule: ScheduleSpec, k):
+    """Scheduled averaging weight at step k; the vanishing schedule is 1 / sqrt(k).
+    k may also be an integer array of steps, as for gamma_at."""
     _check_step(schedule, k)
     if schedule.alpha_kind is AlphaKind.CONSTANT:
-        return schedule.alpha0
+        return _constant(schedule.alpha0, k)
     if schedule.alpha_kind is AlphaKind.VANISHING:
         return 1.0 / np.sqrt(k)
     raise ValueError(f"unknown alpha kind {schedule.alpha_kind}")

@@ -42,10 +42,10 @@ class StochasticQuadratic:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.noise < 0.0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
-        if self.conditioning < 1.0:
-            raise ValueError(f"conditioning must be >= 1, got {self.conditioning}")
+        if not 0.0 <= self.noise < np.inf:
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        if not 1.0 <= self.conditioning < np.inf:
+            raise ValueError(f"conditioning must be finite and >= 1, got {self.conditioning}")
         if self.dim == 1:
             eig = np.ones(1)
         else:
@@ -118,8 +118,8 @@ class SyntheticClassification:
             raise ValueError("need dim >= 1, classes >= 2, clusters >= 1")
         if self.train_size < 1 or self.test_size < 0:
             raise ValueError("need train_size >= 1 and test_size >= 0")
-        if self.noise < 0.0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if not 0.0 <= self.noise < np.inf:
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
 
 
 def gen_synthetic(

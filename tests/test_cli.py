@@ -297,6 +297,24 @@ class TestCommands:
         assert "slope" not in captured.out
         assert not out.exists() or os.listdir(out) == []
 
+    def test_rate_overflowing_doubled_noise_exit_3(self, tmp_path, capsys):
+        # Constant mode runs the problem's noise level and then double it; at a tiny
+        # alpha the first run stays finite, and the doubled level overflows float64.
+        out = tmp_path / "out"
+        rc = run_cli(
+            "rate", "--out", str(out),
+            "--set", "mode=constant",
+            "--set", "problem.noise=1e308",
+            "--set", "alpha=1e-300",
+            "--set", "n_list=4",
+            "--set", "trials=1",
+            "--set", "problem.dim=4",
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure at step 1" in err and "noise level" in err
+        assert "Traceback" not in err
+
     def test_sweep_command(self, tmp_path):
         rc = run_cli(
             "sweep", "--out", str(tmp_path),

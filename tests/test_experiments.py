@@ -92,6 +92,27 @@ class TestProblems:
         with pytest.raises(AttributeError):
             prob.dim = 9
 
+    @pytest.mark.parametrize(
+        "cls, kw, field",
+        [
+            (StochasticQuadratic, dict(dim=0), "dim"),
+            (StochasticQuadratic, dict(dim=4, noise=-1.0), "noise"),
+            (StochasticQuadratic, dict(dim=4, noise=np.nan), "noise"),
+            (StochasticQuadratic, dict(dim=4, noise=np.inf), "noise"),
+            (StochasticQuadratic, dict(dim=4, conditioning=0.5), "conditioning"),
+            (StochasticQuadratic, dict(dim=4, conditioning=np.inf), "conditioning"),
+            (StochasticQuadratic, dict(dim=4, conditioning=np.nan), "conditioning"),
+            (SyntheticClassification, dict(dim=4, noise=-1.0), "noise"),
+            (SyntheticClassification, dict(dim=4, noise=np.nan), "noise"),
+            (SyntheticClassification, dict(dim=4, noise=np.inf), "noise"),
+        ],
+    )
+    def test_constructor_rejects_bad_settings(self, cls, kw, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=field):
+                cls(**kw)
+
     @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
     def test_stacked_noise_and_starts_match_per_trial_draws(self, seed):
         prob = StochasticQuadratic(dim=32, noise=0.7, conditioning=10.0, seed=seed)
@@ -406,6 +427,41 @@ class TestTrialStack:
             train_quadratic(prob, algo, sch, trial=[4, 7, 9, 1])
         assert info.value.step == 3 and info.value.trial == 9
         assert "step 3 of trial 9" in str(info.value)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("algo", [Algo.USCG, Algo.MUON_PLAIN, Algo.ALMOND, Algo.SSD])
+    @pytest.mark.parametrize(
+        "poisoned, value",
+        [
+            (40, np.nan),  # a NaN gradient mid-block
+            (64, 1e306),  # an overflow at the last step of a block
+            (100, 1e306),  # an overflow at the horizon
+        ],
+    )
+    def test_failure_attribution(self, poisoned, value, algo, record):
+        # A NaN gradient fails as the gradient. A finite 1e306 entry overflows its
+        # step's est_error; under SSD, whose move is the gradient itself scaled by
+        # dual_norm / rho (rho = 1e-3 overflows that factor), it also overflows the
+        # new iterate, which is reported first. The lmo rules move a bounded distance,
+        # so an unrecorded run goes on to the horizon.
+        prob = PoisonedNoise(
+            dim=8, noise=1.0, conditioning=5.0, seed=0, poison={(poisoned, 9): value}
+        )
+        sch = ScheduleSpec(horizon=100, gamma0=0.1)
+        if np.isnan(value):
+            want = "gradient"
+        elif algo is Algo.SSD:
+            want = "parameters"
+        else:
+            want = "est_error" if record else None
+        with np.errstate(all="ignore"):
+            if want is None:
+                x, _ = train_quadratic(prob, algo, sch, trial=[4, 7, 9, 1], rho=1e-3, record=False)
+                assert np.isfinite(x).all()
+                return
+            with pytest.raises(NumericalFailure, match=f"non-finite {want}$") as info:
+                train_quadratic(prob, algo, sch, trial=[4, 7, 9, 1], rho=1e-3, record=record)
+        assert (info.value.step, info.value.trial) == (poisoned, 9)
 
 
 @dataclass(frozen=True)

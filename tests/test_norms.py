@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,82 @@ class TestVectorStacks:
         for fn in (lmo, op_norm, dual_norm):
             with pytest.raises(ValueError, match="length 9"):
                 fn(np.ones(shape), spec)
+
+
+class TestScaleSafeL2:
+    """The l2 vector kinds form each row's norm at a power-of-two scale when its
+    plain sum of squares would overflow, underflow or lose precision; other rows
+    keep the plain formulas, bit for bit."""
+
+    L2_KINDS = [NormKind.EUCLIDEAN_VEC, NormKind.RMS_VEC]
+
+    def unit_stack(self, d):
+        rows = rng_gaussian(d, 1, [derive_seed(23, t) for t in range(5)])[..., 0]
+        rows[2] = 0.0
+        return rows
+
+    def test_overflowing_norm_example(self):
+        spec = NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lmo(np.array([1e300, 1e300]), spec)
+            dual = dual_norm(np.array([1e300, 1e300]), spec)
+        np.testing.assert_allclose(out, [-np.sqrt(0.5)] * 2, rtol=1e-15)
+        assert dual == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e200, 1e300])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["vector", "stack"])
+    @pytest.mark.parametrize("kind", L2_KINDS, ids=lambda k: k.value)
+    def test_boundary_and_pairing_at_every_scale(self, kind, stacked, scale):
+        radius = 1.7
+        spec = NormSpec.vector(kind, 9, radius=radius)
+        unit = self.unit_stack(9)
+        s = scale * unit if stacked else scale * unit[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lmo(s, spec)
+            bound = np.atleast_1d(op_norm(out, spec))
+            dual = np.atleast_1d(dual_norm(s, spec))
+            norm = np.atleast_1d(op_norm(s, spec))
+            pairing = np.atleast_1d(np.einsum("...d,...d->...", s, out)) + radius * dual
+        rows = np.atleast_2d(unit)[: len(bound)]
+        nonzero = rows.any(axis=1)
+        np.testing.assert_allclose(bound[nonzero], radius, rtol=1e-12, atol=0)
+        assert np.all(np.atleast_2d(out)[~nonzero] == 0.0) and np.all(dual[~nonzero] == 0.0)
+        np.testing.assert_allclose(np.atleast_2d(out), np.atleast_2d(lmo(rows, spec)), rtol=1e-12)
+        np.testing.assert_allclose(dual, scale * dual_norm(rows, spec), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(norm, scale * op_norm(rows, spec), rtol=1e-12, atol=0)
+        assert np.all(np.abs(pairing) <= 1e-12 * radius * dual)
+
+    @pytest.mark.parametrize("kind", L2_KINDS, ids=lambda k: k.value)
+    def test_rows_in_range_keep_their_bits(self, kind):
+        spec = NormSpec.vector(kind, 9, radius=0.7)
+        s = self.unit_stack(9)
+        s[1] *= 1e300
+        s[3] *= 1e-300
+        coef = -lmo_coefficient(spec)
+        out, dual = lmo(s, spec), dual_norm(s, spec)
+        for i in (0, 4):
+            plain = np.sqrt(np.einsum("d,d->", s[i], s[i]))
+            assert np.array_equal(out[i], (coef / plain) * s[i])
+            assert dual[i] == dual_norm(s[i], spec)
+        for i, row in enumerate(s):
+            assert np.array_equal(out[i], lmo(row, spec))
+            assert dual[i] == dual_norm(row, spec)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_non_finite_entry_rejected(self, kind, value):
+        # in range or not, as the l2 kinds take their finiteness check from the guard
+        spec = make_spec(kind, 6, 1 if kind in VECTOR_KINDS else 4)
+        operands = [random_operand(spec, 29)]
+        if kind in VECTOR_KINDS:
+            operands += [self.unit_stack(6), 1e300 * self.unit_stack(6)]
+        for s in operands:
+            s.flat[1] = value
+            for fn in (lmo, op_norm, dual_norm, sharp_op):
+                with pytest.raises(ValueError, match="non-finite"):
+                    fn(s, spec)
 
 
 class TestFwGap:

@@ -596,6 +596,21 @@ class TestRuleTable:
         with pytest.raises(ValueError, match="Nesterov"):
             Rule(Buffer.AVERAGE, Move.ADD, nesterov=True)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("ns_iters", [None, 5])
+    @pytest.mark.parametrize("algo", list(Algo))
+    def test_every_rule_rejects_a_non_finite_gradient(self, algo, ns_iters, value):
+        # Every rule hands the gradient, or a buffer built from it, to the oracle,
+        # which rejects a non-finite operand: the quadratic harness relies on this in
+        # place of a finiteness check of its own on every step.
+        spec = mixed_spec()
+        x = [np.zeros_like(p) for p in random_params(spec, 19)]  # feasible for SCG
+        for atom in range(len(x)):
+            g = random_params(spec, 20)
+            g[atom].flat[1] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                step(x, OptimizerState.init(x), g, 0.1, 0.5, spec, rule_for(algo), ns_iters)
+
     @pytest.mark.parametrize("gamma, alpha", [(1.5, 0.5), (-0.1, 0.5), (0.1, 0.0)])
     def test_step_ranges_checked(self, gamma, alpha):
         spec = mixed_spec()
@@ -656,6 +671,31 @@ class TestSchedules:
             gamma_at(s, 0)
         with pytest.raises(ValueError):
             alpha_at(s, 11)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(horizon=7),
+            dict(horizon=7, gamma_kind=GammaKind.LINEAR_DECAY, gamma0=0.3),
+            dict(horizon=7, gamma_kind=GammaKind.CONSTANT_THEN_LINEAR, gamma0=0.3, warmdown=1),
+            dict(horizon=7, gamma_kind=GammaKind.CONSTANT_THEN_LINEAR, gamma0=0.3, warmdown=3),
+            dict(horizon=7, gamma_kind=GammaKind.CONSTANT_THEN_LINEAR, gamma0=0.3, warmdown=7),
+            dict(horizon=1, gamma_kind=GammaKind.CONSTANT_THEN_LINEAR, gamma0=1, warmdown=1),
+            dict(horizon=7, alpha_kind=AlphaKind.VANISHING),
+            dict(horizon=7, alpha_kind=AlphaKind.CONSTANT, alpha0=0.35),
+        ],
+    )
+    def test_array_of_steps_equals_scalar_calls(self, kw):
+        s = ScheduleSpec(**kw)
+        steps = np.arange(1, s.horizon + 1)
+        for fn in (gamma_at, alpha_at):
+            values = fn(s, steps)
+            assert values.dtype == np.float64 and values.shape == steps.shape
+            assert values.tolist() == [fn(s, k) for k in range(1, s.horizon + 1)]
+            assert fn(s, steps[::-1]).tolist() == values[::-1].tolist()
+            for bad in ([0, 1], [s.horizon, s.horizon + 1]):
+                with pytest.raises(ValueError, match="outside schedule horizon"):
+                    fn(s, np.array(bad))
 
     def test_theory_gamma_interval(self):
         g = theory_gamma(256)
