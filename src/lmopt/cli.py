@@ -488,7 +488,6 @@ def cmd_train(cfg: dict) -> int:
     algo = _ALGO_BY_NAME[cfg["optimizer.algo"]]
     horizon = cfg["optimizer.steps"]
     schedule = _build_schedule(cfg, horizon)
-    ns_iters = _ns_iters(cfg)
     seed = cfg["seed"]
     summary: dict = {"command": "train", "config": cfg, "steps": horizon}
     if cfg["problem.kind"] == "quadratic":
@@ -501,7 +500,6 @@ def cmd_train(cfg: dict) -> int:
         x, diags = train_quadratic(
             problem, algo, schedule,
             rho=cfg["problem.rho"],
-            ns_iters=ns_iters,
             mu=cfg["optimizer.mu"],
             beta=cfg["optimizer.beta"],
         )
@@ -540,7 +538,7 @@ def cmd_train(cfg: dict) -> int:
             model, train_x, train_y, algo, schedule,
             seed=seed,
             batch_size=cfg["optimizer.batch_size"],
-            ns_iters=ns_iters,
+            ns_iters=_ns_iters(cfg),
             mu=cfg["optimizer.mu"],
             beta=cfg["optimizer.beta"],
         )

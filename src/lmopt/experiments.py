@@ -57,6 +57,9 @@ FEASIBLE_TOL = 1e-8
 # whole-horizon draw would grow with the horizon.
 _NOISE_BLOCK = 64
 
+# l2 distance of the unconstrained quadratic runs' start from the minimizer.
+_START_SCALE = 2.0
+
 
 class NumericalFailure(RuntimeError):
     """Raised when a run produces NaN/Inf; carries the 1-based step index and, for a
@@ -202,8 +205,6 @@ def train_quadratic(
     schedule: ScheduleSpec,
     trial: int | Sequence[int] = 0,
     rho: float = 1.0,
-    start_scale: float = 2.0,
-    ns_iters: int | None = None,
     mu: float = 0.5,
     beta: float = 0.9,
     record: bool = True,
@@ -217,7 +218,7 @@ def train_quadratic(
     the final iterate and its RunDiagnostics.
 
     The constrained method starts on its ball boundary (composite norm 1); the
-    unconstrained ones start at l2 distance `start_scale` from the minimizer. Noise
+    unconstrained ones start at l2 distance _START_SCALE = 2 from the minimizer. Noise
     is keyed by (problem.seed, trial, step) so different algorithms see the same
     stream on the same trial. It is drawn _NOISE_BLOCK steps at a time by
     problem.step_noise, so a step's gradient equals problem.noisy_grad at that step
@@ -248,7 +249,7 @@ def train_quadratic(
         raise ValueError("trial must name at least one trial")
     spec = quadratic_norm_spec(problem.dim, rho)
     atom = spec.atoms()[0]
-    x = [problem.start_point(trials, scale=rho if algo is Algo.SCG else start_scale)]
+    x = [problem.start_point(trials, scale=rho if algo is Algo.SCG else _START_SCALE)]
     state = OptimizerState.init(x)
     n, count = schedule.horizon, len(trials)
     stack = RunDiagnostics.allocate(n if record else 0, count)
@@ -296,9 +297,7 @@ def train_quadratic(
         if record:
             block[0, i], block[1, i] = x[0], exact
         try:
-            x, d_k = apply_step(
-                algo, x, state, [g], gamma, alpha, spec, ns_iters=ns_iters, mu=mu, beta=beta
-            )
+            x, d_k = apply_step(algo, x, state, [g], gamma, alpha, spec, mu=mu, beta=beta)
         except ValueError:
             # The start is not the output of a step, so a failure at step 1 is the gradient's.
             failure = _failure(x[0][None], k - 1, trials, "parameters") if k > 1 else None
@@ -711,9 +710,7 @@ def error_decay_probe(
         gamma = theory_gamma(n)
     alpha_kind = AlphaKind.VANISHING if vanishing else AlphaKind.CONSTANT
     schedule = ScheduleSpec(horizon=n, gamma0=float(gamma), alpha_kind=alpha_kind, alpha0=alpha)
-    _, diags = train_quadratic(
-        problem, Algo.USCG, schedule, trial=range(trials), rho=1.0, start_scale=2.0
-    )
+    _, diags = train_quadratic(problem, Algo.USCG, schedule, trial=range(trials), rho=1.0)
     mean_sq = np.square([d.est_error for d in diags]).sum(axis=0) / trials
     ks = np.arange(1, n + 1)
     mask = mean_sq > 0.0

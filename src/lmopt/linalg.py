@@ -181,7 +181,9 @@ def lowrank_svd(a: LowRank) -> SvdResult:
 def newton_schulz_orthogonalize(a, iters: int = 5) -> np.ndarray:
     """Approximate the orthogonal factor u @ vt of `a` with matrix products only.
 
-    The input is normalized by its Frobenius norm, run through `iters` quintic
+    The input is scaled by the power of two that brings its largest |entry| into
+    [0.5, 1), so no finite scale overflows or underflows and in-range inputs keep
+    their bits, then normalized by its Frobenius norm, run through `iters` quintic
     passes x <- a*x + b*(x x^T) x + c*(x x^T)^2 x with NS_QUINTIC coefficients,
     then through two cubic refinement passes x <- 1.5 x - 0.5 (x x^T) x. For
     inputs with condition number <= 100 at desk-scale sizes the output singular
@@ -195,6 +197,7 @@ def newton_schulz_orthogonalize(a, iters: int = 5) -> np.ndarray:
         return np.zeros_like(m)
     transposed = m.shape[0] > m.shape[1]
     x = m.T.copy() if transposed else m.copy()
+    np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1], out=x)
     x /= np.linalg.norm(x)
     if iters > 0:
         ca, cb, cc = NS_QUINTIC

@@ -7,15 +7,23 @@ constraint), the dual norm, and the sharp operator. Network-level composites tre
 whole parameter list as one ball via the max of per-layer scaled norms, which makes
 the joint lmo decompose into independent per-layer lmos.
 
+Every kind runs a row oracle on its operand's rows (entries, rows, columns or the
+whole matrix) with a dimension factor c, both from one table, `_KINDS`: lmo =
+-radius * c * each row's unit direction, op_norm = each row's max |entry|, l2 norm
+or sigma_max / c, and dual_norm = c * its l1, l2 or nuclear norm. A matrix kind
+takes the max of its rows' op values and the sum of their dual values.
+
 Conventions, chosen once and relied on by everything downstream:
-  * sign(0) = 0, and the lmo of a zero input is the zero matrix. Both pick one
-    element of a set-valued oracle; zero keeps the output in the ball and makes the
-    oracle odd.
-  * A zero column (ColNorm) or zero row (RowNorm) maps to a zero column/row.
+  * sign(0) = 0, and the lmo of a zero input, row or column is zero. Both pick
+    one element of a set-valued oracle; zero keeps the output in the ball and
+    makes the oracle odd.
   * The lmo is positively scale invariant: lmo(a * s) == lmo(s) for a > 0.
-  * Vector kinds also take a (T, d) stack and act row by row: the lmo maps each
-    row (a zero row to a zero row), and op_norm, dual_norm and composite_norm
-    return one value per row. Matrix kinds take one matrix.
+  * The l2 kinds (EuclideanVec, RmsVec, ColNorm, RowNorm) are scale-safe: a row
+    whose sum of squares would overflow or underflow is normalized at a power of
+    two (`_l2_rows`), so the lmo stays on the boundary for every finite operand;
+    every other row keeps the plain formula's bits.
+  * Vector kinds also take a (T, d) stack and act row by row: op_norm, dual_norm
+    and composite_norm return one value per row. Matrix kinds take one matrix.
   * Matrix kinds also take a `linalg.LowRank` left @ right.T. The exact spectral
     lmo works from its factors (`lowrank_svd`), so a rank-b gradient needs no
     (m, n) SVD; every other function, kind and backend works on the product. A
@@ -30,7 +38,8 @@ Conventions, chosen once and relied on by everything downstream:
     read-only and carry a convexity bound (see `optim`).
 
 Everything here is a pure function, safe to call from multiple threads. The only
-state kept is a ModelNormSpec's atom tuple, built once with the (frozen) spec.
+state kept is built once with each (frozen) spec: a NormSpec's row oracle and c,
+and a ModelNormSpec's atom tuple.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,88 +71,14 @@ class NormKind(Enum):
     RMS_VEC = "rms_vec"              # vector, ||z||_2 / sqrt(d)
 
 
-MATRIX_KINDS = frozenset(
-    {NormKind.SIGN, NormKind.COL_NORM, NormKind.ROW_NORM, NormKind.SPECTRAL}
-)
 VECTOR_KINDS = frozenset(
     {NormKind.EUCLIDEAN_VEC, NormKind.MAX_VEC, NormKind.RMS_VEC}
 )
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """A norm ball: kind + radius + operand dimensions (vector kinds use d_in = 1)."""
-
-    kind: NormKind
-    radius: float
-    d_out: int
-    d_in: int = 1
-
-    def __post_init__(self):
-        if self.radius <= 0.0 or not np.isfinite(self.radius):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if self.d_out < 1 or self.d_in < 1:
-            raise ValueError(f"dimensions must be >= 1, got ({self.d_out}, {self.d_in})")
-        if self.kind in VECTOR_KINDS and self.d_in != 1:
-            raise ValueError(f"vector norm {self.kind.value} requires d_in = 1")
-
-    @property
-    def is_vector(self) -> bool:
-        return self.kind in VECTOR_KINDS
-
-    @classmethod
-    def vector(cls, kind: NormKind, length: int, radius: float = 1.0) -> "NormSpec":
-        return cls(kind=kind, radius=radius, d_out=length, d_in=1)
-
-
-def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowRank:
-    """Validate an operand against the spec's shape and return it as float64.
-
-    A LowRank needs a matrix kind and has its factors checked. It comes back as its
-    factors when keep_factors is set, and otherwise as its product, which is
-    checked like any dense operand. A non-finite entry raises ValueError; the l2
-    vector kinds leave that check to `_l2_rows`, whose range guard catches every
-    non-finite entry without a pass of its own.
-    """
-    if isinstance(s, LowRank):
-        if spec.is_vector:
-            raise ValueError(f"a low-rank operand needs a matrix kind, not {spec.kind.value}")
-        a = s.checked()
-        if a.shape != (spec.d_out, spec.d_in):
-            raise ValueError(
-                f"expected shape ({spec.d_out}, {spec.d_in}) for {spec.kind.value}, "
-                f"got low-rank shape {a.shape}"
-            )
-        if keep_factors:
-            return a
-        s = a.dense()
-    a = np.asarray(s, dtype=np.float64)
-    if spec.is_vector:
-        if a.ndim not in (1, 2) or a.shape[-1] != spec.d_out:
-            raise ValueError(
-                f"expected a vector of length {spec.d_out}, or a stack of them, for "
-                f"{spec.kind.value}, got shape {a.shape}"
-            )
-        if spec.kind is NormKind.MAX_VEC:
-            _check_finite(a)
-    else:
-        if a.shape != (spec.d_out, spec.d_in):
-            raise ValueError(
-                f"expected shape ({spec.d_out}, {spec.d_in}) for {spec.kind.value}, "
-                f"got shape {a.shape}"
-            )
-        _check_finite(a)
-    return a
-
-
 def _check_finite(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
         raise ValueError("operand contains non-finite entries")
-
-
-def _row_values(values: np.ndarray, m: np.ndarray) -> float | np.ndarray:
-    """Per-row results of a vector operand: a float for one vector, the array for a stack."""
-    return float(values) if m.ndim == 1 else values
 
 
 # Squared row norms in [_TINY, _HUGE] are finite normal numbers: the plain formulas
@@ -171,81 +106,173 @@ def _l2_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     return r, np.sqrt(np.einsum("...d,...d->...", r, r)[..., None]), e
 
 
-def _row_l2(m: np.ndarray) -> np.ndarray:
-    """l2 norm along the last axis; each row's value is independent of the others.
-    A norm past float64's range is inf."""
-    _, norms, e = _l2_rows(m)
-    return (norms if e is None else np.ldexp(norms, e))[..., 0]
+# Layouts: split an operand m into its rows, or join the lmo r of those rows back
+# into m's shape (a transpose does both).
+def _same(m, *_):
+    return m
 
 
-def _vector_op_norm(m: np.ndarray, spec: NormSpec) -> float | np.ndarray:
-    if spec.kind is NormKind.MAX_VEC:
-        values = np.max(np.abs(m), axis=-1)
-    else:
-        values = _row_l2(m)
-        if spec.kind is NormKind.RMS_VEC:
-            values = values / np.sqrt(spec.d_out)
-    return _row_values(values, m)
+def _transpose(m, *_):
+    return m.T
 
 
-def _vector_dual_norm(m: np.ndarray, spec: NormSpec) -> float | np.ndarray:
-    if spec.kind is NormKind.MAX_VEC:
-        values = np.sum(np.abs(m), axis=-1)
-    else:
-        values = _row_l2(m)
-        if spec.kind is NormKind.RMS_VEC:
-            values = np.sqrt(spec.d_out) * values
-    return _row_values(values, m)
+def _flatten(m):
+    return m.reshape(1, -1)
 
 
-def _vector_lmo(m: np.ndarray, spec: NormSpec) -> np.ndarray:
-    rho = spec.radius
-    if spec.kind is NormKind.MAX_VEC:
-        return -rho * np.sign(m)
-    coef = -rho if spec.kind is NormKind.EUCLIDEAN_VEC else -rho * np.sqrt(spec.d_out)
-    r, norms, e = _l2_rows(m)
+def _unflatten(r, m):
+    return r.reshape(m.shape)
+
+
+class _RowOracle(NamedTuple):
+    """lmo(rows, coef, ns_iters) is coef times each row's unit direction; op(rows)
+    and dual(rows) give each row's op-norm and dual-norm value. The rows are
+    split(m), and join(r, m) takes their lmo r back to the operand's shape."""
+
+    lmo: Callable
+    op: Callable
+    dual: Callable
+    split: Callable = _same
+    join: Callable = _same
+
+
+def _sign_lmo(r, coef, ns_iters):
+    return coef * np.sign(r)
+
+
+def _max_abs(r):
+    return np.max(np.abs(r), axis=-1)
+
+
+def _l1(r):
+    return np.sum(np.abs(r), axis=-1)
+
+
+def _l2_lmo(r, coef, ns_iters):
+    r, norms, e = _l2_rows(r)
     if e is None:  # every norm is positive
-        return (coef / norms) * m
+        return (coef / norms) * r
     return np.divide(coef, norms, out=np.zeros_like(norms), where=norms > 0.0) * r
 
 
-def lmo_coefficient(spec: NormSpec) -> float:
-    """Magnitude of the lmo output's directional part, including the radius.
+def _l2(r):
+    _, norms, e = _l2_rows(r)
+    return (norms if e is None else np.ldexp(norms, e))[..., 0]
 
-    Sign: radius; Spectral: radius * sqrt(d_out / d_in); ColNorm: radius * sqrt(d_out)
-    per column; RowNorm: radius / sqrt(d_in) per row; EuclideanVec / MaxVec: radius;
-    RmsVec: radius * sqrt(d). Boundary initializers multiply their unit-scale draws
-    by exactly this factor.
+
+def _spectral_lmo(m, coef, ns_iters):
+    if isinstance(m, LowRank):  # a zero product has rank 0, so its orthogonal factor is zero
+        return coef * lowrank_svd(m).orthogonal_factor()
+    if not m.any():
+        return np.zeros_like(m)
+    if ns_iters is None:
+        return coef * svd_reduced(m).orthogonal_factor()
+    return coef * newton_schulz_orthogonalize(m, ns_iters)
+
+
+def _nuclear(m):
+    return np.sum(singular_values(m)) if m.any() else 0.0
+
+
+_MAX_ROWS = _RowOracle(_sign_lmo, _max_abs, _l1)
+_MAX_FLAT = _MAX_ROWS._replace(split=_flatten, join=_unflatten)
+_L2_ROWS = _RowOracle(_l2_lmo, _l2, _l2)
+_L2_COLUMNS = _L2_ROWS._replace(split=_transpose, join=_transpose)
+_SPECTRAL = _RowOracle(_spectral_lmo, sigma_max, _nuclear)
+
+# The one per-kind decision: each kind's row oracle, and its dimension factor c as a
+# function of (o, i) = (d_out, d_in). Rows are the last axis for the vector kinds and
+# RowNorm, the columns for ColNorm, the flattened matrix for Sign and the whole
+# matrix for Spectral.
+_KINDS = {
+    NormKind.SIGN: (_MAX_FLAT, lambda o, i: 1.0),
+    NormKind.COL_NORM: (_L2_COLUMNS, lambda o, i: np.sqrt(o)),
+    NormKind.ROW_NORM: (_L2_ROWS, lambda o, i: 1.0 / np.sqrt(i)),
+    NormKind.SPECTRAL: (_SPECTRAL, lambda o, i: np.sqrt(o / i)),
+    NormKind.EUCLIDEAN_VEC: (_L2_ROWS, lambda o, i: 1.0),
+    NormKind.MAX_VEC: (_MAX_ROWS, lambda o, i: 1.0),
+    NormKind.RMS_VEC: (_L2_ROWS, lambda o, i: np.sqrt(o)),
+}
+
+
+@dataclass(frozen=True)
+class NormSpec:
+    """A norm ball: kind + radius + operand dimensions (vector kinds use d_in = 1)."""
+
+    kind: NormKind
+    radius: float
+    d_out: int
+    d_in: int = 1
+
+    def __post_init__(self):
+        if self.radius <= 0.0 or not np.isfinite(self.radius):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if self.d_out < 1 or self.d_in < 1:
+            raise ValueError(f"dimensions must be >= 1, got ({self.d_out}, {self.d_in})")
+        if self.kind in VECTOR_KINDS and self.d_in != 1:
+            raise ValueError(f"vector norm {self.kind.value} requires d_in = 1")
+        oracle, c = _KINDS[self.kind]
+        # Built once per instance; not fields, so equality and hashing ignore them.
+        object.__setattr__(self, "_oracle", oracle)
+        object.__setattr__(self, "_c", c(self.d_out, self.d_in))
+        object.__setattr__(self, "_matrix", not self.is_vector)
+
+    @property
+    def is_vector(self) -> bool:
+        return self.kind in VECTOR_KINDS
+
+    @classmethod
+    def vector(cls, kind: NormKind, length: int, radius: float = 1.0) -> "NormSpec":
+        return cls(kind=kind, radius=radius, d_out=length, d_in=1)
+
+
+def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowRank:
+    """Validate an operand against the spec's shape and return it as float64.
+
+    A LowRank needs a matrix kind and has its factors checked. It comes back as its
+    factors when keep_factors is set, and otherwise as its product. A non-finite
+    entry raises ValueError; the l2 kinds leave that check to `_l2_rows`, whose
+    range guard catches every non-finite entry without a pass of its own.
     """
-    k, rho = spec.kind, spec.radius
-    if k is NormKind.SIGN or k is NormKind.EUCLIDEAN_VEC or k is NormKind.MAX_VEC:
-        return rho
-    if k is NormKind.SPECTRAL:
-        return rho * np.sqrt(spec.d_out / spec.d_in)
-    if k is NormKind.COL_NORM:
-        return rho * np.sqrt(spec.d_out)
-    if k is NormKind.ROW_NORM:
-        return rho / np.sqrt(spec.d_in)
-    if k is NormKind.RMS_VEC:
-        return rho * np.sqrt(spec.d_out)
-    raise ValueError(f"unknown norm kind {k}")
+    factored = isinstance(s, LowRank)
+    if factored and not spec._matrix:
+        raise ValueError(f"a low-rank operand needs a matrix kind, not {spec.kind.value}")
+    a = s.checked() if factored else np.asarray(s, dtype=np.float64)
+    if spec._matrix and a.shape != (spec.d_out, spec.d_in):
+        raise ValueError(
+            f"expected shape ({spec.d_out}, {spec.d_in}) for {spec.kind.value}, "
+            f"got shape {a.shape}"
+        )
+    if not spec._matrix and (a.ndim not in (1, 2) or a.shape[-1] != spec.d_out):
+        raise ValueError(
+            f"expected a vector of length {spec.d_out}, or a stack of them, for "
+            f"{spec.kind.value}, got shape {a.shape}"
+        )
+    if factored:
+        if keep_factors:
+            return a
+        a = a.dense()
+    if spec._oracle.op is not _l2:
+        _check_finite(a)
+    return a
+
+
+def lmo_coefficient(spec: NormSpec) -> float:
+    """Magnitude of the lmo output's directional part, radius * c: Spectral's c is
+    sqrt(d_out / d_in), ColNorm's sqrt(d_out) per column, RowNorm's 1 / sqrt(d_in)
+    per row and RmsVec's sqrt(d); the others' is 1. Boundary initializers multiply
+    their unit-scale draws by exactly this factor."""
+    return spec.radius * spec._c
 
 
 def op_norm(a, spec: NormSpec) -> float | np.ndarray:
     """The norm named by `spec` (operator norm for matrix kinds, vector norm otherwise)."""
     m = _operand(a, spec)
-    if spec.is_vector:
-        return _vector_op_norm(m, spec)
-    k = spec.kind
-    if k is NormKind.SIGN:
-        return float(np.max(np.abs(m)))
-    if k is NormKind.COL_NORM:
-        return float(np.max(np.linalg.norm(m, axis=0)) / np.sqrt(spec.d_out))
-    if k is NormKind.ROW_NORM:
-        return float(np.sqrt(spec.d_in) * np.max(np.linalg.norm(m, axis=1)))
-    if k is NormKind.SPECTRAL:
-        return float(np.sqrt(spec.d_in / spec.d_out) * sigma_max(m))
-    raise ValueError(f"unknown norm kind {k}")
+    values = spec._oracle.op(spec._oracle.split(m))
+    if spec._matrix:
+        return float(np.max(values) / spec._c)
+    values = values / spec._c
+    return values if values.ndim else float(values)
 
 
 def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
@@ -259,36 +286,13 @@ def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
     """
     factored = isinstance(s, LowRank) and spec.kind is NormKind.SPECTRAL and ns_iters is None
     m = _operand(s, spec, keep_factors=factored)
-    if spec.is_vector:
-        return _vector_lmo(m, spec)
-    if factored:  # a zero product has rank 0, so its orthogonal factor is zero
-        q = lowrank_svd(m).orthogonal_factor()
-        return (-spec.radius * np.sqrt(spec.d_out / spec.d_in)) * q
-    if not m.any():
-        return np.zeros_like(m)
-    k = spec.kind
-    rho = spec.radius
-    if k is NormKind.SIGN:
-        return -rho * np.sign(m)
-    if k is NormKind.SPECTRAL:
-        if ns_iters is None:
-            q = svd_reduced(m).orthogonal_factor()
-        else:
-            q = newton_schulz_orthogonalize(m, ns_iters)
-        return (-rho * np.sqrt(spec.d_out / spec.d_in)) * q
-    if k is NormKind.COL_NORM:
-        norms = np.linalg.norm(m, axis=0)
-        scaled = np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)
-        return (-rho * np.sqrt(spec.d_out)) * scaled
-    if k is NormKind.ROW_NORM:
-        norms = np.linalg.norm(m, axis=1, keepdims=True)
-        scaled = np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)
-        return (-rho / np.sqrt(spec.d_in)) * scaled
-    raise ValueError(f"unknown norm kind {k}")
+    oracle = spec._oracle
+    return oracle.join(oracle.lmo(oracle.split(m), -spec.radius * spec._c, ns_iters), m)
 
 
 def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
-    """The dual norm of `s`, in closed form per kind.
+    """The dual norm of `s`: c times each row's l1, l2 or nuclear norm, summed over
+    the rows of a matrix kind.
 
     Duals: Sign -> entrywise l1; ColNorm -> sqrt(d_out) * sum of column l2 norms;
     RowNorm -> sum of row l2 norms / sqrt(d_in); Spectral -> sqrt(d_out / d_in) *
@@ -298,20 +302,11 @@ def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
     values-only factorization, so the two sides share no factorization at all.
     """
     m = _operand(s, spec)
-    if spec.is_vector:
-        return _vector_dual_norm(m, spec)
-    if not m.any():
-        return 0.0
-    k = spec.kind
-    if k is NormKind.SIGN:
-        return float(np.sum(np.abs(m)))
-    if k is NormKind.SPECTRAL:
-        return float(np.sqrt(spec.d_out / spec.d_in) * np.sum(singular_values(m)))
-    if k is NormKind.COL_NORM:
-        return float(np.sqrt(spec.d_out) * np.sum(np.linalg.norm(m, axis=0)))
-    if k is NormKind.ROW_NORM:
-        return float(np.sum(np.linalg.norm(m, axis=1)) / np.sqrt(spec.d_in))
-    raise ValueError(f"unknown norm kind {k}")
+    values = spec._oracle.dual(spec._oracle.split(m))
+    if spec._matrix:
+        return float(spec._c * np.sum(values))
+    values = spec._c * values
+    return values if values.ndim else float(values)
 
 
 def sharp_op(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:

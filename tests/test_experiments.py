@@ -372,8 +372,12 @@ class TestTrialStack:
             (Algo.USCG, 1.0, {(64, 7): 1e306, (65, 9): np.nan}),
             # a gradient that fails at a block's first step has no recorded steps before it
             (Algo.USCG, 1.0, {(65, 9): np.nan}),
-            # within a step, non-finite parameters come before the est_error
+            # a 1e306 gradient overflows trial 7's est_error at step 3, while the scale-safe
+            # sharp operator keeps its SSD step finite
             (Algo.SSD, 1.0, {(3, 7): 1e306, (3, 9): 1e308}),
+            # at rho = 1e-3 its dual_norm / rho overflows, so trial 7's parameters turn
+            # non-finite: within a step, non-finite parameters come before the est_error
+            (Algo.SSD, 1e-3, {(3, 7): 1e306, (3, 9): 1e308}),
         ],
     )
     def test_failure_order_is_per_step(self, algo, rho, poison):

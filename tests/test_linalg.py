@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,19 @@ class TestNewtonSchulz:
         target = u @ v.T
         alignment = np.sum(m * target) / np.sum(target * target)
         assert alignment >= 0.95
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e200, 1e300])
+    @pytest.mark.parametrize("shape", [(6, 6), (12, 8), (8, 12)])
+    def test_band_holds_at_every_scale(self, shape, scale):
+        # the Frobenius normalization runs at a power-of-two scale, so it neither
+        # underflows to 0/0 nor overflows to a zero direction
+        a = random_matrix(*shape, seed=shape[0] * 100 + shape[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = newton_schulz_orthogonalize(scale * a, iters=5)
+        sv = np.linalg.svd(m, compute_uv=False)
+        assert np.all(sv >= 0.65) and np.all(sv <= 1.35)
+        np.testing.assert_allclose(m, newton_schulz_orthogonalize(a, iters=5), rtol=0, atol=1e-12)
 
     def test_idempotence_band_on_semi_orthogonal(self):
         q = semi_orthogonal_init(10, 6, seed=3)

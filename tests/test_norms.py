@@ -93,6 +93,23 @@ class TestOpNorm:
         val = op_norm([[3.0, 4.0], [0.0, 1.0]], spec)
         assert val == pytest.approx(np.sqrt(2.0) * 5.0)
 
+    @pytest.mark.parametrize("shape", [(5, 4), (4, 5), (1, 6), (6, 1)])
+    def test_matrix_kinds_reduce_vector_rows(self, shape):
+        # RowNorm runs the Euclidean stack oracle on its rows, ColNorm on its columns
+        a = rng_gaussian(*shape, derive_seed(25, *shape))
+        d_out, d_in = shape
+        rows = op_norm(a, NormSpec.vector(NormKind.EUCLIDEAN_VEC, d_in))
+        cols = op_norm(a.T, NormSpec.vector(NormKind.EUCLIDEAN_VEC, d_out))
+        assert op_norm(a, NormSpec(NormKind.ROW_NORM, 1.0, *shape)) == pytest.approx(
+            np.sqrt(d_in) * np.max(rows), rel=1e-15, abs=0
+        )
+        assert op_norm(a, NormSpec(NormKind.COL_NORM, 1.0, *shape)) == pytest.approx(
+            np.max(cols) / np.sqrt(d_out), rel=1e-15, abs=0
+        )
+        flat = NormSpec.vector(NormKind.MAX_VEC, a.size)
+        assert dual_norm(a, NormSpec(NormKind.SIGN, 1.0, *shape)) == dual_norm(a.ravel(), flat)
+        assert op_norm(a, NormSpec(NormKind.SIGN, 1.0, *shape)) == op_norm(a.ravel(), flat)
+
     def test_shape_mismatch(self):
         spec = NormSpec(NormKind.SIGN, 1.0, 2, 2)
         with pytest.raises(ValueError, match="expected shape"):
@@ -359,16 +376,25 @@ class TestVectorStacks:
 
 
 class TestScaleSafeL2:
-    """The l2 vector kinds form each row's norm at a power-of-two scale when its
-    plain sum of squares would overflow, underflow or lose precision; other rows
-    keep the plain formulas, bit for bit."""
+    """The l2 kinds (the Euclidean and RMS vectors, ColNorm's columns and RowNorm's
+    rows) form each row's norm at a power-of-two scale when its plain sum of squares
+    would overflow, underflow or lose precision; other rows keep the plain formulas,
+    bit for bit."""
 
     L2_KINDS = [NormKind.EUCLIDEAN_VEC, NormKind.RMS_VEC]
+    L2_MATRIX_KINDS = [NormKind.COL_NORM, NormKind.ROW_NORM]
 
     def unit_stack(self, d):
         rows = rng_gaussian(d, 1, [derive_seed(23, t) for t in range(5)])[..., 0]
         rows[2] = 0.0
         return rows
+
+    def unit_matrix(self, shape):
+        """A Gaussian matrix with a zero row and a zero column."""
+        m = rng_gaussian(*shape, derive_seed(24, *shape))
+        m[1] = 0.0
+        m[:, 2] = 0.0
+        return m
 
     def test_overflowing_norm_example(self):
         spec = NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2)
@@ -403,6 +429,38 @@ class TestScaleSafeL2:
         np.testing.assert_allclose(norm, scale * op_norm(rows, spec), rtol=1e-12, atol=0)
         assert np.all(np.abs(pairing) <= 1e-12 * radius * dual)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e200, 1e300])
+    @pytest.mark.parametrize("shape", [(5, 4), (4, 5)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("kind", L2_MATRIX_KINDS, ids=lambda k: k.value)
+    def test_matrix_boundary_and_pairing_at_every_scale(self, kind, shape, scale):
+        radius = 1.7
+        spec = NormSpec(kind, radius, *shape)
+        unit = self.unit_matrix(shape)
+        s = scale * unit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lmo(s, spec)
+            bound = op_norm(out, spec)
+            dual = dual_norm(s, spec)
+            norm = op_norm(s, spec)
+            pairing = float(np.vdot(s, out)) + radius * dual
+        zero = out[:, 2] if kind is NormKind.COL_NORM else out[1]
+        assert np.all(zero == 0.0)
+        assert bound == pytest.approx(radius, rel=1e-12, abs=0)
+        np.testing.assert_allclose(out, lmo(unit, spec), rtol=1e-12)
+        assert dual == pytest.approx(scale * dual_norm(unit, spec), rel=1e-12, abs=0)
+        assert norm == pytest.approx(scale * op_norm(unit, spec), rel=1e-12, abs=0)
+        assert abs(pairing) <= 1e-12 * radius * dual
+
+    @pytest.mark.parametrize("kind", L2_KINDS + L2_MATRIX_KINDS, ids=lambda k: k.value)
+    def test_dual_past_the_range_is_inf(self, kind):
+        spec = make_spec(kind, 5, 4)
+        s = np.full((5,) if spec.is_vector else (5, 4), 1e308)
+        with np.errstate(over="ignore"):
+            assert dual_norm(s, spec) == np.inf
+        # while its lmo is still the direction of the operand
+        np.testing.assert_allclose(lmo(s, spec), lmo(np.ones_like(s), spec), rtol=1e-15)
+
     @pytest.mark.parametrize("kind", L2_KINDS, ids=lambda k: k.value)
     def test_rows_in_range_keep_their_bits(self, kind):
         spec = NormSpec.vector(kind, 9, radius=0.7)
@@ -427,6 +485,8 @@ class TestScaleSafeL2:
         operands = [random_operand(spec, 29)]
         if kind in VECTOR_KINDS:
             operands += [self.unit_stack(6), 1e300 * self.unit_stack(6)]
+        elif kind in self.L2_MATRIX_KINDS:
+            operands += [self.unit_matrix((6, 4)), 1e300 * self.unit_matrix((6, 4))]
         for s in operands:
             s.flat[1] = value
             for fn in (lmo, op_norm, dual_norm, sharp_op):
