@@ -20,8 +20,9 @@ for name in ("uscg", "scg"):
     print(f"  fitted log-log slope {rep.slope:.3f} (theory -0.25, anything <= -0.15 passes)")
 
 plateau = rate_harness("uscg", "constant", [2048], problem, trials=5, alpha=0.1)
-print(f"\nconstant-alpha plateaus: {plateau.plateaus[0]:.4f} at sigma, "
-      f"{plateau.plateaus[1]:.4f} at 2*sigma  (ratio {plateau.plateau_ratio:.2f})")
+low, high = plateau.mean_criticality
+print(f"\nconstant-alpha plateaus: {low:.4f} at sigma, "
+      f"{high:.4f} at 2*sigma  (ratio {plateau.plateau_ratio:.2f})")
 
 probe = error_decay_probe(problem, n=1024, trials=5)
 print(f"momentum-error decay slope: {probe.slope:.3f} (theory envelope -0.5)")

@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -459,6 +459,14 @@ def _build_schedule(cfg: dict, horizon: int) -> ScheduleSpec:
     )
 
 
+def _build_problem(cls, cfg: dict):
+    """A problem dataclass from the config: each field f from key "problem.f", and
+    the seed from "seed"."""
+    return cls(**{
+        f.name: cfg["seed" if f.name == "seed" else "problem." + f.name] for f in fields(cls)
+    })
+
+
 def _check_train(cfg: dict) -> None:
     """`train`'s rules that tie one key's range to another key's value."""
     name = cfg["optimizer.algo"]
@@ -491,12 +499,7 @@ def cmd_train(cfg: dict) -> int:
     seed = cfg["seed"]
     summary: dict = {"command": "train", "config": cfg, "steps": horizon}
     if cfg["problem.kind"] == "quadratic":
-        problem = StochasticQuadratic(
-            dim=cfg["problem.dim"],
-            noise=cfg["problem.noise"],
-            conditioning=cfg["problem.conditioning"],
-            seed=seed,
-        )
+        problem = _build_problem(StochasticQuadratic, cfg)
         x, diags = train_quadratic(
             problem, algo, schedule,
             rho=cfg["problem.rho"],
@@ -515,15 +518,7 @@ def cmd_train(cfg: dict) -> int:
             classes = int(train_y.max()) + 1
             dim = train_x.shape[0]
         else:
-            problem = SyntheticClassification(
-                dim=cfg["problem.dim"],
-                classes=cfg["problem.classes"],
-                clusters=cfg["problem.clusters"],
-                noise=cfg["problem.noise"],
-                train_size=cfg["problem.train_size"],
-                test_size=cfg["problem.test_size"],
-                seed=seed,
-            )
+            problem = _build_problem(SyntheticClassification, cfg)
             train_x, train_y, _, _ = gen_synthetic(problem)
             classes, dim = problem.classes, problem.dim
         dims = [dim] + list(cfg["model.hidden"]) + [classes]
@@ -591,15 +586,7 @@ def cmd_sweep(cfg: dict) -> int:
         grid = [float("inf")]
     _require(max(grid) <= 1.0, "gamma.start", "times key 'gamma.factor' ** (gamma.count - 1), "
              "the largest grid stepsize, must be <= 1", max(grid))
-    problem = SyntheticClassification(
-        dim=cfg["problem.dim"],
-        classes=cfg["problem.classes"],
-        clusters=cfg["problem.clusters"],
-        noise=cfg["problem.noise"],
-        train_size=cfg["problem.train_size"],
-        test_size=cfg["problem.test_size"],
-        seed=cfg["seed"],
-    )
+    problem = _build_problem(SyntheticClassification, cfg)
     report = lr_transfer_sweep(
         cfg["widths"], grid, problem,
         epochs=cfg["epochs"],
@@ -633,12 +620,7 @@ def cmd_rate(cfg: dict) -> int:
     # constant mode runs only max(n_list); vanishing mode fits a slope across horizons
     _require(cfg["mode"] != "vanishing" or len(set(n_list)) >= 2, "n_list",
              "must hold two distinct horizons when key 'mode' is vanishing", n_list)
-    problem = StochasticQuadratic(
-        dim=cfg["problem.dim"],
-        noise=cfg["problem.noise"],
-        conditioning=cfg["problem.conditioning"],
-        seed=cfg["seed"],
-    )
+    problem = _build_problem(StochasticQuadratic, cfg)
     report = rate_harness(
         cfg["optimizer"], cfg["mode"], cfg["n_list"], problem,
         trials=cfg["trials"],
@@ -654,12 +636,13 @@ def cmd_rate(cfg: dict) -> int:
         print(f"{report.optimizer} fitted log-log slope: {report.slope:.4f}")
     else:
         n, gamma = max(report.n_list), report.gammas[0]
+        plateaus = report.mean_criticality
         write_csv(base + ".csv", ("n", "gamma", "noise_level", "plateau"),
-                  ((n, n), (gamma, gamma), ("sigma", "2sigma"), report.plateaus),
+                  ((n, n), (gamma, gamma), ("sigma", "2sigma"), plateaus),
                   comments=comments)
         print(
-            f"{report.optimizer} plateaus: {report.plateaus[0]:.5f} @ sigma, "
-            f"{report.plateaus[1]:.5f} @ 2*sigma (ratio {report.plateau_ratio:.3f})"
+            f"{report.optimizer} plateaus: {plateaus[0]:.5f} @ sigma, "
+            f"{plateaus[1]:.5f} @ 2*sigma (ratio {report.plateau_ratio:.3f})"
         )
     summary = {
         "command": "rate",

@@ -9,7 +9,7 @@ by optimizer state), so equivalence assertions can demand exact agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from numbers import Integral
 from typing import Sequence
 
@@ -80,7 +80,10 @@ class RunDiagnostics:
     loss / grad_dual_norm / fw_gap / param_norm / feasible describe the iterate x^k
     before the step; est_error is ||d^k - g_ref(x^k)||_2 pairing the freshly updated
     averaged direction with a reference gradient at that same iterate (exact on the
-    quadratic, a large-batch proxy on data problems).
+    quadratic, a large-batch proxy on data problems). grad_dual_norm is
+    sum_i radius_i * dual_norm(g_ref_i), the dual of the composite norm that
+    param_norm measures, so fw_gap = <g_ref, x^k> + grad_dual_norm. Both training
+    drivers fill these six columns through `record` alone.
 
     A trial stack allocates its per-trial columns as (T, n) arrays; each trial's
     record then holds row views of them and shares the stack's steps, gamma and
@@ -122,6 +125,28 @@ class RunDiagnostics:
             np.empty(shape, dtype=bool),
         )
 
+    def record(self, cut, spec: ModelNormSpec, loss, x, ref, d) -> tuple:
+        """Fill loss, grad_dual_norm, fw_gap, param_norm, est_error and feasible at
+        `cut` of the columns' step axis, and return the fw_gap, param_norm and
+        est_error values.
+
+        x, the reference gradient ref at x and the direction d are parameter lists
+        in spec's layout, and loss is the loss at x. A stacked vector atom holds one
+        row per recorded (step, trial) pair, step-major, and its values fill the
+        (T, n) columns of a stack. A value past float64's range is recorded as it is.
+        """
+        atoms = spec.atoms()
+        with np.errstate(over="ignore", invalid="ignore"):
+            duals = [dual_norm(r, a) for r, a in zip(ref, atoms)]
+            dual = sum(a.radius * v for a, v in zip(atoms, duals))
+            gap = gap_from_duals(ref, x, spec, duals)
+            pnorm = composite_norm(x, spec)
+            err = np.sqrt(sum(_squared_l2(di - ri, a) for di, ri, a in zip(d, ref, atoms)))
+        values = (loss, dual, gap, pnorm, err, pnorm <= 1.0 + FEASIBLE_TOL)
+        for column, v in zip(self.columns()[3:], values):
+            column[..., cut] = np.reshape(v, (-1, *column.shape[:-1])).T
+        return gap, pnorm, err
+
     def trial(self, i: int) -> "RunDiagnostics":
         """Row i of a stack's record, as views."""
         return RunDiagnostics(
@@ -136,8 +161,12 @@ class RunDiagnostics:
         return len(self.steps)
 
 
-def _flat_l2(arrays: Sequence[np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(np.vdot(a, a)) for a in arrays)))
+def _squared_l2(e: np.ndarray, atom: NormSpec):
+    """||e||_2^2, one value per row of a stacked vector atom (formed as
+    np.linalg.norm forms it)."""
+    if atom.is_vector and e.ndim == 2:
+        return np.add.reduce(e * e, axis=-1)
+    return float(np.vdot(e, e))
 
 
 # The checks of one quadratic step, in the order a failure is reported: the
@@ -226,7 +255,9 @@ def train_quadratic(
 
     The recorded columns are taken once per block of _NOISE_BLOCK steps (and at the
     horizon): each step copies x^k, the exact gradient and d^k into block buffers,
-    and each column is then one call on the block's (steps * T, dim) stack.
+    and one RunDiagnostics.record call then fills every column from the block's
+    (steps * T, dim) stacks. The ball is the l2 ball of radius rho, so
+    grad_dual_norm is rho * ||grad f(x^k)||_2 and param_norm is ||x^k||_2 / rho.
 
     A non-finite gradient or iterate, or a recorded fw_gap, param_norm or est_error
     past float64's range (as under a tiny rho or a huge noise), raises
@@ -248,7 +279,6 @@ def train_quadratic(
     if not trials:
         raise ValueError("trial must name at least one trial")
     spec = quadratic_norm_spec(problem.dim, rho)
-    atom = spec.atoms()[0]
     x = [problem.start_point(trials, scale=rho if algo is Algo.SCG else _START_SCALE)]
     state = OptimizerState.init(x)
     n, count = schedule.horizon, len(trials)
@@ -260,24 +290,12 @@ def train_quadratic(
         """Record the block's first `rows` steps, from step `start` on, into the
         stack's columns; return the first failure (or None) of each recorded check."""
         xb, eb, db = (b[:rows].reshape(rows * count, problem.dim) for b in block)
-        # A value past float64's range (a tiny rho, a huge noise) fails below, by name.
-        with np.errstate(over="ignore", invalid="ignore"):
-            dual = dual_norm(eb, atom)
-            gap = gap_from_duals([eb], [xb], spec, (dual,))
-            pnorm = composite_norm([xb], spec)
-            err = np.linalg.norm(db - eb, axis=-1)
         cut = slice(start - 1, start - 1 + rows)
-        for column, values in (
-            (stack.loss, problem.loss(xb)),
-            (stack.grad_dual_norm, dual),
-            (stack.fw_gap, gap),
-            (stack.param_norm, pnorm),
-            (stack.est_error, err),
-        ):
-            column[:, cut] = values.reshape(rows, count).T
-        stack.feasible[:, cut] = stack.param_norm[:, cut] <= 1.0 + FEASIBLE_TOL
-        checked = (("fw_gap", gap), ("param_norm", pnorm), ("est_error", err))
-        return [_failure(v.reshape(rows, count), start, trials, c) for c, v in checked]
+        checked = stack.record(cut, spec, problem.loss(xb), [xb], [eb], [db])
+        return [
+            _failure(v.reshape(rows, count), start, trials, c)
+            for c, v in zip(("fw_gap", "param_norm", "est_error"), checked)
+        ]
 
     def close(rows: int, start: int, failure) -> None:
         """Record the block's first `rows` steps when recording, then raise the
@@ -334,11 +352,10 @@ def train_classifier(
 
     Gradient-dual-norm, gap, and estimator-error columns use a large probe batch
     (probe_factor times the minibatch, capped at the dataset size) as a stand-in for
-    the exact gradient; on data problems these are proxies. Each probe gradient's
-    per-atom dual norms are taken once and feed both the dual-norm and gap columns.
+    the exact gradient; on data problems these are proxies. The row of step k is
+    recorded once the step has formed d^k, from the iterate x^k before it.
     """
     spec = model.norm_spec()
-    atoms = spec.atoms()
     n = train_x.shape[1]
     batch_size = min(batch_size, n)
     x = model.parameters()
@@ -365,24 +382,12 @@ def train_classifier(
             _, probe_g = loss_and_grad(
                 model, train_x[:, :probe_n], train_y[:probe_n], loss
             )
-            cnorm = composite_norm(x, spec)
-            duals = [dual_norm(gi, a) for gi, a in zip(probe_g, atoms)]
-            grad_dual = sum(a.radius * dual for dual, a in zip(duals, atoms))
-            gap = gap_from_duals(probe_g, x, spec, duals)
-        x, d_k = apply_step(
+        new_x, d_k = apply_step(
             algo, x, state, g, gamma, alpha, spec, ns_iters=ns_iters, mu=mu, beta=beta
         )
         if record:
-            row = (
-                batch_loss,
-                grad_dual,
-                gap,
-                cnorm,
-                _flat_l2([di - gi for di, gi in zip(d_k, probe_g)]),
-                cnorm <= 1.0 + FEASIBLE_TOL,
-            )
-            for column, value in zip(diags.columns()[3:], row):
-                column[k - 1] = value
+            diags.record(slice(k - 1, k), spec, batch_loss, x, probe_g, d_k)
+        x = new_x
         for p in x:
             if not np.all(np.isfinite(p)):
                 raise NumericalFailure(k, "non-finite parameters")
@@ -557,8 +562,9 @@ def lr_transfer_sweep(
 
 @dataclass(frozen=True)
 class RateReport:
-    """Criticality means per horizon plus the log-log slope fit (vanishing mode), or
-    plateau levels at two noise strengths (constant mode)."""
+    """Mean criticality per run: per horizon with the log-log slope fit (vanishing
+    mode), or the plateau levels at the problem's noise and at double it with their
+    ratio (constant mode)."""
 
     optimizer: str
     mode: str
@@ -566,7 +572,6 @@ class RateReport:
     gammas: tuple[float, ...]
     mean_criticality: tuple[float, ...]
     slope: float | None
-    plateaus: tuple[float, float] | None
     plateau_ratio: float | None
     constants: dict
 
@@ -590,7 +595,8 @@ def rate_harness(
     constrained one. Constant mode fixes alpha, sets gamma = 1 / sqrt(n) at the
     largest horizon, and measures the plateau (mean criticality over the last quarter
     of steps) at the problem's noise level and at double that level. Each horizon
-    or noise level runs all its trials at once on train_quadratic's trial axis.
+    or noise level is one run, whose trials run at once on train_quadratic's trial
+    axis; mean_criticality holds one value per run.
     The reported constants block documents the problem's known regularity values;
     they are not enforced at runtime.
     """
@@ -619,7 +625,7 @@ def rate_harness(
         "zeta": 1.0,  # the dual norm here is the l2 norm itself
     }
 
-    def mean_criticality(prob, schedule: ScheduleSpec, tail: int = 0) -> float:
+    def mean_criticality(prob, schedule: ScheduleSpec, tail: int) -> float:
         """Mean over the trials of each run's criticality averaged from step tail + 1."""
         _, diags = train_quadratic(prob, algo, schedule, trial=range(trials), rho=rho)
         return float(np.mean([
@@ -627,55 +633,32 @@ def rate_harness(
             for d in diags
         ]))
 
+    runs = []
     if mode == "vanishing":
-        gammas = []
-        means = []
         for n in n_list:
             gamma = theory_gamma(n)
             lo, hi = 1.0 / (2.0 * n**0.75), 1.0 / n**0.75
             if not lo < gamma < hi:
                 raise AssertionError(f"theory gamma {gamma} outside ({lo}, {hi}) for n={n}")
-            gammas.append(gamma)
-            schedule = ScheduleSpec(horizon=n, gamma0=gamma, alpha_kind=AlphaKind.VANISHING)
-            means.append(mean_criticality(problem, schedule))
+            runs.append(
+                (problem, ScheduleSpec(horizon=n, gamma0=gamma, alpha_kind=AlphaKind.VANISHING), 0)
+            )
+    else:
+        n = max(n_list)
+        schedule = ScheduleSpec(horizon=n, gamma0=float(1.0 / np.sqrt(n)), alpha0=alpha)
+        for factor in (1.0, 2.0):
+            if not np.isfinite(problem.noise * factor):
+                # The level itself overflows; its run would fail at its first gradient.
+                raise NumericalFailure(1, f"non-finite noise level {factor:g} * {problem.noise!r}")
+            runs.append((replace(problem, noise=problem.noise * factor), schedule, 3 * n // 4))
+    gammas = tuple(schedule.gamma0 for _, schedule, _ in runs)
+    means = tuple(mean_criticality(*run) for run in runs)
+    if mode == "vanishing":
         slope = float(np.polyfit(np.log(np.asarray(n_list, float)), np.log(means), 1)[0])
-        return RateReport(
-            optimizer=optimizer,
-            mode=mode,
-            n_list=n_list,
-            gammas=tuple(gammas),
-            mean_criticality=tuple(means),
-            slope=slope,
-            plateaus=None,
-            plateau_ratio=None,
-            constants=constants,
-        )
-    n = max(n_list)
-    gamma = float(1.0 / np.sqrt(n))
-    plateaus = []
-    for factor in (1.0, 2.0):
-        if not np.isfinite(problem.noise * factor):
-            # The level itself overflows; its run would fail at its first gradient.
-            raise NumericalFailure(1, f"non-finite noise level {factor:g} * {problem.noise!r}")
-        scaled = type(problem)(
-            dim=problem.dim,
-            noise=problem.noise * factor,
-            conditioning=problem.conditioning,
-            seed=problem.seed,
-        )
-        schedule = ScheduleSpec(horizon=n, gamma0=gamma, alpha0=alpha)
-        plateaus.append(mean_criticality(scaled, schedule, tail=3 * n // 4))
-    return RateReport(
-        optimizer=optimizer,
-        mode=mode,
-        n_list=n_list,
-        gammas=(gamma,),
-        mean_criticality=tuple(plateaus),
-        slope=None,
-        plateaus=(plateaus[0], plateaus[1]),
-        plateau_ratio=plateaus[1] / plateaus[0],
-        constants=constants,
-    )
+        ratio = None
+    else:  # the two noise levels run at one stepsize
+        gammas, slope, ratio = gammas[:1], None, means[1] / means[0]
+    return RateReport(optimizer, mode, n_list, gammas, means, slope, ratio, constants)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,10 @@ Conventions, chosen once and relied on by everything downstream:
   * The l2 kinds (EuclideanVec, RmsVec, ColNorm, RowNorm) are scale-safe: a row
     whose sum of squares would overflow or underflow is normalized at a power of
     two (`_l2_rows`), so the lmo stays on the boundary for every finite operand;
-    every other row keeps the plain formula's bits.
+    every other row keeps the plain formula's bits. op_norm and dual_norm apply c
+    to such a row's norm before they map it back by its power of two (a matrix
+    kind's dual sums its rows at one power of two), so a norm that c brings back
+    into float64's range stays finite.
   * Vector kinds also take a (T, d) stack and act row by row: op_norm, dual_norm
     and composite_norm return one value per row. Matrix kinds take one matrix.
   * Matrix kinds also take a `linalg.LowRank` left @ right.T. The exact spectral
@@ -126,8 +129,9 @@ def _unflatten(r, m):
 
 class _RowOracle(NamedTuple):
     """lmo(rows, coef, ns_iters) is coef times each row's unit direction; op(rows)
-    and dual(rows) give each row's op-norm and dual-norm value. The rows are
-    split(m), and join(r, m) takes their lmo r back to the operand's shape."""
+    and dual(rows) give each row's op-norm and dual-norm value as (v, e), the value
+    v * 2**e, with e None when it is 0 for every row. The rows are split(m), and
+    join(r, m) takes their lmo r back to the operand's shape."""
 
     lmo: Callable
     op: Callable
@@ -141,11 +145,11 @@ def _sign_lmo(r, coef, ns_iters):
 
 
 def _max_abs(r):
-    return np.max(np.abs(r), axis=-1)
+    return np.max(np.abs(r), axis=-1), None
 
 
 def _l1(r):
-    return np.sum(np.abs(r), axis=-1)
+    return np.sum(np.abs(r), axis=-1), None
 
 
 def _l2_lmo(r, coef, ns_iters):
@@ -157,7 +161,7 @@ def _l2_lmo(r, coef, ns_iters):
 
 def _l2(r):
     _, norms, e = _l2_rows(r)
-    return (norms if e is None else np.ldexp(norms, e))[..., 0]
+    return norms[..., 0], (None if e is None else e[..., 0])
 
 
 def _spectral_lmo(m, coef, ns_iters):
@@ -170,15 +174,19 @@ def _spectral_lmo(m, coef, ns_iters):
     return coef * newton_schulz_orthogonalize(m, ns_iters)
 
 
+def _sigma_max(m):
+    return sigma_max(m), None
+
+
 def _nuclear(m):
-    return np.sum(singular_values(m)) if m.any() else 0.0
+    return (np.sum(singular_values(m)) if m.any() else 0.0), None
 
 
 _MAX_ROWS = _RowOracle(_sign_lmo, _max_abs, _l1)
 _MAX_FLAT = _MAX_ROWS._replace(split=_flatten, join=_unflatten)
 _L2_ROWS = _RowOracle(_l2_lmo, _l2, _l2)
 _L2_COLUMNS = _L2_ROWS._replace(split=_transpose, join=_transpose)
-_SPECTRAL = _RowOracle(_spectral_lmo, sigma_max, _nuclear)
+_SPECTRAL = _RowOracle(_spectral_lmo, _sigma_max, _nuclear)
 
 # The one per-kind decision: each kind's row oracle, and its dimension factor c as a
 # function of (o, i) = (d_out, d_in). Rows are the last axis for the vector kinds and
@@ -268,10 +276,12 @@ def lmo_coefficient(spec: NormSpec) -> float:
 def op_norm(a, spec: NormSpec) -> float | np.ndarray:
     """The norm named by `spec` (operator norm for matrix kinds, vector norm otherwise)."""
     m = _operand(a, spec)
-    values = spec._oracle.op(spec._oracle.split(m))
-    if spec._matrix:
-        return float(np.max(values) / spec._c)
+    values, e = spec._oracle.op(spec._oracle.split(m))
     values = values / spec._c
+    if e is not None:
+        values = np.ldexp(values, e)
+    if spec._matrix:
+        return float(np.max(values))
     return values if values.ndim else float(values)
 
 
@@ -302,11 +312,17 @@ def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
     values-only factorization, so the two sides share no factorization at all.
     """
     m = _operand(s, spec)
-    values = spec._oracle.dual(spec._oracle.split(m))
-    if spec._matrix:
-        return float(spec._c * np.sum(values))
-    values = spec._c * values
-    return values if values.ndim else float(values)
+    values, e = spec._oracle.dual(spec._oracle.split(m))
+    if not spec._matrix:
+        values = spec._c * values
+        if e is not None:
+            values = np.ldexp(values, e)
+        return values if values.ndim else float(values)
+    # A matrix kind sums its rows at the power of two 2**top of its largest row.
+    top = 0 if e is None else int(np.max(e))
+    if e is not None:
+        values = np.ldexp(values, e - top)
+    return float(np.ldexp(spec._c * np.sum(values), top))
 
 
 def sharp_op(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:

@@ -379,7 +379,8 @@ class TestScaleSafeL2:
     """The l2 kinds (the Euclidean and RMS vectors, ColNorm's columns and RowNorm's
     rows) form each row's norm at a power-of-two scale when its plain sum of squares
     would overflow, underflow or lose precision; other rows keep the plain formulas,
-    bit for bit."""
+    bit for bit. The max-based kinds and the exact spectral lmo keep the same
+    boundary and pairing at every scale."""
 
     L2_KINDS = [NormKind.EUCLIDEAN_VEC, NormKind.RMS_VEC]
     L2_MATRIX_KINDS = [NormKind.COL_NORM, NormKind.ROW_NORM]
@@ -407,7 +408,7 @@ class TestScaleSafeL2:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e200, 1e300])
     @pytest.mark.parametrize("stacked", [False, True], ids=["vector", "stack"])
-    @pytest.mark.parametrize("kind", L2_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", [*L2_KINDS, NormKind.MAX_VEC], ids=lambda k: k.value)
     def test_boundary_and_pairing_at_every_scale(self, kind, stacked, scale):
         radius = 1.7
         spec = NormSpec.vector(kind, 9, radius=radius)
@@ -431,7 +432,9 @@ class TestScaleSafeL2:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e200, 1e300])
     @pytest.mark.parametrize("shape", [(5, 4), (4, 5)], ids=["tall", "wide"])
-    @pytest.mark.parametrize("kind", L2_MATRIX_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "kind", [*L2_MATRIX_KINDS, NormKind.SIGN, NormKind.SPECTRAL], ids=lambda k: k.value
+    )
     def test_matrix_boundary_and_pairing_at_every_scale(self, kind, shape, scale):
         radius = 1.7
         spec = NormSpec(kind, radius, *shape)
@@ -445,9 +448,12 @@ class TestScaleSafeL2:
             norm = op_norm(s, spec)
             pairing = float(np.vdot(s, out)) + radius * dual
         zero = out[:, 2] if kind is NormKind.COL_NORM else out[1]
-        assert np.all(zero == 0.0)
+        # The row oracles zero a zero row exactly. The spectral lmo's zero row is U's,
+        # zero only to rounding, so its entries are also compared at 1e-12 absolute.
+        atol = 1e-12 * radius if kind is NormKind.SPECTRAL else 0.0
+        assert np.all(np.abs(zero) <= atol)
         assert bound == pytest.approx(radius, rel=1e-12, abs=0)
-        np.testing.assert_allclose(out, lmo(unit, spec), rtol=1e-12)
+        np.testing.assert_allclose(out, lmo(unit, spec), rtol=1e-12, atol=atol)
         assert dual == pytest.approx(scale * dual_norm(unit, spec), rel=1e-12, abs=0)
         assert norm == pytest.approx(scale * op_norm(unit, spec), rel=1e-12, abs=0)
         assert abs(pairing) <= 1e-12 * radius * dual
@@ -460,6 +466,25 @@ class TestScaleSafeL2:
             assert dual_norm(s, spec) == np.inf
         # while its lmo is still the direction of the operand
         np.testing.assert_allclose(lmo(s, spec), lmo(np.ones_like(s), spec), rtol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-308])
+    @pytest.mark.parametrize(
+        "fn, kind, shape",
+        [
+            (op_norm, NormKind.RMS_VEC, (9,)),
+            (op_norm, NormKind.COL_NORM, (9, 2)),
+            (dual_norm, NormKind.ROW_NORM, (1, 4)),
+        ],
+        ids=["rms_vec_op", "col_norm_op", "row_norm_dual"],
+    )
+    def test_c_shrinks_a_row_norm_before_its_map_back(self, fn, kind, shape, scale):
+        # Each row's l2 norm is 3 or 2 times the scale, past float64's range at
+        # 1e308, and c (1/3 or 1/2) brings the value back to the scale itself.
+        spec = make_spec(kind, *shape) if len(shape) == 2 else make_spec(kind, shape[0], 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fn(np.full(shape, scale), spec)
+        assert value == pytest.approx(scale, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("kind", L2_KINDS, ids=lambda k: k.value)
     def test_rows_in_range_keep_their_bits(self, kind):
