@@ -352,9 +352,16 @@ def train_classifier(
 
     Gradient-dual-norm, gap, and estimator-error columns use a large probe batch
     (probe_factor times the minibatch, capped at the dataset size) as a stand-in for
-    the exact gradient; on data problems these are proxies. The row of step k is
-    recorded once the step has formed d^k, from the iterate x^k before it.
+    the exact gradient; on data problems these are proxies. The probe gradient is
+    streamed in chunks of batch_size columns, so no pass holds more than one
+    minibatch of activations: it is bit-identical to a one-shot loss_and_grad when
+    the probe fits in one batch, and equal up to summation order otherwise. The row
+    of step k is recorded once the step has formed d^k, from the iterate x^k before
+    it.
     """
+    for name, value in (("batch_size", batch_size), ("probe_factor", probe_factor)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     spec = model.norm_spec()
     n = train_x.shape[1]
     batch_size = min(batch_size, n)
@@ -379,9 +386,7 @@ def train_classifier(
             if not np.all(np.isfinite(gi)):
                 raise NumericalFailure(k, "non-finite gradient")
         if record:
-            _, probe_g = loss_and_grad(
-                model, train_x[:, :probe_n], train_y[:probe_n], loss
-            )
+            probe_g = _probe_grad(model, train_x, train_y, loss, probe_n, batch_size)
         new_x, d_k = apply_step(
             algo, x, state, g, gamma, alpha, spec, ns_iters=ns_iters, mu=mu, beta=beta
         )
@@ -393,6 +398,29 @@ def train_classifier(
                 raise NumericalFailure(k, "non-finite parameters")
         model.set_parameters(x)
     return model, diags
+
+
+def _probe_grad(
+    model: MlpModel, train_x: np.ndarray, train_y: np.ndarray, loss: Loss, probe_n: int,
+    chunk: int,
+) -> list[np.ndarray]:
+    """loss_and_grad's gradient over the first probe_n samples, as the mean of its
+    gradients over consecutive chunks of `chunk` samples, each weighted by its share
+    of probe_n and summed in place. A probe of one chunk is weighted by exactly 1.0,
+    so it is bit-identical to one loss_and_grad call."""
+    total = None
+    for start in range(0, probe_n, chunk):
+        stop = min(start + chunk, probe_n)
+        _, g = loss_and_grad(model, train_x[:, start:stop], train_y[start:stop], loss)
+        share = (stop - start) / probe_n
+        for gi in g:
+            gi *= share
+        if total is None:
+            total = g
+        else:
+            for t, gi in zip(total, g):
+                t += gi
+    return total
 
 
 @dataclass(frozen=True)

@@ -343,9 +343,8 @@ def backward_factors(
         grads_rev.append(LowRank(delta, h_prev))
         if idx > 0:
             prev_act = model.layers[idx - 1].activation
-            delta = (model.weights[idx].T @ delta) * activation_grad(
-                prev_act, cache.preacts[idx - 1]
-            )
+            delta = model.weights[idx].T @ delta
+            delta *= activation_grad(prev_act, cache.preacts[idx - 1])
     return grads_rev[::-1]
 
 
@@ -389,9 +388,10 @@ def loss_and_grad(
         if np.any(y < 0) or np.any(y >= logits.shape[0]):
             raise ValueError("label outside the logit range")
         shifted = logits - logits.max(axis=0, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=0))
+        soft = np.exp(shifted)
+        logz = np.log(np.sum(soft, axis=0))
         value = float(np.mean(logz - shifted[y, np.arange(batch)]))
-        soft = np.exp(shifted) / np.exp(logz)
+        soft /= np.exp(logz)
         soft[y, np.arange(batch)] -= 1.0
         dlogits = soft / batch
     else:

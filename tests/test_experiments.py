@@ -545,28 +545,59 @@ class TestRecordedDiagnostics:
         gap_less_inner = diags.fw_gap[k - 1] - inner
         assert gap_less_inner == pytest.approx(diags.grad_dual_norm[k - 1], rel=1e-12, abs=0)
 
-    def test_spectral_mlp_probe_columns(self):
-        prob = SyntheticClassification(dim=8, classes=3, train_size=64, test_size=0, seed=3)
+    @pytest.mark.parametrize(
+        "train_size, batch_size, probe_factor, probe_n",
+        [
+            (64, 16, 2, 32),  # two whole chunks
+            (100, 16, 8, 100),  # capped at the dataset: six chunks of 16, then 4
+            (64, 16, 1, 16),  # one chunk
+            (24, 32, 4, 24),  # one chunk: the batch is capped at the dataset
+        ],
+    )
+    def test_spectral_mlp_probe_columns(
+        self, monkeypatch, train_size, batch_size, probe_factor, probe_n
+    ):
+        """The probe is streamed in batch_size chunks; the columns match a one-shot
+        loss_and_grad over the first probe_n samples, bit for bit in one chunk."""
+        prob = SyntheticClassification(dim=8, classes=3, train_size=train_size,
+                                       test_size=0, seed=3)
         tx, ty, _, _ = gen_synthetic(prob)
         # recommended family: spectral hidden layers, and a sign output layer whose
         # radius 1/16 makes a dropped radius show in both columns
         specs = build_config(Domain.IMAGE, (8, 16, 16, 3))
         sch = ScheduleSpec(horizon=4, gamma0=0.1, alpha0=0.2)
-        kw = dict(batch_size=16, probe_factor=2)
+        kw = dict(batch_size=batch_size, probe_factor=probe_factor)
+        directions = []
+        record = RunDiagnostics.record
+
+        def spy(diags, cut, spec, loss, x, ref, d):
+            directions.append([di.copy() for di in d])
+            return record(diags, cut, spec, loss, x, ref, d)
+
+        monkeypatch.setattr(RunDiagnostics, "record", spy)
         _, diags = train_classifier(init_model(specs, 0), tx, ty, Algo.SCG, sch, **kw)
+        want = RunDiagnostics.allocate(sch.horizon)
         for k in diags.steps:
             model = init_model(specs, 0)
             if k > 1:
                 model, _ = train_classifier(
                     model, tx, ty, Algo.SCG, replace(sch, horizon=k - 1), record=False, **kw
                 )
-            _, probe_g = loss_and_grad(model, tx[:, :32], ty[:32], Loss.LOGISTIC)
+            _, probe_g = loss_and_grad(model, tx[:, :probe_n], ty[:probe_n], Loss.LOGISTIC)
             spec = model.norm_spec()
             dual = sum(a.radius * dual_norm(g, a) for g, a in zip(probe_g, spec.atoms()))
             gap = fw_gap(probe_g, model.parameters(), spec)
             assert diags.grad_dual_norm[k - 1] == pytest.approx(dual, rel=1e-12, abs=0)
             assert diags.fw_gap[k - 1] == pytest.approx(gap, rel=1e-12, abs=0)
             self.assert_gap_identity(diags, k, probe_g, model.parameters())
+            want.record(slice(k - 1, k), spec, 0.0, model.parameters(), probe_g,
+                        directions[k - 1])
+        for name in ("grad_dual_norm", "fw_gap", "est_error"):
+            got, ref = getattr(diags, name), getattr(want, name)
+            if probe_n <= min(batch_size, train_size):
+                assert np.array_equal(got, ref), name
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=name)
 
     def test_quadratic_exact_gradient_columns(self):
         prob = small_quadratic(noise=1.0)
@@ -625,6 +656,45 @@ class TestTrainClassifier:
         model, _ = train_classifier(model, tx, ty, Algo.USCG, sch, batch_size=32)
         for a, b in zip(before, model.weights):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("batch_size", 0), ("batch_size", -3), ("probe_factor", 0), ("probe_factor", -1)],
+    )
+    def test_bad_sizes_rejected_by_name_before_any_step(self, name, value, record):
+        model, tx, ty = self._setup()
+        before = [p.copy() for p in model.parameters()]
+        sch = ScheduleSpec(horizon=3, gamma0=0.1)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            train_classifier(model, tx, ty, Algo.USCG, sch, record=record, **{name: value})
+        for a, b in zip(before, model.parameters()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_probe_holds_one_minibatch_of_activations(self):
+        # the 512-sample probe runs in chunks of the 64-sample batch, so the recorded
+        # run holds no more activations than the unrecorded one
+        prob = SyntheticClassification(dim=32, classes=4, train_size=1024, test_size=0,
+                                       seed=0)
+        tx, ty, _, _ = gen_synthetic(prob)
+        specs = build_config(Domain.IMAGE, (32, 256, 256, 4))
+        sch = ScheduleSpec(horizon=2, gamma0=0.1, alpha0=0.2)
+
+        def traced_peak(record):
+            model = init_model(specs, 0)
+            tracemalloc.start()
+            try:
+                train_classifier(model, tx, ty, Algo.SCG, sch, batch_size=64,
+                                 probe_factor=16, record=record)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        recorded, unrecorded = traced_peak(True), traced_peak(False)
+        assert recorded <= 1.5 * unrecorded, (
+            f"tracemalloc peak {recorded / 1e6:.2f} MB recorded, "
+            f"{unrecorded / 1e6:.2f} MB unrecorded"
+        )
 
 
 class TestCoordinateCheck:

@@ -227,6 +227,51 @@ class TestBackward:
                 f = f.dense()
             np.testing.assert_array_equal(f, g)
 
+    @staticmethod
+    def reference_loss_and_grad(model, z, targets, loss):
+        """loss_and_grad with a fresh array for every product: the logistic branch
+        takes np.exp(shifted) twice, and each layer's delta is formed out of place."""
+        logits, cache = forward(model, z)
+        batch = z.shape[1]
+        if loss is Loss.MSE:
+            diff = logits - targets
+            value = 0.5 * float(np.sum(diff * diff)) / batch
+            delta = diff / batch
+        else:
+            shifted = logits - logits.max(axis=0, keepdims=True)
+            logz = np.log(np.sum(np.exp(shifted), axis=0))
+            value = float(np.mean(logz - shifted[targets, np.arange(batch)]))
+            soft = np.exp(shifted) / np.exp(logz)
+            soft[targets, np.arange(batch)] -= 1.0
+            delta = soft / batch
+        grads_rev = []
+        for idx in range(model.depth - 1, -1, -1):
+            h_prev = cache.inputs if idx == 0 else cache.posts[idx - 1]
+            if model.layers[idx].bias_norm is not None:
+                grads_rev.append(delta.sum(axis=1))
+            grads_rev.append(delta @ h_prev.T)
+            if idx > 0:
+                delta = (model.weights[idx].T @ delta) * activation_grad(
+                    model.layers[idx - 1].activation, cache.preacts[idx - 1]
+                )
+        return value, grads_rev[::-1]
+
+    @pytest.mark.parametrize("act", list(Activation), ids=lambda a: a.value)
+    @pytest.mark.parametrize("loss", [Loss.MSE, Loss.LOGISTIC], ids=lambda l: l.value)
+    def test_bit_identical_to_out_of_place_reference(self, act, loss):
+        specs = build_config(Domain.IMAGE, (6, 9, 7, 3), activation=act, with_bias=True)
+        model = init_model(specs, 5)
+        for b in model.biases[:-1]:
+            b += 0.1 * rng_gaussian(b.size, 1, 6)[:, 0]
+        z = rng_gaussian(6, 11, 7)
+        targets = rng_gaussian(3, 11, 8) if loss is Loss.MSE else np.arange(11) % 3
+        value, grads = loss_and_grad(model, z, targets, loss)
+        want_value, want = self.reference_loss_and_grad(model, z, targets, loss)
+        assert value == want_value
+        assert len(grads) == len(want)
+        for g, w in zip(grads, want):
+            assert np.array_equal(g, w)
+
     def test_zero_loss_gradient_gives_zero_grads(self):
         model = simple_model((4, 6, 2), seed=2)
         z = rng_gaussian(4, 3, 6)
