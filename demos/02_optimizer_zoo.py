@@ -14,7 +14,6 @@ import numpy as np
 
 from lmopt import (
     Algo,
-    LayerNorms,
     ModelNormSpec,
     NormKind,
     NormSpec,
@@ -28,9 +27,9 @@ from lmopt import (
     uscg_step,
 )
 
-spec = ModelNormSpec(layers=(
-    LayerNorms(NormSpec(NormKind.SPECTRAL, 1.0, 8, 6)),
-    LayerNorms(NormSpec(NormKind.SIGN, 0.5, 4, 4)),
+spec = ModelNormSpec((
+    NormSpec(NormKind.SPECTRAL, 1.0, 8, 6),
+    NormSpec(NormKind.SIGN, 0.5, 4, 4),
 ))
 
 
@@ -53,10 +52,8 @@ print(f"accumulator vs averaged-direction, {steps} steps: max gap {gap:.2e}")
 
 # 2) weight decay mu == constrained method on radius/mu with stepsize gamma*mu
 mu = 0.5
-inflated = ModelNormSpec(layers=tuple(
-    LayerNorms(NormSpec(ln.weight.kind, ln.weight.radius / mu,
-                        ln.weight.d_out, ln.weight.d_in))
-    for ln in spec.layers
+inflated = ModelNormSpec(tuple(
+    NormSpec(a.kind, a.radius / mu, a.d_out, a.d_in) for a in spec.atoms
 ))
 xa, xb = fresh(2, scale=0.05), fresh(2, scale=0.05)
 sa = OptimizerState.init(xa)

@@ -24,7 +24,6 @@ from .linalg import (
 from .models import (
     Activation,
     Domain,
-    InitScheme,
     LayerSpec,
     Loss,
     MlpModel,
@@ -38,7 +37,6 @@ from .models import (
     save_model,
 )
 from .norms import (
-    LayerNorms,
     ModelNormSpec,
     NormKind,
     NormSpec,

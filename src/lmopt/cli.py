@@ -145,8 +145,10 @@ SCHEMAS: dict[str, dict[str, Field]] = {
               "tail fraction for constant_then_linear", within="(0, 1]"),
         Field("optimizer.alpha.kind", "str", "constant", "averaging schedule", _values(AlphaKind)),
         Field("optimizer.alpha.value", "float", 0.1, "averaging weight alpha", within="(0, 1]"),
-        Field("optimizer.mu", "float", 0.5, "weight decay (uscg_wd, in [0, 1])"),
-        Field("optimizer.beta", "float", 0.9, "momentum (muon variants, in [0, 1))"),
+        Field("optimizer.mu", "float", 0.5, "weight decay (uscg_wd, in [0, 1])",
+              within="(-inf, inf)"),
+        Field("optimizer.beta", "float", 0.9, "momentum (muon variants, in [0, 1))",
+              within="(-inf, inf)"),
         *_SPECTRAL_FIELDS,
     ),
     "coord-check": _fields(
@@ -346,9 +348,11 @@ def write_csv(path: str, header, columns, comments=()) -> None:
 
 
 def write_jsonl(path: str, records) -> None:
+    """One JSON object per line. NaN and infinities are not JSON: a record holding
+    one raises ValueError before the file is opened."""
+    lines = [json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.writelines(lines)
 
 
 def _artifact_base(command: str, cfg: dict) -> str:

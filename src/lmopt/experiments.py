@@ -28,7 +28,6 @@ from .models import (
     loss_and_grad,
 )
 from .norms import (
-    LayerNorms,
     ModelNormSpec,
     NormKind,
     NormSpec,
@@ -135,7 +134,7 @@ class RunDiagnostics:
         row per recorded (step, trial) pair, step-major, and its values fill the
         (T, n) columns of a stack. A value past float64's range is recorded as it is.
         """
-        atoms = spec.atoms()
+        atoms = spec.atoms
         with np.errstate(over="ignore", invalid="ignore"):
             duals = [dual_norm(r, a) for r, a in zip(ref, atoms)]
             dual = sum(a.radius * v for a, v in zip(atoms, duals))
@@ -223,9 +222,7 @@ def apply_step(
 
 
 def quadratic_norm_spec(dim: int, rho: float) -> ModelNormSpec:
-    return ModelNormSpec(
-        layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, dim, radius=rho)),)
-    )
+    return ModelNormSpec((NormSpec.vector(NormKind.EUCLIDEAN_VEC, dim, radius=rho),))
 
 
 def train_quadratic(
@@ -681,6 +678,13 @@ def rate_harness(
             runs.append((replace(problem, noise=problem.noise * factor), schedule, 3 * n // 4))
     gammas = tuple(schedule.gamma0 for _, schedule, _ in runs)
     means = tuple(mean_criticality(*run) for run in runs)
+    for (prob, schedule, _), mean in zip(runs, means):
+        if not mean > 0.0:  # an underflowed criticality has no log-log slope or ratio
+            where = (f"horizon n={schedule.horizon}" if mode == "vanishing"
+                     else f"noise level {prob.noise!r}")
+            raise NumericalFailure(
+                schedule.horizon, f"mean criticality {mean!r} at {where} is not positive"
+            )
     if mode == "vanishing":
         slope = float(np.polyfit(np.log(np.asarray(n_list, float)), np.log(means), 1)[0])
         ratio = None

@@ -2,10 +2,12 @@
 
 Layers compute f_l = W_l h_{l-1} (+ b_l), h_l = act(f_l), with the last layer linear
 (identity activation, no bias) so the logits stay unbounded. Inputs are column
-vectors: a batch is a (d_in, batch) array. `build_config` assembles per-layer norm
-balls and matching boundary initializations for the standard domain presets, and
-`init_model` realizes them so the fresh model sits exactly on the composite norm-ball
-boundary, which the constrained optimizer requires of its starting point.
+vectors: a batch is a (d_in, batch) array. A layer is its activation and its norm
+balls; the weight ball's kind fixes the layer's dimensions, its lmo and its boundary
+initialization. `build_config` assembles the balls for the standard domain presets,
+and `init_model` draws each weight from its kind's unit-boundary draw so the fresh
+model sits exactly on the composite norm-ball boundary, which the constrained
+optimizer requires of its starting point.
 """
 
 from __future__ import annotations
@@ -19,16 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import LowRank, derive_seed, rng_gaussian, rng_rademacher, semi_orthogonal_init
-from .norms import (
-    LayerNorms,
-    ModelNormSpec,
-    NormKind,
-    NormSpec,
-    lmo_coefficient,
-)
+from .norms import ModelNormSpec, NormKind, NormSpec, lmo_coefficient
 
 CHECKPOINT_FORMAT = "lmopt-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 also loads: its extra layer keys are ignored
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_K = 0.044715
@@ -40,13 +36,6 @@ class Activation(Enum):
     SCALED_GELU = "scaled_gelu"
     TANH = "tanh"
     IDENTITY = "identity"
-
-
-class InitScheme(Enum):
-    SEMI_ORTHOGONAL = "semi_orthogonal"
-    COL_NORMALIZED_GAUSSIAN = "col_normalized_gaussian"
-    ROW_NORMALIZED_GAUSSIAN = "row_normalized_gaussian"
-    RANDOM_SIGN = "random_sign"
 
 
 class Domain(Enum):
@@ -100,24 +89,28 @@ def activation_grad(act: Activation, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Dimensions, activation, initialization scheme, and norm balls for one layer."""
+    """One layer: its activation and its norm balls. The weight ball fixes the
+    layer's dimensions, and its kind the weight's boundary initialization."""
 
-    d_in: int
-    d_out: int
     activation: Activation
-    init: InitScheme
     weight_norm: NormSpec
     bias_norm: NormSpec | None = None
 
     def __post_init__(self):
-        if self.weight_norm.is_vector or self.weight_norm.d_out != self.d_out or (
-            self.weight_norm.d_in != self.d_in
-        ):
-            raise ValueError("weight_norm must be a matrix norm matching (d_out, d_in)")
+        if not isinstance(self.weight_norm, NormSpec) or self.weight_norm.is_vector:
+            raise ValueError("weight_norm must be a matrix norm")
         if self.bias_norm is not None and (
             not self.bias_norm.is_vector or self.bias_norm.d_out != self.d_out
         ):
             raise ValueError("bias_norm must be a vector norm of length d_out")
+
+    @property
+    def d_in(self) -> int:
+        return self.weight_norm.d_in
+
+    @property
+    def d_out(self) -> int:
+        return self.weight_norm.d_out
 
 
 @dataclass
@@ -134,25 +127,31 @@ class MlpModel:
                 raise ValueError(
                     f"layer dims do not chain: {prev.d_out} -> {cur.d_in}"
                 )
+        if len(self.weights) != len(self.layers) or len(self.biases) != len(self.layers):
+            raise ValueError("weights/biases must align with layers")
+        for idx, (ls, w, b) in enumerate(zip(self.layers, self.weights, self.biases)):
+            got = (np.shape(w), None if b is None else np.shape(b))
+            want = ((ls.d_out, ls.d_in), None if ls.bias_norm is None else (ls.d_out,))
+            for field, g, e in zip(("weights", "biases"), got, want):
+                if g != e:
+                    raise ValueError(f"layer {idx}: {field} has shape {g}, expected {e}")
         last = self.layers[-1]
         if last.activation is not Activation.IDENTITY:
             raise ValueError("last layer must use the identity activation (raw logits)")
-        if last.bias_norm is not None or self.biases[-1] is not None:
+        if last.bias_norm is not None:
             raise ValueError("last layer carries no bias")
-        if len(self.weights) != len(self.layers) or len(self.biases) != len(self.layers):
-            raise ValueError("weights/biases must align with layers")
 
     @property
     def depth(self) -> int:
         return len(self.layers)
 
     def norm_spec(self) -> ModelNormSpec:
-        return ModelNormSpec(
-            layers=tuple(LayerNorms(ls.weight_norm, ls.bias_norm) for ls in self.layers)
-        )
+        return ModelNormSpec(tuple(
+            n for ls in self.layers for n in (ls.weight_norm, ls.bias_norm) if n is not None
+        ))
 
     def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list aligned with norm_spec().atoms(): W_l then b_l per layer."""
+        """Flat parameter list aligned with norm_spec().atoms: W_l then b_l per layer."""
         out: list[np.ndarray] = []
         for ls, w, b in zip(self.layers, self.weights, self.biases):
             out.append(w)
@@ -188,7 +187,7 @@ def build_config(
     activation: Activation = Activation.RELU,
     with_bias: bool = False,
 ) -> list[LayerSpec]:
-    """Per-layer norm balls and initializations for the domain presets.
+    """Per-layer norm balls for the domain presets.
 
     dims is (d_0, d_1, ..., d_L): input width, hidden widths, output width. The
     recommended family uses spectral balls on hidden layers (radius 1, so the update
@@ -209,17 +208,14 @@ def build_config(
     for idx in range(n_layers):
         d_in, d_out = dims[idx], dims[idx + 1]
         first, last = idx == 0, idx == n_layers - 1
-        kind, radius, init = _layer_choice(family, domain, first, last, d_in, d_out)
+        kind, radius = _layer_choice(family, domain, first, last, d_in, d_out)
         bias_norm = None
         if with_bias and not last:
             bias_kind = NormKind.MAX_VEC if kind is NormKind.SIGN else NormKind.RMS_VEC
             bias_norm = NormSpec.vector(bias_kind, d_out, radius=1.0)
         specs.append(
             LayerSpec(
-                d_in=d_in,
-                d_out=d_out,
                 activation=Activation.IDENTITY if last else activation,
-                init=init,
                 weight_norm=NormSpec(kind=kind, radius=radius, d_out=d_out, d_in=d_in),
                 bias_norm=bias_norm,
             )
@@ -229,63 +225,66 @@ def build_config(
 
 def _layer_choice(
     family: str, domain: Domain, first: bool, last: bool, d_in: int, d_out: int
-) -> tuple[NormKind, float, InitScheme]:
+) -> tuple[NormKind, float]:
     spectral_guard = max(1.0, float(np.sqrt(d_in / d_out)))
     if family == "recommended":
         if first:
             if domain is Domain.IMAGE:
-                return NormKind.SPECTRAL, spectral_guard, InitScheme.SEMI_ORTHOGONAL
+                return NormKind.SPECTRAL, spectral_guard
             if domain is Domain.ONE_HOT:
-                return NormKind.COL_NORM, 1.0, InitScheme.COL_NORMALIZED_GAUSSIAN
-            return NormKind.SIGN, 1.0, InitScheme.RANDOM_SIGN
+                return NormKind.COL_NORM, 1.0
+            return NormKind.SIGN, 1.0
         if last:
-            return NormKind.SIGN, 1.0 / d_in, InitScheme.RANDOM_SIGN
-        return NormKind.SPECTRAL, 1.0, InitScheme.SEMI_ORTHOGONAL
+            return NormKind.SIGN, 1.0 / d_in
+        return NormKind.SPECTRAL, 1.0
     if family == "spectral":
         if first and domain is Domain.ONE_HOT:
             # -sqrt(d_out) u v^T for unit-norm 1-hot inputs.
-            return NormKind.SPECTRAL, float(np.sqrt(d_in)), InitScheme.SEMI_ORTHOGONAL
+            return NormKind.SPECTRAL, float(np.sqrt(d_in))
         if first:
-            return NormKind.SPECTRAL, spectral_guard, InitScheme.SEMI_ORTHOGONAL
-        return NormKind.SPECTRAL, 1.0, InitScheme.SEMI_ORTHOGONAL
+            return NormKind.SPECTRAL, spectral_guard
+        return NormKind.SPECTRAL, 1.0
     if family == "colnorm":
         if first and domain is Domain.ONE_HOT:
-            return NormKind.COL_NORM, 1.0, InitScheme.COL_NORMALIZED_GAUSSIAN
-        return NormKind.COL_NORM, 1.0 / d_in, InitScheme.COL_NORMALIZED_GAUSSIAN
+            return NormKind.COL_NORM, 1.0
+        return NormKind.COL_NORM, 1.0 / d_in
     if family == "rownorm":
         if first:
-            return NormKind.ROW_NORM, float(np.sqrt(d_in)), InitScheme.ROW_NORMALIZED_GAUSSIAN
-        return NormKind.ROW_NORM, 1.0, InitScheme.ROW_NORMALIZED_GAUSSIAN
+            return NormKind.ROW_NORM, float(np.sqrt(d_in))
+        return NormKind.ROW_NORM, 1.0
     # sign family
     if first:
-        return NormKind.SIGN, 1.0, InitScheme.RANDOM_SIGN
-    return NormKind.SIGN, 1.0 / d_in, InitScheme.RANDOM_SIGN
+        return NormKind.SIGN, 1.0
+    return NormKind.SIGN, 1.0 / d_in
 
 
-def _base_draw(scheme: InitScheme, d_out: int, d_in: int, seed: int) -> np.ndarray:
-    if scheme is InitScheme.SEMI_ORTHOGONAL:
-        return semi_orthogonal_init(d_out, d_in, seed)
-    if scheme is InitScheme.COL_NORMALIZED_GAUSSIAN:
-        g = rng_gaussian(d_out, d_in, seed)
-        return g / np.linalg.norm(g, axis=0)
-    if scheme is InitScheme.ROW_NORMALIZED_GAUSSIAN:
-        g = rng_gaussian(d_out, d_in, seed)
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
-    if scheme is InitScheme.RANDOM_SIGN:
-        return rng_rademacher(d_out, d_in, seed)
-    raise ValueError(f"unknown init scheme {scheme}")
+def _unit_gaussian(d_out: int, d_in: int, seed: int, axis: int) -> np.ndarray:
+    g = rng_gaussian(d_out, d_in, seed)
+    return g / np.linalg.norm(g, axis=axis, keepdims=True)
+
+
+# Each weight kind's unit-boundary draw (d_out, d_in, seed): semi-orthogonal, unit
+# columns, unit rows, random signs. The lambdas look the draws up by their global
+# names when they run, so a wrapper installed on this module sees every call.
+_UNIT_DRAWS = {
+    NormKind.SPECTRAL: lambda o, i, seed: semi_orthogonal_init(o, i, seed),
+    NormKind.COL_NORM: lambda o, i, seed: _unit_gaussian(o, i, seed, axis=0),
+    NormKind.ROW_NORM: lambda o, i, seed: _unit_gaussian(o, i, seed, axis=1),
+    NormKind.SIGN: lambda o, i, seed: rng_rademacher(o, i, seed),
+}
 
 
 def init_model(specs: Sequence[LayerSpec], seed: int) -> MlpModel:
-    """Draw weights per each layer's scheme, scaled elementwise by the layer's lmo
-    coefficient so boundary schemes land exactly on the composite ball boundary.
+    """Draw each weight from its kind's unit-boundary draw, scaled elementwise by the
+    layer's lmo coefficient so it lands exactly on the composite ball boundary.
     Biases start at zero."""
     specs = list(specs)
     weights: list[np.ndarray] = []
     biases: list[np.ndarray | None] = []
     for idx, ls in enumerate(specs):
-        w = _base_draw(ls.init, ls.d_out, ls.d_in, derive_seed(seed, idx))
-        weights.append(lmo_coefficient(ls.weight_norm) * w)
+        wn = ls.weight_norm
+        w = _UNIT_DRAWS[wn.kind](wn.d_out, wn.d_in, derive_seed(seed, idx))
+        weights.append(lmo_coefficient(wn) * w)
         biases.append(np.zeros(ls.d_out) if ls.bias_norm is not None else None)
     return MlpModel(layers=tuple(specs), weights=weights, biases=biases)
 
@@ -416,13 +415,15 @@ def save_model(model: MlpModel, path: str) -> None:
 
 
 def load_model(path: str) -> MlpModel:
+    """Read a version 1 or 2 checkpoint. Each layer is read from its activation and
+    norm docs alone; a malformed layer raises ValueError naming the layer and field."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: format={doc.get('format')!r}")
-    if doc.get("version") != CHECKPOINT_VERSION:
+    if doc.get("version") not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-    layers = tuple(_layer_from_doc(d) for d in doc["layers"])
+    layers = tuple(_layer_from_doc(d, idx) for idx, d in enumerate(doc["layers"]))
     weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
     biases = [None if b is None else np.asarray(b, dtype=np.float64) for b in doc["biases"]]
     return MlpModel(layers=layers, weights=weights, biases=biases)
@@ -452,21 +453,20 @@ def _norm_from_doc(doc) -> NormSpec | None:
 
 def _layer_to_doc(ls: LayerSpec) -> dict:
     return {
-        "d_in": ls.d_in,
-        "d_out": ls.d_out,
         "activation": ls.activation.value,
-        "init": ls.init.value,
         "weight_norm": _norm_to_doc(ls.weight_norm),
         "bias_norm": _norm_to_doc(ls.bias_norm),
     }
 
 
-def _layer_from_doc(doc: dict) -> LayerSpec:
-    return LayerSpec(
-        d_in=int(doc["d_in"]),
-        d_out=int(doc["d_out"]),
-        activation=Activation(doc["activation"]),
-        init=InitScheme(doc["init"]),
-        weight_norm=_norm_from_doc(doc["weight_norm"]),
-        bias_norm=_norm_from_doc(doc["bias_norm"]),
-    )
+def _layer_from_doc(doc: dict, idx: int) -> LayerSpec:
+    try:
+        return LayerSpec(
+            activation=Activation(doc["activation"]),
+            weight_norm=_norm_from_doc(doc["weight_norm"]),
+            bias_norm=_norm_from_doc(doc["bias_norm"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"checkpoint layer {idx} has no {exc.args[0]!r} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint layer {idx}: {exc}") from None

@@ -32,6 +32,9 @@ Conventions, chosen once and relied on by everything downstream:
     (m, n) SVD; every other function, kind and backend works on the product. A
     product that is numerically zero relative to its factors, as when they
     cancel, has the zero lmo.
+  * The exact spectral lmo is scale-safe as well: a matrix or factor far outside
+    float64's midrange is brought to it by a power of two before its SVD or QR
+    (`_svd_range`), and every other operand keeps its bits.
   * The spectral op_norm takes sigma_max from the top eigenvalue of the smaller
     Gram matrix (`linalg.sigma_max`), about half the cost of a values-only SVD
     at the same relative accuracy. The spectral dual norm sums every singular
@@ -41,8 +44,7 @@ Conventions, chosen once and relied on by everything downstream:
     read-only and carry a convexity bound (see `optim`).
 
 Everything here is a pure function, safe to call from multiple threads. The only
-state kept is built once with each (frozen) spec: a NormSpec's row oracle and c,
-and a ModelNormSpec's atom tuple.
+state kept is built once with each (frozen) NormSpec: its row oracle and c.
 """
 
 from __future__ import annotations
@@ -88,6 +90,9 @@ def _check_finite(a: np.ndarray) -> None:
 # neither overflow nor lose precision on such a row, and all its entries are finite.
 _TINY = np.finfo(np.float64).tiny
 _HUGE = np.finfo(np.float64).max
+# Such a row's norm is at least sqrt(_TINY), so coef / norm cannot overflow while
+# |coef| is at most _COEF_SAFE.
+_COEF_SAFE = _HUGE * np.sqrt(_TINY)
 
 
 def _l2_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -154,9 +159,15 @@ def _l1(r):
 
 def _l2_lmo(r, coef, ns_iters):
     r, norms, e = _l2_rows(r)
-    if e is None:  # every norm is positive
+    if e is None and abs(coef) <= _COEF_SAFE:  # every norm is positive
         return (coef / norms) * r
-    return np.divide(coef, norms, out=np.zeros_like(norms), where=norms > 0.0) * r
+    # A zero row has the zero lmo. A row whose coef / norm would overflow is formed
+    # as coef times its unit row, which stays finite; every other row keeps its bits.
+    positive = norms > 0.0
+    over = norms < abs(coef) / _HUGE
+    q = np.divide(coef, norms, out=np.zeros_like(norms), where=positive & ~over)
+    unit = np.divide(r, norms, out=np.zeros_like(r), where=positive & over)
+    return q * r + coef * unit
 
 
 def _l2(r):
@@ -164,13 +175,26 @@ def _l2(r):
     return norms[..., 0], (None if e is None else e[..., 0])
 
 
+# A matrix whose largest |entry| lies in [2**-256, 2**256] keeps its bits: neither
+# its SVD nor, for a factor, its QR and the core product overflow or underflow.
+# Any other is scaled by the power of two that brings that entry into [0.5, 1),
+# which the lmo's scale invariance allows.
+_SVD_EXPONENT = 256
+
+
+def _svd_range(m: np.ndarray) -> np.ndarray:
+    e = int(np.frexp(np.max(np.abs(m)))[1])
+    return m if -_SVD_EXPONENT < e <= _SVD_EXPONENT else np.ldexp(m, -e)
+
+
 def _spectral_lmo(m, coef, ns_iters):
     if isinstance(m, LowRank):  # a zero product has rank 0, so its orthogonal factor is zero
+        m = LowRank(_svd_range(m.left), _svd_range(m.right))
         return coef * lowrank_svd(m).orthogonal_factor()
     if not m.any():
         return np.zeros_like(m)
     if ns_iters is None:
-        return coef * svd_reduced(m).orthogonal_factor()
+        return coef * svd_reduced(_svd_range(m)).orthogonal_factor()
     return coef * newton_schulz_orthogonalize(m, ns_iters)
 
 
@@ -342,42 +366,26 @@ def sharp_op(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LayerNorms:
-    """Norm specs for one layer: the weight matrix and, optionally, the bias vector."""
-
-    weight: NormSpec
-    bias: NormSpec | None = None
-
-    def atoms(self) -> tuple[NormSpec, ...]:
-        return (self.weight,) if self.bias is None else (self.weight, self.bias)
-
-
-@dataclass(frozen=True)
 class ModelNormSpec:
-    """Per-layer norm balls whose max defines one composite norm on the parameter list.
+    """Per-atom norm balls whose max defines one composite norm on the parameter list.
 
-    The composite norm of params x is max over atoms of op_norm(x_i) / radius_i,
-    so feasibility (composite <= 1) means every layer sits inside its own scaled
-    ball. Minimizing a linear functional over that composite ball splits into
-    independent per-atom lmos, each already carrying its layer radius.
+    An atom is one parameter array's ball; a model lists each layer's weight, then
+    its bias if it has one. The composite norm of params x is max over atoms of
+    op_norm(x_i) / radius_i, so feasibility (composite <= 1) means every array sits
+    inside its own scaled ball. Minimizing a linear functional over that composite
+    ball splits into independent per-atom lmos, each already carrying its radius.
     """
 
-    layers: tuple[LayerNorms, ...]
+    atoms: tuple[NormSpec, ...]
 
     def __post_init__(self):
-        if len(self.layers) == 0:
-            raise ValueError("ModelNormSpec needs at least one layer")
-        atoms = tuple(atom for layer in self.layers for atom in layer.atoms())
-        # Built once per instance; not a field, so equality and hashing ignore it.
-        object.__setattr__(self, "_atoms", atoms)
-
-    def atoms(self) -> tuple[NormSpec, ...]:
-        """Every layer's atoms in order: the weight, then the bias if there is one."""
-        return self._atoms
+        object.__setattr__(self, "atoms", tuple(self.atoms))
+        if len(self.atoms) == 0:
+            raise ValueError("ModelNormSpec needs at least one atom")
 
 
 def _check_aligned(params: Sequence[np.ndarray], spec: ModelNormSpec) -> tuple[NormSpec, ...]:
-    atoms = spec.atoms()
+    atoms = spec.atoms
     if len(params) != len(atoms):
         raise ValueError(
             f"parameter list has {len(params)} entries but the norm spec has {len(atoms)}"

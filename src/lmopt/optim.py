@@ -255,7 +255,7 @@ def step(
     _check_like(x, g, "step")
     if rule.move is Move.CONVEX:
         bound = _feasible_bound(x, state, spec)
-    atoms = spec.atoms()
+    atoms = spec.atoms
 
     def oracle(vs):
         return [lmo(v, a, ns_iters=ns_iters) for v, a in zip(vs, atoms)]

@@ -37,7 +37,6 @@ from lmopt.models import (
 )
 from lmopt.norms import (
     VECTOR_KINDS,
-    LayerNorms,
     ModelNormSpec,
     NormKind,
     NormSpec,
@@ -91,19 +90,19 @@ def random_operand(spec, seed):
 
 def mixed_model_spec():
     return ModelNormSpec(
-        layers=(
-            LayerNorms(NormSpec(NormKind.SPECTRAL, 1.0, 6, 4)),
-            LayerNorms(NormSpec(NormKind.SIGN, 0.5, 3, 5)),
-            LayerNorms(NormSpec(NormKind.COL_NORM, 2.0, 4, 3)),
-            LayerNorms(NormSpec(NormKind.ROW_NORM, 1.5, 3, 4)),
-            LayerNorms(NormSpec.vector(NormKind.RMS_VEC, 7, radius=1.0)),
+        (
+            NormSpec(NormKind.SPECTRAL, 1.0, 6, 4),
+            NormSpec(NormKind.SIGN, 0.5, 3, 5),
+            NormSpec(NormKind.COL_NORM, 2.0, 4, 3),
+            NormSpec(NormKind.ROW_NORM, 1.5, 3, 4),
+            NormSpec.vector(NormKind.RMS_VEC, 7, radius=1.0),
         )
     )
 
 
 def random_params(spec, seed, scale=1.0):
     return [scale * random_operand(atom, derive_seed(seed, i))
-            for i, atom in enumerate(spec.atoms())]
+            for i, atom in enumerate(spec.atoms)]
 
 
 def gradient_stream(spec, seed, steps):
@@ -198,13 +197,7 @@ def test_criterion_05_equivalences():
     # stepsize gamma * mu
     mu, gamma = 0.5, 0.01
     inflated = ModelNormSpec(
-        layers=tuple(
-            LayerNorms(
-                NormSpec(ln.weight.kind, ln.weight.radius / mu, ln.weight.d_out,
-                         ln.weight.d_in)
-            )
-            for ln in spec.layers
-        )
+        tuple(NormSpec(a.kind, a.radius / mu, a.d_out, a.d_in) for a in spec.atoms)
     )
     xa = random_params(spec, 36, scale=0.05)
     xb = [p.copy() for p in xa]

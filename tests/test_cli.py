@@ -315,6 +315,53 @@ class TestCommands:
         assert "numerical failure at step 1" in err and "noise level" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "settings, where",
+        [
+            (["optimizer=scg", "n_list=20,40"], "at horizon n=20"),
+            (["optimizer=scg", "mode=constant", "n_list=40"], "at noise level 1.0"),
+        ],
+        ids=["vanishing", "constant"],
+    )
+    def test_rate_zero_criticality_exit_3(self, tmp_path, capsys, settings, where):
+        # At a radius this small every recorded gap underflows to zero, so the mean
+        # criticality has no log-log slope (vanishing) or plateau ratio (constant).
+        out = tmp_path / "out"
+        args = [a for setting in settings for a in ("--set", setting)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("rate", "--out", str(out), "--set", "rho_constrained=1e-300",
+                         "--set", "trials=2", *args)
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert f"mean criticality 0.0 {where} is not positive" in captured.err
+        assert "Traceback" not in captured.err and "slope" not in captured.out
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_rate_largest_radius_exit_3_without_warning(self, tmp_path, capsys):
+        # The lmo at the largest finite radius is finite; only the recorded gap
+        # overflows, which the exit-3 message reports without a raw warning first.
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("rate", "--out", str(out), "--set", "rho=1.7976931348623157e308",
+                         "--set", "n_list=20,40", "--set", "trials=2")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure at step") and "Warning" not in err
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_jsonl_writer_refuses_nan(self, tmp_path):
+        from lmopt.cli import write_jsonl
+
+        path = tmp_path / "summary.jsonl"
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                write_jsonl(str(path), [{"slope": 1.0}, {"slope": bad}])
+            assert not path.exists()
+        write_jsonl(str(path), [{"slope": 1.0}])
+        assert json.loads(path.read_text()) == {"slope": 1.0}
+
     def test_sweep_command(self, tmp_path):
         rc = run_cli(
             "sweep", "--out", str(tmp_path),

@@ -503,7 +503,7 @@ def _per_step_run(prob, algo, sch, trials, rho):
         check(g, k, "gradient")
         exact = prob.grad(x[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            dual = dual_norm(exact, spec.atoms()[0])
+            dual = dual_norm(exact, spec.atoms[0])
             gap = gap_from_duals([exact], x, spec, (dual,))
             pnorm = composite_norm(x, spec)
         check(gap, k, "fw_gap")
@@ -585,7 +585,7 @@ class TestRecordedDiagnostics:
                 )
             _, probe_g = loss_and_grad(model, tx[:, :probe_n], ty[:probe_n], Loss.LOGISTIC)
             spec = model.norm_spec()
-            dual = sum(a.radius * dual_norm(g, a) for g, a in zip(probe_g, spec.atoms()))
+            dual = sum(a.radius * dual_norm(g, a) for g, a in zip(probe_g, spec.atoms))
             gap = fw_gap(probe_g, model.parameters(), spec)
             assert diags.grad_dual_norm[k - 1] == pytest.approx(dual, rel=1e-12, abs=0)
             assert diags.fw_gap[k - 1] == pytest.approx(gap, rel=1e-12, abs=0)
@@ -614,7 +614,7 @@ class TestRecordedDiagnostics:
                 )
             exact = prob.grad(x)
             # at rho = 2, a dual taken without the radius is half the recorded one
-            dual = rho * dual_norm(exact, spec.atoms()[0])
+            dual = rho * dual_norm(exact, spec.atoms[0])
             assert diags.grad_dual_norm[k - 1] == pytest.approx(dual, rel=1e-12, abs=0)
             gap = fw_gap([exact], [x], spec)
             assert diags.fw_gap[k - 1] == pytest.approx(gap, rel=1e-12, abs=0)

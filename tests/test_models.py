@@ -1,11 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from lmopt.linalg import derive_seed, rng_gaussian
+from lmopt.linalg import derive_seed, rng_gaussian, rng_rademacher, semi_orthogonal_init
 from lmopt.models import (
     Activation,
     Domain,
-    InitScheme,
     LayerSpec,
     Loss,
     activation_grad,
@@ -19,10 +20,11 @@ from lmopt.models import (
     loss_and_grad,
     save_model,
 )
-from lmopt.norms import NormKind, NormSpec, composite_norm, op_norm
+from lmopt.norms import NormKind, NormSpec, composite_norm, lmo_coefficient, op_norm
 from lmopt.linalg import LowRank, svd_reduced
 
 HIDDEN_ACTS = [Activation.RELU, Activation.SCALED_RELU2, Activation.SCALED_GELU, Activation.TANH]
+FAMILIES = ["recommended", "spectral", "colnorm", "rownorm", "sign"]
 
 
 def simple_model(dims, activation=Activation.TANH, family="recommended", seed=0,
@@ -114,24 +116,55 @@ class TestBuildConfig:
             build_config(Domain.IMAGE, (10, 0, 4))
 
 
+def _unit_draw(kind: NormKind, d_out: int, d_in: int, seed: int) -> np.ndarray:
+    """The documented unit-boundary draw for each weight kind."""
+    if kind is NormKind.SPECTRAL:
+        return semi_orthogonal_init(d_out, d_in, seed)
+    if kind is NormKind.COL_NORM:
+        g = rng_gaussian(d_out, d_in, seed)
+        return g / np.linalg.norm(g, axis=0)
+    if kind is NormKind.ROW_NORM:
+        g = rng_gaussian(d_out, d_in, seed)
+        return g / np.linalg.norm(g, axis=1, keepdims=True)
+    assert kind is NormKind.SIGN
+    return rng_rademacher(d_out, d_in, seed)
+
+
 class TestInitModel:
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["nobias", "bias"])
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_weight_is_the_kinds_draw_scaled(self, family, domain, with_bias):
+        specs = build_config(domain, (12, 24, 16, 6), family=family, with_bias=with_bias)
+        model = init_model(specs, 9)
+        for idx, (ls, w, b) in enumerate(zip(specs, model.weights, model.biases)):
+            spec = ls.weight_norm
+            want = lmo_coefficient(spec) * _unit_draw(
+                spec.kind, spec.d_out, spec.d_in, derive_seed(9, idx)
+            )
+            assert np.array_equal(w, want)
+            if ls.bias_norm is None:
+                assert b is None
+            else:
+                assert np.array_equal(b, np.zeros(spec.d_out))
+
     def test_semi_orthogonal_square_boundary(self):
         spec = NormSpec(NormKind.SPECTRAL, 1.0, 128, 128)
-        ls = LayerSpec(128, 128, Activation.IDENTITY, InitScheme.SEMI_ORTHOGONAL, spec)
+        ls = LayerSpec(Activation.IDENTITY, spec)
         model = init_model([ls], 0)
         assert op_norm(model.weights[0], spec) == pytest.approx(1.0, abs=1e-8)
 
     def test_random_sign_scaled_exactly(self):
         d_in = 32
         spec = NormSpec(NormKind.SIGN, 1.0 / d_in, 4, d_in)
-        ls = LayerSpec(d_in, 4, Activation.IDENTITY, InitScheme.RANDOM_SIGN, spec)
+        ls = LayerSpec(Activation.IDENTITY, spec)
         model = init_model([ls], 1)
         assert np.max(np.abs(model.weights[0])) == 1.0 / d_in
         assert np.min(np.abs(model.weights[0])) == 1.0 / d_in
 
     def test_col_normalized_column_norms(self):
         spec = NormSpec(NormKind.COL_NORM, 1.0, 64, 5)
-        ls = LayerSpec(5, 64, Activation.IDENTITY, InitScheme.COL_NORMALIZED_GAUSSIAN, spec)
+        ls = LayerSpec(Activation.IDENTITY, spec)
         model = init_model([ls], 2)
         norms = np.linalg.norm(model.weights[0], axis=0)
         np.testing.assert_allclose(norms, 8.0, atol=1e-10)
@@ -153,7 +186,7 @@ class TestInitModel:
 class TestForward:
     def test_identity_single_layer(self):
         spec = NormSpec(NormKind.SPECTRAL, 1.0, 2, 2)
-        ls = LayerSpec(2, 2, Activation.IDENTITY, InitScheme.SEMI_ORTHOGONAL, spec)
+        ls = LayerSpec(Activation.IDENTITY, spec)
         model = init_model([ls], 0)
         model.weights[0] = np.eye(2)
         logits, _ = forward(model, np.array([1.0, -1.0]))
@@ -161,10 +194,8 @@ class TestForward:
 
     def test_two_layer_relu(self):
         specs = [
-            LayerSpec(2, 2, Activation.RELU, InitScheme.SEMI_ORTHOGONAL,
-                      NormSpec(NormKind.SPECTRAL, 1.0, 2, 2)),
-            LayerSpec(2, 2, Activation.IDENTITY, InitScheme.SEMI_ORTHOGONAL,
-                      NormSpec(NormKind.SPECTRAL, 1.0, 2, 2)),
+            LayerSpec(Activation.RELU, NormSpec(NormKind.SPECTRAL, 1.0, 2, 2)),
+            LayerSpec(Activation.IDENTITY, NormSpec(NormKind.SPECTRAL, 1.0, 2, 2)),
         ]
         model = init_model(specs, 0)
         model.weights[0] = np.eye(2)
@@ -409,21 +440,88 @@ class TestCheckpoint:
             load_model(str(path))
 
 
+    def saved_doc(self, tmp_path):
+        model = simple_model((4, 6, 3), seed=2)
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        return model, path, json.loads(path.read_text())
+
+    def test_version_2_layer_is_activation_and_norms(self, tmp_path):
+        _, _, doc = self.saved_doc(tmp_path)
+        assert doc["version"] == 2
+        for layer in doc["layers"]:
+            assert set(layer) == {"activation", "weight_norm", "bias_norm"}
+
+    def test_hand_written_version_1_doc_loads(self, tmp_path):
+        # Version 1 also stored each layer's dimensions and init scheme; only the
+        # activation and the norm docs are read.
+        doc = {
+            "format": "lmopt-checkpoint",
+            "version": 1,
+            "layers": [
+                {"d_in": 2, "d_out": 3, "activation": "relu", "init": "semi_orthogonal",
+                 "weight_norm": {"kind": "spectral", "radius": 1.0, "d_out": 3, "d_in": 2},
+                 "bias_norm": {"kind": "rms_vec", "radius": 1.0, "d_out": 3, "d_in": 1}},
+                {"d_in": 3, "d_out": 1, "activation": "identity", "init": "random_sign",
+                 "weight_norm": {"kind": "sign", "radius": 0.5, "d_out": 1, "d_in": 3},
+                 "bias_norm": None},
+            ],
+            "weights": [[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [[0.5, -0.5, 0.5]]],
+            "biases": [[0.1, 0.2, 0.3], None],
+        }
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        model = load_model(str(path))
+        assert model.layers == (
+            LayerSpec(Activation.RELU, NormSpec(NormKind.SPECTRAL, 1.0, 3, 2),
+                      NormSpec.vector(NormKind.RMS_VEC, 3)),
+            LayerSpec(Activation.IDENTITY, NormSpec(NormKind.SIGN, 0.5, 1, 3)),
+        )
+        logits, _ = forward(model, np.array([1.0, -1.0]))
+        np.testing.assert_allclose(logits, [0.5 * 1.1 + 0.5 * 0.3])  # relu zeroes -0.8
+
+    def test_wrong_weight_shape_names_layer_and_field(self, tmp_path):
+        _, path, doc = self.saved_doc(tmp_path)
+        doc["weights"][0] = [[1.0, 2.0]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"layer 0: weights has shape \(1, 2\)"):
+            load_model(str(path))
+
+    def test_wrong_bias_shape_names_layer_and_field(self, tmp_path):
+        _, path, doc = self.saved_doc(tmp_path)
+        doc["biases"][0] = [0.0, 0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"layer 0: biases has shape \(2,\)"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("field", ["activation", "weight_norm", "bias_norm"])
+    def test_missing_layer_field_named(self, tmp_path, field):
+        _, path, doc = self.saved_doc(tmp_path)
+        del doc["layers"][1][field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"checkpoint layer 1 has no '{field}' field"):
+            load_model(str(path))
+
+    def test_bad_layer_value_names_layer(self, tmp_path):
+        _, path, doc = self.saved_doc(tmp_path)
+        doc["layers"][0]["weight_norm"]["kind"] = "euclidean_vec"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="checkpoint layer 0: .*requires d_in = 1"):
+            load_model(str(path))
+
+
 class TestModelValidation:
     def test_dims_must_chain(self):
         specs = [
-            LayerSpec(4, 6, Activation.RELU, InitScheme.SEMI_ORTHOGONAL,
-                      NormSpec(NormKind.SPECTRAL, 1.0, 6, 4)),
-            LayerSpec(5, 2, Activation.IDENTITY, InitScheme.SEMI_ORTHOGONAL,
-                      NormSpec(NormKind.SPECTRAL, 1.0, 2, 5)),
+            LayerSpec(Activation.RELU, NormSpec(NormKind.SPECTRAL, 1.0, 6, 4)),
+            LayerSpec(Activation.IDENTITY, NormSpec(NormKind.SPECTRAL, 1.0, 2, 5)),
         ]
         with pytest.raises(ValueError, match="chain"):
             init_model(specs, 0)
 
     def test_last_layer_must_be_identity(self):
         specs = [
-            LayerSpec(4, 2, Activation.RELU, InitScheme.SEMI_ORTHOGONAL,
-                      NormSpec(NormKind.SPECTRAL, 1.0, 2, 4)),
+            LayerSpec(Activation.RELU, NormSpec(NormKind.SPECTRAL, 1.0, 2, 4)),
         ]
         with pytest.raises(ValueError, match="identity"):
             init_model(specs, 0)

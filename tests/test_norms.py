@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from lmopt import norms
-from lmopt.linalg import LowRank, derive_seed, rng_gaussian
+from lmopt.linalg import LowRank, derive_seed, lowrank_svd, rng_gaussian, svd_reduced
 from lmopt.norms import (
     VECTOR_KINDS,
-    LayerNorms,
     ModelNormSpec,
     NormKind,
     NormSpec,
@@ -283,9 +282,9 @@ class TestSharpOp:
 class TestComposite:
     def two_layer_spec(self):
         return ModelNormSpec(
-            layers=(
-                LayerNorms(NormSpec(NormKind.SIGN, 1.0, 2, 2)),
-                LayerNorms(NormSpec(NormKind.SIGN, 2.0, 2, 2)),
+            (
+                NormSpec(NormKind.SIGN, 1.0, 2, 2),
+                NormSpec(NormKind.SIGN, 2.0, 2, 2),
             )
         )
 
@@ -300,7 +299,7 @@ class TestComposite:
         assert composite_norm([np.zeros((2, 2))] * 2, spec) == 0.0
 
     def test_boundary_is_one(self):
-        spec = ModelNormSpec(layers=(LayerNorms(NormSpec(NormKind.SIGN, 0.25, 2, 2)),))
+        spec = ModelNormSpec((NormSpec(NormKind.SIGN, 0.25, 2, 2),))
         w = 0.25 * np.ones((2, 2))
         assert composite_norm([w], spec) == pytest.approx(1.0)
 
@@ -349,7 +348,7 @@ class TestVectorStacks:
 
     def test_composite_norm_per_row(self):
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 9, radius=2.0)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 9, radius=2.0),)
         )
         s = self.stack(9, 3)
         values = composite_norm([s], spec)
@@ -359,7 +358,7 @@ class TestVectorStacks:
 
     def test_fw_gap_per_row(self):
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.RMS_VEC, 9, radius=0.5)),)
+            (NormSpec.vector(NormKind.RMS_VEC, 9, radius=0.5),)
         )
         g, x = self.stack(9, 4), self.stack(9, 5)
         gaps = fw_gap([g], [x], spec)
@@ -486,6 +485,29 @@ class TestScaleSafeL2:
             value = fn(np.full(shape, scale), spec)
         assert value == pytest.approx(scale, rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("kind", L2_KINDS + L2_MATRIX_KINDS, ids=lambda k: k.value)
+    def test_radius_near_the_largest_float(self, kind):
+        # coef / norm overflows on a row of norm below |coef| / max float, while the
+        # row's lmo, coef times its unit row, is finite; other rows keep their bits.
+        spec = make_spec(kind, 5, 1 if kind in VECTOR_KINDS else 4,
+                         radius=np.finfo(np.float64).max / 4)
+        unit = self.unit_stack(5) if spec.is_vector else self.unit_matrix((5, 4))
+
+        def rows(m):  # the lmo's rows: ColNorm's are the columns
+            return m.T if kind is NormKind.COL_NORM else m
+
+        s = unit.copy()
+        rows(s)[0] *= 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lmo(s, spec)
+            bound = np.max(op_norm(out, spec))
+        assert np.all(np.isfinite(out)) and bound == pytest.approx(spec.radius, rel=1e-12)
+        np.testing.assert_allclose(rows(out)[0], rows(lmo(unit, spec))[0], rtol=1e-12)
+        coef = -lmo_coefficient(spec)
+        for r, o in zip(rows(s)[3:], rows(out)[3:]):
+            assert np.array_equal(o, (coef / np.sqrt(np.einsum("d,d->", r, r))) * r)
+
     @pytest.mark.parametrize("kind", L2_KINDS, ids=lambda k: k.value)
     def test_rows_in_range_keep_their_bits(self, kind):
         spec = NormSpec.vector(kind, 9, radius=0.7)
@@ -522,30 +544,30 @@ class TestScaleSafeL2:
 class TestFwGap:
     def test_at_origin_is_scaled_dual(self):
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2),)
         )
         g = np.array([3.0, 4.0])
         assert fw_gap([g], [np.zeros(2)], spec) == pytest.approx(5.0)
 
     def test_zero_grad(self):
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2),)
         )
         assert fw_gap([np.zeros(2)], [np.ones(2)], spec) == 0.0
 
     def test_at_lmo_point_vanishes(self):
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3, radius=2.0)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3, radius=2.0),)
         )
         g = np.array([1.0, -2.0, 2.0])
-        x = lmo(g, spec.atoms()[0])
+        x = lmo(g, spec.atoms[0])
         assert fw_gap([g], [x], spec) == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative_on_feasible_points(self):
         spec = ModelNormSpec(
-            layers=(
-                LayerNorms(NormSpec(NormKind.SPECTRAL, 1.5, 4, 3)),
-                LayerNorms(NormSpec.vector(NormKind.RMS_VEC, 4)),
+            (
+                NormSpec(NormKind.SPECTRAL, 1.5, 4, 3),
+                NormSpec.vector(NormKind.RMS_VEC, 4),
             )
         )
         for trial in range(20):
@@ -648,11 +670,74 @@ class TestLowRankOperand:
             LowRank(x[:9], y),  # product (9, 8)
             LowRank(x, rng_gaussian(8, 2, 3)),  # column counts differ
             LowRank(x[:, 0], y),  # a 1-D factor
-            LowRank(1e200 * x, 1e200 * y),  # finite factors, overflowing product
         ]
         for s in bad:
             for fn in (lmo, dual_norm, op_norm, sharp_op):
                 with np.errstate(over="ignore"), pytest.raises(ValueError):
                     fn(s, spec)
+        # Finite factors with an overflowing product: the functions that form the
+        # product reject it, while the lmo still takes its direction (TestSpectralRange).
+        huge = LowRank(1e200 * x, 1e200 * y)
+        for fn in (dual_norm, op_norm, sharp_op):
+            with np.errstate(over="ignore"), pytest.raises(ValueError):
+                fn(huge, spec)
+        np.testing.assert_allclose(lmo(huge, spec), lmo(LowRank(x, y), spec), rtol=1e-14)
         with pytest.raises(ValueError, match="matrix kind"):
             lmo(LowRank(x, np.ones((1, 1))), NormSpec.vector(NormKind.EUCLIDEAN_VEC, 10))
+
+
+class TestSpectralRange:
+    """The exact spectral lmo scales a matrix, or each factor of a LowRank, by a power
+    of two when its largest |entry| lies outside [2**-256, 2**256], so no SVD or QR
+    overflows or underflows; every other operand keeps its bits."""
+
+    SPEC = NormSpec(NormKind.SPECTRAL, 1.3, 4, 3)
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-300, 1e300, 1e308, np.finfo(np.float64).max])
+    def test_dense_constant_at_the_edge(self, value):
+        # sigma = sqrt(12) * value overflows from 1e308 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lmo(np.full((4, 3), value), self.SPEC)
+        np.testing.assert_allclose(out, lmo(np.ones((4, 3)), self.SPEC), rtol=1e-14)
+
+    @pytest.mark.parametrize("value", [1e-170, 1e-160, 1e154, 1e300])
+    def test_factors_at_the_edge(self, monkeypatch, value):
+        # the product overflows from 1e154 on and underflows from 1e-160 down
+        forbid_dense_svd(monkeypatch)
+        s = LowRank(np.full((4, 1), value), np.full((3, 1), value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lmo(s, self.SPEC)
+        np.testing.assert_allclose(out, lmo(LowRank(np.ones((4, 1)), np.ones((3, 1))),
+                                            self.SPEC), rtol=1e-14)
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, -257, 257, 600, 1020])
+    def test_scaled_matrix_keeps_its_lmo(self, exponent):
+        a = rng_gaussian(4, 3, 31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lmo(np.ldexp(a, exponent), self.SPEC)
+        np.testing.assert_allclose(got, lmo(a, self.SPEC), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("exponent", [-1100, -600, -257, 257, 600, 1100, 2000])
+    def test_scaled_factors_keep_their_lmo(self, monkeypatch, exponent):
+        # the factors share the exponent, so the product is 2**exponent times f's
+        f = random_low_rank(4, 3, 2, seed=32)
+        want = lmo(f, self.SPEC)
+        half = exponent // 2
+        forbid_dense_svd(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lmo(LowRank(np.ldexp(f.left, half), np.ldexp(f.right, exponent - half)),
+                      self.SPEC)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("exponent", [-255, 0, 255])
+    def test_in_range_keeps_its_bits(self, exponent):
+        coef = -lmo_coefficient(self.SPEC)
+        a = np.ldexp(rng_gaussian(4, 3, 33), exponent)
+        f = random_low_rank(4, 3, 2, seed=34)
+        f = LowRank(np.ldexp(f.left, exponent), f.right)
+        assert np.array_equal(lmo(a, self.SPEC), coef * svd_reduced(a).orthogonal_factor())
+        assert np.array_equal(lmo(f, self.SPEC), coef * lowrank_svd(f).orthogonal_factor())

@@ -6,7 +6,6 @@ import pytest
 from lmopt import optim
 from lmopt.linalg import LowRank, derive_seed, rng_gaussian
 from lmopt.norms import (
-    LayerNorms,
     ModelNormSpec,
     NormKind,
     NormSpec,
@@ -39,19 +38,19 @@ from lmopt.optim import (
 def mixed_spec():
     """One atom of every matrix kind plus a vector atom, various radii."""
     return ModelNormSpec(
-        layers=(
-            LayerNorms(NormSpec(NormKind.SPECTRAL, 1.0, 6, 4)),
-            LayerNorms(NormSpec(NormKind.SIGN, 0.5, 3, 5)),
-            LayerNorms(NormSpec(NormKind.COL_NORM, 2.0, 4, 3)),
-            LayerNorms(NormSpec(NormKind.ROW_NORM, 1.5, 3, 4)),
-            LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 7, radius=1.0)),
+        (
+            NormSpec(NormKind.SPECTRAL, 1.0, 6, 4),
+            NormSpec(NormKind.SIGN, 0.5, 3, 5),
+            NormSpec(NormKind.COL_NORM, 2.0, 4, 3),
+            NormSpec(NormKind.ROW_NORM, 1.5, 3, 4),
+            NormSpec.vector(NormKind.EUCLIDEAN_VEC, 7, radius=1.0),
         )
     )
 
 
 def random_params(spec, seed, scale=1.0):
     out = []
-    for i, atom in enumerate(spec.atoms()):
+    for i, atom in enumerate(spec.atoms):
         if atom.is_vector:
             out.append(scale * rng_gaussian(atom.d_out, 1, derive_seed(seed, i))[:, 0])
         else:
@@ -112,7 +111,7 @@ class TestMomentumUpdate:
 
 class TestUscg:
     def test_single_sign_layer(self):
-        spec = ModelNormSpec(layers=(LayerNorms(NormSpec(NormKind.SIGN, 1.0, 1, 2)),))
+        spec = ModelNormSpec((NormSpec(NormKind.SIGN, 1.0, 1, 2),))
         x = [np.zeros((1, 2))]
         state = OptimizerState.init(x)
         g = [np.array([[2.0, -3.0]])]
@@ -173,7 +172,7 @@ class TestUscg:
 class TestScg:
     def test_convex_combination_example(self):
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2),)
         )
         x = [np.array([1.0, 0.0])]
         state = OptimizerState.init(x)
@@ -184,14 +183,14 @@ class TestScg:
 
     def test_gamma_one_lands_on_boundary(self):
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3, radius=2.0)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3, radius=2.0),)
         )
         x = [np.zeros(3)]
         state = OptimizerState.init(x)
         g = [np.array([1.0, 2.0, -2.0])]
         x = scg_step(x, state, g, gamma=1.0, alpha=1.0, spec=spec)
         assert composite_norm(x, spec) == pytest.approx(1.0)
-        np.testing.assert_allclose(x[0], lmo(g[0], spec.atoms()[0]))
+        np.testing.assert_allclose(x[0], lmo(g[0], spec.atoms[0]))
 
     def test_feasibility_500_steps(self):
         spec = mixed_spec()
@@ -213,7 +212,7 @@ class TestScg:
 
     def test_one_infeasible_trial_in_a_stack_rejected(self):
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 6, radius=2.0)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 6, radius=2.0),)
         )
         rows = rng_gaussian(6, 1, [derive_seed(15, t) for t in range(4)])[..., 0]
         x = [2.0 * rows / np.linalg.norm(rows, axis=1, keepdims=True)]
@@ -266,7 +265,7 @@ class TestScgCertificate:
         assert len(norm_calls) == 2
 
     def test_newton_schulz_measures_every_step(self, norm_calls):
-        spec = ModelNormSpec(layers=(LayerNorms(NormSpec(NormKind.SPECTRAL, 1.0, 6, 4)),))
+        spec = ModelNormSpec((NormSpec(NormKind.SPECTRAL, 1.0, 6, 4),))
         x = [0.5 * p for p in boundary_params(spec, 74)]
         state = OptimizerState.init(x)
         for k, g in enumerate(gradient_stream(spec, 75, 5), start=1):
@@ -301,9 +300,8 @@ class TestScgCertificate:
         state = OptimizerState.init(x)
         g = random_params(spec, 81)
         x = scg_step(x, state, g, 0.1, 0.5, spec)
-        shrunk = ModelNormSpec(layers=tuple(
-            LayerNorms(replace(layer.weight, radius=layer.weight.radius / 4))
-            for layer in spec.layers
+        shrunk = ModelNormSpec(tuple(
+            replace(atom, radius=atom.radius / 4) for atom in spec.atoms
         ))
         with pytest.raises(ValueError, match="feasible"):
             scg_step(x, state, g, 0.1, 0.5, shrunk)
@@ -325,7 +323,7 @@ class TestScgCertificate:
 
     def test_stacked_rows_vouched(self, norm_calls):
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 6, radius=2.0)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 6, radius=2.0),)
         )
         rows = rng_gaussian(6, 1, [derive_seed(84, t) for t in range(4)])[..., 0]
         x = [2.0 * rows / np.linalg.norm(rows, axis=1, keepdims=True)]
@@ -377,16 +375,14 @@ class TestWeightDecay:
         mu, gamma = 0.5, 0.01
         base = mixed_spec()
         inflated = ModelNormSpec(
-            layers=tuple(
-                LayerNorms(
-                    NormSpec(
-                        kind=ln.weight.kind,
-                        radius=ln.weight.radius / mu,
-                        d_out=ln.weight.d_out,
-                        d_in=ln.weight.d_in,
-                    )
+            tuple(
+                NormSpec(
+                    kind=atom.kind,
+                    radius=atom.radius / mu,
+                    d_out=atom.d_out,
+                    d_in=atom.d_in,
                 )
-                for ln in base.layers
+                for atom in base.atoms
             )
         )
         stream = gradient_stream(base, 41, 100)
@@ -402,7 +398,7 @@ class TestWeightDecay:
 
 class TestAlmond:
     def test_first_step(self):
-        spec = ModelNormSpec(layers=(LayerNorms(NormSpec(NormKind.SIGN, 1.0, 1, 2)),))
+        spec = ModelNormSpec((NormSpec(NormKind.SIGN, 1.0, 1, 2),))
         x = [np.zeros((1, 2))]
         state = OptimizerState.init(x)
         g = [np.array([[2.0, -3.0]])]
@@ -420,7 +416,7 @@ class TestAlmond:
 
     def test_direction_decays_geometrically_without_gradient(self):
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3),)
         )
         x = [np.zeros(3)]
         state = OptimizerState.init(x)
@@ -470,7 +466,7 @@ class TestMuon:
     def test_nesterov_differs_from_plain_on_scripted_gradients(self):
         # hand-rolled recursions on two fixed gradients
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2),)
         )
         g1, g2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         beta = 0.9
@@ -499,7 +495,7 @@ def ssd(x, g, gamma, spec):
 class TestSsd:
     def test_euclidean_reduces_to_gradient_descent(self):
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3, radius=2.5)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3, radius=2.5),)
         )
         x = [np.array([1.0, -1.0, 2.0])]
         g = [np.array([0.5, 0.25, -1.0])]
@@ -507,7 +503,7 @@ class TestSsd:
         np.testing.assert_allclose(out[0], x[0] - 0.1 * g[0], atol=1e-14)
 
     def test_maxvec_reduces_to_scaled_sign(self):
-        spec = ModelNormSpec(layers=(LayerNorms(NormSpec.vector(NormKind.MAX_VEC, 2)),))
+        spec = ModelNormSpec((NormSpec.vector(NormKind.MAX_VEC, 2),))
         x = [np.array([1.0, 1.0])]
         g = [np.array([2.0, -1.0])]
         out = ssd(x, g, 0.1, spec)
@@ -522,7 +518,7 @@ class TestSsd:
     def test_trajectory_scales_with_gradients(self):
         # the contrast with the lmo methods: scaling the stream scales the motion
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 4)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 4),)
         )
         stream = gradient_stream(spec, 59, 20)
         base = [np.zeros(4)]
@@ -551,7 +547,7 @@ class TestScionLight:
     def test_alpha_one_zeroes_buffer(self):
         # alpha = 1 keeps none of the accumulated buffer: it holds the latest gradient
         spec = ModelNormSpec(
-            layers=(LayerNorms(NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3)),)
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3),)
         )
         x = [np.zeros(3)]
         state = OptimizerState.init(x)

@@ -2,11 +2,13 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +52,27 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_init_model_draws_one_semi_orthogonal_per_spectral_layer():
+    """The tracer patches module globals, so init_model must look each draw up by
+    its global name when it runs: a draw held elsewhere would escape the trace."""
+    from lmopt import models
+    from lmopt.norms import NormKind
+
+    spec = importlib.util.spec_from_file_location(
+        "lmopt_bench_tracer", ROOT / "lmopt_bench" / "tracer.py"
+    )
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    for mod in tracer_mod.TRACED:  # install patches every traced module
+        importlib.import_module(f"lmopt.{mod}")
+    specs = models.build_config(models.Domain.IMAGE, (32, 64, 64, 64, 10))
+    spectral = sum(ls.weight_norm.kind is NormKind.SPECTRAL for ls in specs)
+    assert spectral == 3
+    tracer = tracer_mod.Tracer()
+    with tracer.job_span(0):
+        models.init_model(specs, 4)
+    name_id = tracer.arrays()["name_id"]
+    assert int(np.sum(name_id == tracer.names.index("linalg.semi_orthogonal_init"))) == spectral
+    assert int(np.sum(name_id == tracer.names.index("models.init_model"))) == 1
