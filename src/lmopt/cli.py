@@ -7,9 +7,11 @@ per-step CSV diagnostics), `coord-check` (width invariance of preactivation upda
 Configuration is a JSON tree (--config file.json) overridden by repeatable
 `--set path=value` flags; `--seed` and `--out` are shortcuts for the corresponding
 config keys. Every accepted key is listed, with its range, in each subcommand's --help.
-Unknown keys and out-of-range values are rejected by name before any computation. Artifacts (CSV per step or per cell, a JSONL
-summary, and model checkpoints where applicable) land in the output directory under
-`<command>_<confighash>_<seed>.*`, and reruns with the same config and seed are
+Unknown keys and out-of-range values are rejected by name before any computation.
+Every run writes its artifacts (CSV per step or per cell, a JSONL summary, and model
+checkpoints where applicable) through one writer, `_write_run`, after its last
+computation, so a run that fails writes nothing. They land in the output directory
+under `<command>_<confighash>_<seed>.*`, and reruns with the same config and seed are
 byte-identical.
 
 Exit codes: 0 success, 1 configuration error, 2 oracle contract violation,
@@ -282,17 +284,13 @@ def resolve_config(command: str, file_config: dict, overrides: list[str],
     """
     schema = SCHEMAS[command]
     resolved = {path: f.default for path, f in schema.items()}
-    for path, value in sorted(_flatten(file_config).items()):
+    from_file = [(path, "=", value) for path, value in sorted(_flatten(file_config).items())]
+    for path, sep, value in from_file + [item.partition("=") for item in overrides]:
+        if not sep:
+            raise ConfigError(f"config error: --set expects key=value, got {path!r}")
         if path not in schema:
             raise ConfigError(f"config error: unknown key '{path}'")
         resolved[path] = _coerce(schema[path], value)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"config error: --set expects key=value, got {item!r}")
-        path, _, raw = item.partition("=")
-        if path not in schema:
-            raise ConfigError(f"config error: unknown key '{path}'")
-        resolved[path] = _coerce(schema[path], raw)
     if seed is not None:
         resolved["seed"] = int(seed)
     if out is not None:
@@ -356,10 +354,24 @@ def write_jsonl(path: str, records) -> None:
 
 
 def _artifact_base(command: str, cfg: dict) -> str:
+    """`<out>/<command>_<confighash>_<seed>`, after making the output directory."""
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     name = f"{command.replace('-', '_')}_{config_hash(cfg)}_{cfg['seed']}"
     return os.path.join(out_dir, name)
+
+
+def _write_run(command: str, cfg: dict, header, columns, summary: dict, comments=()) -> str:
+    """Write a run's artifacts after its last computation and return their base path:
+    the CSV of `columns` under `header`, then the JSONL record {"command", "config",
+    **summary}. The record is checked first, so one holding NaN or an infinity raises
+    ValueError before either file exists."""
+    record = {"command": command, "config": cfg, **summary}
+    json.dumps(record, allow_nan=False)
+    base = _artifact_base(command, cfg)
+    write_csv(base + ".csv", header, columns, comments)
+    write_jsonl(base + ".jsonl", [record])
+    return base
 
 
 def _ns_iters(cfg: dict) -> int | None:
@@ -429,20 +441,14 @@ def cmd_lmo_check(cfg: dict) -> int:
             f"pairing {max_pairing:.3e} (tol {pairing_tol:.0e})  "
             f"scale {max_scale:.3e} (tol {scale_tol:.0e})  {status}"
         )
-    base = _artifact_base("lmo-check", cfg)
-    write_csv(
-        base + ".csv",
+    _write_run(
+        "lmo-check", cfg,
         ("kind", "trials", "max_boundary_dev", "boundary_tol", "max_pairing_dev",
          "pairing_tol", "max_scale_dev", "scale_tol", "ok"),
         zip(*rows),
+        {"violations": violations, "kinds": [r[0] for r in rows]},
         comments=(f"backend={cfg['spectral.backend']}", f"iters={cfg['spectral.iters']}"),
     )
-    write_jsonl(base + ".jsonl", [{
-        "command": "lmo-check",
-        "config": cfg,
-        "violations": violations,
-        "kinds": [r[0] for r in rows],
-    }])
     if violations:
         print(f"{violations} kind(s) violated the oracle contracts")
         return 2
@@ -501,7 +507,7 @@ def cmd_train(cfg: dict) -> int:
     horizon = cfg["optimizer.steps"]
     schedule = _build_schedule(cfg, horizon)
     seed = cfg["seed"]
-    summary: dict = {"command": "train", "config": cfg, "steps": horizon}
+    summary: dict = {"steps": horizon}
     if cfg["problem.kind"] == "quadratic":
         problem = _build_problem(StochasticQuadratic, cfg)
         x, diags = train_quadratic(
@@ -510,9 +516,7 @@ def cmd_train(cfg: dict) -> int:
             mu=cfg["optimizer.mu"],
             beta=cfg["optimizer.beta"],
         )
-        base = _artifact_base("train", cfg)
         summary["final_loss"] = problem.loss(x)
-        summary["final_param_norm"] = diags.param_norm[-1] if len(diags) else None
     else:
         if cfg["problem.kind"] == "idx":
             train_x, train_y = _load_idx(cfg)
@@ -541,13 +545,12 @@ def cmd_train(cfg: dict) -> int:
             mu=cfg["optimizer.mu"],
             beta=cfg["optimizer.beta"],
         )
-        base = _artifact_base("train", cfg)
-        save_model(model, base + ".checkpoint.json")
+        checkpoint = _artifact_base("train", cfg) + ".checkpoint.json"
+        save_model(model, checkpoint)
         summary["final_loss"] = diags.loss[-1] if len(diags) else None
-        summary["final_param_norm"] = diags.param_norm[-1] if len(diags) else None
-        summary["checkpoint"] = os.path.basename(base) + ".checkpoint.json"
-    write_csv(base + ".csv", RunDiagnostics.COLUMNS, diags.columns())
-    write_jsonl(base + ".jsonl", [summary])
+        summary["checkpoint"] = os.path.basename(checkpoint)
+    summary["final_param_norm"] = diags.param_norm[-1] if len(diags) else None
+    base = _write_run("train", cfg, RunDiagnostics.COLUMNS, diags.columns(), summary)
     print(f"wrote {base}.csv")
     return 0
 
@@ -565,20 +568,15 @@ def cmd_coord_check(cfg: dict) -> int:
         ns_iters=_ns_iters(cfg),
     )
     ratios = coordinate_check_ratios(rows)
-    base = _artifact_base("coord-check", cfg)
-    write_csv(
-        base + ".csv",
-        ("width", "layer", "rms_dpreact"),
-        zip(*((r.width, r.layer, r.rms_dpreact) for r in rows)),
-    )
-    write_jsonl(base + ".jsonl", [{
-        "command": "coord-check",
-        "config": cfg,
-        "max_min_ratio_per_layer": {str(k): v for k, v in sorted(ratios.items())},
-    }])
     for r in rows:
         print(f"width={r.width:6d} layer={r.layer} rms_dpreact={r.rms_dpreact:.6f}")
     print("per-layer max/min ratios:", {k: round(v, 4) for k, v in sorted(ratios.items())})
+    _write_run(
+        "coord-check", cfg,
+        ("width", "layer", "rms_dpreact"),
+        zip(*((r.width, r.layer, r.rms_dpreact) for r in rows)),
+        {"max_min_ratio_per_layer": {str(k): v for k, v in sorted(ratios.items())}},
+    )
     return 0
 
 
@@ -601,21 +599,17 @@ def cmd_sweep(cfg: dict) -> int:
         activation=Activation(cfg["activation"]),
         ns_iters=_ns_iters(cfg),
     )
-    base = _artifact_base("sweep", cfg)
-    write_csv(
-        base + ".csv",
-        ("width", "gamma", "final_loss"),
-        zip(*((r.width, r.gamma, r.final_loss) for r in report.rows)),
-    )
-    write_jsonl(base + ".jsonl", [{
-        "command": "sweep",
-        "config": cfg,
-        "best_gamma": {str(k): v for k, v in sorted(report.best_gamma.items())},
-        "max_log2_spread": report.max_log2_spread(),
-    }])
+    spread = report.max_log2_spread()
     for width, gstar in sorted(report.best_gamma.items()):
         print(f"width={width:6d} best gamma={gstar}")
-    print(f"max log2 spread of best gamma: {report.max_log2_spread()}")
+    print(f"max log2 spread of best gamma: {spread}")
+    _write_run(
+        "sweep", cfg,
+        ("width", "gamma", "final_loss"),
+        zip(*((r.width, r.gamma, r.final_loss) for r in report.rows)),
+        {"best_gamma": {str(k): v for k, v in sorted(report.best_gamma.items())},
+         "max_log2_spread": spread},
+    )
     return 0
 
 
@@ -632,52 +626,42 @@ def cmd_rate(cfg: dict) -> int:
         rho_unconstrained=cfg["rho"],
         rho_constrained=cfg["rho_constrained"],
     )
-    base = _artifact_base("rate", cfg)
-    comments = [f"{k}={v}" for k, v in sorted(report.constants.items())]
-    if report.mode == "vanishing":
-        write_csv(base + ".csv", ("n", "gamma", "mean_criticality"),
-                  (report.n_list, report.gammas, report.mean_criticality), comments=comments)
-        print(f"{report.optimizer} fitted log-log slope: {report.slope:.4f}")
-    else:
-        n, gamma = max(report.n_list), report.gammas[0]
-        plateaus = report.mean_criticality
-        write_csv(base + ".csv", ("n", "gamma", "noise_level", "plateau"),
-                  ((n, n), (gamma, gamma), ("sigma", "2sigma"), plateaus),
-                  comments=comments)
-        print(
-            f"{report.optimizer} plateaus: {plateaus[0]:.5f} @ sigma, "
-            f"{plateaus[1]:.5f} @ 2*sigma (ratio {report.plateau_ratio:.3f})"
-        )
     summary = {
-        "command": "rate",
-        "config": cfg,
         "mode": report.mode,
         "slope": report.slope,
         "plateau_ratio": report.plateau_ratio,
         "constants": report.constants,
     }
+    if report.mode == "vanishing":
+        header = ("n", "gamma", "mean_criticality")
+        columns = (report.n_list, report.gammas, report.mean_criticality)
+        print(f"{report.optimizer} fitted log-log slope: {report.slope:.4f}")
+    else:
+        n, gamma = max(report.n_list), report.gammas[0]
+        plateaus = report.mean_criticality
+        header = ("n", "gamma", "noise_level", "plateau")
+        columns = ((n, n), (gamma, gamma), ("sigma", "2sigma"), plateaus)
+        print(
+            f"{report.optimizer} plateaus: {plateaus[0]:.5f} @ sigma, "
+            f"{plateaus[1]:.5f} @ 2*sigma (ratio {report.plateau_ratio:.3f})"
+        )
     if cfg["probe"] == "error_decay":
         probe = error_decay_probe(problem, n=cfg["probe_n"], trials=cfg["probe_trials"])
         summary["error_decay_slope"] = probe.slope
         print(f"error-decay log-log slope: {probe.slope:.4f}")
-    write_jsonl(base + ".jsonl", [summary])
+    _write_run("rate", cfg, header, columns, summary,
+               comments=[f"{k}={v}" for k, v in sorted(report.constants.items())])
     return 0
 
 
 _COMMANDS = {
-    "lmo-check": cmd_lmo_check,
-    "train": cmd_train,
-    "coord-check": cmd_coord_check,
-    "sweep": cmd_sweep,
-    "rate": cmd_rate,
-}
-
-_DESCRIPTIONS = {
-    "lmo-check": "validate the oracle contracts (boundary, dual pairing, scale invariance)",
-    "train": "run one optimizer on a problem, logging per-step diagnostics",
-    "coord-check": "measure width invariance of per-coordinate preactivation updates",
-    "sweep": "stepsize grid search across widths (transfer check)",
-    "rate": "convergence-rate harness on the stochastic quadratic",
+    "lmo-check": (cmd_lmo_check,
+                  "validate the oracle contracts (boundary, dual pairing, scale invariance)"),
+    "train": (cmd_train, "run one optimizer on a problem, logging per-step diagnostics"),
+    "coord-check": (cmd_coord_check,
+                    "measure width invariance of per-coordinate preactivation updates"),
+    "sweep": (cmd_sweep, "stepsize grid search across widths (transfer check)"),
+    "rate": (cmd_rate, "convergence-rate harness on the stochastic quadratic"),
 }
 
 
@@ -697,11 +681,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="norm-ball lmo optimizers: contract checks and experiment harnesses",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
+    for command, (_, description) in _COMMANDS.items():
         p = sub.add_parser(
             command,
-            help=_DESCRIPTIONS[command],
-            description=_DESCRIPTIONS[command],
+            help=description,
+            description=description,
             epilog=_schema_epilog(command),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
@@ -730,7 +714,7 @@ def main(argv=None) -> int:
             if not isinstance(file_config, dict):
                 raise ConfigError(f"config error: {args.config} must hold a JSON object")
         cfg = resolve_config(args.command, file_config, args.set, args.seed, args.out)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -36,7 +36,6 @@ from .norms import (
     gap_from_duals,
 )
 from .optim import (
-    RULES,
     Algo,
     AlphaKind,
     GammaKind,
@@ -468,8 +467,8 @@ def coordinate_check(
                 # MSE on one sample: dL/dlogits = logits - y
                 g = backward_factors(model, cache_before, logits - y)
                 x = model.parameters()
-                x, _ = step(x, OptimizerState.init(x), g, gamma, 1.0, model.norm_spec(),
-                            RULES[Algo.USCG], ns_iters)
+                x, _ = apply_step(Algo.USCG, x, OptimizerState.init(x), g, gamma, 1.0,
+                                  model.norm_spec(), ns_iters)
                 model.set_parameters(x)
             _, cache_after = forward(model, z)
             for layer in range(depth):
@@ -715,7 +714,8 @@ def error_decay_probe(
     averaged squared error decays like 1/sqrt(k); the report fits the log-log slope
     over all steps with a positive mean. With constant alpha = 1 the direction is
     the raw noisy gradient, so the squared error just fluctuates around the
-    injected noise level. Needs trials >= 1 and n >= 2.
+    injected noise level. Needs trials >= 1 and n >= 2. A mean squared error past
+    float64's range raises NumericalFailure at the first step it reaches.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -726,7 +726,12 @@ def error_decay_probe(
     alpha_kind = AlphaKind.VANISHING if vanishing else AlphaKind.CONSTANT
     schedule = ScheduleSpec(horizon=n, gamma0=float(gamma), alpha_kind=alpha_kind, alpha0=alpha)
     _, diags = train_quadratic(problem, Algo.USCG, schedule, trial=range(trials), rho=1.0)
-    mean_sq = np.square([d.est_error for d in diags]).sum(axis=0) / trials
+    with np.errstate(over="ignore"):  # an overflow is reported below, by its step
+        mean_sq = np.square([d.est_error for d in diags]).sum(axis=0) / trials
+    bad = np.flatnonzero(~np.isfinite(mean_sq))
+    if bad.size:
+        raise NumericalFailure(int(bad[0]) + 1, "non-finite mean squared est_error "
+                               f"over {trials} trials in the error-decay probe")
     ks = np.arange(1, n + 1)
     mask = mean_sq > 0.0
     if vanishing and mask.sum() >= 2:

@@ -129,17 +129,20 @@ class MlpModel:
                 )
         if len(self.weights) != len(self.layers) or len(self.biases) != len(self.layers):
             raise ValueError("weights/biases must align with layers")
-        for idx, (ls, w, b) in enumerate(zip(self.layers, self.weights, self.biases)):
-            got = (np.shape(w), None if b is None else np.shape(b))
-            want = ((ls.d_out, ls.d_in), None if ls.bias_norm is None else (ls.d_out,))
-            for field, g, e in zip(("weights", "biases"), got, want):
-                if g != e:
-                    raise ValueError(f"layer {idx}: {field} has shape {g}, expected {e}")
+        self._check_shapes(self.weights, self.biases)
         last = self.layers[-1]
         if last.activation is not Activation.IDENTITY:
             raise ValueError("last layer must use the identity activation (raw logits)")
         if last.bias_norm is not None:
             raise ValueError("last layer carries no bias")
+
+    def _check_shapes(self, weights, biases) -> None:
+        for idx, (ls, w, b) in enumerate(zip(self.layers, weights, biases)):
+            got = (np.shape(w), None if b is None else np.shape(b))
+            want = ((ls.d_out, ls.d_in), None if ls.bias_norm is None else (ls.d_out,))
+            for field, g, e in zip(("weights", "biases"), got, want):
+                if g != e:
+                    raise ValueError(f"layer {idx}: {field} has shape {g}, expected {e}")
 
     @property
     def depth(self) -> int:
@@ -161,14 +164,21 @@ class MlpModel:
         return out
 
     def set_parameters(self, params: Sequence[np.ndarray]) -> None:
+        """Take a parameter list in parameters()' layout. Each array's shape is
+        checked as at construction, before any is taken, so a rejected list leaves
+        the model unchanged."""
         expected = len(self.parameters())
         if len(params) != expected:
             raise ValueError(f"expected {expected} parameter arrays, got {len(params)}")
         it = iter(params)
-        for i, ls in enumerate(self.layers):
-            self.weights[i] = np.asarray(next(it), dtype=np.float64)
-            if ls.bias_norm is not None:
-                self.biases[i] = np.asarray(next(it), dtype=np.float64).ravel()
+        weights, biases = [], []
+        for ls in self.layers:
+            weights.append(np.asarray(next(it), dtype=np.float64))
+            has_bias = ls.bias_norm is not None
+            biases.append(np.asarray(next(it), dtype=np.float64).ravel() if has_bias else None)
+        self._check_shapes(weights, biases)
+        self.weights[:] = weights
+        self.biases[:] = biases
 
 
 @dataclass

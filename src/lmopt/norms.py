@@ -34,7 +34,9 @@ Conventions, chosen once and relied on by everything downstream:
     cancel, has the zero lmo.
   * The exact spectral lmo is scale-safe as well: a matrix or factor far outside
     float64's midrange is brought to it by a power of two before its SVD or QR
-    (`_svd_range`), and every other operand keeps its bits.
+    (`_svd_range`), and every other operand keeps its bits. The spectral op_norm
+    and dual_norm scale the same matrices and return that power of two like an l2
+    row's, so c applies before the map back.
   * The spectral op_norm takes sigma_max from the top eigenvalue of the smaller
     Gram matrix (`linalg.sigma_max`), about half the cost of a values-only SVD
     at the same relative accuracy. The spectral dual norm sums every singular
@@ -182,9 +184,14 @@ def _l2(r):
 _SVD_EXPONENT = 256
 
 
-def _svd_range(m: np.ndarray) -> np.ndarray:
+def _svd_scaled(m: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """(m * 2**-e, e), or (m, None) for a matrix in range."""
     e = int(np.frexp(np.max(np.abs(m)))[1])
-    return m if -_SVD_EXPONENT < e <= _SVD_EXPONENT else np.ldexp(m, -e)
+    return (m, None) if -_SVD_EXPONENT < e <= _SVD_EXPONENT else (np.ldexp(m, -e), e)
+
+
+def _svd_range(m: np.ndarray) -> np.ndarray:
+    return _svd_scaled(m)[0]
 
 
 def _spectral_lmo(m, coef, ns_iters):
@@ -199,11 +206,13 @@ def _spectral_lmo(m, coef, ns_iters):
 
 
 def _sigma_max(m):
-    return sigma_max(m), None
+    r, e = _svd_scaled(m)
+    return sigma_max(r), e
 
 
 def _nuclear(m):
-    return (np.sum(singular_values(m)) if m.any() else 0.0), None
+    r, e = _svd_scaled(m)
+    return (np.sum(singular_values(r)) if r.any() else 0.0), e
 
 
 _MAX_ROWS = _RowOracle(_sign_lmo, _max_abs, _l1)

@@ -253,9 +253,11 @@ def step(
     _check_gamma(gamma)
     _check_alpha(alpha)
     _check_like(x, g, "step")
+    atoms = spec.atoms
+    if len(x) != len(atoms):
+        raise ValueError(f"step: {len(x)} parameter arrays for {len(atoms)} norm atoms")
     if rule.move is Move.CONVEX:
         bound = _feasible_bound(x, state, spec)
-    atoms = spec.atoms
 
     def oracle(vs):
         return [lmo(v, a, ns_iters=ns_iters) for v, a in zip(vs, atoms)]

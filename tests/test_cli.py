@@ -297,6 +297,28 @@ class TestCommands:
         assert "slope" not in captured.out
         assert not out.exists() or os.listdir(out) == []
 
+    def test_rate_overflowing_probe_error_exit_3(self, tmp_path, capsys):
+        # Each recorded est_error is finite, but its square overflows float64 in the
+        # probe's mean; the rate harness has run by then, and nothing is written.
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(
+                "rate", "--out", str(out),
+                "--set", "optimizer=scg",
+                "--set", "problem.noise=1e154",
+                "--set", "n_list=20,40",
+                "--set", "trials=2",
+                "--set", "probe=error_decay",
+                "--set", "probe_n=16",
+                "--set", "probe_trials=2",
+            )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure at step 1: non-finite mean squared est_error" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists() or os.listdir(out) == []
+
     def test_rate_overflowing_doubled_noise_exit_3(self, tmp_path, capsys):
         # Constant mode runs the problem's noise level and then double it; at a tiny
         # alpha the first run stays finite, and the doubled level overflows float64.
@@ -361,6 +383,38 @@ class TestCommands:
             assert not path.exists()
         write_jsonl(str(path), [{"slope": 1.0}])
         assert json.loads(path.read_text()) == {"slope": 1.0}
+
+    @pytest.mark.parametrize(
+        "command, settings, keys",
+        [
+            ("lmo-check", ["trials=2", "max_dim=4"], {"kinds", "violations"}),
+            ("train", ["optimizer.steps=2", "problem.train_size=16", "optimizer.batch_size=8"],
+             {"steps", "final_loss", "final_param_norm", "checkpoint"}),
+            ("train", ["problem.kind=quadratic", "problem.dim=4", "optimizer.steps=2"],
+             {"steps", "final_loss", "final_param_norm"}),
+            ("coord-check", ["widths=4,8", "samples=1", "input_dim=4", "classes=2"],
+             {"max_min_ratio_per_layer"}),
+            ("sweep", ["widths=4", "gamma.count=1", "epochs=1", "problem.train_size=16",
+                       "problem.test_size=8", "batch_size=8"],
+             {"best_gamma", "max_log2_spread"}),
+            ("rate", ["n_list=4,8", "trials=1"], {"mode", "slope", "plateau_ratio", "constants"}),
+            ("rate", ["n_list=4,8", "trials=1", "probe=error_decay", "probe_n=8",
+                      "probe_trials=1"],
+             {"mode", "slope", "plateau_ratio", "constants", "error_decay_slope"}),
+        ],
+        ids=["lmo-check", "train", "train-quadratic", "coord-check", "sweep", "rate",
+             "rate-probe"],
+    )
+    def test_jsonl_summary_keys(self, tmp_path, command, settings, keys):
+        args = [a for setting in settings for a in ("--set", setting)]
+        assert run_cli(command, "--out", str(tmp_path), *args) == 0
+        prefix = command.replace("-", "_")
+        lines = Path(artifact(str(tmp_path), prefix, ".jsonl")).read_text().splitlines()
+        assert len(lines) == 1
+        summary = json.loads(lines[0])
+        assert set(summary) == {"command", "config"} | keys
+        assert summary["command"] == command
+        assert summary["config"] == resolve_config(command, {}, settings, None, str(tmp_path))
 
     def test_sweep_command(self, tmp_path):
         rc = run_cli(

@@ -525,3 +525,23 @@ class TestModelValidation:
         ]
         with pytest.raises(ValueError, match="identity"):
             init_model(specs, 0)
+
+    @pytest.mark.parametrize(
+        "index, bad, message",
+        [
+            (0, np.zeros((1, 2)), r"layer 0: weights has shape \(1, 2\), expected \(6, 4\)"),
+            (1, np.zeros(5), r"layer 0: biases has shape \(5,\), expected \(6,\)"),
+            (2, np.zeros((6, 3)), r"layer 1: weights has shape \(6, 3\), expected \(3, 6\)"),
+        ],
+        ids=["first_weight", "first_bias", "last_weight"],
+    )
+    def test_set_parameters_checks_every_shape(self, index, bad, message):
+        specs = build_config(Domain.IMAGE, (4, 6, 3), with_bias=True)
+        model = init_model(specs, 0)
+        before = [p.copy() for p in model.parameters()]
+        params = list(model.parameters())
+        params[index] = bad
+        with pytest.raises(ValueError, match=message):
+            model.set_parameters(params)
+        for got, want in zip(model.parameters(), before, strict=True):
+            np.testing.assert_array_equal(got, want)

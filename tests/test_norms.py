@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from lmopt import norms
-from lmopt.linalg import LowRank, derive_seed, lowrank_svd, rng_gaussian, svd_reduced
+from lmopt.linalg import (
+    LowRank,
+    derive_seed,
+    lowrank_svd,
+    rng_gaussian,
+    sigma_max,
+    singular_values,
+    svd_reduced,
+)
 from lmopt.norms import (
     VECTOR_KINDS,
     ModelNormSpec,
@@ -457,7 +465,8 @@ class TestScaleSafeL2:
         assert norm == pytest.approx(scale * op_norm(unit, spec), rel=1e-12, abs=0)
         assert abs(pairing) <= 1e-12 * radius * dual
 
-    @pytest.mark.parametrize("kind", L2_KINDS + L2_MATRIX_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", L2_KINDS + L2_MATRIX_KINDS + [NormKind.SPECTRAL],
+                             ids=lambda k: k.value)
     def test_dual_past_the_range_is_inf(self, kind):
         spec = make_spec(kind, 5, 4)
         s = np.full((5,) if spec.is_vector else (5, 4), 1e308)
@@ -473,12 +482,15 @@ class TestScaleSafeL2:
             (op_norm, NormKind.RMS_VEC, (9,)),
             (op_norm, NormKind.COL_NORM, (9, 2)),
             (dual_norm, NormKind.ROW_NORM, (1, 4)),
+            (op_norm, NormKind.SPECTRAL, (9, 1)),
+            (dual_norm, NormKind.SPECTRAL, (1, 4)),
         ],
-        ids=["rms_vec_op", "col_norm_op", "row_norm_dual"],
+        ids=["rms_vec_op", "col_norm_op", "row_norm_dual", "spectral_op", "spectral_dual"],
     )
     def test_c_shrinks_a_row_norm_before_its_map_back(self, fn, kind, shape, scale):
-        # Each row's l2 norm is 3 or 2 times the scale, past float64's range at
-        # 1e308, and c (1/3 or 1/2) brings the value back to the scale itself.
+        # Each row's l2 norm (the spectral kind's sigma) is 3 or 2 times the scale,
+        # past float64's range at 1e308, and c (1/3 or 1/2) brings the value back to
+        # the scale itself.
         spec = make_spec(kind, *shape) if len(shape) == 2 else make_spec(kind, shape[0], 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -689,7 +701,8 @@ class TestLowRankOperand:
 class TestSpectralRange:
     """The exact spectral lmo scales a matrix, or each factor of a LowRank, by a power
     of two when its largest |entry| lies outside [2**-256, 2**256], so no SVD or QR
-    overflows or underflows; every other operand keeps its bits."""
+    overflows or underflows; the spectral op_norm and dual_norm scale the same
+    matrices; every other operand keeps its bits."""
 
     SPEC = NormSpec(NormKind.SPECTRAL, 1.3, 4, 3)
 
@@ -741,3 +754,6 @@ class TestSpectralRange:
         f = LowRank(np.ldexp(f.left, exponent), f.right)
         assert np.array_equal(lmo(a, self.SPEC), coef * svd_reduced(a).orthogonal_factor())
         assert np.array_equal(lmo(f, self.SPEC), coef * lowrank_svd(f).orthogonal_factor())
+        c = np.sqrt(4 / 3)
+        assert op_norm(a, self.SPEC) == sigma_max(a) / c
+        assert dual_norm(a, self.SPEC) == c * np.sum(singular_values(a))

@@ -614,6 +614,17 @@ class TestRuleTable:
         with pytest.raises(ValueError):
             step(x, OptimizerState.init(x), x, gamma, alpha, spec, RULES[Algo.SSD])
 
+    @pytest.mark.parametrize("algo", list(Algo))
+    def test_parameter_count_must_match_the_spec(self, algo):
+        # Three arrays against two atoms: the kernel's zips would drop the third.
+        spec = ModelNormSpec((NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3),) * 2)
+        x = g = [np.ones(3)] * 3
+        state = OptimizerState.init(x)
+        with pytest.raises(ValueError, match="3 parameter arrays for 2 norm atoms"):
+            step(x, state, g, 0.1, 0.5, spec, rule_for(algo))
+        assert state.alpha is None and state.certificate is None
+        assert all(not d.any() for d in state.d)
+
     def test_gradient_estimate_per_buffer(self):
         # d_k is the averaged direction each rule's buffer stands for
         spec = mixed_spec()

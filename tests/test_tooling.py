@@ -54,19 +54,26 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def _tracer_module():
+    """lmopt_bench/tracer.py, imported from its path, with every traced module loaded
+    (install patches each of them)."""
+    spec = importlib.util.spec_from_file_location(
+        "lmopt_bench_tracer", ROOT / "lmopt_bench" / "tracer.py"
+    )
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    for mod in tracer_mod.TRACED:
+        importlib.import_module(f"lmopt.{mod}")
+    return tracer_mod
+
+
 def test_traced_init_model_draws_one_semi_orthogonal_per_spectral_layer():
     """The tracer patches module globals, so init_model must look each draw up by
     its global name when it runs: a draw held elsewhere would escape the trace."""
     from lmopt import models
     from lmopt.norms import NormKind
 
-    spec = importlib.util.spec_from_file_location(
-        "lmopt_bench_tracer", ROOT / "lmopt_bench" / "tracer.py"
-    )
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
-    for mod in tracer_mod.TRACED:  # install patches every traced module
-        importlib.import_module(f"lmopt.{mod}")
+    tracer_mod = _tracer_module()
     specs = models.build_config(models.Domain.IMAGE, (32, 64, 64, 64, 10))
     spectral = sum(ls.weight_norm.kind is NormKind.SPECTRAL for ls in specs)
     assert spectral == 3
@@ -76,3 +83,19 @@ def test_traced_init_model_draws_one_semi_orthogonal_per_spectral_layer():
     name_id = tracer.arrays()["name_id"]
     assert int(np.sum(name_id == tracer.names.index("linalg.semi_orthogonal_init"))) == spectral
     assert int(np.sum(name_id == tracer.names.index("models.init_model"))) == 1
+
+
+def test_traced_coordinate_check_steps_inside_the_step_span():
+    """coordinate_check's probe update runs through experiments.apply_step, so the
+    tracer books its oracle calls to the step, not to the harness as diagnostics."""
+    from lmopt import experiments
+
+    tracer_mod = _tracer_module()
+    tracer = tracer_mod.Tracer()
+    with tracer.job_span(0):
+        experiments.coordinate_check([4, 8], depth=2, samples=2, input_dim=4, classes=3)
+    a = tracer.arrays()
+    lmo_spans = np.flatnonzero(a["name_id"] == tracer.names.index("norms.lmo"))
+    assert lmo_spans.size == 2 * 2 * 2  # two weight layers, two widths, two samples
+    step_id = tracer.names.index("experiments.apply_step")
+    assert np.all(a["name_id"][a["parent"][lmo_spans]] == step_id)
