@@ -40,6 +40,7 @@ from .optim import (
     AlphaKind,
     GammaKind,
     OptimizerState,
+    Rule,
     ScheduleSpec,
     alpha_at,
     gamma_at,
@@ -57,6 +58,9 @@ _NOISE_BLOCK = 64
 
 # l2 distance of the unconstrained quadratic runs' start from the minimizer.
 _START_SCALE = 2.0
+
+# Samples in train_classifier's recorded probe gradient, per minibatch sample.
+_PROBE_FACTOR = 16
 
 
 class NumericalFailure(RuntimeError):
@@ -204,7 +208,7 @@ def _scheduled_steps(schedule: ScheduleSpec, diags: RunDiagnostics, record: bool
 
 
 def apply_step(
-    algo: Algo,
+    rule: Rule,
     x: list[np.ndarray],
     state: OptimizerState,
     g: list[np.ndarray],
@@ -212,12 +216,9 @@ def apply_step(
     alpha: float,
     spec: ModelNormSpec,
     ns_iters: int | None = None,
-    mu: float = 0.5,
-    beta: float = 0.9,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """One harness update: optim.step under the algo's rule; returns (x, d_k).
-    An unknown algo raises ValueError."""
-    return step(x, state, g, gamma, alpha, spec, rule_for(algo, mu, beta), ns_iters)
+    """One harness update: optim.step under the run's rule; returns (x, d_k)."""
+    return step(x, state, g, gamma, alpha, spec, rule, ns_iters)
 
 
 def quadratic_norm_spec(dim: int, rho: float) -> ModelNormSpec:
@@ -232,7 +233,6 @@ def train_quadratic(
     rho: float = 1.0,
     mu: float = 0.5,
     beta: float = 0.9,
-    record: bool = True,
 ) -> tuple[np.ndarray, RunDiagnostics | list[RunDiagnostics]]:
     """Run one optimizer on the stochastic quadratic; diagnostics use the exact gradient.
 
@@ -247,7 +247,8 @@ def train_quadratic(
     is keyed by (problem.seed, trial, step) so different algorithms see the same
     stream on the same trial. It is drawn _NOISE_BLOCK steps at a time by
     problem.step_noise, so a step's gradient equals problem.noisy_grad at that step
-    bit for bit.
+    bit for bit. The algo's rule is built before any work, so an unknown algo
+    raises ValueError before the first gradient.
 
     The recorded columns are taken once per block of _NOISE_BLOCK steps (and at the
     horizon): each step copies x^k, the exact gradient and d^k into block buffers,
@@ -270,6 +271,7 @@ def train_quadratic(
     the horizon, and the recorded columns once per block. When a step fails, the
     block's recorded steps up to it are checked first.
     """
+    rule = rule_for(algo, mu, beta)
     stacked = not isinstance(trial, Integral)
     trials = [int(t) for t in trial] if stacked else [int(trial)]
     if not trials:
@@ -278,29 +280,23 @@ def train_quadratic(
     x = [problem.start_point(trials, scale=rho if algo is Algo.SCG else _START_SCALE)]
     state = OptimizerState.init(x)
     n, count = schedule.horizon, len(trials)
-    stack = RunDiagnostics.allocate(n if record else 0, count)
+    stack = RunDiagnostics.allocate(n, count)
     # Row i of a block holds x^k, grad f(x^k) and d^k of the block's i-th step.
-    block = np.empty((3, min(n, _NOISE_BLOCK), count, problem.dim)) if record else None
+    block = np.empty((3, min(n, _NOISE_BLOCK), count, problem.dim))
 
-    def flush(rows: int, start: int):
+    def close(rows: int, start: int, failure) -> None:
         """Record the block's first `rows` steps, from step `start` on, into the
-        stack's columns; return the first failure (or None) of each recorded check."""
+        stack's columns, then raise the earliest failure among their checks and
+        `failure`, if there is one."""
         xb, eb, db = (b[:rows].reshape(rows * count, problem.dim) for b in block)
         cut = slice(start - 1, start - 1 + rows)
         checked = stack.record(cut, spec, problem.loss(xb), [xb], [eb], [db])
-        return [
+        _raise_first(*(
             _failure(v.reshape(rows, count), start, trials, c)
             for c, v in zip(("fw_gap", "param_norm", "est_error"), checked)
-        ]
+        ), failure)
 
-    def close(rows: int, start: int, failure) -> None:
-        """Record the block's first `rows` steps when recording, then raise the
-        earliest failure among their checks and `failure`, if there is one."""
-        if record:
-            _raise_first(*flush(rows, start), failure)
-        _raise_first(failure)
-
-    for k, gamma, alpha in _scheduled_steps(schedule, stack, record):
+    for k, gamma, alpha in _scheduled_steps(schedule, stack, True):
         i = (k - 1) % _NOISE_BLOCK
         exact = problem.grad(x[0])
         g = exact
@@ -308,10 +304,9 @@ def train_quadratic(
             if i == 0:
                 noise = problem.step_noise(trials, k, min(k + _NOISE_BLOCK, n + 1))
             g = exact + noise[i]
-        if record:
-            block[0, i], block[1, i] = x[0], exact
+        block[0, i], block[1, i] = x[0], exact
         try:
-            x, d_k = apply_step(algo, x, state, [g], gamma, alpha, spec, mu=mu, beta=beta)
+            x, d_k = apply_step(rule, x, state, [g], gamma, alpha, spec)
         except ValueError:
             # The start is not the output of a step, so a failure at step 1 is the gradient's.
             failure = _failure(x[0][None], k - 1, trials, "parameters") if k > 1 else None
@@ -319,8 +314,7 @@ def train_quadratic(
             if failure is None:
                 raise
             close(i, k - i, failure)
-        if record:
-            block[2, i] = d_k[0]
+        block[2, i] = d_k[0]
         if i == _NOISE_BLOCK - 1 or k == n:
             close(i + 1, k - i, _failure(x[0][None], k, trials, "parameters"))
     diags = [stack.trial(t) for t in range(count)]
@@ -337,34 +331,33 @@ def train_classifier(
     schedule: ScheduleSpec,
     seed: int = 0,
     batch_size: int = 64,
-    loss: Loss = Loss.LOGISTIC,
     ns_iters: int | None = None,
     mu: float = 0.5,
     beta: float = 0.9,
-    probe_factor: int = 16,
     record: bool = True,
 ) -> tuple[MlpModel, RunDiagnostics]:
-    """Minibatch training of an MLP with per-step diagnostics.
+    """Minibatch training of an MLP on the logistic loss with per-step diagnostics.
 
     Gradient-dual-norm, gap, and estimator-error columns use a large probe batch
-    (probe_factor times the minibatch, capped at the dataset size) as a stand-in for
-    the exact gradient; on data problems these are proxies. The probe gradient is
-    streamed in chunks of batch_size columns, so no pass holds more than one
-    minibatch of activations: it is bit-identical to a one-shot loss_and_grad when
-    the probe fits in one batch, and equal up to summation order otherwise. The row
-    of step k is recorded once the step has formed d^k, from the iterate x^k before
-    it.
+    (_PROBE_FACTOR = 16 times the minibatch, capped at the dataset size) as a
+    stand-in for the exact gradient; on data problems these are proxies. The probe
+    gradient is streamed in chunks of batch_size columns, so no pass holds more than
+    one minibatch of activations: it is bit-identical to a one-shot loss_and_grad
+    when the probe fits in one batch, and equal up to summation order otherwise. The
+    row of step k is recorded once the step has formed d^k, from the iterate x^k
+    before it. A batch_size below 1, or an unknown algo, raises ValueError before
+    the first gradient.
     """
-    for name, value in (("batch_size", batch_size), ("probe_factor", probe_factor)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    rule = rule_for(algo, mu, beta)
     spec = model.norm_spec()
     n = train_x.shape[1]
     batch_size = min(batch_size, n)
     x = model.parameters()
     state = OptimizerState.init(x)
     diags = RunDiagnostics.allocate(schedule.horizon if record else 0)
-    probe_n = min(n, probe_factor * batch_size)
+    probe_n = min(n, _PROBE_FACTOR * batch_size)
     cursor = 0
     epoch = 0
     order = rng_permutation(n, derive_seed(seed, 7, epoch))
@@ -375,17 +368,15 @@ def train_classifier(
             cursor = 0
         idx = order[cursor : cursor + batch_size]
         cursor += batch_size
-        batch_loss, g = loss_and_grad(model, train_x[:, idx], train_y[idx], loss)
+        batch_loss, g = loss_and_grad(model, train_x[:, idx], train_y[idx], Loss.LOGISTIC)
         if not np.isfinite(batch_loss):
             raise NumericalFailure(k, "non-finite loss")
         for gi in g:
             if not np.all(np.isfinite(gi)):
                 raise NumericalFailure(k, "non-finite gradient")
         if record:
-            probe_g = _probe_grad(model, train_x, train_y, loss, probe_n, batch_size)
-        new_x, d_k = apply_step(
-            algo, x, state, g, gamma, alpha, spec, ns_iters=ns_iters, mu=mu, beta=beta
-        )
+            probe_g = _probe_grad(model, train_x, train_y, probe_n, batch_size)
+        new_x, d_k = apply_step(rule, x, state, g, gamma, alpha, spec, ns_iters)
         if record:
             diags.record(slice(k - 1, k), spec, batch_loss, x, probe_g, d_k)
         x = new_x
@@ -397,8 +388,7 @@ def train_classifier(
 
 
 def _probe_grad(
-    model: MlpModel, train_x: np.ndarray, train_y: np.ndarray, loss: Loss, probe_n: int,
-    chunk: int,
+    model: MlpModel, train_x: np.ndarray, train_y: np.ndarray, probe_n: int, chunk: int
 ) -> list[np.ndarray]:
     """loss_and_grad's gradient over the first probe_n samples, as the mean of its
     gradients over consecutive chunks of `chunk` samples, each weighted by its share
@@ -407,7 +397,9 @@ def _probe_grad(
     total = None
     for start in range(0, probe_n, chunk):
         stop = min(start + chunk, probe_n)
-        _, g = loss_and_grad(model, train_x[:, start:stop], train_y[start:stop], loss)
+        _, g = loss_and_grad(
+            model, train_x[:, start:stop], train_y[start:stop], Loss.LOGISTIC
+        )
         share = (stop - start) / probe_n
         for gi in g:
             gi *= share
@@ -450,6 +442,7 @@ def coordinate_check(
     """
     if len(widths) < 1 or depth < 2:
         raise ValueError("need at least one width and depth >= 2")
+    rule = rule_for(Algo.USCG)
     rows: list[CoordinateCheckRow] = []
     for width in widths:
         dims = [input_dim] + [int(width)] * (depth - 1) + [classes]
@@ -463,13 +456,12 @@ def coordinate_check(
             y = rng_gaussian(classes, 1, derive_seed(run_seed, 2))[:, 0]
             logits, cache_before = forward(model, z)
             pre_before = cache_before.preacts
-            if gamma > 0.0:
-                # MSE on one sample: dL/dlogits = logits - y
-                g = backward_factors(model, cache_before, logits - y)
-                x = model.parameters()
-                x, _ = apply_step(Algo.USCG, x, OptimizerState.init(x), g, gamma, 1.0,
-                                  model.norm_spec(), ns_iters)
-                model.set_parameters(x)
+            # MSE on one sample: dL/dlogits = logits - y
+            g = backward_factors(model, cache_before, logits - y)
+            x = model.parameters()
+            x, _ = apply_step(rule, x, OptimizerState.init(x), g, gamma, 1.0,
+                              model.norm_spec(), ns_iters)
+            model.set_parameters(x)
             _, cache_after = forward(model, z)
             for layer in range(depth):
                 delta = cache_after.preacts[layer] - pre_before[layer]
@@ -694,37 +686,28 @@ def rate_harness(
 
 @dataclass(frozen=True)
 class ErrorDecayReport:
-    ks: tuple[int, ...]
+    """Mean squared estimator error at steps k = 1..n, and its log-log slope."""
+
     mean_sq_error: tuple[float, ...]
     slope: float
 
 
-def error_decay_probe(
-    problem,
-    n: int = 4096,
-    trials: int = 20,
-    gamma: float | None = None,
-    vanishing: bool = True,
-    alpha: float = 1.0,
-) -> ErrorDecayReport:
+def error_decay_probe(problem, n: int = 4096, trials: int = 20) -> ErrorDecayReport:
     """Track ||d^k - grad f(x^k)||_2^2 along unconstrained runs, averaged over trials.
 
-    The error is train_quadratic's est_error column, squared; all trials run at
-    once on its trial axis. With the vanishing schedule alpha_k = 1/sqrt(k), the
-    averaged squared error decays like 1/sqrt(k); the report fits the log-log slope
-    over all steps with a positive mean. With constant alpha = 1 the direction is
-    the raw noisy gradient, so the squared error just fluctuates around the
-    injected noise level. Needs trials >= 1 and n >= 2. A mean squared error past
-    float64's range raises NumericalFailure at the first step it reaches.
+    The runs take the rate theory's schedule: alpha_k = 1/sqrt(k) and the constant
+    stepsize theory_gamma(n). The error is train_quadratic's est_error column,
+    squared; all trials run at once on its trial axis. The averaged squared error
+    decays like 1/sqrt(k); the report fits the log-log slope over all steps with a
+    positive mean. Needs trials >= 1 and n >= 2. A mean squared error past
+    float64's range raises NumericalFailure at the first step it reaches, and so
+    does a run with fewer than two steps of positive mean (no slope), at step n.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n < 2:
         raise ValueError(f"n must be >= 2 to fit a slope, got {n}")
-    if gamma is None:
-        gamma = theory_gamma(n)
-    alpha_kind = AlphaKind.VANISHING if vanishing else AlphaKind.CONSTANT
-    schedule = ScheduleSpec(horizon=n, gamma0=float(gamma), alpha_kind=alpha_kind, alpha0=alpha)
+    schedule = ScheduleSpec(horizon=n, gamma0=theory_gamma(n), alpha_kind=AlphaKind.VANISHING)
     _, diags = train_quadratic(problem, Algo.USCG, schedule, trial=range(trials), rho=1.0)
     with np.errstate(over="ignore"):  # an overflow is reported below, by its step
         mean_sq = np.square([d.est_error for d in diags]).sum(axis=0) / trials
@@ -732,12 +715,10 @@ def error_decay_probe(
     if bad.size:
         raise NumericalFailure(int(bad[0]) + 1, "non-finite mean squared est_error "
                                f"over {trials} trials in the error-decay probe")
-    ks = np.arange(1, n + 1)
     mask = mean_sq > 0.0
-    if vanishing and mask.sum() >= 2:
-        slope = float(np.polyfit(np.log(ks[mask]), np.log(mean_sq[mask]), 1)[0])
-    else:
-        slope = float("nan")
-    return ErrorDecayReport(
-        ks=tuple(int(k) for k in ks), mean_sq_error=tuple(mean_sq), slope=slope
-    )
+    if mask.sum() < 2:
+        raise NumericalFailure(n, f"{int(mask.sum())} of {n} steps have a positive mean "
+                               "squared est_error in the error-decay probe; its slope needs 2")
+    ks = np.arange(1, n + 1)
+    slope = float(np.polyfit(np.log(ks[mask]), np.log(mean_sq[mask]), 1)[0])
+    return ErrorDecayReport(mean_sq_error=tuple(mean_sq), slope=slope)

@@ -24,7 +24,7 @@ Conventions, chosen once and relied on by everything downstream:
     every other row keeps the plain formula's bits. op_norm and dual_norm apply c
     to such a row's norm before they map it back by its power of two (a matrix
     kind's dual sums its rows at one power of two), so a norm that c brings back
-    into float64's range stays finite.
+    into float64's range stays finite; a norm still past it is inf, silently.
   * Vector kinds also take a (T, d) stack and act row by row: op_norm, dual_norm
     and composite_norm return one value per row. Matrix kinds take one matrix.
   * Matrix kinds also take a `linalg.LowRank` left @ right.T. The exact spectral
@@ -312,7 +312,7 @@ def op_norm(a, spec: NormSpec) -> float | np.ndarray:
     values, e = spec._oracle.op(spec._oracle.split(m))
     values = values / spec._c
     if e is not None:
-        values = np.ldexp(values, e)
+        values = _map_back(values, e)
     if spec._matrix:
         return float(np.max(values))
     return values if values.ndim else float(values)
@@ -349,13 +349,20 @@ def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
     if not spec._matrix:
         values = spec._c * values
         if e is not None:
-            values = np.ldexp(values, e)
+            values = _map_back(values, e)
         return values if values.ndim else float(values)
+    if e is None:
+        return float(spec._c * np.sum(values))
     # A matrix kind sums its rows at the power of two 2**top of its largest row.
-    top = 0 if e is None else int(np.max(e))
-    if e is not None:
-        values = np.ldexp(values, e - top)
-    return float(np.ldexp(spec._c * np.sum(values), top))
+    top = int(np.max(e))
+    return float(_map_back(spec._c * np.sum(np.ldexp(values, e - top)), top))
+
+
+def _map_back(values, e):
+    """values * 2**e, as op_norm and dual_norm map a scaled row's norm back; a
+    norm past float64's range is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, e)
 
 
 def sharp_op(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
@@ -371,7 +378,15 @@ def sharp_op(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
     dual = dual_norm(m, spec)
     if np.ndim(dual):
         dual = dual[:, None]
-    return (-dual / spec.radius) * lmo(m, spec, ns_iters=ns_iters)
+    with np.errstate(over="ignore"):
+        scale = -dual / spec.radius
+    direction = lmo(m, spec, ns_iters=ns_iters)
+    if np.isfinite(scale).all():
+        return scale * direction
+    # A scale past float64's range is inf: it sends the lmo's nonzero entries to
+    # inf and keeps its zero entries at 0, where inf * 0 would be NaN.
+    with np.errstate(invalid="ignore"):
+        return np.where(direction == 0.0, 0.0, scale * direction)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -122,13 +121,10 @@ RULES: dict[Algo, Rule] = {
 }
 
 
-@lru_cache
 def rule_for(algo: Algo, mu: float = 0.5, beta: float = 0.9) -> Rule:
-    """The algo's row of RULES with `mu` and `beta` set on the rows that use them.
-
-    Cached, so a harness that maps its algo on every step builds and range-checks
-    each rule once. An unknown algo raises ValueError.
-    """
+    """The algo's row of RULES with `mu` and `beta` set on the rows that use them,
+    range-checked. A harness builds its run's rule once, before its loop. An
+    unknown algo raises ValueError."""
     row = RULES.get(algo)
     if row is None:
         raise ValueError(f"unknown algorithm {algo}")

@@ -78,8 +78,11 @@ class StochasticQuadratic:
     def step_noise(self, trial, start: int, stop: int) -> np.ndarray:
         """The noise noisy_grad adds at steps start..stop-1, in one draw: shaped
         (stop - start, dim) for one trial index and (stop - start, T, dim) for a
-        sequence of T, with row k - start bit-identical to step k's noise."""
-        return (self.noise / np.sqrt(self.dim)) * self._gaussian(trial, start, stop)
+        sequence of T, with row k - start bit-identical to step k's noise. An entry
+        past float64's range, as at a noise near float64's max, is inf; the harness
+        names the step that meets it."""
+        with np.errstate(over="ignore"):
+            return (self.noise / np.sqrt(self.dim)) * self._gaussian(trial, start, stop)
 
     def noisy_grad(self, x: np.ndarray, trial, step: int) -> np.ndarray:
         """grad(x) plus the noise keyed by (seed, trial, step); `trial` is one index
@@ -96,9 +99,17 @@ class StochasticQuadratic:
 
     def start_point(self, trial, scale: float = 2.0) -> np.ndarray:
         """A deterministic start at l2 distance `scale` from the minimizer; a
-        sequence of trial indices gives one start per row of a (T, dim) stack."""
+        sequence of trial indices gives one start per row of a (T, dim) stack.
+
+        A row whose scale * v would overflow, as near float64's largest radius, is
+        formed as scale * (v / ||v||) instead, which cannot overflow; every other
+        row keeps the bits of (scale * v) / ||v||."""
         v = self._gaussian(trial, 0, 1)[0]
-        return scale * v / np.linalg.norm(v, axis=-1, keepdims=True)
+        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):
+            scaled = scale * v
+        fits = np.isfinite(scaled).all(axis=-1, keepdims=True)
+        return np.where(fits, scaled / norm, scale * (v / norm))
 
 
 @dataclass(frozen=True)

@@ -373,6 +373,45 @@ class TestCommands:
         assert err.startswith("numerical failure at step") and "Warning" not in err
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize(
+        "command, settings, what",
+        [
+            # Noiseless, only step 2 of the two-step probe has a positive error, so
+            # the decay probe has no slope to fit.
+            ("rate", ["problem.noise=0", "n_list=4,8", "trials=1", "probe=error_decay",
+                      "probe_n=2", "probe_trials=1"],
+             "at step 2: 1 of 2 steps have a positive mean squared est_error"),
+            # The SCG start on the largest radii fits in float64; its gap does not.
+            ("train", ["problem.kind=quadratic", "optimizer.algo=scg", "problem.rho=1e308"],
+             "at step 1 of trial 0: non-finite fw_gap"),
+            ("rate", ["optimizer=scg", "rho_constrained=1e308"],
+             "at step 1 of trial 0: non-finite fw_gap"),
+            # At the largest noise some of the first block's noise draws overflow.
+            ("train", ["problem.kind=quadratic", "problem.noise=1.7976931348623157e308",
+                       "problem.dim=4"],
+             "at step 1 of trial 0: non-finite est_error"),
+            # ... and under SSD the sharp operator meets a gradient dual past the range.
+            ("train", ["problem.kind=quadratic", "problem.noise=1.7976931348623157e308",
+                       "optimizer.algo=ssd"],
+             "at step 1 of trial 0: non-finite est_error"),
+        ],
+        ids=["decay_probe_without_slope", "train_scg_largest_radius",
+             "rate_scg_largest_radius", "train_largest_noise_dim4", "train_largest_noise_ssd"],
+    )
+    def test_numerical_failure_exit_3_without_warning(
+        self, tmp_path, capsys, command, settings, what
+    ):
+        out = tmp_path / "out"
+        args = [a for setting in settings for a in ("--set", setting)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(command, "--out", str(out), *args)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure {what}" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists() or os.listdir(out) == []
+
     def test_jsonl_writer_refuses_nan(self, tmp_path):
         from lmopt.cli import write_jsonl
 

@@ -470,10 +470,23 @@ class TestScaleSafeL2:
     def test_dual_past_the_range_is_inf(self, kind):
         spec = make_spec(kind, 5, 4)
         s = np.full((5,) if spec.is_vector else (5, 4), 1e308)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert dual_norm(s, spec) == np.inf
         # while its lmo is still the direction of the operand
         np.testing.assert_allclose(lmo(s, spec), lmo(np.ones_like(s), spec), rtol=1e-15)
+
+    @pytest.mark.parametrize("kind", L2_KINDS, ids=lambda k: k.value)
+    def test_sharp_past_the_range_keeps_zero_entries(self, kind):
+        # The dual of the stack's first row is inf: its sharp is inf along the
+        # row's nonzero entries and 0 at its zero entry, where inf * 0 would be NaN.
+        spec = make_spec(kind, 3, 1)
+        s = np.array([[1.5e308, 1.5e308, 0.0], [1.0, 2.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sharp_op(s, spec)
+        assert np.array_equal(out[0], [np.inf, np.inf, 0.0])
+        assert np.array_equal(out[1], sharp_op(s[1], spec))
 
     @pytest.mark.parametrize("scale", [1e308, 1e-308])
     @pytest.mark.parametrize(

@@ -572,9 +572,6 @@ class TestRuleTable:
         assert rule_for(Algo.USCG, mu=0.25, beta=0.5) == RULES[Algo.USCG]
         assert rule_for(Algo.USCG_LIGHT, beta=0.5).beta is None
 
-    def test_rule_built_once(self):
-        assert rule_for(Algo.USCG_WD, 0.3, 0.9) is rule_for(Algo.USCG_WD, 0.3, 0.9)
-
     @pytest.mark.parametrize(
         "algo, params, what",
         [

@@ -85,17 +85,45 @@ def test_traced_init_model_draws_one_semi_orthogonal_per_spectral_layer():
     assert int(np.sum(name_id == tracer.names.index("models.init_model"))) == 1
 
 
-def test_traced_coordinate_check_steps_inside_the_step_span():
-    """coordinate_check's probe update runs through experiments.apply_step, so the
-    tracer books its oracle calls to the step, not to the harness as diagnostics."""
+def _quadratic_job(experiments):
+    from lmopt.optim import Algo, ScheduleSpec
+    from lmopt.problems import StochasticQuadratic
+
+    problem = StochasticQuadratic(dim=4, noise=1.0, seed=0)
+    experiments.train_quadratic(problem, Algo.SCG, ScheduleSpec(horizon=5), trial=[0, 1])
+    return 5  # one vector atom, five steps
+
+
+def _classifier_job(experiments):
+    from lmopt import models
+    from lmopt.optim import Algo, ScheduleSpec
+    from lmopt.problems import SyntheticClassification, gen_synthetic
+
+    tx, ty, _, _ = gen_synthetic(SyntheticClassification(dim=4, classes=3, train_size=16))
+    model = models.init_model(models.build_config(models.Domain.IMAGE, (4, 8, 3)), 0)
+    experiments.train_classifier(model, tx, ty, Algo.SCG, ScheduleSpec(horizon=3),
+                                 batch_size=4, record=True)
+    return 3 * len(model.norm_spec().atoms)  # every atom, three steps
+
+
+def _coordinate_job(experiments):
+    experiments.coordinate_check([4, 8], depth=2, samples=2, input_dim=4, classes=3)
+    return 2 * 2 * 2  # two weight layers, two widths, two samples
+
+
+@pytest.mark.parametrize("job", [_quadratic_job, _classifier_job, _coordinate_job],
+                         ids=["train_quadratic", "train_classifier", "coordinate_check"])
+def test_traced_harness_steps_inside_the_step_span(job):
+    """Each harness runs its update through experiments.apply_step, so the tracer
+    books its oracle calls to the step, not to the harness as diagnostics."""
     from lmopt import experiments
 
     tracer_mod = _tracer_module()
     tracer = tracer_mod.Tracer()
     with tracer.job_span(0):
-        experiments.coordinate_check([4, 8], depth=2, samples=2, input_dim=4, classes=3)
+        want = job(experiments)
     a = tracer.arrays()
     lmo_spans = np.flatnonzero(a["name_id"] == tracer.names.index("norms.lmo"))
-    assert lmo_spans.size == 2 * 2 * 2  # two weight layers, two widths, two samples
+    assert lmo_spans.size == want
     step_id = tracer.names.index("experiments.apply_step")
     assert np.all(a["name_id"][a["parent"][lmo_spans]] == step_id)
