@@ -676,6 +676,21 @@ class TestTrainClassifier:
         for a, b in zip(before, model.parameters()):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("algo", [Algo.USCG, Algo.SCG, Algo.MUON_NESTEROV])
+    def test_unrecorded_run_trains_the_same_parameters(self, algo):
+        # Recording reads the iterates and directions but never moves them, so an
+        # unrecorded run lands on the recorded run's parameters bit for bit.
+        sch = ScheduleSpec(horizon=6, gamma0=0.1, alpha0=0.3)
+        finals = []
+        for record in (True, False):
+            model, tx, ty = self._setup()
+            model, diags = train_classifier(model, tx, ty, algo, sch, batch_size=16,
+                                            record=record)
+            assert len(diags) == (sch.horizon if record else 0)
+            finals.append(model.parameters())
+        for a, b in zip(*finals):
+            np.testing.assert_array_equal(a, b)
+
     def test_probe_holds_one_minibatch_of_activations(self):
         # the 512-sample probe runs in chunks of the 64-sample batch, so the recorded
         # run holds no more activations than the unrecorded one
@@ -833,6 +848,22 @@ class TestErrorDecayProbe:
             error_decay_probe(prob, n=2, trials=1)
         assert info.value.step == 2
 
+    def test_first_step_error_is_the_noise_level(self):
+        # alpha_1 = 1, so d^1 is the first noisy gradient and its squared error is the
+        # noise draw's squared norm, whose mean is noise^2.
+        prob = small_quadratic(noise=1.0, dim=16)
+        rep = error_decay_probe(prob, n=64, trials=20)
+        assert 0.5 <= rep.mean_sq_error[0] <= 2.0
+
+    def test_noiseless_error_starts_at_zero(self):
+        # Noiseless, d^1 is the exact gradient; later steps average gradients taken
+        # at earlier iterates, so their error is positive.
+        prob = StochasticQuadratic(dim=8, noise=0.0, conditioning=5.0, seed=1)
+        rep = error_decay_probe(prob, n=64, trials=2)
+        assert rep.mean_sq_error[0] == 0.0
+        assert all(e > 0.0 for e in rep.mean_sq_error[1:])
+        assert np.isfinite(rep.slope)
+
     @pytest.mark.parametrize(
         "kw, match", [({"trials": 0}, "trials"), ({"n": 1}, "n must"), ({"n": 0}, "n must")]
     )
@@ -908,3 +939,36 @@ class TestUnknownAlgo:
                 model = init_model(build_config(Domain.IMAGE, (8, 8, 3)), 0)
                 train_classifier(model, tx, ty, "nope", sch, batch_size=16)
         assert calls == []
+
+
+class TestRuleOncePerRun:
+    @pytest.mark.parametrize(
+        "harness",
+        ["quadratic", "quadratic_stack", "classifier", "classifier_unrecorded",
+         "coordinate_check"],
+    )
+    def test_one_rule_per_run(self, monkeypatch, harness):
+        # Each harness builds its run's update rule once, before its loop: not once
+        # per step, trial, width or sample.
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return rule_for(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "rule_for", counted)
+        sch = ScheduleSpec(horizon=5, gamma0=0.1)
+        if harness.startswith("quadratic"):
+            trial = [0, 1, 2] if harness == "quadratic_stack" else 0
+            train_quadratic(small_quadratic(), Algo.USCG_WD, sch, trial=trial, mu=0.3)
+            assert built == [(Algo.USCG_WD, 0.3, 0.9)]
+        elif harness.startswith("classifier"):
+            prob = SyntheticClassification(dim=8, classes=3, train_size=32, test_size=0)
+            tx, ty, _, _ = gen_synthetic(prob)
+            model = init_model(build_config(Domain.IMAGE, (8, 8, 3)), 0)
+            train_classifier(model, tx, ty, Algo.MUON_NESTEROV, sch, batch_size=8,
+                             beta=0.8, record=harness == "classifier")
+            assert built == [(Algo.MUON_NESTEROV, 0.5, 0.8)]
+        else:
+            coordinate_check([4, 8], depth=2, samples=3, input_dim=4, classes=3)
+            assert built == [(Algo.USCG,)]
