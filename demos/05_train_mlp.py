@@ -30,9 +30,9 @@ model, diags = train_classifier(model, train_x, train_y, Algo.SCG, schedule,
 print(f"loss: {diags.loss[0]:.4f} -> {diags.loss[-1]:.4f} over {len(diags)} steps")
 print("composite norm stayed <=", max(diags.param_norm))
 
-from lmopt.models import Loss, loss_and_grad
+from lmopt.models import loss_and_grad
 
-test_loss, _ = loss_and_grad(model, test_x, test_y, Loss.LOGISTIC)
+test_loss, _ = loss_and_grad(model, test_x, test_y)
 print(f"held-out loss: {test_loss:.4f}")
 
 save_model(model, "/tmp/demo_model.json")

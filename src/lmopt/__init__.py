@@ -25,7 +25,6 @@ from .models import (
     Activation,
     Domain,
     LayerSpec,
-    Loss,
     MlpModel,
     backward,
     backward_factors,

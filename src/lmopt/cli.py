@@ -345,14 +345,6 @@ def write_csv(path: str, header, columns, comments=()) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_jsonl(path: str, records) -> None:
-    """One JSON object per line. NaN and infinities are not JSON: a record holding
-    one raises ValueError before the file is opened."""
-    lines = [json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
-
-
 def _artifact_base(command: str, cfg: dict) -> str:
     """`<out>/<command>_<confighash>_<seed>`, after making the output directory."""
     out_dir = cfg["out"]
@@ -364,13 +356,15 @@ def _artifact_base(command: str, cfg: dict) -> str:
 def _write_run(command: str, cfg: dict, header, columns, summary: dict, comments=()) -> str:
     """Write a run's artifacts after its last computation and return their base path:
     the CSV of `columns` under `header`, then the JSONL record {"command", "config",
-    **summary}. The record is checked first, so one holding NaN or an infinity raises
-    ValueError before either file exists."""
-    record = {"command": command, "config": cfg, **summary}
-    json.dumps(record, allow_nan=False)
+    **summary} on one line. The record is encoded first, so one holding NaN or an
+    infinity (which JSON cannot hold) raises ValueError before either file or the
+    output directory exists."""
+    line = json.dumps({"command": command, "config": cfg, **summary},
+                      sort_keys=True, allow_nan=False) + "\n"
     base = _artifact_base(command, cfg)
     write_csv(base + ".csv", header, columns, comments)
-    write_jsonl(base + ".jsonl", [record])
+    with open(base + ".jsonl", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(line)
     return base
 
 
@@ -724,8 +718,4 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
     sys.exit(main())

@@ -19,7 +19,6 @@ from .linalg import derive_seed, rng_gaussian, rng_permutation
 from .models import (
     Activation,
     Domain,
-    Loss,
     MlpModel,
     backward_factors,
     build_config,
@@ -172,9 +171,9 @@ def _squared_l2(e: np.ndarray, atom: NormSpec):
 
 
 # The checks of one quadratic step, in the order a failure is reported: the
-# gradient, the recorded fw_gap and param_norm of x^k, the new iterate, and the
-# recorded est_error of d^k.
-_CHECKS = ("gradient", "fw_gap", "param_norm", "parameters", "est_error")
+# gradient, the recorded fw_gap and param_norm of x^k, the operand the rule forms
+# from its buffer, the new iterate, and the recorded est_error of d^k.
+_CHECKS = ("gradient", "fw_gap", "param_norm", "buffer", "parameters", "est_error")
 
 
 def _failure(values: np.ndarray, start: int, trials: Sequence[int], check: str):
@@ -256,20 +255,22 @@ def train_quadratic(
     (steps * T, dim) stacks. The ball is the l2 ball of radius rho, so
     grad_dual_norm is rho * ||grad f(x^k)||_2 and param_norm is ||x^k||_2 / rho.
 
-    A non-finite gradient or iterate, or a recorded fw_gap, param_norm or est_error
-    past float64's range (as under a tiny rho or a huge noise), raises
+    A non-finite gradient, buffer or iterate, or a recorded fw_gap, param_norm or
+    est_error past float64's range (as under a tiny rho or a huge noise), raises
     NumericalFailure naming its step and trial. The earliest step fails first, and
-    within a step the order is gradient, fw_gap, param_norm, parameters, est_error:
-    the failure reported is the one a check of every value on every step would
-    report. The loop itself does not check the gradient or the iterate on each
-    step. Every rule hands the gradient, or a buffer built from it, to the oracle,
-    which rejects a non-finite operand with ValueError, and a non-finite iterate
-    makes the next gradient non-finite (the eigenvalues are positive). That
+    within a step the order is gradient, fw_gap, param_norm, buffer, parameters,
+    est_error: the failure reported is the one a check of every value on every step
+    would report. The loop itself does not check the gradient or the iterate on
+    each step. Every rule hands the gradient, or a buffer built from it, to the
+    oracle, which rejects a non-finite operand with ValueError, and a non-finite
+    iterate makes the next gradient non-finite (the eigenvalues are positive). That
     ValueError is taken as the previous step's parameters failing when the iterate
-    is non-finite, else as this step's gradient failing; with both finite it is
-    raised as it is. The iterate is also checked at the end of each block and at
-    the horizon, and the recorded columns once per block. When a step fails, the
-    block's recorded steps up to it are checked first.
+    is non-finite, else as this step's gradient failing. With both finite it is
+    taken as this step's buffer failing: an accumulated buffer, or its Nesterov
+    look-ahead, can overflow from finite operands. Any other ValueError is raised as
+    it is. The iterate is also checked at the end of each block and at the horizon,
+    and the recorded columns once per block. When a step fails, the block's
+    recorded steps up to it are checked first.
     """
     rule = rule_for(algo, mu, beta)
     stacked = not isinstance(trial, Integral)
@@ -311,9 +312,19 @@ def train_quadratic(
             # The start is not the output of a step, so a failure at step 1 is the gradient's.
             failure = _failure(x[0][None], k - 1, trials, "parameters") if k > 1 else None
             failure = failure or _failure(g[None], k, trials, "gradient")
+            rows = i
             if failure is None:
-                raise
-            close(i, k - i, failure)
+                # Both finite: the oracle's operand, the buffer the step left in state or
+                # its Nesterov look-ahead (every Nesterov row of RULES has a beta),
+                # overflowed. Step k's fw_gap and param_norm rank before it and its
+                # est_error after it, so step k is recorded with any finite d^k row.
+                with np.errstate(over="ignore"):
+                    v = g + rule.beta * state.d[0] if rule.nesterov else state.d[0]
+                failure = _failure(v[None], k, trials, "buffer")
+                if failure is None:
+                    raise
+                block[2, i], rows = 0.0, i + 1
+            close(rows, k - i, failure)
         block[2, i] = d_k[0]
         if i == _NOISE_BLOCK - 1 or k == n:
             close(i + 1, k - i, _failure(x[0][None], k, trials, "parameters"))
@@ -368,7 +379,7 @@ def train_classifier(
             cursor = 0
         idx = order[cursor : cursor + batch_size]
         cursor += batch_size
-        batch_loss, g = loss_and_grad(model, train_x[:, idx], train_y[idx], Loss.LOGISTIC)
+        batch_loss, g = loss_and_grad(model, train_x[:, idx], train_y[idx])
         if not np.isfinite(batch_loss):
             raise NumericalFailure(k, "non-finite loss")
         for gi in g:
@@ -397,9 +408,7 @@ def _probe_grad(
     total = None
     for start in range(0, probe_n, chunk):
         stop = min(start + chunk, probe_n)
-        _, g = loss_and_grad(
-            model, train_x[:, start:stop], train_y[start:stop], Loss.LOGISTIC
-        )
+        _, g = loss_and_grad(model, train_x[:, start:stop], train_y[start:stop])
         share = (stop - start) / probe_n
         for gi in g:
             gi *= share
@@ -569,7 +578,7 @@ def lr_transfer_sweep(
                 ns_iters=ns_iters,
                 record=False,
             )
-            final_loss, _ = loss_and_grad(model, test_x, test_y, Loss.LOGISTIC)
+            final_loss, _ = loss_and_grad(model, test_x, test_y)
             losses.append(final_loss)
             rows.append(SweepRow(width=int(width), gamma=float(gamma), final_loss=final_loss))
         best[int(width)] = float(gamma_grid[int(np.argmin(losses))])

@@ -44,11 +44,6 @@ class Domain(Enum):
     WEIGHT_SHARED = "weight_shared"
 
 
-class Loss(Enum):
-    MSE = "mse"
-    LOGISTIC = "logistic"
-
-
 def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Products, not powers: numpy's float pow is about 80x slower than a multiply.
     x2 = x * x
@@ -363,15 +358,10 @@ def backward(model: MlpModel, cache: ForwardCache, loss_grad_at_logits) -> list[
     return [g.dense() if isinstance(g, LowRank) else g for g in grads]
 
 
-def loss_and_grad(
-    model: MlpModel, inputs, targets, loss: Loss
-) -> tuple[float, list[np.ndarray]]:
-    """Mean loss over the batch and its exact parameter gradients (batch means).
-
-    MSE targets are real arrays shaped like the logits and the loss is the mean over
-    samples of 0.5 * ||logits - target||^2. Logistic targets are integer class labels
-    and the loss is the mean softmax cross entropy; its logit gradient is computed in
-    the fused softmax-minus-one-hot form.
+def loss_and_grad(model: MlpModel, inputs, labels) -> tuple[float, list[np.ndarray]]:
+    """Mean softmax cross entropy over the batch and its exact parameter gradients
+    (batch means). Labels are integer classes, one per sample; the logit gradient is
+    computed in the fused softmax-minus-one-hot form.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim == 1:
@@ -380,32 +370,19 @@ def loss_and_grad(
         raise ValueError("batch must be nonempty")
     logits, cache = forward(model, x)
     batch = x.shape[1]
-    if loss is Loss.MSE:
-        y = np.asarray(targets, dtype=np.float64)
-        if y.ndim == 1:
-            y = y[:, None]
-        if y.shape != logits.shape:
-            raise ValueError(f"target shape {y.shape} does not match logits {logits.shape}")
-        diff = logits - y
-        value = 0.5 * float(np.sum(diff * diff)) / batch
-        dlogits = diff / batch
-    elif loss is Loss.LOGISTIC:
-        y = np.asarray(targets)
-        if y.ndim != 1 or y.shape[0] != batch:
-            raise ValueError(f"labels must be one integer per sample, got shape {y.shape}")
-        y = y.astype(int)
-        if np.any(y < 0) or np.any(y >= logits.shape[0]):
-            raise ValueError("label outside the logit range")
-        shifted = logits - logits.max(axis=0, keepdims=True)
-        soft = np.exp(shifted)
-        logz = np.log(np.sum(soft, axis=0))
-        value = float(np.mean(logz - shifted[y, np.arange(batch)]))
-        soft /= np.exp(logz)
-        soft[y, np.arange(batch)] -= 1.0
-        dlogits = soft / batch
-    else:
-        raise ValueError(f"unknown loss {loss}")
-    return value, backward(model, cache, dlogits)
+    y = np.asarray(labels)
+    if y.ndim != 1 or y.shape[0] != batch:
+        raise ValueError(f"labels must be one integer per sample, got shape {y.shape}")
+    y = y.astype(int)
+    if np.any(y < 0) or np.any(y >= logits.shape[0]):
+        raise ValueError("label outside the logit range")
+    shifted = logits - logits.max(axis=0, keepdims=True)
+    soft = np.exp(shifted)
+    logz = np.log(np.sum(soft, axis=0))
+    value = float(np.mean(logz - shifted[y, np.arange(batch)]))
+    soft /= np.exp(logz)
+    soft[y, np.arange(batch)] -= 1.0
+    return value, backward(model, cache, soft / batch)
 
 
 def save_model(model: MlpModel, path: str) -> None:

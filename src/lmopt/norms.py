@@ -25,6 +25,7 @@ Conventions, chosen once and relied on by everything downstream:
     to such a row's norm before they map it back by its power of two (a matrix
     kind's dual sums its rows at one power of two), so a norm that c brings back
     into float64's range stays finite; a norm still past it is inf, silently.
+    So is the l1 dual of MaxVec and Sign, whose c is 1.
   * Vector kinds also take a (T, d) stack and act row by row: op_norm, dual_norm
     and composite_norm return one value per row. Matrix kinds take one matrix.
   * Matrix kinds also take a `linalg.LowRank` left @ right.T. The exact spectral
@@ -34,7 +35,7 @@ Conventions, chosen once and relied on by everything downstream:
     cancel, has the zero lmo.
   * The exact spectral lmo is scale-safe as well: a matrix or factor far outside
     float64's midrange is brought to it by a power of two before its SVD or QR
-    (`_svd_range`), and every other operand keeps its bits. The spectral op_norm
+    (`_svd_scaled`), and every other operand keeps its bits. The spectral op_norm
     and dual_norm scale the same matrices and return that power of two like an l2
     row's, so c applies before the map back.
   * The spectral op_norm takes sigma_max from the top eigenvalue of the smaller
@@ -156,7 +157,8 @@ def _max_abs(r):
 
 
 def _l1(r):
-    return np.sum(np.abs(r), axis=-1), None
+    with np.errstate(over="ignore"):  # a sum past float64's range is inf, silently
+        return np.sum(np.abs(r), axis=-1), None
 
 
 def _l2_lmo(r, coef, ns_iters):
@@ -190,18 +192,14 @@ def _svd_scaled(m: np.ndarray) -> tuple[np.ndarray, int | None]:
     return (m, None) if -_SVD_EXPONENT < e <= _SVD_EXPONENT else (np.ldexp(m, -e), e)
 
 
-def _svd_range(m: np.ndarray) -> np.ndarray:
-    return _svd_scaled(m)[0]
-
-
 def _spectral_lmo(m, coef, ns_iters):
     if isinstance(m, LowRank):  # a zero product has rank 0, so its orthogonal factor is zero
-        m = LowRank(_svd_range(m.left), _svd_range(m.right))
+        m = LowRank(_svd_scaled(m.left)[0], _svd_scaled(m.right)[0])
         return coef * lowrank_svd(m).orthogonal_factor()
     if not m.any():
         return np.zeros_like(m)
     if ns_iters is None:
-        return coef * svd_reduced(_svd_range(m)).orthogonal_factor()
+        return coef * svd_reduced(_svd_scaled(m)[0]).orthogonal_factor()
     return coef * newton_schulz_orthogonalize(m, ns_iters)
 
 

@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .norms import ModelNormSpec, composite_norm, lmo, sharp_op
+from .norms import ModelNormSpec, composite_norm, model_lmo, sharp_op
 
 FEASIBILITY_SLACK = 1e-6
 # Allowance added to the convexity certificate on every CONVEX step, for the rounding
@@ -254,15 +254,11 @@ def step(
         raise ValueError(f"step: {len(x)} parameter arrays for {len(atoms)} norm atoms")
     if rule.move is Move.CONVEX:
         bound = _feasible_bound(x, state, spec)
-
-    def oracle(vs):
-        return [lmo(v, a, ns_iters=ns_iters) for v, a in zip(vs, atoms)]
-
     d_k = v = list(g)
     if rule.buffer is Buffer.AVERAGE:
         state.d = d_k = v = momentum_update(state.d, g, alpha)
     elif rule.buffer is Buffer.ORIENTED:
-        state.d = momentum_update(state.d, oracle(g), alpha)
+        state.d = momentum_update(state.d, model_lmo(g, spec, ns_iters), alpha)
     elif rule.buffer is Buffer.ACCUMULATE:
         if rule.beta is None:
             # The ratio first: under a constant alpha it is exactly 1, bit for bit.
@@ -270,17 +266,24 @@ def step(
             keep, scale = (1.0 - alpha) * (prev / alpha), alpha
         else:
             keep, scale = rule.beta, 1.0 - rule.beta
-        state.d = v = [keep * di + gi for di, gi in zip(state.d, g)]
+        # Finite operands can overflow these sums; the oracle then rejects the operand.
+        with np.errstate(over="ignore"):
+            state.d = v = [keep * di + gi for di, gi in zip(state.d, g)]
+            if rule.nesterov:
+                v = [gi + keep * di for gi, di in zip(g, state.d)]
         d_k = [scale * di for di in state.d]
-        if rule.nesterov:
-            v = [gi + keep * di for gi, di in zip(g, state.d)]
     state.alpha = alpha
     if rule.move is Move.SHARP:
-        new = [xi - gamma * sharp_op(gi, a, ns_iters=ns_iters) for xi, gi, a in zip(x, g, atoms)]
+        sharp = [sharp_op(gi, a, ns_iters=ns_iters) for gi, a in zip(g, atoms)]
+        # At gamma = 0 a sharp entry past float64's range makes 0 * inf = NaN, which
+        # the next gradient carries.
+        with np.errstate(invalid="ignore"):
+            new = [xi - gamma * si for xi, si in zip(x, sharp)]
     elif rule.move is Move.BUFFER:
         new = [xi + gamma * di for xi, di in zip(x, state.d)]
     elif rule.move is Move.CONVEX:
-        new = [(1.0 - gamma) * xi + gamma * si for xi, si in zip(x, oracle(v))]
+        new = [(1.0 - gamma) * xi + gamma * si
+               for xi, si in zip(x, model_lmo(v, spec, ns_iters))]
         for xi in new:
             xi.flags.writeable = False
         # A Newton-Schulz lmo output can leave the ball, so only an exact one vouches.
@@ -288,9 +291,10 @@ def step(
             tuple(new), spec, (1.0 - gamma) * bound + gamma + CERTIFICATE_ROUNDING
         )
     elif rule.move is Move.DECAY:
-        new = [xi + gamma * si - (gamma * rule.mu) * xi for xi, si in zip(x, oracle(v))]
+        new = [xi + gamma * si - (gamma * rule.mu) * xi
+               for xi, si in zip(x, model_lmo(v, spec, ns_iters))]
     else:
-        new = [xi + gamma * si for xi, si in zip(x, oracle(v))]
+        new = [xi + gamma * si for xi, si in zip(x, model_lmo(v, spec, ns_iters))]
     return new, d_k
 
 
@@ -359,43 +363,35 @@ class ScheduleSpec:
 
 
 def _check_step(schedule: ScheduleSpec, k) -> None:
-    for step in (k,) if np.ndim(k) == 0 else (np.min(k), np.max(k)):
+    for step in (np.min(k), np.max(k)):
         if not 1 <= step <= schedule.horizon:
             raise ValueError(f"step {step} outside schedule horizon 1..{schedule.horizon}")
 
 
-def _constant(value: float, k):
-    """`value` at every step of k: itself for one step, an array for an array of them."""
-    return value if np.ndim(k) == 0 else np.full(np.shape(k), value, dtype=np.float64)
-
-
 def gamma_at(schedule: ScheduleSpec, k):
-    """Scheduled stepsize at step k. Linear decay is gamma0 * (1 - k / n); the
-    constant-then-linear form holds gamma0 until the final `warmdown` steps and then
-    decays as gamma0 * (n - k) / warmdown. The k = n value may be 0 (a no-op step).
-
-    k may also be an integer array of steps: the result is then the array of their
-    stepsizes, each equal to the scalar call's value."""
+    """Scheduled stepsizes at an integer array k of steps, as a float64 array shaped
+    like k. Linear decay is gamma0 * (1 - k / n); the constant-then-linear form holds
+    gamma0 until the final `warmdown` steps and then decays as gamma0 * (n - k) /
+    warmdown. The k = n value may be 0 (a no-op step). A single step k gives its
+    value through the same code."""
     _check_step(schedule, k)
     n = schedule.horizon
     if schedule.gamma_kind is GammaKind.CONSTANT:
-        return _constant(schedule.gamma0, k)
+        return np.full(np.shape(k), schedule.gamma0, dtype=np.float64)
     if schedule.gamma_kind is GammaKind.LINEAR_DECAY:
         return schedule.gamma0 * (1.0 - k / n)
     if schedule.gamma_kind is GammaKind.CONSTANT_THEN_LINEAR:
         m = schedule.warmdown
-        if np.ndim(k) == 0:
-            return schedule.gamma0 if k < n - m else schedule.gamma0 * (n - k) / m
         return np.where(k < n - m, schedule.gamma0, schedule.gamma0 * (n - k) / m)
     raise ValueError(f"unknown gamma kind {schedule.gamma_kind}")
 
 
 def alpha_at(schedule: ScheduleSpec, k):
-    """Scheduled averaging weight at step k; the vanishing schedule is 1 / sqrt(k).
-    k may also be an integer array of steps, as for gamma_at."""
+    """Scheduled averaging weights at an integer array k of steps, as for gamma_at;
+    the vanishing schedule is 1 / sqrt(k)."""
     _check_step(schedule, k)
     if schedule.alpha_kind is AlphaKind.CONSTANT:
-        return _constant(schedule.alpha0, k)
+        return np.full(np.shape(k), schedule.alpha0, dtype=np.float64)
     if schedule.alpha_kind is AlphaKind.VANISHING:
         return 1.0 / np.sqrt(k)
     raise ValueError(f"unknown alpha kind {schedule.alpha_kind}")

@@ -18,6 +18,26 @@ def artifact(out_dir, prefix, suffix):
     return os.path.join(out_dir, names[0])
 
 
+# Every rule at the largest noise, at two sizes and at gamma 0.05 and 0: some of the
+# first block's noise draws overflow, and mostly step 1's est_error fails first. At
+# dim 4, SSD's new iterate fails before it, and the Nesterov look-ahead g + beta * d
+# (the buffer check) before both.
+_LARGEST_NOISE_CASES = [
+    (algo, dim, gamma) for algo in SCHEMAS["train"]["optimizer.algo"].choices
+    for dim in (32, 4) for gamma in ("0.05", "0")
+]
+_LARGEST_NOISE = [
+    ("train", ["problem.kind=quadratic", "problem.noise=1.7976931348623157e308",
+               f"optimizer.algo={algo}", f"problem.dim={dim}", f"optimizer.gamma.value={gamma}"],
+     "at step 1 of trial 0: non-finite "
+     + {("ssd", 4): "parameters", ("muon_nesterov", 4): "buffer"}.get((algo, dim), "est_error"))
+    for algo, dim, gamma in _LARGEST_NOISE_CASES
+]
+_LARGEST_NOISE_IDS = [
+    f"train_largest_noise_{algo}_dim{dim}_gamma{gamma}" for algo, dim, gamma in _LARGEST_NOISE_CASES
+]
+
+
 class TestConfigPlumbing:
     def test_defaults_resolve(self):
         cfg = resolve_config("train", {}, [], None, None)
@@ -386,17 +406,10 @@ class TestCommands:
              "at step 1 of trial 0: non-finite fw_gap"),
             ("rate", ["optimizer=scg", "rho_constrained=1e308"],
              "at step 1 of trial 0: non-finite fw_gap"),
-            # At the largest noise some of the first block's noise draws overflow.
-            ("train", ["problem.kind=quadratic", "problem.noise=1.7976931348623157e308",
-                       "problem.dim=4"],
-             "at step 1 of trial 0: non-finite est_error"),
-            # ... and under SSD the sharp operator meets a gradient dual past the range.
-            ("train", ["problem.kind=quadratic", "problem.noise=1.7976931348623157e308",
-                       "optimizer.algo=ssd"],
-             "at step 1 of trial 0: non-finite est_error"),
+            *_LARGEST_NOISE,
         ],
         ids=["decay_probe_without_slope", "train_scg_largest_radius",
-             "rate_scg_largest_radius", "train_largest_noise_dim4", "train_largest_noise_ssd"],
+             "rate_scg_largest_radius", *_LARGEST_NOISE_IDS],
     )
     def test_numerical_failure_exit_3_without_warning(
         self, tmp_path, capsys, command, settings, what
@@ -412,16 +425,18 @@ class TestCommands:
         assert "Traceback" not in err and "Warning" not in err
         assert not out.exists() or os.listdir(out) == []
 
-    def test_jsonl_writer_refuses_nan(self, tmp_path):
-        from lmopt.cli import write_jsonl
+    def test_run_writer_refuses_nan(self, tmp_path):
+        from lmopt.cli import _write_run
 
-        path = tmp_path / "summary.jsonl"
+        out = tmp_path / "out"
+        cfg = {"out": str(out), "seed": 0}
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="not JSON compliant"):
-                write_jsonl(str(path), [{"slope": 1.0}, {"slope": bad}])
-            assert not path.exists()
-        write_jsonl(str(path), [{"slope": 1.0}])
-        assert json.loads(path.read_text()) == {"slope": 1.0}
+                _write_run("rate", cfg, ("n",), ([1],), {"slope": bad})
+            assert not out.exists()
+        base = _write_run("rate", cfg, ("n",), ([1],), {"slope": 1.0})
+        with open(base + ".jsonl", encoding="utf-8") as fh:
+            assert json.loads(fh.read()) == {"command": "rate", "config": cfg, "slope": 1.0}
 
     @pytest.mark.parametrize(
         "command, settings, keys",

@@ -24,7 +24,6 @@ from lmopt.linalg import derive_seed, rng_gaussian
 from lmopt.models import (
     Activation,
     Domain,
-    Loss,
     backward,
     build_config,
     init_model,
@@ -397,6 +396,13 @@ class TestTrialStack:
             # a 1e306 gradient overflows trial 7's est_error at step 3, while the scale-safe
             # sharp operator keeps its SSD step finite
             (Algo.SSD, 1.0, {(3, 7): 1e306, (3, 9): 1e308}),
+            # a 1e308 gradient overflows trial 9's Nesterov look-ahead g + beta * d at
+            # step 3, before trial 7's est_error there (the buffer itself stays finite)
+            (Algo.MUON_NESTEROV, 1.0, {(3, 7): 1e306, (3, 9): 1e308}),
+            # ... and mid-block, after a block boundary
+            (Algo.MUON_NESTEROV, 1.0, {(66, 7): 1e306, (66, 1): 1e308}),
+            # but its fw_gap and param_norm at that step come before it
+            (Algo.MUON_NESTEROV, 5e-324, {(1, 9): 1e308}),
             # at rho = 1e-3 its dual_norm / rho overflows, so trial 7's parameters turn
             # non-finite: within a step, non-finite parameters come before the est_error
             (Algo.SSD, 1e-3, {(3, 7): 1e306, (3, 9): 1e308}),
@@ -404,8 +410,8 @@ class TestTrialStack:
     )
     def test_failure_order_is_per_step(self, algo, rho, poison):
         # A failure is reported at its earliest step, and within a step in the order
-        # gradient, fw_gap, param_norm, parameters, est_error, even where a block's
-        # recorded columns are only checked once a later step has failed.
+        # gradient, fw_gap, param_norm, buffer, parameters, est_error, even where a
+        # block's recorded columns are only checked once a later step has failed.
         prob = PoisonedNoise(dim=8, noise=1.0, conditioning=5.0, seed=0, poison=poison)
         sch = ScheduleSpec(horizon=70, gamma0=1.0)
         trials = [4, 7, 9, 1]
@@ -521,7 +527,15 @@ def _per_step_run(prob, algo, sch, trials, rho):
         gamma, alpha = gamma_at(sch, k), alpha_at(sch, k)
         with np.errstate(over="ignore"):
             row = (gamma, alpha, prob.loss(x[0]), rho * dual, gap, pnorm)
-        x, d_k = apply_step(rule_for(algo), x, state, [g], gamma, alpha, spec)
+        rule = rule_for(algo)
+        try:
+            x, d_k = apply_step(rule, x, state, [g], gamma, alpha, spec)
+        except ValueError:
+            # the oracle rejected the buffer, or its Nesterov look-ahead
+            with np.errstate(over="ignore"):
+                operand = g + rule.beta * state.d[0] if rule.nesterov else state.d[0]
+            check(operand, k, "buffer")
+            raise
         check(x[0], k, "parameters")
         with np.errstate(over="ignore"):
             err = np.linalg.norm(d_k[0] - exact, axis=1)
@@ -593,7 +607,7 @@ class TestRecordedDiagnostics:
                 model, _ = train_classifier(
                     model, tx, ty, Algo.SCG, replace(sch, horizon=k - 1), record=False, **kw
                 )
-            _, probe_g = loss_and_grad(model, tx[:, :probe_n], ty[:probe_n], Loss.LOGISTIC)
+            _, probe_g = loss_and_grad(model, tx[:, :probe_n], ty[:probe_n])
             spec = model.norm_spec()
             dual = sum(a.radius * dual_norm(g, a) for g, a in zip(probe_g, spec.atoms))
             gap = fw_gap(probe_g, model.parameters(), spec)

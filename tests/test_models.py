@@ -8,7 +8,6 @@ from lmopt.models import (
     Activation,
     Domain,
     LayerSpec,
-    Loss,
     activation_grad,
     activation_value,
     backward,
@@ -236,8 +235,7 @@ class TestBackward:
     def test_single_sample_gradients_are_rank_one(self):
         model = simple_model((8, 12, 12, 3), activation=Activation.TANH, seed=1)
         z = rng_gaussian(8, 1, 4)[:, 0]
-        y = rng_gaussian(3, 1, 5)[:, 0]
-        _, grads = loss_and_grad(model, z, y, Loss.MSE)
+        _, grads = loss_and_grad(model, z, np.array([2]))
         for g in grads:
             res = svd_reduced(g)
             assert res.sigma.size == 1 or res.sigma[1] / res.sigma[0] <= 1e-10
@@ -259,22 +257,17 @@ class TestBackward:
             np.testing.assert_array_equal(f, g)
 
     @staticmethod
-    def reference_loss_and_grad(model, z, targets, loss):
-        """loss_and_grad with a fresh array for every product: the logistic branch
-        takes np.exp(shifted) twice, and each layer's delta is formed out of place."""
+    def reference_loss_and_grad(model, z, labels):
+        """loss_and_grad with a fresh array for every product: it takes
+        np.exp(shifted) twice, and each layer's delta is formed out of place."""
         logits, cache = forward(model, z)
         batch = z.shape[1]
-        if loss is Loss.MSE:
-            diff = logits - targets
-            value = 0.5 * float(np.sum(diff * diff)) / batch
-            delta = diff / batch
-        else:
-            shifted = logits - logits.max(axis=0, keepdims=True)
-            logz = np.log(np.sum(np.exp(shifted), axis=0))
-            value = float(np.mean(logz - shifted[targets, np.arange(batch)]))
-            soft = np.exp(shifted) / np.exp(logz)
-            soft[targets, np.arange(batch)] -= 1.0
-            delta = soft / batch
+        shifted = logits - logits.max(axis=0, keepdims=True)
+        logz = np.log(np.sum(np.exp(shifted), axis=0))
+        value = float(np.mean(logz - shifted[labels, np.arange(batch)]))
+        soft = np.exp(shifted) / np.exp(logz)
+        soft[labels, np.arange(batch)] -= 1.0
+        delta = soft / batch
         grads_rev = []
         for idx in range(model.depth - 1, -1, -1):
             h_prev = cache.inputs if idx == 0 else cache.posts[idx - 1]
@@ -288,16 +281,15 @@ class TestBackward:
         return value, grads_rev[::-1]
 
     @pytest.mark.parametrize("act", list(Activation), ids=lambda a: a.value)
-    @pytest.mark.parametrize("loss", [Loss.MSE, Loss.LOGISTIC], ids=lambda l: l.value)
-    def test_bit_identical_to_out_of_place_reference(self, act, loss):
+    def test_bit_identical_to_out_of_place_reference(self, act):
         specs = build_config(Domain.IMAGE, (6, 9, 7, 3), activation=act, with_bias=True)
         model = init_model(specs, 5)
         for b in model.biases[:-1]:
             b += 0.1 * rng_gaussian(b.size, 1, 6)[:, 0]
         z = rng_gaussian(6, 11, 7)
-        targets = rng_gaussian(3, 11, 8) if loss is Loss.MSE else np.arange(11) % 3
-        value, grads = loss_and_grad(model, z, targets, loss)
-        want_value, want = self.reference_loss_and_grad(model, z, targets, loss)
+        labels = np.arange(11) % 3
+        value, grads = loss_and_grad(model, z, labels)
+        want_value, want = self.reference_loss_and_grad(model, z, labels)
         assert value == want_value
         assert len(grads) == len(want)
         for g, w in zip(grads, want):
@@ -319,8 +311,8 @@ class TestBackward:
         for b in model.biases[:-1]:
             b += 0.05 * rng_gaussian(b.size, 1, 12)[:, 0]  # move off the zero init
         z = 0.5 * rng_gaussian(6, 3, 13)
-        y = rng_gaussian(3, 3, 14)
-        _, grads = loss_and_grad(model, z, y, Loss.MSE)
+        y = np.array([2, 0, 1])
+        _, grads = loss_and_grad(model, z, y)
         assert len(grads) == 3  # W1, b1, W2
         params = model.parameters()
         for p_idx, p in enumerate(params):
@@ -331,9 +323,9 @@ class TestBackward:
                 orig = p[idx]
                 h = 1e-6 * max(1.0, abs(orig))
                 p[idx] = orig + h
-                up, _ = loss_and_grad(model, z, y, Loss.MSE)
+                up, _ = loss_and_grad(model, z, y)
                 p[idx] = orig - h
-                dn, _ = loss_and_grad(model, z, y, Loss.MSE)
+                dn, _ = loss_and_grad(model, z, y)
                 p[idx] = orig
                 fd[idx] = (up - dn) / (2 * h)
                 it.iternext()
@@ -356,15 +348,11 @@ class TestBackward:
         assert np.any(model.biases[0] != 0.0)  # bias actually moved
 
     @pytest.mark.parametrize("act", HIDDEN_ACTS, ids=lambda a: a.value)
-    @pytest.mark.parametrize("loss", [Loss.MSE, Loss.LOGISTIC], ids=lambda l: l.value)
-    def test_finite_difference_oracle(self, act, loss):
+    def test_finite_difference_oracle(self, act):
         model = simple_model((8, 8, 4, 2), activation=act, seed=7)
         z = 0.5 * rng_gaussian(8, 3, 8)
-        if loss is Loss.MSE:
-            targets = rng_gaussian(2, 3, 9)
-        else:
-            targets = np.array([0, 1, 0])
-        _, grads = loss_and_grad(model, z, targets, loss)
+        targets = np.array([0, 1, 0])
+        _, grads = loss_and_grad(model, z, targets)
         params = model.parameters()
         max_rel = 0.0
         for p_idx, p in enumerate(params):
@@ -375,9 +363,9 @@ class TestBackward:
                 orig = p[idx]
                 h = 1e-6 * max(1.0, abs(orig))
                 p[idx] = orig + h
-                up, _ = loss_and_grad(model, z, targets, loss)
+                up, _ = loss_and_grad(model, z, targets)
                 p[idx] = orig - h
-                dn, _ = loss_and_grad(model, z, targets, loss)
+                dn, _ = loss_and_grad(model, z, targets)
                 p[idx] = orig
                 fd[idx] = (up - dn) / (2 * h)
                 it.iternext()
@@ -387,30 +375,21 @@ class TestBackward:
 
 
 class TestLosses:
-    def test_mse_zero_at_target(self):
-        model = simple_model((4, 6, 2), seed=3)
-        z = rng_gaussian(4, 5, 10)
-        logits, _ = forward(model, z)
-        value, grads = loss_and_grad(model, z, logits, Loss.MSE)
-        assert value == 0.0
-        for g in grads:
-            np.testing.assert_array_equal(g, np.zeros_like(g))
-
     def test_logistic_uniform_logits(self):
         model = simple_model((4, 6, 2), seed=4)
         model.weights[-1] = np.zeros_like(model.weights[-1])  # logits all zero
         z = rng_gaussian(4, 6, 11)
-        value, _ = loss_and_grad(model, z, np.zeros(6, dtype=int), Loss.LOGISTIC)
+        value, _ = loss_and_grad(model, z, np.zeros(6, dtype=int))
         assert value == pytest.approx(np.log(2.0))
 
     def test_batch_duplication_invariance(self):
         model = simple_model((5, 8, 3), seed=5)
         z = rng_gaussian(5, 4, 12)
         y = np.array([0, 2, 1, 1])
-        v1, g1 = loss_and_grad(model, z, y, Loss.LOGISTIC)
+        v1, g1 = loss_and_grad(model, z, y)
         z2 = np.concatenate([z, z], axis=1)
         y2 = np.concatenate([y, y])
-        v2, g2 = loss_and_grad(model, z2, y2, Loss.LOGISTIC)
+        v2, g2 = loss_and_grad(model, z2, y2)
         assert v1 == pytest.approx(v2)
         for a, b in zip(g1, g2):
             np.testing.assert_allclose(a, b, atol=1e-14)
@@ -419,7 +398,7 @@ class TestLosses:
         model = simple_model((5, 8, 3), seed=5)
         z = rng_gaussian(5, 2, 13)
         with pytest.raises(ValueError):
-            loss_and_grad(model, z, np.array([0, 3]), Loss.LOGISTIC)
+            loss_and_grad(model, z, np.array([0, 3]))
 
 
 class TestCheckpoint:

@@ -465,8 +465,10 @@ class TestScaleSafeL2:
         assert norm == pytest.approx(scale * op_norm(unit, spec), rel=1e-12, abs=0)
         assert abs(pairing) <= 1e-12 * radius * dual
 
-    @pytest.mark.parametrize("kind", L2_KINDS + L2_MATRIX_KINDS + [NormKind.SPECTRAL],
-                             ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "kind", L2_KINDS + L2_MATRIX_KINDS + [NormKind.SPECTRAL, NormKind.MAX_VEC, NormKind.SIGN],
+        ids=lambda k: k.value,
+    )
     def test_dual_past_the_range_is_inf(self, kind):
         spec = make_spec(kind, 5, 4)
         s = np.full((5,) if spec.is_vector else (5, 4), 1e308)

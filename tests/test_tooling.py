@@ -41,17 +41,39 @@ def test_demos_found():
     assert DEMOS, "no demos/*.py found"
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo, tmp_path):
+def _run_python(*args, cwd):
+    """A Python process with the checkout's src on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    proc = _run_python(str(demo), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_runs_as_a_process(tmp_path):
+    out = tmp_path / "out"
+    proc = _run_python("-m", "lmopt", "lmo-check", "--set", "trials=2", "--out", str(out),
+                       cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(os.listdir(out))
+    assert [os.path.splitext(n)[1] for n in names] == [".csv", ".jsonl"]
+    assert all(n.startswith("lmo_check_") for n in names)
+
+
+def test_module_entry_rejects_an_unknown_key_without_a_traceback(tmp_path):
+    proc = _run_python("-m", "lmopt", "train", "--set", "nope=1", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "unknown key 'nope'" in proc.stderr and "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def _tracer_module():
