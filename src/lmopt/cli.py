@@ -90,6 +90,9 @@ def _values(enum) -> tuple[str, ...]:
     return tuple(e.value for e in enum)
 
 
+# Bounds on the quadratic's radii: below _TINY, rounding puts an scg start on the
+# ball's boundary outside it, and `rate` reports D2 = 2 * rho_constrained.
+_TINY, _HUGE = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)
 _ACTIVATIONS = tuple(a.value for a in Activation if a is not Activation.IDENTITY)
 # CLI algo names are the enum values, except that Muon-plain is plain "muon"
 _ALGO_BY_NAME = {"muon" if a is Algo.MUON_PLAIN else a.value: a for a in Algo}
@@ -129,7 +132,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
               within="[0, inf)"),
         Field("problem.conditioning", "float", 10.0, "curvature spread (quadratic)",
               within="[1, inf)"),
-        Field("problem.rho", "float", 1.0, "norm-ball radius (quadratic)", within="(0, inf)"),
+        Field("problem.rho", "float", 1.0, "norm-ball radius (quadratic), a normal float64",
+              within=f"[{_TINY!r}, inf)"),
         Field("problem.images", "str", "", "IDX images path (idx)"),
         Field("problem.labels", "str", "", "IDX labels path (idx)"),
         Field("problem.limit", "int", 0, "cap on idx samples, 0 = all", within="[0, inf)"),
@@ -198,7 +202,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         Field("problem.noise", "float", 1.0, "gradient noise level sigma", within="[0, inf)"),
         Field("problem.conditioning", "float", 10.0, "curvature spread", within="[1, inf)"),
         Field("rho", "float", 1.0, "unconstrained ball radius", within="(0, inf)"),
-        Field("rho_constrained", "float", 2.0, "constrained ball radius", within="(0, inf)"),
+        Field("rho_constrained", "float", 2.0, "constrained ball radius, a normal float64 "
+              "whose double, the reported constant D2, is finite",
+              within=f"[{_TINY!r}, {_HUGE / 2!r}]"),
     ),
 }
 
@@ -504,13 +510,16 @@ def cmd_train(cfg: dict) -> int:
     summary: dict = {"steps": horizon}
     if cfg["problem.kind"] == "quadratic":
         problem = _build_problem(StochasticQuadratic, cfg)
-        x, diags = train_quadratic(
+        xs, stack = train_quadratic(
             problem, algo, schedule,
             rho=cfg["problem.rho"],
             mu=cfg["optimizer.mu"],
             beta=cfg["optimizer.beta"],
         )
-        summary["final_loss"] = problem.loss(x)
+        diags = stack.trial(0)
+        summary["final_loss"] = problem.loss(xs[0])
+        if not np.isfinite(summary["final_loss"]):  # the loss of a finite iterate can overflow
+            raise NumericalFailure(horizon, "non-finite final loss", trial=0)
     else:
         if cfg["problem.kind"] == "idx":
             train_x, train_y = _load_idx(cfg)
@@ -582,6 +591,8 @@ def cmd_sweep(cfg: dict) -> int:
         grid = [float("inf")]
     _require(max(grid) <= 1.0, "gamma.start", "times key 'gamma.factor' ** (gamma.count - 1), "
              "the largest grid stepsize, must be <= 1", max(grid))
+    _require(min(grid) > 0.0, "gamma.start", "times key 'gamma.factor' ** (gamma.count - 1), "
+             "the smallest grid stepsize, must not underflow to 0", min(grid))
     problem = _build_problem(SyntheticClassification, cfg)
     report = lr_transfer_sweep(
         cfg["widths"], grid, problem,

@@ -1,8 +1,8 @@
 """Minimal MLP with manual backpropagation and norm-aware builders.
 
 Layers compute f_l = W_l h_{l-1} (+ b_l), h_l = act(f_l), with the last layer linear
-(identity activation, no bias) so the logits stay unbounded. Inputs are column
-vectors: a batch is a (d_in, batch) array. A layer is its activation and its norm
+(identity activation, no bias) so the logits stay unbounded. Inputs are always a
+(d_in, batch) array, one column per sample. A layer is its activation and its norm
 balls; the weight ball's kind fixes the layer's dimensions, its lmo and its boundary
 initialization. `build_config` assembles the balls for the standard domain presets,
 and `init_model` draws each weight from its kind's unit-boundary draw so the fresh
@@ -295,17 +295,12 @@ def init_model(specs: Sequence[LayerSpec], seed: int) -> MlpModel:
 
 
 def forward(model: MlpModel, z) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass caching every preactivation and postactivation.
-
-    Accepts a single input vector (d_in,) or a batch (d_in, batch); logits come back
-    with the same arrangement.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    h = z[:, None] if single else z
+    """Forward pass over a (d_in, batch) array, caching every preactivation and
+    postactivation; the logits come back as (d_out, batch)."""
+    h = np.asarray(z, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != model.layers[0].d_in:
         raise ValueError(
-            f"input must have {model.layers[0].d_in} rows, got shape {z.shape}"
+            f"input must be a ({model.layers[0].d_in}, batch) array, got shape {h.shape}"
         )
     cache = ForwardCache(inputs=h, preacts=[], posts=[])
     for ls, w, b in zip(model.layers, model.weights, model.biases):
@@ -315,8 +310,7 @@ def forward(model: MlpModel, z) -> tuple[np.ndarray, ForwardCache]:
         cache.preacts.append(f)
         h = activation_value(ls.activation, f)
         cache.posts.append(h)
-    logits = cache.posts[-1]
-    return (logits[:, 0] if single else logits), cache
+    return cache.posts[-1], cache
 
 
 def backward_factors(
@@ -325,14 +319,12 @@ def backward_factors(
     """Exact reverse-mode gradients for every parameter, aligned with parameters(),
     with each weight gradient left as its factors.
 
-    loss_grad_at_logits is dL/d(logits) with the same shape convention as forward's
-    output. Layer l's weight gradient is delta_l @ h_{l-1}^T, a sum of one outer
+    loss_grad_at_logits is dL/d(logits), shaped like forward's (d_out, batch) logits.
+    Layer l's weight gradient is delta_l @ h_{l-1}^T, a sum of one outer
     product per sample, returned as LowRank(delta_l, h_{l-1}) of rank at most the
     batch size; bias gradients are dense vectors. The factors alias the cache.
     """
     delta = np.asarray(loss_grad_at_logits, dtype=np.float64)
-    if delta.ndim == 1:
-        delta = delta[:, None]
     if delta.shape != cache.preacts[-1].shape:
         raise ValueError(
             f"loss gradient shape {delta.shape} does not match logits "
@@ -360,16 +352,13 @@ def backward(model: MlpModel, cache: ForwardCache, loss_grad_at_logits) -> list[
 
 def loss_and_grad(model: MlpModel, inputs, labels) -> tuple[float, list[np.ndarray]]:
     """Mean softmax cross entropy over the batch and its exact parameter gradients
-    (batch means). Labels are integer classes, one per sample; the logit gradient is
-    computed in the fused softmax-minus-one-hot form.
+    (batch means) for a (d_in, batch) array of inputs. Labels are integer classes, one
+    per sample; the logit gradient is computed in the fused softmax-minus-one-hot form.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[1] == 0:
+    logits, cache = forward(model, inputs)
+    batch = logits.shape[1]
+    if batch == 0:
         raise ValueError("batch must be nonempty")
-    logits, cache = forward(model, x)
-    batch = x.shape[1]
     y = np.asarray(labels)
     if y.ndim != 1 or y.shape[0] != batch:
         raise ValueError(f"labels must be one integer per sample, got shape {y.shape}")

@@ -165,10 +165,12 @@ def _l2_lmo(r, coef, ns_iters):
     r, norms, e = _l2_rows(r)
     if e is None and abs(coef) <= _COEF_SAFE:  # every norm is positive
         return (coef / norms) * r
-    # A zero row has the zero lmo. A row whose coef / norm would overflow is formed
-    # as coef times its unit row, which stays finite; every other row keeps its bits.
+    # A zero row has the zero lmo. A row whose coef / norm would overflow is formed as
+    # coef times its unit row, which stays finite, and so is every row under a coef
+    # within 2**-20 of float64's largest, where (coef / norm) * r can round past it;
+    # every other row keeps its bits.
     positive = norms > 0.0
-    over = norms < abs(coef) / _HUGE
+    over = (norms < abs(coef) / _HUGE) | (abs(coef) > _HUGE / (1.0 + 2.0**-20))
     q = np.divide(coef, norms, out=np.zeros_like(norms), where=positive & ~over)
     unit = np.divide(r, norms, out=np.zeros_like(r), where=positive & over)
     return q * r + coef * unit

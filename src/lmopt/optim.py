@@ -244,7 +244,9 @@ def step(
     matter the gradient stream. It returns read-only arrays and records in `state` a
     bound on their norm, so the next step takes them without measuring them again
     (see Certificate). The ADD move changes x by at most gamma in the composite
-    norm (radii included).
+    norm (radii included). The ADD, CONVEX and DECAY moves call the oracle once, on
+    the buffer or its Nesterov look-ahead; when it rejects that operand, the
+    ValueError carries the list as its `operand` attribute.
     """
     _check_gamma(gamma)
     _check_alpha(alpha)
@@ -278,12 +280,16 @@ def step(
         # At gamma = 0 a sharp entry past float64's range makes 0 * inf = NaN, which
         # the next gradient carries.
         with np.errstate(invalid="ignore"):
-            new = [xi - gamma * si for xi, si in zip(x, sharp)]
-    elif rule.move is Move.BUFFER:
-        new = [xi + gamma * di for xi, di in zip(x, state.d)]
-    elif rule.move is Move.CONVEX:
-        new = [(1.0 - gamma) * xi + gamma * si
-               for xi, si in zip(x, model_lmo(v, spec, ns_iters))]
+            return [xi - gamma * si for xi, si in zip(x, sharp)], d_k
+    if rule.move is Move.BUFFER:
+        return [xi + gamma * di for xi, di in zip(x, state.d)], d_k
+    try:
+        s = model_lmo(v, spec, ns_iters)
+    except ValueError as exc:
+        exc.operand = v
+        raise
+    if rule.move is Move.CONVEX:
+        new = [(1.0 - gamma) * xi + gamma * si for xi, si in zip(x, s)]
         for xi in new:
             xi.flags.writeable = False
         # A Newton-Schulz lmo output can leave the ball, so only an exact one vouches.
@@ -291,10 +297,9 @@ def step(
             tuple(new), spec, (1.0 - gamma) * bound + gamma + CERTIFICATE_ROUNDING
         )
     elif rule.move is Move.DECAY:
-        new = [xi + gamma * si - (gamma * rule.mu) * xi
-               for xi, si in zip(x, model_lmo(v, spec, ns_iters))]
+        new = [xi + gamma * si - (gamma * rule.mu) * xi for xi, si in zip(x, s)]
     else:
-        new = [xi + gamma * si for xi, si in zip(x, model_lmo(v, spec, ns_iters))]
+        new = [xi + gamma * si for xi, si in zip(x, s)]
     return new, d_k
 
 

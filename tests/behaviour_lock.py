@@ -48,13 +48,13 @@ def capture() -> dict:
     )
     out: dict = {"quadratic": {}, "classifier": {}}
     for algo in Algo:
-        xs, diags = train_quadratic(
-            quadratic, algo, q_schedule, trial=[0, 1],
+        xs, stack = train_quadratic(
+            quadratic, algo, q_schedule, [0, 1],
             rho=2.0 if algo is Algo.SCG else 1.0, mu=MU, beta=BETA,
         )
         out["quadratic"][algo.value] = {
             "final": xs.tolist(),
-            "trials": [_columns(d) for d in diags],
+            "trials": [_columns(stack.trial(i)) for i in range(2)],
         }
         model, diags = train_classifier(
             init_model(specs, 7), train_x, train_y, algo, c_schedule,

@@ -393,6 +393,21 @@ class TestCommands:
         assert err.startswith("numerical failure at step") and "Warning" not in err
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize("optimizer", ["uscg", "scg"])
+    @pytest.mark.parametrize("rho", ["8.988465674311580e307", "1e308", "1.7976931348623157e308"])
+    def test_rate_radius_whose_d2_overflows_exit_1(self, tmp_path, capsys, optimizer, rho):
+        # The reported constant D2 = 2 * rho_constrained must be finite, so a radius
+        # above half of float64's largest value is outside the key's interval.
+        out = tmp_path / "out"
+        rc = run_cli("rate", "--out", str(out), "--set", f"optimizer={optimizer}",
+                     "--set", f"rho_constrained={rho}", "--set", "n_list=2,3",
+                     "--set", "trials=1")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'rho_constrained' must be in [")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, settings, what",
         [
@@ -404,12 +419,50 @@ class TestCommands:
             # The SCG start on the largest radii fits in float64; its gap does not.
             ("train", ["problem.kind=quadratic", "optimizer.algo=scg", "problem.rho=1e308"],
              "at step 1 of trial 0: non-finite fw_gap"),
-            ("rate", ["optimizer=scg", "rho_constrained=1e308"],
+            ("rate", ["optimizer=scg", "rho_constrained=8.988465674311579e307"],
              "at step 1 of trial 0: non-finite fw_gap"),
+            # a finite last iterate whose loss overflows
+            ("train", ["problem.kind=quadratic", "optimizer.steps=1", "problem.dim=7",
+                       "problem.rho=3.050581868614393e307", "problem.noise=1.1",
+                       "problem.conditioning=2.553600595270676", "optimizer.gamma.kind=constant",
+                       "optimizer.gamma.value=0.13790974218011767",
+                       "optimizer.alpha.value=0.8584040408398259", "seed=-9960"],
+             "at step 1 of trial 0: non-finite final loss"),
+            # a uSCG step on the largest radii whose new iterate overflows
+            ("rate", ["mode=constant", "n_list=5", "trials=4", "problem.dim=4",
+                      "alpha=4.9320667995579805e-05", "problem.noise=4.184891738113516e307",
+                      "problem.conditioning=4.184891738113516e307",
+                      "rho=1.6446375770106688e308", "seed=-1195"],
+             "at step 1 of trial 0: non-finite est_error"),
+            # every step's grad_dual_norm is finite, but their mean over the trials is not
+            ("rate", ["mode=constant", "n_list=1", "trials=5", "problem.dim=6",
+                      "problem.noise=1.4065012811308932", "rho=1.1289453775706068e308",
+                      "problem.conditioning=1.6772995014444008e308", "seed=-57199191"],
+             "at step 1: mean criticality inf at noise level 1.4065012811308932 is not "
+             "positive and finite"),
+            # the largest noise on a dim-2 quadratic overflows the gradient sum itself,
+            # and then SSD's new iterate
+            ("train", ["problem.kind=quadratic", "problem.noise=1.7976931348623157e308",
+                       "problem.dim=2", "optimizer.algo=ssd"],
+             "at step 1 of trial 0: non-finite parameters"),
+            # SSD on scaled relu^2 overflows the forward pass, and then the probe
+            *(("train", ["problem.dim=2", "problem.classes=2", "problem.clusters=1",
+                         f"problem.noise={noise}", f"problem.train_size={n}",
+                         f"problem.test_size={n_test}", f"model.hidden={hidden}",
+                         "model.domain=one_hot", "model.family=colnorm",
+                         "model.activation=scaled_relu2", "optimizer.algo=ssd",
+                         "optimizer.steps=3", f"optimizer.batch_size={batch}",
+                         "optimizer.gamma.kind=constant", "optimizer.gamma.value=1.0",
+                         "optimizer.alpha.value=1.0", "seed=6564"], f"at step 3: {what}")
+              for noise, n, n_test, hidden, batch, what in (
+                  ("0.0", 2, 0, "6,4,3", 1, "non-finite loss"),
+                  ("1.0", 4, 4, "5,4,3", 2, "non-finite probe gradient"))),
             *_LARGEST_NOISE,
         ],
         ids=["decay_probe_without_slope", "train_scg_largest_radius",
-             "rate_scg_largest_radius", *_LARGEST_NOISE_IDS],
+             "rate_scg_largest_radius", "train_final_loss_overflow", "rate_uscg_step_overflow",
+             "rate_mean_criticality_overflow", "train_gradient_sum_overflow",
+             "train_ssd_forward_overflow", "train_ssd_probe_overflow", *_LARGEST_NOISE_IDS],
     )
     def test_numerical_failure_exit_3_without_warning(
         self, tmp_path, capsys, command, settings, what
@@ -617,6 +670,14 @@ class TestCommands:
             ("sweep", ["depth=1"], "depth"),
             ("sweep", ["gamma.start=0.5", "gamma.factor=2", "gamma.count=3"], "gamma.start"),
             ("sweep", ["gamma.count=3000"], "gamma.start"),
+            # the grid's second stepsize, 0.5 * 5e-324, underflows to 0
+            ("sweep", ["gamma.start=0.5", "gamma.factor=5e-324", "gamma.count=2"],
+             "gamma.start"),
+            # rounding puts an scg start on a subnormal radius off its ball
+            ("train", ["problem.kind=quadratic", "optimizer.algo=scg", "problem.dim=4",
+                       "problem.rho=1e-320"], "problem.rho"),
+            ("rate", ["optimizer=scg", "problem.dim=1", "rho_constrained=5e-324"],
+             "rho_constrained"),
             ("rate", ["problem.dim=0"], "problem.dim"),
             ("rate", ["rho=0"], "rho"),
             ("rate", ["mode=constant", "n_list=40", "alpha=0"], "alpha"),

@@ -273,15 +273,15 @@ class TestTrainQuadratic:
     def test_deterministic(self):
         prob = small_quadratic(noise=1.0)
         sch = ScheduleSpec(horizon=50, gamma0=0.05, alpha0=0.2)
-        xa, da = train_quadratic(prob, Algo.USCG, sch, trial=0)
-        xb, db = train_quadratic(prob, Algo.USCG, sch, trial=0)
+        xa, da = train_quadratic(prob, Algo.USCG, sch, [0])
+        xb, db = train_quadratic(prob, Algo.USCG, sch, [0])
         np.testing.assert_array_equal(xa, xb)
         assert np.array_equal(da.loss, db.loss)
 
     def test_records_dense_in_k(self):
         prob = small_quadratic()
         sch = ScheduleSpec(horizon=30, gamma0=0.05)
-        _, diags = train_quadratic(prob, Algo.USCG, sch)
+        diags = train_quadratic(prob, Algo.USCG, sch)[1].trial(0)
         assert np.array_equal(diags.steps, np.arange(1, 31))
         assert [len(c) for c in diags.columns()] == [30] * len(RunDiagnostics.COLUMNS)
 
@@ -289,15 +289,15 @@ class TestTrainQuadratic:
         prob = small_quadratic(noise=1.0)
         sch = ScheduleSpec(horizon=100, gamma0=0.1, alpha0=0.3)
         _, diags = train_quadratic(prob, Algo.SCG, sch, rho=2.0)
-        assert all(diags.feasible)
+        assert diags.feasible.all()
 
     def test_common_random_numbers_across_algos(self):
         # muon(beta) and the unconstrained method with alpha = 1 - beta see the same
         # noise stream, so their iterates agree exactly
         prob = small_quadratic(noise=1.0)
         sch = ScheduleSpec(horizon=80, gamma0=0.05, alpha0=0.1)
-        xa, _ = train_quadratic(prob, Algo.USCG, sch, trial=2)
-        xb, _ = train_quadratic(prob, Algo.MUON_PLAIN, sch, trial=2, beta=0.9)
+        xa, _ = train_quadratic(prob, Algo.USCG, sch, [2])
+        xb, _ = train_quadratic(prob, Algo.MUON_PLAIN, sch, [2], beta=0.9)
         np.testing.assert_allclose(xa, xb, atol=1e-10)
 
     def test_light_mode_matches(self):
@@ -306,8 +306,8 @@ class TestTrainQuadratic:
         # est_error column
         prob = small_quadratic(noise=1.0)
         sch = ScheduleSpec(horizon=60, gamma0=0.05, alpha0=0.1)
-        xa, da = train_quadratic(prob, Algo.USCG, sch, trial=1)
-        xb, db = train_quadratic(prob, Algo.USCG_LIGHT, sch, trial=1)
+        xa, da = train_quadratic(prob, Algo.USCG, sch, [1])
+        xb, db = train_quadratic(prob, Algo.USCG_LIGHT, sch, [1])
         np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
         np.testing.assert_allclose(db.est_error, da.est_error, rtol=0, atol=1e-12)
 
@@ -328,7 +328,7 @@ class TestTrainQuadratic:
 
 
 class TestTrialStack:
-    """A sequence of trials runs on a leading axis; row i is the single-trial run."""
+    """A sequence of trials runs on a leading axis; row i is the run of trial i alone."""
 
     COLUMNS = ("loss", "grad_dual_norm", "fw_gap", "param_norm", "est_error")
 
@@ -343,18 +343,19 @@ class TestTrialStack:
         sch = ScheduleSpec(horizon=40, gamma0=0.05, alpha0=0.2)
         trials = [4, 0, 2]
         kw = dict(rho=2.0 if algo is Algo.SCG else 1.0)
-        xs, diags = train_quadratic(prob, algo, sch, trial=trials, **kw)
-        assert xs.shape == (3, 8) and len(diags) == 3
+        xs, stack = train_quadratic(prob, algo, sch, trials, **kw)
+        assert xs.shape == (3, 8) and stack.loss.shape == (3, 40)
         for i, t in enumerate(trials):
-            x, d = train_quadratic(prob, algo, sch, trial=t, **kw)
-            np.testing.assert_allclose(xs[i], x, rtol=1e-12, atol=0)
-            assert np.array_equal(diags[i].steps, d.steps)
-            assert np.array_equal(diags[i].feasible, d.feasible)
-            assert np.array_equal(diags[i].gamma, d.gamma)
-            assert np.array_equal(diags[i].alpha, d.alpha)
+            x, alone = train_quadratic(prob, algo, sch, [t], **kw)
+            row, d = stack.trial(i), alone.trial(0)
+            np.testing.assert_allclose(xs[i], x[0], rtol=1e-12, atol=0)
+            assert np.array_equal(row.steps, d.steps)
+            assert np.array_equal(row.feasible, d.feasible)
+            assert np.array_equal(row.gamma, d.gamma)
+            assert np.array_equal(row.alpha, d.alpha)
             for col in self.COLUMNS:
                 np.testing.assert_allclose(
-                    getattr(diags[i], col), getattr(d, col), rtol=1e-12, atol=0
+                    getattr(row, col), getattr(d, col), rtol=1e-12, atol=0
                 )
 
     @pytest.mark.parametrize("noise", [0.0, 0.8])
@@ -370,9 +371,10 @@ class TestTrialStack:
         trials = [4, 0, 2]
         rho = 2.0 if algo is Algo.SCG else 1.0
         x, columns = _per_step_run(prob, algo, sch, trials, rho)
-        xs, diags = train_quadratic(prob, algo, sch, trial=trials, rho=rho)
+        xs, stack = train_quadratic(prob, algo, sch, trials, rho=rho)
         assert np.array_equal(xs, x)
-        for i, d in enumerate(diags):
+        for i in range(len(trials)):
+            d = stack.trial(i)
             assert np.array_equal(d.steps, np.arange(1, horizon + 1))
             assert d.feasible.dtype == bool
             for name, values in columns.items():
@@ -418,17 +420,22 @@ class TestTrialStack:
         with pytest.raises(NumericalFailure) as want, np.errstate(all="ignore"):
             _per_step_run(prob, algo, sch, trials, rho)
         with pytest.raises(NumericalFailure) as got, np.errstate(all="ignore"):
-            train_quadratic(prob, algo, sch, trial=trials, rho=rho)
+            train_quadratic(prob, algo, sch, trials, rho=rho)
         assert (got.value.step, got.value.trial) == (want.value.step, want.value.trial)
         assert str(got.value) == str(want.value)
 
-    def test_single_trial_is_unstacked(self):
-        x, diags = train_quadratic(small_quadratic(), Algo.USCG, ScheduleSpec(horizon=3))
-        assert x.shape == (8,) and isinstance(diags, RunDiagnostics) and len(diags) == 3
+    def test_default_is_the_stack_of_trial_zero(self):
+        sch = ScheduleSpec(horizon=3)
+        x, diags = train_quadratic(small_quadratic(), Algo.USCG, sch)
+        assert x.shape == (1, 8) and diags.loss.shape == (1, 3) and len(diags) == 3
+        want, stack = train_quadratic(small_quadratic(), Algo.USCG, sch, [0])
+        assert np.array_equal(x, want)
+        for got, ref in zip(diags.columns(), stack.columns()):
+            assert np.array_equal(got, ref)
 
     def test_empty_trial_list_rejected(self):
         with pytest.raises(ValueError, match="at least one trial"):
-            train_quadratic(small_quadratic(), Algo.USCG, ScheduleSpec(horizon=3), trial=[])
+            train_quadratic(small_quadratic(), Algo.USCG, ScheduleSpec(horizon=3), [])
 
     @pytest.mark.parametrize(
         "algo, value, what",
@@ -450,7 +457,7 @@ class TestTrialStack:
         prob = PoisonedTrial(dim=8, noise=1.0, conditioning=5.0, seed=0)
         sch = ScheduleSpec(horizon=6, gamma0=1.0)
         with pytest.raises(NumericalFailure, match=what) as info, np.errstate(all="ignore"):
-            train_quadratic(prob, algo, sch, trial=[4, 7, 9, 1])
+            train_quadratic(prob, algo, sch, [4, 7, 9, 1])
         assert info.value.step == 3 and info.value.trial == 9
         assert "step 3 of trial 9" in str(info.value)
 
@@ -480,7 +487,7 @@ class TestTrialStack:
             want = "est_error"
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalFailure, match=f"non-finite {want}$") as info:
-                train_quadratic(prob, algo, sch, trial=[4, 7, 9, 1], rho=1e-3)
+                train_quadratic(prob, algo, sch, [4, 7, 9, 1], rho=1e-3)
         assert (info.value.step, info.value.trial) == (poisoned, 9)
 
 
@@ -530,11 +537,10 @@ def _per_step_run(prob, algo, sch, trials, rho):
         rule = rule_for(algo)
         try:
             x, d_k = apply_step(rule, x, state, [g], gamma, alpha, spec)
-        except ValueError:
-            # the oracle rejected the buffer, or its Nesterov look-ahead
-            with np.errstate(over="ignore"):
-                operand = g + rule.beta * state.d[0] if rule.nesterov else state.d[0]
-            check(operand, k, "buffer")
+        except ValueError as exc:
+            # the oracle rejected the operand it was given: the buffer, or its
+            # Nesterov look-ahead
+            check(exc.operand[0], k, "buffer")
             raise
         check(x[0], k, "parameters")
         with np.errstate(over="ignore"):
@@ -548,8 +554,8 @@ def _per_step_run(prob, algo, sch, trials, rho):
 def _run_light(harness, schedule, algo):
     """(final parameter arrays, diagnostics) of a small run of one harness."""
     if harness == "quadratic":
-        x, diags = train_quadratic(small_quadratic(noise=1.0), algo, schedule, trial=1)
-        return [x], diags
+        x, diags = train_quadratic(small_quadratic(noise=1.0), algo, schedule, [1])
+        return [x[0]], diags.trial(0)
     prob = SyntheticClassification(dim=8, classes=3, train_size=32, test_size=0, seed=3)
     tx, ty, _, _ = gen_synthetic(prob)
     model = init_model(build_config(Domain.IMAGE, (8, 8, 3)), 0)
@@ -628,12 +634,12 @@ class TestRecordedDiagnostics:
         sch = ScheduleSpec(horizon=6, gamma0=0.1, alpha0=0.3)
         rho = 2.0
         spec = quadratic_norm_spec(prob.dim, rho)
-        _, diags = train_quadratic(prob, Algo.SCG, sch, rho=rho)
+        diags = train_quadratic(prob, Algo.SCG, sch, rho=rho)[1].trial(0)
         for k in diags.steps:
             if k == 1:
                 x = prob.start_point(0, scale=rho)
             else:
-                x, _ = train_quadratic(prob, Algo.SCG, replace(sch, horizon=k - 1), rho=rho)
+                x = train_quadratic(prob, Algo.SCG, replace(sch, horizon=k - 1), rho=rho)[0][0]
             exact = prob.grad(x)
             # at rho = 2, a dual taken without the radius is half the recorded one
             dual = rho * dual_norm(exact, spec.atoms[0])
@@ -786,7 +792,7 @@ class TestRateHarness:
     def test_noiseless_run_decreases_gradient(self):
         prob = StochasticQuadratic(dim=8, noise=0.0, conditioning=5.0, seed=2)
         sch = ScheduleSpec(horizon=400, gamma0=0.02, alpha_kind=AlphaKind.VANISHING)
-        _, diags = train_quadratic(prob, Algo.USCG, sch)
+        diags = train_quadratic(prob, Algo.USCG, sch)[1].trial(0)
         assert diags.grad_dual_norm[-1] <= 0.1 * diags.grad_dual_norm[0]
 
     def test_constants_documented(self):
@@ -819,7 +825,7 @@ class TestRateHarness:
         def reference(p, schedule, tail=0):
             means = []
             for t in range(trials):
-                _, d = train_quadratic(p, algo, schedule, trial=t, rho=rho)
+                d = train_quadratic(p, algo, schedule, [t], rho=rho)[1].trial(0)
                 series = d.grad_dual_norm if optimizer == "uscg" else d.fw_gap
                 means.append(np.mean(series[tail:]))
             return np.mean(means)
@@ -849,7 +855,7 @@ class TestErrorDecayProbe:
         schedule = ScheduleSpec(horizon=n, gamma0=theory_gamma(n), alpha_kind=AlphaKind.VANISHING)
         total = np.zeros(n)
         for t in range(trials):
-            _, d = train_quadratic(prob, Algo.USCG, schedule, trial=t)
+            d = train_quadratic(prob, Algo.USCG, schedule, [t])[1].trial(0)
             total += np.square(d.est_error)
         rep = error_decay_probe(prob, n=n, trials=trials)
         np.testing.assert_allclose(rep.mean_sq_error, total / trials, rtol=1e-12, atol=0)
@@ -973,8 +979,8 @@ class TestRuleOncePerRun:
         monkeypatch.setattr(experiments, "rule_for", counted)
         sch = ScheduleSpec(horizon=5, gamma0=0.1)
         if harness.startswith("quadratic"):
-            trial = [0, 1, 2] if harness == "quadratic_stack" else 0
-            train_quadratic(small_quadratic(), Algo.USCG_WD, sch, trial=trial, mu=0.3)
+            trials = [0, 1, 2] if harness == "quadratic_stack" else [0]
+            train_quadratic(small_quadratic(), Algo.USCG_WD, sch, trials, mu=0.3)
             assert built == [(Algo.USCG_WD, 0.3, 0.9)]
         elif harness.startswith("classifier"):
             prob = SyntheticClassification(dim=8, classes=3, train_size=32, test_size=0)

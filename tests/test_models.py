@@ -188,8 +188,8 @@ class TestForward:
         ls = LayerSpec(Activation.IDENTITY, spec)
         model = init_model([ls], 0)
         model.weights[0] = np.eye(2)
-        logits, _ = forward(model, np.array([1.0, -1.0]))
-        np.testing.assert_allclose(logits, [1.0, -1.0])
+        logits, _ = forward(model, np.array([[1.0], [-1.0]]))
+        np.testing.assert_allclose(logits[:, 0], [1.0, -1.0])
 
     def test_two_layer_relu(self):
         specs = [
@@ -199,8 +199,8 @@ class TestForward:
         model = init_model(specs, 0)
         model.weights[0] = np.eye(2)
         model.weights[1] = np.eye(2)
-        logits, cache = forward(model, np.array([1.0, -1.0]))
-        np.testing.assert_allclose(logits, [1.0, 0.0])
+        logits, cache = forward(model, np.array([[1.0], [-1.0]]))
+        np.testing.assert_allclose(logits[:, 0], [1.0, 0.0])
         np.testing.assert_allclose(cache.posts[0][:, 0], [1.0, 0.0])
 
     def test_batch_shape(self):
@@ -212,7 +212,18 @@ class TestForward:
     def test_length_mismatch(self):
         model = simple_model((6, 10, 3))
         with pytest.raises(ValueError):
-            forward(model, np.zeros(5))
+            forward(model, np.zeros((5, 1)))
+
+    def test_inputs_must_be_a_batch(self):
+        # A single sample is a batch of one column; a 1-D input is rejected.
+        model = simple_model((6, 10, 3))
+        with pytest.raises(ValueError, match=r"\(6, batch\) array, got shape \(6,\)"):
+            forward(model, np.zeros(6))
+        with pytest.raises(ValueError, match=r"\(6, batch\) array"):
+            loss_and_grad(model, np.zeros(6), np.array([0]))
+        _, cache = forward(model, np.zeros((6, 1)))
+        with pytest.raises(ValueError, match="does not match logits"):
+            backward_factors(model, cache, np.zeros(3))
 
     @pytest.mark.parametrize("act", [Activation.TANH, Activation.RELU],
                              ids=lambda a: a.value)
@@ -223,7 +234,7 @@ class TestForward:
             dims = (8, 16, 16, 4)
             model = simple_model(dims, activation=act, family="spectral", seed=trial)
             assert composite_norm(model.parameters(), model.norm_spec()) <= 1.0 + 1e-9
-            z = rng_gaussian(8, 1, derive_seed(1000, trial))[:, 0]
+            z = rng_gaussian(8, 1, derive_seed(1000, trial))
             z *= np.sqrt(8) / np.linalg.norm(z)  # rms exactly 1
             _, cache = forward(model, z)
             for f in cache.preacts:
@@ -234,7 +245,7 @@ class TestForward:
 class TestBackward:
     def test_single_sample_gradients_are_rank_one(self):
         model = simple_model((8, 12, 12, 3), activation=Activation.TANH, seed=1)
-        z = rng_gaussian(8, 1, 4)[:, 0]
+        z = rng_gaussian(8, 1, 4)
         _, grads = loss_and_grad(model, z, np.array([2]))
         for g in grads:
             res = svd_reduced(g)
@@ -456,8 +467,8 @@ class TestCheckpoint:
                       NormSpec.vector(NormKind.RMS_VEC, 3)),
             LayerSpec(Activation.IDENTITY, NormSpec(NormKind.SIGN, 0.5, 1, 3)),
         )
-        logits, _ = forward(model, np.array([1.0, -1.0]))
-        np.testing.assert_allclose(logits, [0.5 * 1.1 + 0.5 * 0.3])  # relu zeroes -0.8
+        logits, _ = forward(model, np.array([[1.0], [-1.0]]))
+        np.testing.assert_allclose(logits[:, 0], [0.5 * 1.1 + 0.5 * 0.3])  # relu zeroes -0.8
 
     def test_wrong_weight_shape_names_layer_and_field(self, tmp_path):
         _, path, doc = self.saved_doc(tmp_path)

@@ -535,6 +535,18 @@ class TestScaleSafeL2:
         for r, o in zip(rows(s)[3:], rows(out)[3:]):
             assert np.array_equal(o, (coef / np.sqrt(np.einsum("d,d->", r, r))) * r)
 
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_largest_radius_rounds_no_row_past_the_range(self, d):
+        # At the largest radius, (coef / norm) * r can round past float64's range
+        # (the 1-D row 4.176487794778e23 did), so every row is coef times its unit row.
+        spec = NormSpec.vector(NormKind.EUCLIDEAN_VEC, d, radius=np.finfo(np.float64).max)
+        scales = np.ldexp(1.0, np.arange(-1000, 1000, 37))[:, None]
+        s = rng_gaussian(d, 1, [derive_seed(26, t) for t in range(len(scales))])[..., 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lmo(np.vstack([s * scales, [[4.176487794778e23] * d]]), spec)
+        assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= spec.radius)
+
     @pytest.mark.parametrize("kind", L2_KINDS, ids=lambda k: k.value)
     def test_rows_in_range_keep_their_bits(self, kind):
         spec = NormSpec.vector(kind, 9, radius=0.7)

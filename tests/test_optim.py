@@ -604,6 +604,34 @@ class TestRuleTable:
             with pytest.raises(ValueError, match="non-finite"):
                 step(x, OptimizerState.init(x), g, 0.1, 0.5, spec, rule_for(algo), ns_iters)
 
+    @pytest.mark.parametrize(
+        "algo", [a for a in Algo if RULES[a].move in (Move.ADD, Move.CONVEX, Move.DECAY)]
+    )
+    def test_oracle_rejection_carries_its_operand(self, algo):
+        # The kernel calls the oracle once, on the operand it formed: the buffer it
+        # left in the state, or a Nesterov look-ahead built from it. A rejection
+        # hands that operand on, so a caller names the failure without forming it again.
+        spec = ModelNormSpec((NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3),))
+        x = [np.zeros(3)]  # feasible for SCG
+        state = OptimizerState.init(x)
+        with pytest.raises(ValueError, match="non-finite") as info:
+            step(x, state, [np.array([1.0, np.nan, 2.0])], 0.1, 0.5, spec, rule_for(algo))
+        operand = info.value.operand
+        assert (operand is not state.d) if RULES[algo].nesterov else (operand is state.d)
+        assert np.isnan(operand[0][1]) and np.isfinite(operand[0][[0, 2]]).all()
+
+    def test_nesterov_rejection_carries_the_look_ahead(self):
+        # From a zero buffer, d = g = 1e308 stays finite, while the look-ahead
+        # g + 0.9 d overflows: the operand the oracle rejected is the look-ahead.
+        spec = ModelNormSpec((NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3),))
+        x = [np.zeros(3)]
+        state = OptimizerState.init(x)
+        g = [np.full(3, 1e308)]
+        with pytest.raises(ValueError, match="non-finite") as info:
+            step(x, state, g, 0.1, 0.5, spec, rule_for(Algo.MUON_NESTEROV, beta=0.9))
+        assert np.array_equal(state.d[0], g[0])
+        assert np.isposinf(info.value.operand[0]).all()
+
     @pytest.mark.parametrize("gamma, alpha", [(1.5, 0.5), (-0.1, 0.5), (0.1, 0.0)])
     def test_step_ranges_checked(self, gamma, alpha):
         spec = mixed_spec()
@@ -707,6 +735,16 @@ class TestSchedules:
         assert 1.0 / (2 * 64) < g < 1.0 / 64
         for n in (100, 400, 1600, 6400):
             assert 1.0 / (2 * n**0.75) < theory_gamma(n) < 1.0 / n**0.75
+
+    def test_theory_gamma_inside_the_rate_interval_up_to_1e6(self):
+        # 0.75 n^(-3/4) is 1.5 times the interval's lower end and 0.75 times its upper
+        # end, so it lies strictly inside for every horizon.
+        for n in np.unique(np.logspace(0, 6, 400).astype(int)).tolist():
+            lo, hi = 1.0 / (2.0 * n**0.75), 1.0 / n**0.75
+            gamma = theory_gamma(n)
+            assert lo < gamma < hi, n
+            assert gamma == pytest.approx(1.5 * lo, rel=1e-15)
+            assert gamma == pytest.approx(0.75 * hi, rel=1e-15)
 
     def test_values_clamped_to_range(self):
         s = ScheduleSpec(

@@ -112,7 +112,7 @@ def _quadratic_job(experiments):
     from lmopt.problems import StochasticQuadratic
 
     problem = StochasticQuadratic(dim=4, noise=1.0, seed=0)
-    experiments.train_quadratic(problem, Algo.SCG, ScheduleSpec(horizon=5), trial=[0, 1])
+    experiments.train_quadratic(problem, Algo.SCG, ScheduleSpec(horizon=5), [0, 1])
     return 5  # one vector atom, five steps
 
 
