@@ -234,10 +234,15 @@ def _seed_words(seed) -> np.ndarray:
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # _mix64_int on uint64 arrays, whose arithmetic wraps mod 2^64 as its mask does.
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    # _mix64_int on a uint64 array the caller owns, mixed in place with one shift
+    # buffer; uint64 arithmetic wraps mod 2^64 as _mix64_int's mask does.
+    t = np.right_shift(z, np.uint64(30))
+    z ^= t
+    z *= np.uint64(_MIX_A)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= np.uint64(_MIX_B)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def derive_seeds(seeds, indices) -> np.ndarray:
@@ -253,21 +258,34 @@ def derive_seeds(seeds, indices) -> np.ndarray:
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ValueError(f"indices must be a 1-D integer sequence, got {idx.dtype} {idx.shape}")
     # astype wraps a negative index mod 2^64, as derive_seed's mask does.
-    return _mix64(_seed_words(seeds) + (idx.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
+    k = idx.astype(np.uint64)
+    k += np.uint64(1)
+    k *= np.uint64(_GOLDEN)
+    return _mix64(_seed_words(seeds) + k)
 
 
 def _bits(count: int, seed) -> np.ndarray:
     # splitmix64 in counter form: value i is mix(seed + (i+1)*GOLDEN) mod 2^64.
     # A sequence of seeds gives one (count,) row per seed; the uint64 arithmetic
     # wraps mod 2^64 exactly as the scalar form does.
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    return _mix64(_seed_words(seed) + idx * np.uint64(_GOLDEN))
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    words = _seed_words(seed)
+    if np.ndim(words):  # a seed stack broadcasts the counter to one row per seed
+        z = words + z
+    else:
+        z += words
+    return _mix64(z)
 
 
 def _uniform01(count: int, seed) -> np.ndarray:
     # Top 53 bits shifted into (0, 1]; never 0, so log() below is safe.
     b = _bits(count, seed)
-    return ((b >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    b >>= np.uint64(11)
+    u = b.astype(np.float64)
+    u += 1.0
+    u *= 2.0**-53
+    return u
 
 
 def rng_gaussian(rows: int, cols: int, seed) -> np.ndarray:
@@ -282,9 +300,19 @@ def rng_gaussian(rows: int, cols: int, seed) -> np.ndarray:
     n = rows * cols
     half = (n + 1) // 2
     u = _uniform01(2 * half, seed)
-    r = np.sqrt(-2.0 * np.log(u[..., :half]))
-    theta = (2.0 * np.pi) * u[..., half:]
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
+    # Radius and angle in place in u's two halves, then cos and sin written straight
+    # into the output's two halves; an odd n drops the last sine.
+    r, theta = u[..., :half], u[..., half:]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    z = np.empty(u.shape[:-1] + (n,))
+    cos, sin = z[..., :half], z[..., half:]
+    np.cos(theta, out=cos)
+    cos *= r
+    np.sin(theta[..., : n - half], out=sin)
+    sin *= r[..., : n - half]
     return z.reshape(u.shape[:-1] + (rows, cols))
 
 
@@ -292,7 +320,11 @@ def rng_rademacher(rows: int, cols: int, seed: int) -> np.ndarray:
     """Matrix of independent +/-1 entries, deterministic per seed."""
     _check_dims(rows, cols)
     b = _bits(rows * cols, seed)
-    return (1.0 - 2.0 * (b & np.uint64(1)).astype(np.float64)).reshape(rows, cols)
+    b &= np.uint64(1)
+    z = b.astype(np.float64)
+    z *= 2.0
+    np.subtract(1.0, z, out=z)
+    return z.reshape(rows, cols)
 
 
 def rng_permutation(n: int, seed: int) -> np.ndarray:
@@ -315,5 +347,5 @@ def semi_orthogonal_init(d_out: int, d_in: int, seed: int) -> np.ndarray:
     rows, cols = (d_in, d_out) if wide else (d_out, d_in)
     g = rng_gaussian(rows, cols, seed)
     q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    q *= np.where(np.diag(r) >= 0.0, 1.0, -1.0)
     return q.T if wide else q

@@ -265,7 +265,8 @@ def _layer_choice(
 
 def _unit_gaussian(d_out: int, d_in: int, seed: int, axis: int) -> np.ndarray:
     g = rng_gaussian(d_out, d_in, seed)
-    return g / np.linalg.norm(g, axis=axis, keepdims=True)
+    g /= np.linalg.norm(g, axis=axis, keepdims=True)
+    return g
 
 
 # Each weight kind's unit-boundary draw (d_out, d_in, seed): semi-orthogonal, unit
@@ -289,7 +290,8 @@ def init_model(specs: Sequence[LayerSpec], seed: int) -> MlpModel:
     for idx, ls in enumerate(specs):
         wn = ls.weight_norm
         w = _UNIT_DRAWS[wn.kind](wn.d_out, wn.d_in, derive_seed(seed, idx))
-        weights.append(lmo_coefficient(wn) * w)
+        w *= lmo_coefficient(wn)
+        weights.append(w)
         biases.append(np.zeros(ls.d_out) if ls.bias_norm is not None else None)
     return MlpModel(layers=tuple(specs), weights=weights, biases=biases)
 

@@ -42,6 +42,10 @@ Conventions, chosen once and relied on by everything downstream:
     Gram matrix (`linalg.sigma_max`), about half the cost of a values-only SVD
     at the same relative accuracy. The spectral dual norm sums every singular
     value, which a Gram matrix would blur, so it keeps `singular_values`.
+  * The lmo returns a fresh, writeable array that shares no memory with its
+    operand, so `optim.step` writes its moves into it. When radius * c passes
+    float64's range, the lmo takes c's mantissa into its coefficient and scales
+    its output by c's power of two, so a representable output stays finite.
   * `composite_norm` is the SCG kernel's feasibility measure, but the kernel
     takes it only for iterates it has not certified: its own outputs are
     read-only and carry a convexity bound (see `optim`).
@@ -149,7 +153,9 @@ class _RowOracle(NamedTuple):
 
 
 def _sign_lmo(r, coef, ns_iters):
-    return coef * np.sign(r)
+    out = np.sign(r)
+    out *= coef
+    return out
 
 
 def _max_abs(r):
@@ -197,12 +203,15 @@ def _svd_scaled(m: np.ndarray) -> tuple[np.ndarray, int | None]:
 def _spectral_lmo(m, coef, ns_iters):
     if isinstance(m, LowRank):  # a zero product has rank 0, so its orthogonal factor is zero
         m = LowRank(_svd_scaled(m.left)[0], _svd_scaled(m.right)[0])
-        return coef * lowrank_svd(m).orthogonal_factor()
-    if not m.any():
+        out = lowrank_svd(m).orthogonal_factor()
+    elif not m.any():
         return np.zeros_like(m)
-    if ns_iters is None:
-        return coef * svd_reduced(_svd_scaled(m)[0]).orthogonal_factor()
-    return coef * newton_schulz_orthogonalize(m, ns_iters)
+    elif ns_iters is None:
+        out = svd_reduced(_svd_scaled(m)[0]).orthogonal_factor()
+    else:
+        out = newton_schulz_orthogonalize(m, ns_iters)
+    out *= coef
+    return out
 
 
 def _sigma_max(m):
@@ -253,9 +262,20 @@ class NormSpec:
         if self.kind in VECTOR_KINDS and self.d_in != 1:
             raise ValueError(f"vector norm {self.kind.value} requires d_in = 1")
         oracle, c = _KINDS[self.kind]
+        c = c(self.d_out, self.d_in)
+        # The lmo's coefficient -radius * c as (coef, e), standing for coef * 2**e. e
+        # is None unless radius * c passes float64's range; then coef takes c's
+        # mantissa and the lmo scales its output by 2**e, so an output whose entries
+        # are representable stays finite.
+        with np.errstate(over="ignore"):
+            lmo_coef = (-self.radius * c, None)
+        if np.isinf(lmo_coef[0]):
+            mantissa, e = np.frexp(c)
+            lmo_coef = (-self.radius * mantissa, int(e))
         # Built once per instance; not fields, so equality and hashing ignore them.
         object.__setattr__(self, "_oracle", oracle)
-        object.__setattr__(self, "_c", c(self.d_out, self.d_in))
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_lmo_coef", lmo_coef)
         object.__setattr__(self, "_matrix", not self.is_vector)
 
     @property
@@ -326,11 +346,18 @@ def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
     uses the exact reduced SVD by default, taken from the factors of a LowRank;
     pass ns_iters to use the Newton-Schulz approximation instead, which keeps the
     boundary only up to its singular-value band.
+
+    The output is a fresh, writeable array that shares no memory with `s`, so a
+    caller may write into it (`optim.step` forms its moves there). Its entries are
+    finite wherever the exact output is representable, even when radius * c is not;
+    an entry past float64's range is inf, silently.
     """
     factored = isinstance(s, LowRank) and spec.kind is NormKind.SPECTRAL and ns_iters is None
     m = _operand(s, spec, keep_factors=factored)
     oracle = spec._oracle
-    return oracle.join(oracle.lmo(oracle.split(m), -spec.radius * spec._c, ns_iters), m)
+    coef, e = spec._lmo_coef
+    out = oracle.join(oracle.lmo(oracle.split(m), coef, ns_iters), m)
+    return out if e is None else _map_back(out, e)
 
 
 def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
@@ -359,8 +386,9 @@ def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
 
 
 def _map_back(values, e):
-    """values * 2**e, as op_norm and dual_norm map a scaled row's norm back; a
-    norm past float64's range is inf, without a warning."""
+    """values * 2**e, as op_norm and dual_norm map a scaled row's norm back and lmo
+    applies its coefficient's exponent; a value past float64's range is inf, without
+    a warning."""
     with np.errstate(over="ignore"):
         return np.ldexp(values, e)
 

@@ -19,12 +19,14 @@ Buffers start at zero. Because the lmo ignores magnitude, the very first update
 already moves along lmo(g1) exactly as if alpha were 1 on that step.
 
 `step` mutates the passed-in OptimizerState (single-writer contract) and returns
-the new parameter list with the gradient estimate it formed; parameter arrays
-themselves are never written in place. A parameter on a vector-kind atom may be a
-(T, d) stack of independent runs, which every rule updates row by row. A weight
-gradient may be a `linalg.LowRank` where the rule does no arithmetic on it: the
-AVERAGE buffer at alpha = 1 hands it to the lmo as is, so a single step from a
-fresh buffer takes the factored spectral route.
+the new parameter list with the gradient estimate it formed. The ADD, CONVEX and
+DECAY moves are written into the oracle's fresh outputs (see `norms.lmo`); the
+caller's parameter and gradient arrays, and the buffer arrays in the state, are
+never written in place. A parameter on a vector-kind atom may be a (T, d) stack of
+independent runs, which every rule updates row by row. A weight gradient may be a
+`linalg.LowRank` where the rule does no arithmetic on it: the AVERAGE buffer at
+alpha = 1 hands it to the lmo as is, so a single step from a fresh buffer takes the
+factored spectral route.
 
 SCG iterates are read-only. The CONVEX move needs a feasible iterate, and an exact
 lmo output sits on the ball boundary, so the move certifies its own output by
@@ -288,19 +290,23 @@ def step(
     except ValueError as exc:
         exc.operand = v
         raise
+    # The oracle's outputs are fresh arrays (see norms.lmo), so each move is written
+    # into them: gamma * s, then x or (1 - gamma) * x added, then the decay taken.
+    for xi, si in zip(x, s):
+        si *= gamma
+        if rule.move is Move.CONVEX:
+            si += (1.0 - gamma) * xi
+            si.flags.writeable = False
+        else:
+            si += xi
+            if rule.move is Move.DECAY:
+                si -= (gamma * rule.mu) * xi
     if rule.move is Move.CONVEX:
-        new = [(1.0 - gamma) * xi + gamma * si for xi, si in zip(x, s)]
-        for xi in new:
-            xi.flags.writeable = False
         # A Newton-Schulz lmo output can leave the ball, so only an exact one vouches.
         state.certificate = None if ns_iters is not None else Certificate(
-            tuple(new), spec, (1.0 - gamma) * bound + gamma + CERTIFICATE_ROUNDING
+            tuple(s), spec, (1.0 - gamma) * bound + gamma + CERTIFICATE_ROUNDING
         )
-    elif rule.move is Move.DECAY:
-        new = [xi + gamma * si - (gamma * rule.mu) * xi for xi, si in zip(x, s)]
-    else:
-        new = [xi + gamma * si for xi, si in zip(x, s)]
-    return new, d_k
+    return s, d_k
 
 
 def uscg_step(

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -351,3 +353,109 @@ class TestRng:
             derive_seeds([0], [1.0, 2.0])
         with pytest.raises(ValueError, match="1-D integer"):
             derive_seeds([0], [[1, 2]])
+
+
+# SHA-256 of each draw's raw bytes (C order), with its dtype and shape. The digests
+# pin the stream itself, so a rewrite of the mix or of Box-Muller that moves any bit
+# fails here, not only one that breaks self-consistency.
+_PINNED_DRAWS = [
+    pytest.param(
+        lambda: rng_gaussian(5, 7, 0),
+        "53b65eb74ad8558125892bf7a26be5b9602fdb491859d0e533991bdef7c9d6cc",
+        id="gaussian-odd-seed0",
+    ),
+    pytest.param(
+        lambda: rng_gaussian(6, 4, 0),
+        "ff296748b33e2341638b07b746cbfc0e4e5595e8875bd34a67c8e08595d90b8a",
+        id="gaussian-even-seed0",
+    ),
+    pytest.param(
+        lambda: rng_gaussian(3, 3, 2**64 - 1),
+        "6de490e0d2ab77d964f89895257262c79245e1fb4d92039d96786bf4ba8afb94",
+        id="gaussian-odd-seedmax",
+    ),
+    pytest.param(
+        lambda: rng_gaussian(8, 8, 2**64 - 1),
+        "29621806bd2102362b491b62ac4435ae9af73e9314a03e38e169a30646f610f4",
+        id="gaussian-even-seedmax",
+    ),
+    pytest.param(
+        lambda: rng_gaussian(65, 33, 12345),
+        "97e3c93c4a6b8e05d63c915c911cd9bdcbe3fa2cccbfc6b74ec57d3c9da16e47",
+        id="gaussian-65x33",
+    ),
+    pytest.param(
+        lambda: rng_gaussian(1, 1, 3),
+        "9ee30e35b39371bf41c7b05adb31f0b003eb7ab21276e17e2da4be1bc99b6f0e",
+        id="gaussian-1x1",
+    ),
+    pytest.param(
+        lambda: rng_gaussian(3, 5, [0, 1, 2**64 - 1]),
+        "c172d4eb8faa75793dcc14214822797fda1243e07faf49803ba6b72d5eb59158",
+        id="gaussian-seed-list",
+    ),
+    pytest.param(
+        lambda: rng_gaussian(4, 1, derive_seeds([0, 7], np.arange(3))),
+        "193aaca48a484b3cd59a374e173f9638dbd722284b0e83c9ef4543b85523760d",
+        id="gaussian-derived-seeds",
+    ),
+    pytest.param(
+        lambda: rng_gaussian(3, 1, derive_seeds([5, 6], np.arange(4)).T),
+        "ae58d621fa15a23c13d9ea7ae807da3b1831f7a8defa98c297e53e5c46609d43",
+        id="gaussian-derived-seeds-transposed",
+    ),
+    pytest.param(
+        lambda: rng_rademacher(5, 7, 0),
+        "44ca65f5cbc0dafd3dad3d8a9c35e566b7b2c02c2870c9af3b5c00f90c55fd98",
+        id="rademacher-seed0",
+    ),
+    pytest.param(
+        lambda: rng_rademacher(4, 4, 2**64 - 1),
+        "3d1337b994e4868dccccf7f74bcba412decc59956e00f4d5aaa09cf956416cb6",
+        id="rademacher-seedmax",
+    ),
+    pytest.param(
+        lambda: rng_permutation(33, 0),
+        "b434391e7d920068b9507f47a165eace57b5f776204f4baf9c49863a4f28735b",
+        id="permutation-seed0",
+    ),
+    pytest.param(
+        lambda: rng_permutation(10, 2**64 - 1),
+        "e63e51066e69d49bd805bfec4f9aa64466941d18832199b1bc46a905c3c1ffe0",
+        id="permutation-seedmax",
+    ),
+    pytest.param(
+        lambda: derive_seeds([0, 1, 2**64 - 1], np.array([0, 1, 5, -1])),
+        "8208e9128efec52b321033f92f480d3cd5c1c1e7f6701fb59ac44485a3ac1ca8",
+        id="derive-seeds",
+    ),
+]
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, a.dtype.newbyteorder("<")).tobytes()).hexdigest()
+
+
+class TestRngPinned:
+    @pytest.mark.parametrize("draw, want", _PINNED_DRAWS)
+    def test_draw_bits_are_pinned(self, draw, want):
+        assert _digest(draw()) == want
+
+    def test_dtypes_and_shapes(self):
+        assert rng_gaussian(3, 5, [0, 1, 2]).shape == (3, 3, 5)
+        assert rng_gaussian(4, 1, derive_seeds([0, 7], np.arange(3))).shape == (2, 3, 4, 1)
+        assert rng_rademacher(5, 7, 0).dtype == np.float64
+        assert rng_permutation(33, 0).dtype == np.int64
+        assert derive_seeds([0], [1]).dtype == np.uint64
+
+    def test_gaussian_draw_peaks_within_three_results(self):
+        # The mix, the uniforms and Box-Muller run in arrays the draw owns: the
+        # counter stream and its shift buffer, then the uniforms and the output.
+        rng_gaussian(2, 2, 0)
+        tracemalloc.start()
+        try:
+            z = rng_gaussian(512, 512, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * z.nbytes, f"tracemalloc peak {peak / 2**20:.2f} MiB"

@@ -547,6 +547,21 @@ class TestScaleSafeL2:
             out = lmo(np.vstack([s * scales, [[4.176487794778e23] * d]]), spec)
         assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= spec.radius)
 
+    @pytest.mark.parametrize(
+        "kind, shape",
+        [(NormKind.RMS_VEC, (3,)), (NormKind.COL_NORM, (3, 2)), (NormKind.SPECTRAL, (4, 1))],
+        ids=lambda v: getattr(v, "value", None),
+    )
+    def test_coefficient_past_the_range_keeps_a_finite_lmo(self, kind, shape):
+        # radius * c overflows for c > 1 at the largest radius, but every entry of
+        # these lmos is -radius: c meets a unit factor of 1 / c.
+        spec = make_spec(kind, shape[0], shape[-1], radius=np.finfo(np.float64).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lmo(np.ones(shape), spec)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, -spec.radius, rtol=1e-15)
+
     @pytest.mark.parametrize("kind", L2_KINDS, ids=lambda k: k.value)
     def test_rows_in_range_keep_their_bits(self, kind):
         spec = NormSpec.vector(kind, 9, radius=0.7)

@@ -345,6 +345,65 @@ class TestScgCertificate:
         assert state.certificate is None
 
 
+def _memory(arrays):
+    """The arrays, with each LowRank as its two factors."""
+    for a in arrays:
+        yield from ((a.left, a.right) if isinstance(a, LowRank) else (a,))
+
+
+def _raw_bytes(arrays):
+    """The raw bytes of every array and factor, to compare bit for bit."""
+    return [np.asarray(p).tobytes() for p in _memory(arrays)]
+
+
+class TestStepOwnership:
+    """The moves are written into the oracle's fresh outputs: a step writes none of
+    the caller's parameters, gradients or buffer arrays, and returns parameters that
+    share no memory with any of them."""
+
+    def assert_owned(self, x, g, state, gamma, alpha, spec, rule, ns_iters=None):
+        before = _raw_bytes(x), _raw_bytes(g), _raw_bytes(state.d)
+        d_before = list(state.d)
+        new, _ = step(x, state, g, gamma, alpha, spec, rule, ns_iters)
+        assert (_raw_bytes(x), _raw_bytes(g), _raw_bytes(d_before)) == before
+        for p in new:
+            for other in _memory([*x, *g, *d_before, *state.d]):
+                assert not np.shares_memory(p, other)
+        return new
+
+    @pytest.mark.parametrize("ns_iters", [None, 5])
+    @pytest.mark.parametrize("algo", list(RULES))
+    def test_every_rule_writes_nothing_it_does_not_own(self, algo, ns_iters):
+        spec = mixed_spec()
+        x = [0.5 * p for p in boundary_params(spec, 88)]  # feasible for SCG
+        state = OptimizerState.init(x)
+        for g in gradient_stream(spec, 89, 3):
+            x = self.assert_owned(x, g, state, 0.3, 0.5, spec, RULES[algo], ns_iters)
+
+    @pytest.mark.parametrize("algo", list(RULES))
+    def test_stacked_rows_write_nothing_they_do_not_own(self, algo):
+        spec = ModelNormSpec((NormSpec.vector(NormKind.RMS_VEC, 5, radius=2.0),))
+        x = [np.zeros((3, 5))]
+        state = OptimizerState.init(x)
+        for k in range(3):
+            g = [rng_gaussian(5, 1, [derive_seed(90, k, t) for t in range(3)])[..., 0]]
+            x = self.assert_owned(x, g, state, 0.3, 0.5, spec, RULES[algo])
+
+    @pytest.mark.parametrize(
+        "algo", [a for a in Algo if RULES[a].buffer is Buffer.AVERAGE]
+    )
+    def test_factored_gradient_at_alpha_one(self, algo):
+        # coordinate_check's route: one step from a fresh state at alpha = 1, which
+        # hands each LowRank weight gradient to the oracle as its factors.
+        spec = ModelNormSpec(
+            (NormSpec(NormKind.SPECTRAL, 1.0, 6, 4), NormSpec.vector(NormKind.RMS_VEC, 6))
+        )
+        x = [0.5 * p for p in boundary_params(spec, 91)]
+        left, right = rng_gaussian(6, 2, 92), rng_gaussian(4, 2, 93)
+        g = [LowRank(left, right), rng_gaussian(6, 1, 94)[:, 0]]
+        self.assert_owned(x, g, OptimizerState.init(x), 0.3, 1.0, spec, RULES[algo])
+
+
 class TestWeightDecay:
     def test_mu_zero_equals_uscg(self):
         spec = mixed_spec()

@@ -1,8 +1,10 @@
-"""Guards for the tools around the library: the benchmark tracer's names and the demos."""
+"""Guards for the tools around the library: the benchmark tracer's names, the
+benchmark's reference digests, and the demos."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -76,17 +78,46 @@ def test_module_entry_rejects_an_unknown_key_without_a_traceback(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def _bench_module(name: str):
+    """lmopt_bench/<name>.py, imported from its path. It is registered in
+    sys.modules before it runs, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location(
+        f"lmopt_bench_{name}", ROOT / "lmopt_bench" / f"{name}.py"
+    )
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
 def _tracer_module():
     """lmopt_bench/tracer.py, imported from its path, with every traced module loaded
     (install patches each of them)."""
-    spec = importlib.util.spec_from_file_location(
-        "lmopt_bench_tracer", ROOT / "lmopt_bench" / "tracer.py"
-    )
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
+    tracer_mod = _bench_module("tracer")
     for mod in tracer_mod.TRACED:
         importlib.import_module(f"lmopt.{mod}")
     return tracer_mod
+
+
+def _reference_digests() -> dict:
+    with open(ROOT / "lmopt_bench" / "reference.json", encoding="utf-8") as fh:
+        return json.load(fh)["workloads"]
+
+
+@pytest.mark.parametrize("workload", sorted(_reference_digests()))
+def test_benchmark_jobs_match_their_reference_digests(workload):
+    """The first two pool keys of each benchmark workload, checked as the benchmark
+    checks every job: its invariants, and its digest against reference.json. A
+    change that moves a job's bits fails here, not only in a benchmark run."""
+    workloads = _bench_module("workloads")
+    w = workloads.WORKLOADS[workload]
+    reference = _reference_digests()[workload]
+    keys = w.pool[:2]
+    ctx = w.setup(keys[0])
+    for key in keys:
+        result = w.run(ctx, key)
+        assert w.check(result) == []
+        assert workloads.compare(w.digest(result), reference[key]) == []
 
 
 def test_traced_init_model_draws_one_semi_orthogonal_per_spectral_layer():
