@@ -258,10 +258,7 @@ def derive_seeds(seeds, indices) -> np.ndarray:
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ValueError(f"indices must be a 1-D integer sequence, got {idx.dtype} {idx.shape}")
     # astype wraps a negative index mod 2^64, as derive_seed's mask does.
-    k = idx.astype(np.uint64)
-    k += np.uint64(1)
-    k *= np.uint64(_GOLDEN)
-    return _mix64(_seed_words(seeds) + k)
+    return _mix64(_seed_words(seeds) + (idx.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
 
 
 def _bits(count: int, seed) -> np.ndarray:
@@ -270,11 +267,7 @@ def _bits(count: int, seed) -> np.ndarray:
     # wraps mod 2^64 exactly as the scalar form does.
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
-    words = _seed_words(seed)
-    if np.ndim(words):  # a seed stack broadcasts the counter to one row per seed
-        z = words + z
-    else:
-        z += words
+    z = _seed_words(seed) + z  # rebinding frees the counter before the mix
     return _mix64(z)
 
 

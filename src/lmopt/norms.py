@@ -322,8 +322,10 @@ def lmo_coefficient(spec: NormSpec) -> float:
     """Magnitude of the lmo output's directional part, radius * c: Spectral's c is
     sqrt(d_out / d_in), ColNorm's sqrt(d_out) per column, RowNorm's 1 / sqrt(d_in)
     per row and RmsVec's sqrt(d); the others' is 1. Boundary initializers multiply
-    their unit-scale draws by exactly this factor."""
-    return spec.radius * spec._c
+    their unit-scale draws by exactly this factor. It is the lmo's own coefficient,
+    so a product past float64's range is inf, without a warning."""
+    coef, e = spec._lmo_coef
+    return -coef if e is None else _map_back(-coef, e)
 
 
 def op_norm(a, spec: NormSpec) -> float | np.ndarray:

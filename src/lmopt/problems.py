@@ -81,10 +81,8 @@ class StochasticQuadratic:
         sequence of T, with row k - start bit-identical to step k's noise. An entry
         past float64's range, as at a noise near float64's max, is inf; the harness
         names the step that meets it."""
-        eps = self._gaussian(trial, start, stop)
         with np.errstate(over="ignore"):
-            eps *= self.noise / np.sqrt(self.dim)
-        return eps
+            return (self.noise / np.sqrt(self.dim)) * self._gaussian(trial, start, stop)
 
     def noisy_grad(self, x: np.ndarray, trial, step: int) -> np.ndarray:
         """grad(x) plus the noise keyed by (seed, trial, step); `trial` is one index

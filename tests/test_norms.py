@@ -562,6 +562,14 @@ class TestScaleSafeL2:
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, -spec.radius, rtol=1e-15)
 
+    def test_coefficient_past_the_range_is_inf_without_a_warning(self):
+        spec = NormSpec.vector(NormKind.RMS_VEC, 3, radius=np.finfo(np.float64).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lmo_coefficient(spec) == np.inf
+        in_range = NormSpec.vector(NormKind.RMS_VEC, 3, radius=1.7)
+        assert lmo_coefficient(in_range) == 1.7 * np.sqrt(3)
+
     @pytest.mark.parametrize("kind", L2_KINDS, ids=lambda k: k.value)
     def test_rows_in_range_keep_their_bits(self, kind):
         spec = NormSpec.vector(kind, 9, radius=0.7)
