@@ -322,6 +322,7 @@ def train_quadratic(
                 block[2, i], rows = 0.0, i + 1
             close(rows, k - i, failure)
         block[2, i] = d_k[0]
+        del d_k  # a rescaled d_k is a fresh buffer; the next step's oracle runs without it
         if i == _NOISE_BLOCK - 1 or k == n:
             close(i + 1, k - i, _failure(x[0][None], k, trials, "parameters"))
     return x[0], stack
@@ -383,6 +384,7 @@ def train_classifier(
         new_x, d_k = apply_step(rule, x, state, g, gamma, alpha, spec, ns_iters)
         if record:
             diags.record(slice(k - 1, k), spec, batch_loss, x, probe_g, d_k)
+        del d_k  # a rescaled d_k is a fresh buffer; the next step's oracle runs without it
         x = new_x
         for p in x:
             if not np.all(np.isfinite(p)):

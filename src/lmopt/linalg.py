@@ -109,17 +109,26 @@ def svd_reduced(a) -> SvdResult:
     """Reduced SVD, rank-truncated at RANK_RTOL relative to the largest singular value.
 
     Left singular vectors are sign-canonicalized (largest-magnitude entry made
-    positive) so repeated calls are deterministic. Raises on an all-zero matrix;
-    callers that need an lmo of zero handle that case separately.
+    positive, the first such entry where a column has several) so repeated calls
+    are deterministic. The factors are LAPACK's own arrays, copied only when the
+    cutoff drops a trailing column. Raises on an all-zero matrix; callers that need
+    an lmo of zero handle that case separately.
     """
     m = _nonzero_matrix(a)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     keep = s > RANK_RTOL * s[0]
-    u, s, vt = u[:, keep], s[keep], vt[keep, :]
-    pivots = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)]
-    flip = pivots < 0.0
-    np.negative(u, out=u, where=flip)
-    np.negative(vt, out=vt, where=flip[:, None])
+    if not keep.all():
+        u, s, vt = u[:, keep], s[keep], vt[keep, :]
+    # A column's largest-magnitude entry is negative where -min passes max. Where the
+    # two tie, the pivot is the first entry of largest magnitude, as argmax picks it.
+    top, bottom = u.max(axis=0), u.min(axis=0)
+    flip = -bottom > top
+    for j in np.flatnonzero(-bottom == top):
+        flip[j] = u[np.argmax(np.abs(u[:, j])), j] < 0.0
+    # A product with +-1 flips a sign exactly, in one pass over each factor.
+    sign = np.where(flip, -1.0, 1.0)
+    u *= sign
+    vt *= sign[:, None]
     return SvdResult(u=u, sigma=s, vt=vt)
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import LowRank, derive_seed, rng_gaussian, rng_rademacher, semi_orthogonal_init
-from .norms import ModelNormSpec, NormKind, NormSpec, lmo_coefficient
+from .norms import ModelNormSpec, NormKind, NormSpec, scale_by_lmo_coefficient
 
 CHECKPOINT_FORMAT = "lmopt-checkpoint"
 CHECKPOINT_VERSION = 2  # version 1 also loads: its extra layer keys are ignored
@@ -282,16 +282,15 @@ _UNIT_DRAWS = {
 
 def init_model(specs: Sequence[LayerSpec], seed: int) -> MlpModel:
     """Draw each weight from its kind's unit-boundary draw, scaled elementwise by the
-    layer's lmo coefficient so it lands exactly on the composite ball boundary.
-    Biases start at zero."""
+    layer's lmo coefficient (`scale_by_lmo_coefficient`) so it lands exactly on the
+    composite ball boundary. Biases start at zero."""
     specs = list(specs)
     weights: list[np.ndarray] = []
     biases: list[np.ndarray | None] = []
     for idx, ls in enumerate(specs):
         wn = ls.weight_norm
         w = _UNIT_DRAWS[wn.kind](wn.d_out, wn.d_in, derive_seed(seed, idx))
-        w *= lmo_coefficient(wn)
-        weights.append(w)
+        weights.append(scale_by_lmo_coefficient(w, wn))
         biases.append(np.zeros(ls.d_out) if ls.bias_norm is not None else None)
     return MlpModel(layers=tuple(specs), weights=weights, biases=biases)
 

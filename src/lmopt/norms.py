@@ -321,11 +321,21 @@ def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowR
 def lmo_coefficient(spec: NormSpec) -> float:
     """Magnitude of the lmo output's directional part, radius * c: Spectral's c is
     sqrt(d_out / d_in), ColNorm's sqrt(d_out) per column, RowNorm's 1 / sqrt(d_in)
-    per row and RmsVec's sqrt(d); the others' is 1. Boundary initializers multiply
-    their unit-scale draws by exactly this factor. It is the lmo's own coefficient,
+    per row and RmsVec's sqrt(d); the others' is 1. It is the lmo's own coefficient,
     so a product past float64's range is inf, without a warning."""
     coef, e = spec._lmo_coef
     return -coef if e is None else _map_back(-coef, e)
+
+
+def scale_by_lmo_coefficient(w: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """w times lmo_coefficient(spec), applied as the lmo applies it: by its coef in
+    place, then by its power of two. So a boundary initializer's unit-scale draw
+    lands on the ball with finite entries wherever they are representable, even
+    when the coefficient itself is inf; an entry past float64's range is inf,
+    silently. In range this is one product with the coefficient, bit for bit."""
+    coef, e = spec._lmo_coef
+    w *= -coef
+    return w if e is None else _map_back(w, e)
 
 
 def op_norm(a, spec: NormSpec) -> float | np.ndarray:

@@ -19,14 +19,17 @@ Buffers start at zero. Because the lmo ignores magnitude, the very first update
 already moves along lmo(g1) exactly as if alpha were 1 on that step.
 
 `step` mutates the passed-in OptimizerState (single-writer contract) and returns
-the new parameter list with the gradient estimate it formed. The ADD, CONVEX and
+the new parameter list with the gradient estimate it formed. The state's buffer is
+its own: each buffer update runs in place in its arrays, in the same operation
+order as the out-of-place formula, so the bits do not change. The ADD, CONVEX and
 DECAY moves are written into the oracle's fresh outputs (see `norms.lmo`); the
-caller's parameter and gradient arrays, and the buffer arrays in the state, are
-never written in place. A parameter on a vector-kind atom may be a (T, d) stack of
-independent runs, which every rule updates row by row. A weight gradient may be a
-`linalg.LowRank` where the rule does no arithmetic on it: the AVERAGE buffer at
-alpha = 1 hands it to the lmo as is, so a single step from a fresh buffer takes the
-factored spectral route.
+caller's parameter and gradient arrays are never written in place, and no buffer
+array shares memory with them. A parameter on a vector-kind atom may be a (T, d)
+stack of independent runs, which every rule updates row by row. A weight gradient
+may be a `linalg.LowRank` where the rule does no arithmetic on it: the AVERAGE
+buffer at alpha = 1 hands it to the lmo as is, so a single step from a fresh buffer
+takes the factored spectral route. The buffer then holds the gradient's own arrays
+until the next update, which forms one fresh buffer rather than write into them.
 
 SCG iterates are read-only. The CONVEX move needs a feasible iterate, and an exact
 lmo output sits on the ball boundary, so the move certifies its own output by
@@ -166,15 +169,20 @@ class Certificate:
 class OptimizerState:
     """The rule's momentum buffer d (zero until the first step), the last step's
     alpha (None until the first step; Scion-light's keep factor reads it), and the
-    certificate of the last CONVEX move's output (None until one vouches)."""
+    certificate of the last CONVEX move's output (None until one vouches).
+
+    The state owns d's arrays and updates them in place, except while `borrowed`:
+    then d holds the gradient arrays an AVERAGE step at alpha = 1 handed through,
+    and the next update forms one fresh buffer instead of writing into them."""
 
     d: list[np.ndarray]
     alpha: float | None = None
     certificate: Certificate | None = None
+    borrowed: bool = False
 
     @classmethod
     def init(cls, params: Sequence[np.ndarray]) -> "OptimizerState":
-        return cls(d=[np.zeros_like(p) for p in params])
+        return cls(d=[np.zeros(np.shape(p)) for p in params])
 
 
 def _check_like(a: Sequence[np.ndarray], b: Sequence[np.ndarray], what: str) -> None:
@@ -195,10 +203,22 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
 
 
+def _scaled_add(d: Sequence[np.ndarray], keep: float, g, owned: bool) -> list[np.ndarray]:
+    """keep * d + g per array, run as d *= keep; d += g in d's arrays when they are
+    `owned`, else in one fresh buffer; the bits are the out-of-place formula's. g
+    may be a generator, which then forms one array at a time."""
+    out = [np.multiply(di, keep, out=di if owned else None) for di in d]
+    for oi, gi in zip(out, g):
+        oi += gi
+    return out
+
+
 def momentum_update(
-    d: Sequence[np.ndarray], g: Sequence[np.ndarray], alpha: float
+    d: Sequence[np.ndarray], g: Sequence[np.ndarray], alpha: float, owned: bool = True
 ) -> list[np.ndarray]:
-    """Exponential averaging (1 - alpha) * d + alpha * g, elementwise per array.
+    """Exponential averaging (1 - alpha) * d + alpha * g, elementwise per array, run
+    as d *= 1 - alpha; d += alpha * g and returned. The update is written into d's
+    arrays when they are `owned` (the caller's to write), else into one fresh buffer.
 
     alpha = 1 discards the history and returns g's own arrays, untouched by any
     arithmetic, the conventional first-iteration choice when the caller manages the
@@ -208,7 +228,7 @@ def momentum_update(
     _check_like(d, g, "momentum_update")
     if alpha == 1.0:
         return list(g)
-    return [(1.0 - alpha) * di + alpha * gi for di, gi in zip(d, g)]
+    return _scaled_add(d, 1.0 - alpha, (alpha * gi for gi in g), owned)
 
 
 def _feasible_bound(x: Sequence[np.ndarray], state: OptimizerState, spec: ModelNormSpec) -> float:
@@ -241,7 +261,9 @@ def step(
     d_k is the gradient estimate the step formed: the averaged buffer, an
     accumulated buffer rescaled to an average (by 1 - beta, or by alpha), or g
     itself for the rules that keep no gradient buffer (ALMOND averages oracle
-    outputs, SSD keeps none). The CONVEX move needs a feasible iterate (composite
+    outputs, SSD keeps none). The averaged buffer is returned as the state's own
+    arrays, which the next step updates in place; a caller that keeps d_k past the
+    next step copies it. The CONVEX move needs a feasible iterate (composite
     norm <= 1, on every row of a stack) and then keeps every iterate feasible, no
     matter the gradient stream. It returns read-only arrays and records in `state` a
     bound on their norm, so the next step takes them without measuring them again
@@ -260,9 +282,13 @@ def step(
         bound = _feasible_bound(x, state, spec)
     d_k = v = list(g)
     if rule.buffer is Buffer.AVERAGE:
-        state.d = d_k = v = momentum_update(state.d, g, alpha)
+        state.d = d_k = v = momentum_update(state.d, g, alpha, not state.borrowed)
+        state.borrowed = alpha == 1.0
     elif rule.buffer is Buffer.ORIENTED:
-        state.d = momentum_update(state.d, model_lmo(g, spec, ns_iters), alpha)
+        # At alpha = 1 the buffer takes the oracle's fresh outputs, which it owns.
+        oriented = model_lmo(g, spec, ns_iters)
+        state.d = momentum_update(state.d, oriented, alpha, not state.borrowed)
+        state.borrowed = False
     elif rule.buffer is Buffer.ACCUMULATE:
         if rule.beta is None:
             # The ratio first: under a constant alpha it is exactly 1, bit for bit.
@@ -272,41 +298,46 @@ def step(
             keep, scale = rule.beta, 1.0 - rule.beta
         # Finite operands can overflow these sums; the oracle then rejects the operand.
         with np.errstate(over="ignore"):
-            state.d = v = [keep * di + gi for di, gi in zip(state.d, g)]
+            state.d = v = _scaled_add(state.d, keep, g, not state.borrowed)
             if rule.nesterov:
-                v = [gi + keep * di for gi, di in zip(g, state.d)]
-        d_k = [scale * di for di in state.d]
+                v = _scaled_add(state.d, keep, g, False)
+        state.borrowed = False
     state.alpha = alpha
     if rule.move is Move.SHARP:
         sharp = [sharp_op(gi, a, ns_iters=ns_iters) for gi, a in zip(g, atoms)]
         # At gamma = 0 a sharp entry past float64's range makes 0 * inf = NaN, which
         # the next gradient carries.
         with np.errstate(invalid="ignore"):
-            return [xi - gamma * si for xi, si in zip(x, sharp)], d_k
-    if rule.move is Move.BUFFER:
-        return [xi + gamma * di for xi, di in zip(x, state.d)], d_k
-    try:
-        s = model_lmo(v, spec, ns_iters)
-    except ValueError as exc:
-        exc.operand = v
-        raise
-    # The oracle's outputs are fresh arrays (see norms.lmo), so each move is written
-    # into them: gamma * s, then x or (1 - gamma) * x added, then the decay taken.
-    for xi, si in zip(x, s):
-        si *= gamma
+            new = [xi - gamma * si for xi, si in zip(x, sharp)]
+    elif rule.move is Move.BUFFER:
+        new = [xi + gamma * di for xi, di in zip(x, state.d)]
+    else:
+        try:
+            new = model_lmo(v, spec, ns_iters)
+        except ValueError as exc:
+            exc.operand = v
+            raise
+        # The oracle's outputs s are fresh arrays (see norms.lmo), so each move is
+        # written into them: gamma * s, then x or (1 - gamma) * x added, then the
+        # decay taken.
+        for xi, si in zip(x, new):
+            si *= gamma
+            if rule.move is Move.CONVEX:
+                si += (1.0 - gamma) * xi
+                si.flags.writeable = False
+            else:
+                si += xi
+                if rule.move is Move.DECAY:
+                    si -= (gamma * rule.mu) * xi
         if rule.move is Move.CONVEX:
-            si += (1.0 - gamma) * xi
-            si.flags.writeable = False
-        else:
-            si += xi
-            if rule.move is Move.DECAY:
-                si -= (gamma * rule.mu) * xi
-    if rule.move is Move.CONVEX:
-        # A Newton-Schulz lmo output can leave the ball, so only an exact one vouches.
-        state.certificate = None if ns_iters is not None else Certificate(
-            tuple(s), spec, (1.0 - gamma) * bound + gamma + CERTIFICATE_ROUNDING
-        )
-    return s, d_k
+            # A Newton-Schulz lmo output can leave the ball, so only an exact one vouches.
+            state.certificate = None if ns_iters is not None else Certificate(
+                tuple(new), spec, (1.0 - gamma) * bound + gamma + CERTIFICATE_ROUNDING
+            )
+    if rule.buffer is Buffer.ACCUMULATE:
+        # Formed after the move, so it is not alive during the oracle's SVD.
+        d_k = [scale * di for di in state.d]
+    return new, d_k
 
 
 def uscg_step(

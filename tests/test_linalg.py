@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lmopt.linalg import (
+    RANK_RTOL,
     LowRank,
     derive_seed,
     derive_seeds,
@@ -76,6 +77,28 @@ class TestSvdReduced:
         np.testing.assert_array_equal(res.u, u)
         np.testing.assert_array_equal(res.sigma, s)
         np.testing.assert_array_equal(res.vt, vt)
+
+    def test_signs_match_masked_argmax_bit_for_bit(self):
+        # Small integer matrices give rank-deficient operands and columns of u whose
+        # largest |entry| is held by a positive and a negative entry alike.
+        cases = {"full rank": 0, "rank deficient": 0, "tie": 0}
+        for shape in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 4), (5, 3)]:
+            for k in range(150):
+                a = np.clip(np.rint(rng_gaussian(*shape, derive_seed(71, *shape, k))), -2, 2)
+                if not a.any():
+                    continue
+                u, s, vt = np.linalg.svd(a, full_matrices=False)
+                keep = s > RANK_RTOL * s[0]
+                u, s, vt = u[:, keep], s[keep], vt[keep, :]
+                cases["rank deficient" if s.size < min(shape) else "full rank"] += 1
+                cases["tie"] += bool(np.any(-u.min(axis=0) == u.max(axis=0)))
+                flip = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)] < 0.0
+                np.negative(u, out=u, where=flip)
+                np.negative(vt, out=vt, where=flip[:, None])
+                res = svd_reduced(a)
+                assert res.u.tobytes() == u.tobytes() and res.vt.tobytes() == vt.tobytes()
+                assert res.sigma.tobytes() == s.tobytes()
+        assert min(cases.values()) >= 20, cases
 
     def test_rank_truncation(self):
         a = np.diag([1.0, 1e-14])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,18 @@ class TestInitModel:
                 assert b is None
             else:
                 assert np.array_equal(b, np.zeros(spec.d_out))
+
+    def test_coefficient_past_the_range_keeps_a_finite_init(self):
+        # radius * c = 2**1024 passes float64's range, as the lmo's coefficient does,
+        # but every entry of the init (a unit entry below 1/2, times 2**1024) does not.
+        spec = NormSpec(NormKind.SPECTRAL, 2.0**1023, 64, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = init_model([LayerSpec(Activation.IDENTITY, spec)], 3).weights[0]
+        unit = semi_orthogonal_init(64, 16, derive_seed(3, 0))
+        assert np.max(np.abs(unit)) < 0.5
+        assert np.array_equal(w, np.ldexp(unit, 1024))
+        assert op_norm(w, spec) == pytest.approx(spec.radius, rel=1e-12)
 
     def test_semi_orthogonal_square_boundary(self):
         spec = NormSpec(NormKind.SPECTRAL, 1.0, 128, 128)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from lmopt import optim
 from lmopt.linalg import LowRank, derive_seed, rng_gaussian
+from lmopt.models import Domain, build_config, init_model
 from lmopt.norms import (
     ModelNormSpec,
     NormKind,
@@ -98,7 +100,23 @@ class TestMomentumUpdate:
 
     def test_fixed_point(self):
         g = [np.array([2.0, -1.0])]
-        assert_close_lists(momentum_update(g, g, 0.5), g, tol=0.0)
+        assert_close_lists(momentum_update([gi.copy() for gi in g], g, 0.5), g, tol=0.0)
+
+    def test_written_into_owned_buffer(self):
+        d = [np.array([1.0, 1.0]), np.array([[4.0]])]
+        g = [np.array([0.0, 2.0]), np.array([[-4.0]])]
+        out = momentum_update(d, g, 0.25)
+        assert all(o is di for o, di in zip(out, d))
+        np.testing.assert_array_equal(d[1], [[2.0]])
+
+    def test_borrowed_buffer_left_alone(self):
+        # Arrays the caller does not own get one fresh buffer with the same bits.
+        d = [np.array([1.0, 1.0])]
+        g = [np.array([0.0, 2.0])]
+        out = momentum_update(d, g, 0.1, owned=False)
+        assert not np.shares_memory(out[0], d[0])
+        np.testing.assert_array_equal(d[0], [1.0, 1.0])
+        np.testing.assert_array_equal(out[0], (1.0 - 0.1) * d[0] + 0.1 * g[0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -357,18 +375,23 @@ def _raw_bytes(arrays):
 
 
 class TestStepOwnership:
-    """The moves are written into the oracle's fresh outputs: a step writes none of
-    the caller's parameters, gradients or buffer arrays, and returns parameters that
-    share no memory with any of them."""
+    """The moves are written into the oracle's fresh outputs, and the buffer is the
+    state's own: a step writes none of the caller's parameters or gradients, leaves
+    no buffer array sharing memory with them (but for the gradient an AVERAGE step
+    at alpha = 1 hands through), and returns parameters that share no memory with
+    any of them."""
 
     def assert_owned(self, x, g, state, gamma, alpha, spec, rule, ns_iters=None):
-        before = _raw_bytes(x), _raw_bytes(g), _raw_bytes(state.d)
-        d_before = list(state.d)
+        before = _raw_bytes(x), _raw_bytes(g)
         new, _ = step(x, state, g, gamma, alpha, spec, rule, ns_iters)
-        assert (_raw_bytes(x), _raw_bytes(g), _raw_bytes(d_before)) == before
+        assert (_raw_bytes(x), _raw_bytes(g)) == before
         for p in new:
-            for other in _memory([*x, *g, *d_before, *state.d]):
+            for other in _memory([*x, *g, *state.d]):
                 assert not np.shares_memory(p, other)
+        handed_through = rule.buffer is Buffer.AVERAGE and alpha == 1.0
+        for d in _memory(state.d):
+            for other in _memory([*x] if handed_through else [*x, *g]):
+                assert not np.shares_memory(d, other)
         return new
 
     @pytest.mark.parametrize("ns_iters", [None, 5])
@@ -402,6 +425,59 @@ class TestStepOwnership:
         left, right = rng_gaussian(6, 2, 92), rng_gaussian(4, 2, 93)
         g = [LowRank(left, right), rng_gaussian(6, 1, 94)[:, 0]]
         self.assert_owned(x, g, OptimizerState.init(x), 0.3, 1.0, spec, RULES[algo])
+
+    @pytest.mark.parametrize(
+        "algo", [a for a in Algo if RULES[a].buffer in (Buffer.AVERAGE, Buffer.ORIENTED)]
+    )
+    def test_step_after_alpha_one_writes_no_gradient(self, algo):
+        # An AVERAGE step at alpha = 1 leaves the gradient's own arrays in the buffer;
+        # the next update forms a fresh buffer rather than write into them.
+        spec = mixed_spec()
+        x = [0.5 * p for p in boundary_params(spec, 95)]
+        state = OptimizerState.init(x)
+        g1, g2 = gradient_stream(spec, 96, 2)
+        g1_bytes = _raw_bytes(g1)
+        x = self.assert_owned(x, g1, state, 0.3, 1.0, spec, RULES[algo])
+        self.assert_owned(x, g2, state, 0.3, 0.5, spec, RULES[algo])
+        assert _raw_bytes(g1) == g1_bytes
+        for d in state.d:
+            for gi in g1:
+                assert not np.shares_memory(d, gi)
+
+
+class TestStepMemory:
+    """tracemalloc over one step (the third, exact lmo) on a 16-256-256-4 IMAGE
+    model, whose 256 x 256 spectral atom holds 93 % of the parameters, in units of
+    one parameter set. The buffer is updated in place and the exact lmo keeps no
+    transient copy of its SVD factors, so the peak is the new parameters and the
+    factors of the largest atom, plus one look-ahead for Nesterov."""
+
+    @pytest.mark.parametrize("algo", list(Algo))
+    def test_peak_and_retained_per_rule(self, algo):
+        model = init_model(build_config(Domain.IMAGE, (16, 256, 256, 4)), 0)
+        x, spec = model.parameters(), model.norm_spec()
+        pset = sum(p.nbytes for p in x)
+        stream = [
+            [rng_gaussian(*np.shape(p), derive_seed(97, k, i)) for i, p in enumerate(x)]
+            for k in range(3)
+        ]
+        state = OptimizerState.init(x)
+        for g in stream[:2]:
+            x, _ = step(x, state, g, 0.1, 0.5, spec, RULES[algo])
+        buffer = list(state.d)
+        tracemalloc.start()
+        try:
+            new, d_k = step(x, state, stream[2], 0.1, 0.5, spec, RULES[algo])
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / pset <= (4.0 if RULES[algo].nesterov else 3.0)
+        # Besides the new parameters and a rescaled d_k, the step keeps nothing: the
+        # state retains the one buffer it had.
+        fresh = [di for di in d_k if not any(di is a for a in [*state.d, *stream[2]])]
+        kept = current - sum(p.nbytes for p in [*new, *fresh])
+        assert kept / pset < 0.05
+        assert all(a is b for a, b in zip(state.d, buffer))
 
 
 class TestWeightDecay:
