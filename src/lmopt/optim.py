@@ -203,13 +203,20 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
 
 
-def _scaled_add(d: Sequence[np.ndarray], keep: float, g, owned: bool) -> list[np.ndarray]:
-    """keep * d + g per array, run as d *= keep; d += g in d's arrays when they are
-    `owned`, else in one fresh buffer; the bits are the out-of-place formula's. g
-    may be a generator, which then forms one array at a time."""
-    out = [np.multiply(di, keep, out=di if owned else None) for di in d]
-    for oi, gi in zip(out, g):
-        oi += gi
+def _scaled_add(
+    d: Sequence[np.ndarray], keep: float, g: Sequence[np.ndarray], owned: bool, weight: float = 1.0
+) -> list[np.ndarray]:
+    """keep * d + weight * g per array, run as d *= keep; d += weight * g in d's
+    arrays when they are `owned`, else in one fresh buffer; the bits are the
+    out-of-place formula's (a weight of 1 adds g itself)."""
+    out = []
+    for di, gi in zip(d, g):
+        if owned:
+            di *= keep
+        else:
+            di = di * keep
+        di += gi if weight == 1.0 else weight * gi
+        out.append(di)
     return out
 
 
@@ -228,7 +235,7 @@ def momentum_update(
     _check_like(d, g, "momentum_update")
     if alpha == 1.0:
         return list(g)
-    return _scaled_add(d, 1.0 - alpha, (alpha * gi for gi in g), owned)
+    return _scaled_add(d, 1.0 - alpha, g, owned, alpha)
 
 
 def _feasible_bound(x: Sequence[np.ndarray], state: OptimizerState, spec: ModelNormSpec) -> float:
