@@ -98,24 +98,16 @@ class LowRank:
         return LowRank(left, right)
 
 
-def _nonzero_matrix(a) -> np.ndarray:
-    m = as_matrix(a)
-    if not m.any():
-        raise ValueError("zero matrix has no reduced SVD")
-    return m
-
-
 def svd_reduced(a) -> SvdResult:
     """Reduced SVD, rank-truncated at RANK_RTOL relative to the largest singular value.
 
     Left singular vectors are sign-canonicalized (largest-magnitude entry made
     positive, the first such entry where a column has several) so repeated calls
     are deterministic. The factors are LAPACK's own arrays, copied only when the
-    cutoff drops a trailing column. Raises on an all-zero matrix; callers that need
-    an lmo of zero handle that case separately.
+    cutoff drops a trailing column. A zero matrix has rank 0: empty factors, whose
+    orthogonal factor is the zero matrix, as lowrank_svd gives a zero product.
     """
-    m = _nonzero_matrix(a)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    u, s, vt = np.linalg.svd(as_matrix(a), full_matrices=False)
     keep = s > RANK_RTOL * s[0]
     if not keep.all():
         u, s, vt = u[:, keep], s[keep], vt[keep, :]
@@ -135,10 +127,10 @@ def svd_reduced(a) -> SvdResult:
 def singular_values(a) -> np.ndarray:
     """The `sigma` of svd_reduced(a) without the singular vectors.
 
-    Same validation, RANK_RTOL cutoff and zero-matrix error as svd_reduced, for
-    callers that need only a norm of the spectrum (nuclear norm, sigma_max).
+    Same validation and RANK_RTOL cutoff as svd_reduced, so a zero matrix has an
+    empty spectrum, for callers that need only a norm of the spectrum (nuclear norm).
     """
-    s = np.linalg.svd(_nonzero_matrix(a), compute_uv=False)
+    s = np.linalg.svd(as_matrix(a), compute_uv=False)
     return s[s > RANK_RTOL * s[0]]
 
 
@@ -156,7 +148,7 @@ def sigma_max(a) -> float:
     validated as in as_matrix.
     """
     m = as_matrix(a)
-    scale = np.max(np.abs(m))
+    scale = max(m.max(), -m.min())
     if scale == 0.0:
         return 0.0
     m = m / scale
@@ -202,11 +194,12 @@ def newton_schulz_orthogonalize(a, iters: int = 5) -> np.ndarray:
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
     m = as_matrix(a)
-    if not m.any():
+    top = max(m.max(), -m.min())
+    if top == 0.0:
         return np.zeros_like(m)
     transposed = m.shape[0] > m.shape[1]
     x = m.T.copy() if transposed else m.copy()
-    np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1], out=x)
+    np.ldexp(x, -np.frexp(top)[1], out=x)
     x /= np.linalg.norm(x)
     if iters > 0:
         ca, cb, cc = NS_QUINTIC

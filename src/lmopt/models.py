@@ -393,13 +393,18 @@ def save_model(model: MlpModel, path: str) -> None:
 
 def load_model(path: str) -> MlpModel:
     """Read a version 1 or 2 checkpoint. Each layer is read from its activation and
-    norm docs alone; a malformed layer raises ValueError naming the layer and field."""
+    norm docs alone; ValueError names a malformed layer and field, or document key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"not a model checkpoint: a JSON {type(doc).__name__}, not an object")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: format={doc.get('format')!r}")
     if doc.get("version") not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    for key in ("layers", "weights", "biases"):
+        if not isinstance(doc.get(key), list):
+            raise ValueError(f"checkpoint has no {key!r} list")
     layers = tuple(_layer_from_doc(d, idx) for idx, d in enumerate(doc["layers"]))
     weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
     biases = [None if b is None else np.asarray(b, dtype=np.float64) for b in doc["biases"]]

@@ -18,6 +18,8 @@ Conventions, chosen once and relied on by everything downstream:
     one element of a set-valued oracle; zero keeps the output in the ball and
     makes the oracle odd.
   * The lmo is positively scale invariant: lmo(a * s) == lmo(s) for a > 0.
+  * A non-finite entry raises ValueError. The l2 and spectral kinds leave that
+    check to `_l2_rows` and linalg, and linalg gives a zero matrix rank 0.
   * The l2 kinds (EuclideanVec, RmsVec, ColNorm, RowNorm) are scale-safe: a row
     whose sum of squares would overflow or underflow is normalized at a power of
     two (`_l2_rows`), so the lmo stays on the boundary for every finite operand;
@@ -196,16 +198,14 @@ _SVD_EXPONENT = 256
 
 def _svd_scaled(m: np.ndarray) -> tuple[np.ndarray, int | None]:
     """(m * 2**-e, e), or (m, None) for a matrix in range."""
-    e = int(np.frexp(np.max(np.abs(m)))[1])
+    e = int(np.frexp(max(m.max(), -m.min()))[1])
     return (m, None) if -_SVD_EXPONENT < e <= _SVD_EXPONENT else (np.ldexp(m, -e), e)
 
 
 def _spectral_lmo(m, coef, ns_iters):
-    if isinstance(m, LowRank):  # a zero product has rank 0, so its orthogonal factor is zero
+    if isinstance(m, LowRank):  # a zero operand has rank 0, so its lmo is zero
         m = LowRank(_svd_scaled(m.left)[0], _svd_scaled(m.right)[0])
         out = lowrank_svd(m).orthogonal_factor()
-    elif not m.any():
-        return np.zeros_like(m)
     elif ns_iters is None:
         out = svd_reduced(_svd_scaled(m)[0]).orthogonal_factor()
     else:
@@ -221,7 +221,7 @@ def _sigma_max(m):
 
 def _nuclear(m):
     r, e = _svd_scaled(m)
-    return (np.sum(singular_values(r)) if r.any() else 0.0), e
+    return np.sum(singular_values(r)), e
 
 
 _MAX_ROWS = _RowOracle(_sign_lmo, _max_abs, _l1)
@@ -292,8 +292,8 @@ def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowR
 
     A LowRank needs a matrix kind and has its factors checked. It comes back as its
     factors when keep_factors is set, and otherwise as its product. A non-finite
-    entry raises ValueError; the l2 kinds leave that check to `_l2_rows`, whose
-    range guard catches every non-finite entry without a pass of its own.
+    entry raises ValueError; the l2 and spectral kinds leave that check to the
+    range guard of `_l2_rows` and to linalg, whose every route ends in `as_matrix`.
     """
     factored = isinstance(s, LowRank)
     if factored and not spec._matrix:
@@ -313,7 +313,7 @@ def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowR
         if keep_factors:
             return a
         a = a.dense()
-    if spec._oracle.op is not _l2:
+    if spec._oracle.op is _max_abs:
         _check_finite(a)
     return a
 
@@ -413,8 +413,6 @@ def sharp_op(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
     stack each row is scaled by its own dual norm.
     """
     m = _operand(s, spec)
-    if not m.any():
-        return np.zeros_like(m)
     dual = dual_norm(m, spec)
     if np.ndim(dual):
         dual = dual[:, None]

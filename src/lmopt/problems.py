@@ -8,6 +8,7 @@ the bounded-variance level the convergence harnesses reason about.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -192,7 +193,7 @@ def load_idx(path: str) -> np.ndarray:
             if n == 0:
                 raise ValueError(f"bad IDX dimension {i}: zero length in {path}")
             shape.append(n)
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # exact: a header's product can pass int64
         remaining = size - fh.tell()
         if remaining < count:
             raise ValueError(f"unexpected end of file at offset {size} in {path}")

@@ -813,6 +813,25 @@ class TestCommands:
         assert err.startswith("config error") and str(img) in err
         assert not (tmp_path / "out").exists()
 
+    def test_train_idx_header_past_int64_exit_1(self, tmp_path, capsys):
+        import struct
+
+        img = tmp_path / "img.idx"
+        lab = tmp_path / "lab.idx"
+        img.write_bytes(struct.pack(">IIII", 0x00000803, 2**31, 2**31, 4) + bytes(10))
+        lab.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([0, 1]))
+        rc = run_cli(
+            "train", "--out", str(tmp_path / "out"),
+            "--set", "problem.kind=idx",
+            "--set", f"problem.images={img}",
+            "--set", f"problem.labels={lab}",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unexpected end of file at offset 26")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_plus_override(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"optimizer": {"steps": 6}, "problem": {"train_size": 48}}))

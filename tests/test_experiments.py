@@ -259,6 +259,15 @@ class TestIdxLoader:
         with pytest.raises(ValueError, match="unexpected end of file at offset 26"):
             load_idx(str(path))
 
+    def test_header_product_past_int64_is_truncation(self, tmp_path):
+        import struct
+
+        path = tmp_path / "huge.idx"
+        # promises 2**31 * 2**31 * 4 = 2**64 bytes, a product that wraps to 0 in int64
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 2**31, 2**31, 4) + b"\x00" * 10)
+        with pytest.raises(ValueError, match="unexpected end of file at offset 26"):
+            load_idx(str(path))
+
     def test_label_image_count_mismatch(self, tmp_path):
         arr = np.zeros((2, 2, 2), dtype=np.uint8)
         img_path = str(tmp_path / "img.idx")

@@ -106,9 +106,15 @@ class TestSvdReduced:
         assert res.rank == 1
         assert np.all(res.sigma > 1e-10 * res.sigma[0])
 
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError, match="zero matrix has no reduced SVD"):
-            svd_reduced(np.zeros((3, 3)))
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 4)])
+    def test_zero_matrix_has_rank_zero(self, shape):
+        # Empty factors, as lowrank_svd gives a zero product: the orthogonal factor
+        # of a zero matrix is the zero matrix, with no branch in the caller.
+        res = svd_reduced(np.zeros(shape))
+        assert res.rank == 0
+        assert res.u.shape == (shape[0], 0) and res.vt.shape == (0, shape[1])
+        factor = res.orthogonal_factor()
+        assert factor.shape == shape and not factor.any()
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -131,9 +137,9 @@ class TestSingularValues:
         np.testing.assert_allclose(sv, svd_reduced(a).sigma, rtol=1e-12)
         np.testing.assert_allclose(singular_values(np.diag([1.0, 1e-14])), [1.0], rtol=1e-12)
 
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError, match="zero matrix has no reduced SVD"):
-            singular_values(np.zeros((3, 2)))
+    def test_zero_matrix_has_empty_spectrum(self):
+        sv = singular_values(np.zeros((3, 2)))
+        assert sv.size == 0 and np.sum(sv) == 0.0
 
     def test_nonfinite_rejected(self):
         for bad in (np.nan, np.inf):

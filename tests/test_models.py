@@ -443,6 +443,29 @@ class TestCheckpoint:
             load_model(str(path))
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "not a model checkpoint: a JSON list"),
+        ('"lmopt-checkpoint"', "not a model checkpoint: a JSON str"),
+    ])
+    def test_non_object_document_rejected(self, tmp_path, text, message):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("key", ["layers", "weights", "biases"])
+    @pytest.mark.parametrize("value", [None, 5, "abc", {}],
+                             ids=["missing", "int", "str", "object"])
+    def test_missing_or_bad_top_level_key_named(self, tmp_path, key, value):
+        _, path, doc = self.saved_doc(tmp_path)
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"checkpoint has no '{key}' list"):
+            load_model(str(path))
+
     def saved_doc(self, tmp_path):
         model = simple_model((4, 6, 3), seed=2)
         path = tmp_path / "model.json"

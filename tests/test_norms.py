@@ -590,15 +590,22 @@ class TestScaleSafeL2:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_non_finite_entry_rejected(self, kind, value):
         # in range or not, as the l2 kinds take their finiteness check from the guard
+        # and the spectral kind from linalg, past the power-of-two scaling before it
         spec = make_spec(kind, 6, 1 if kind in VECTOR_KINDS else 4)
         operands = [random_operand(spec, 29)]
         if kind in VECTOR_KINDS:
             operands += [self.unit_stack(6), 1e300 * self.unit_stack(6)]
         elif kind in self.L2_MATRIX_KINDS:
             operands += [self.unit_matrix((6, 4)), 1e300 * self.unit_matrix((6, 4))]
+        elif kind is NormKind.SPECTRAL:
+            operands += [1e-300 * random_operand(spec, 29), 1e300 * random_operand(spec, 29)]
+        model = ModelNormSpec((spec,))
         for s in operands:
             s.flat[1] = value
-            for fn in (lmo, op_norm, dual_norm, sharp_op):
+            for fn in (lmo, op_norm, dual_norm, sharp_op,
+                       lambda s, spec: lmo(s, spec, ns_iters=5),
+                       lambda s, spec: sharp_op(s, spec, ns_iters=5),
+                       lambda s, spec: composite_norm([s], model)):
                 with pytest.raises(ValueError, match="non-finite"):
                     fn(s, spec)
 
@@ -807,3 +814,26 @@ class TestSpectralRange:
         c = np.sqrt(4 / 3)
         assert op_norm(a, self.SPEC) == sigma_max(a) / c
         assert dual_norm(a, self.SPEC) == c * np.sum(singular_values(a))
+
+
+class TestSpectralZero:
+    """linalg owns the spectral kind's zero convention: a zero matrix has rank 0 and
+    an empty spectrum, so norms keeps no zero branch of its own, on any route."""
+
+    SPEC = NormSpec(NormKind.SPECTRAL, 1.3, 5, 3)
+
+    @pytest.mark.parametrize("operand", ["dense", "low_rank"])
+    def test_zero_operand_gives_zero_on_every_route(self, operand):
+        spec = self.SPEC
+        if operand == "dense":
+            s = np.zeros((5, 3))
+        else:
+            s = LowRank(np.zeros((5, 2)), np.zeros((3, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = [fn(s, spec, ns_iters=n) for fn in (lmo, sharp_op) for n in (None, 5)]
+            values = [op_norm(s, spec), dual_norm(s, spec)]
+        for out in outs:
+            # by value, so either sign of zero passes
+            assert out.shape == (5, 3) and np.all(out == 0.0)
+        assert values == [0.0, 0.0]

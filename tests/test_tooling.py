@@ -2,6 +2,7 @@
 benchmark's reference digests, and the demos."""
 
 import ast
+import ctypes
 import importlib
 import importlib.util
 import json
@@ -37,6 +38,22 @@ def test_traced_name_resolves(name):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_tier1_runs_on_one_blas_thread():
+    # conftest.py sets the thread variables before numpy's first import; the timing
+    # and bit-for-bit claims made from tier-1 runs rely on them taking effect. dlopen
+    # hands back numpy's own loaded copy of its bundled OpenBLAS.
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    if not libs:
+        pytest.skip("numpy bundles no scipy-openblas64 library")
+    try:
+        get_threads = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+    except AttributeError:
+        pytest.skip("the bundled OpenBLAS exports no scipy_openblas_get_num_threads64_")
+    get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+    assert get_threads() == 1
 
 
 def test_demos_found():
