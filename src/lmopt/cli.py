@@ -8,10 +8,11 @@ Configuration is a JSON tree (--config file.json) overridden by repeatable
 `--set path=value` flags; `--seed` and `--out` are shortcuts for the corresponding
 config keys. Every accepted key is listed, with its range, in each subcommand's --help.
 Unknown keys and out-of-range values are rejected by name before any computation.
-Every run writes its artifacts (CSV per step or per cell, a JSONL summary, and model
-checkpoints where applicable) through one writer, `_write_run`, after its last
-computation, so a run that fails writes nothing. They land in the output directory
-under `<command>_<confighash>_<seed>.*`, and reruns with the same config and seed are
+Every run writes its artifacts (CSV per step or per cell, a JSONL summary, and the
+model checkpoint of a data-problem `train` run) through one writer, `_write_run`,
+after its last computation and after encoding its summary record, so a run that fails
+writes nothing. They land in the output directory under
+`<command>_<confighash>_<seed>.*`, and reruns with the same config and seed are
 byte-identical.
 
 Exit codes: 0 success, 1 configuration error, 2 oracle contract violation,
@@ -41,7 +42,7 @@ from .experiments import (
     train_quadratic,
 )
 from .linalg import derive_seed, rng_gaussian
-from .models import Activation, Domain, build_config, init_model, save_model
+from .models import Activation, Domain, MlpModel, build_config, init_model, save_model
 from .norms import (
     VECTOR_KINDS,
     NormKind,
@@ -51,7 +52,7 @@ from .norms import (
     lmo_coefficient,
     op_norm,
 )
-from .optim import Algo, AlphaKind, GammaKind, ScheduleSpec
+from .optim import RULES, Algo, AlphaKind, GammaKind, Move, ScheduleSpec
 from .problems import (
     StochasticQuadratic,
     SyntheticClassification,
@@ -304,14 +305,15 @@ def resolve_config(command: str, file_config: dict, overrides: list[str],
     for path, field in schema.items():
         _check_range(field, resolved[path])
     _require(_can_hold_files(resolved["out"]), "out",
-             "must name a directory, existing or not, under no file", resolved["out"])
+             "must name a directory, existing or not, under no file and with no NUL byte",
+             resolved["out"])
     return resolved
 
 
 def _can_hold_files(out: str) -> bool:
-    """Whether `out` is a directory, or can be made one: nonempty, and its nearest
-    existing ancestor is a directory (not a file)."""
-    if out == "":
+    """Whether `out` is a directory, or can be made one: nonempty, free of NUL bytes,
+    and its nearest existing ancestor is a directory (not a file)."""
+    if out == "" or "\0" in out:
         return False
     path = os.path.abspath(out)
     while not os.path.exists(path):
@@ -340,37 +342,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header, columns, comments=()) -> None:
-    """One CSV row per index of the equal-length `columns`, under `header`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# schema=1\n")
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _artifact_base(command: str, cfg: dict) -> str:
-    """`<out>/<command>_<confighash>_<seed>`, after making the output directory."""
-    out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
+def _write_run(command: str, cfg: dict, header, columns, summary: dict, comments=(),
+               model: MlpModel | None = None) -> str:
+    """Write a run's artifacts after its last computation and return their base path
+    `<out>/<command>_<confighash>_<seed>`: the model's checkpoint if given, the CSV of
+    `columns` under `header`, then the JSONL record {"command", "config", **summary}.
+    The record, which names the checkpoint, is encoded first, so one holding NaN or an
+    infinity raises ValueError before any file or the output directory exists; a file
+    system error is a ConfigError naming key 'out'."""
     name = f"{command.replace('-', '_')}_{config_hash(cfg)}_{cfg['seed']}"
-    return os.path.join(out_dir, name)
-
-
-def _write_run(command: str, cfg: dict, header, columns, summary: dict, comments=()) -> str:
-    """Write a run's artifacts after its last computation and return their base path:
-    the CSV of `columns` under `header`, then the JSONL record {"command", "config",
-    **summary} on one line. The record is encoded first, so one holding NaN or an
-    infinity (which JSON cannot hold) raises ValueError before either file or the
-    output directory exists."""
+    if model is not None:
+        summary = {**summary, "checkpoint": name + ".checkpoint.json"}
     line = json.dumps({"command": command, "config": cfg, **summary},
                       sort_keys=True, allow_nan=False) + "\n"
-    base = _artifact_base(command, cfg)
-    write_csv(base + ".csv", header, columns, comments)
-    with open(base + ".jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(line)
+    base = os.path.join(cfg["out"], name)
+    try:
+        os.makedirs(cfg["out"], exist_ok=True)
+        if model is not None:
+            save_model(model, base + ".checkpoint.json")
+        with open(base + ".csv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("# schema=1\n")
+            for comment in comments:
+                fh.write(f"# {comment}\n")
+            fh.write(",".join(header) + "\n")
+            for row in zip(*columns):
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        with open(base + ".jsonl", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(line)
+    except OSError as exc:
+        raise ConfigError(f"config error: key 'out' cannot hold the run's files: {exc}")
     return base
 
 
@@ -478,11 +478,13 @@ def _build_problem(cls, cfg: dict):
 
 
 def _check_train(cfg: dict) -> None:
-    """`train`'s rules that tie one key's range to another key's value."""
+    """`train`'s rules that tie one key's range to another key's value: the algo's
+    row of `RULES` takes mu if its move decays, and beta if it keeps a beta."""
     name = cfg["optimizer.algo"]
-    _require(name != "uscg_wd" or 0.0 <= cfg["optimizer.mu"] <= 1.0, "optimizer.mu",
-             "must be in [0, 1] for uscg_wd", cfg["optimizer.mu"])
-    _require(name not in ("muon", "muon_nesterov") or 0.0 <= cfg["optimizer.beta"] < 1.0,
+    row = RULES[_ALGO_BY_NAME[name]]
+    _require(row.move is not Move.DECAY or 0.0 <= cfg["optimizer.mu"] <= 1.0, "optimizer.mu",
+             f"must be in [0, 1] for {name}", cfg["optimizer.mu"])
+    _require(row.beta is None or 0.0 <= cfg["optimizer.beta"] < 1.0,
              "optimizer.beta", f"must be in [0, 1) for {name}", cfg["optimizer.beta"])
 
 
@@ -508,6 +510,7 @@ def cmd_train(cfg: dict) -> int:
     schedule = _build_schedule(cfg, horizon)
     seed = cfg["seed"]
     summary: dict = {"steps": horizon}
+    model = None
     if cfg["problem.kind"] == "quadratic":
         problem = _build_problem(StochasticQuadratic, cfg)
         xs, stack = train_quadratic(
@@ -548,12 +551,10 @@ def cmd_train(cfg: dict) -> int:
             mu=cfg["optimizer.mu"],
             beta=cfg["optimizer.beta"],
         )
-        checkpoint = _artifact_base("train", cfg) + ".checkpoint.json"
-        save_model(model, checkpoint)
         summary["final_loss"] = diags.loss[-1] if len(diags) else None
-        summary["checkpoint"] = os.path.basename(checkpoint)
     summary["final_param_norm"] = diags.param_norm[-1] if len(diags) else None
-    base = _write_run("train", cfg, RunDiagnostics.COLUMNS, diags.columns(), summary)
+    base = _write_run("train", cfg, RunDiagnostics.COLUMNS, diags.columns(), summary,
+                      model=model)
     print(f"wrote {base}.csv")
     return 0
 

@@ -54,32 +54,31 @@ def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return val, grad
 
 
+# The one per-activation decision: its value and its derivative at x.
+_ACTIVATIONS = {
+    Activation.RELU: (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(np.float64)),
+    Activation.SCALED_RELU2: (lambda x: 2.0 * np.maximum(x, 0.0) ** 2,
+                              lambda x: 4.0 * np.maximum(x, 0.0)),
+    Activation.SCALED_GELU: (lambda x: np.sqrt(2.0) * _gelu_parts(x)[0],
+                             lambda x: np.sqrt(2.0) * _gelu_parts(x)[1]),
+    Activation.TANH: (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
+    Activation.IDENTITY: (lambda x: x, np.ones_like),
+}
+
+
+def _activation(act: Activation) -> tuple:
+    try:
+        return _ACTIVATIONS[act]
+    except (KeyError, TypeError):  # not a member, or not even hashable
+        raise ValueError(f"unknown activation {act}") from None
+
+
 def activation_value(act: Activation, x: np.ndarray) -> np.ndarray:
-    if act is Activation.RELU:
-        return np.maximum(x, 0.0)
-    if act is Activation.SCALED_RELU2:
-        return 2.0 * np.maximum(x, 0.0) ** 2
-    if act is Activation.SCALED_GELU:
-        return np.sqrt(2.0) * _gelu_parts(x)[0]
-    if act is Activation.TANH:
-        return np.tanh(x)
-    if act is Activation.IDENTITY:
-        return x
-    raise ValueError(f"unknown activation {act}")
+    return _activation(act)[0](x)
 
 
 def activation_grad(act: Activation, x: np.ndarray) -> np.ndarray:
-    if act is Activation.RELU:
-        return (x > 0.0).astype(np.float64)
-    if act is Activation.SCALED_RELU2:
-        return 4.0 * np.maximum(x, 0.0)
-    if act is Activation.SCALED_GELU:
-        return np.sqrt(2.0) * _gelu_parts(x)[1]
-    if act is Activation.TANH:
-        return 1.0 - np.tanh(x) ** 2
-    if act is Activation.IDENTITY:
-        return np.ones_like(x)
-    raise ValueError(f"unknown activation {act}")
+    return _activation(act)[1](x)
 
 
 @dataclass(frozen=True)
@@ -393,7 +392,8 @@ def save_model(model: MlpModel, path: str) -> None:
 
 def load_model(path: str) -> MlpModel:
     """Read a version 1 or 2 checkpoint. Each layer is read from its activation and
-    norm docs alone; ValueError names a malformed layer and field, or document key."""
+    norm docs alone; ValueError names a malformed layer and field, weight or bias
+    entry, or document key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -406,9 +406,17 @@ def load_model(path: str) -> MlpModel:
         if not isinstance(doc.get(key), list):
             raise ValueError(f"checkpoint has no {key!r} list")
     layers = tuple(_layer_from_doc(d, idx) for idx, d in enumerate(doc["layers"]))
-    weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-    biases = [None if b is None else np.asarray(b, dtype=np.float64) for b in doc["biases"]]
+    weights = [_array_from_doc(w, f"weights[{i}]") for i, w in enumerate(doc["weights"])]
+    biases = [None if b is None else _array_from_doc(b, f"biases[{i}]")
+              for i, b in enumerate(doc["biases"])]
     return MlpModel(layers=layers, weights=weights, biases=biases)
+
+
+def _array_from_doc(doc, where: str) -> np.ndarray:
+    try:
+        return np.asarray(doc, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {where} is not an array of numbers: {exc}") from None
 
 
 def _norm_to_doc(spec: NormSpec | None):

@@ -173,8 +173,6 @@ def load_idx(path: str) -> np.ndarray:
     (n, rows, cols) uint8 array, labels (magic 0x00000801) as a (n,) uint8 array."""
     size = os.path.getsize(path)
     with open(path, "rb") as fh:
-        if size < 4:
-            raise ValueError(f"unexpected end of file at offset {size} in {path}")
         magic = struct.unpack(">I", _read_exact(fh, 4, path))[0]
         if magic == IDX_MAGIC_LABELS:
             dims = 1
@@ -187,15 +185,13 @@ def load_idx(path: str) -> np.ndarray:
             )
         shape = []
         for i in range(dims):
-            if size - fh.tell() < 4:
-                raise ValueError(f"unexpected end of file at offset {size} in {path}")
             n = struct.unpack(">I", _read_exact(fh, 4, path))[0]
             if n == 0:
                 raise ValueError(f"bad IDX dimension {i}: zero length in {path}")
             shape.append(n)
         count = math.prod(shape)  # exact: a header's product can pass int64
-        remaining = size - fh.tell()
-        if remaining < count:
+        # checked before the read, so a header declaring 2^62 bytes asks for none
+        if size - fh.tell() < count:
             raise ValueError(f"unexpected end of file at offset {size} in {path}")
         data = np.frombuffer(_read_exact(fh, count, path), dtype=np.uint8)
     return data.reshape(shape).copy()

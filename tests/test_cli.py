@@ -491,6 +491,38 @@ class TestCommands:
         with open(base + ".jsonl", encoding="utf-8") as fh:
             assert json.loads(fh.read()) == {"command": "rate", "config": cfg, "slope": 1.0}
 
+    def test_train_writes_nothing_before_its_record_is_encoded(self, tmp_path, monkeypatch):
+        from lmopt import cli
+
+        dumps = cli.json.dumps
+
+        def refuse_the_record(obj, **kwargs):
+            if isinstance(obj, dict) and "command" in obj:
+                raise ValueError("record refused")
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", refuse_the_record)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="record refused"):
+            run_cli("train", "--out", str(out), "--set", "optimizer.steps=2",
+                    "--set", "problem.train_size=16", "--set", "optimizer.batch_size=8")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["name_too_long", "nul_byte"])
+    def test_unusable_out_exit_1(self, tmp_path, capsys, monkeypatch, where):
+        monkeypatch.chdir(tmp_path)
+        if where == "name_too_long":  # accepted up front, refused by the file system
+            args = ["--out", "a" * 300]
+        else:  # a JSON string may hold a NUL, which no path can
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"out": "nul\u0000dir"}))
+            args = ["--config", str(config)]
+        rc = run_cli("lmo-check", "--set", "trials=2", "--set", "max_dim=2", *args)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'out'") and "Traceback" not in err
+        assert os.listdir(tmp_path) == ([] if where == "name_too_long" else ["config.json"])
+
     @pytest.mark.parametrize(
         "command, settings, keys",
         [
@@ -628,9 +660,6 @@ class TestCommands:
             (["optimizer.alpha.value=nan"], "optimizer.alpha.value"),
             (["optimizer.gamma.kind=constant_then_linear",
               "optimizer.gamma.warmdown_frac=2"], "optimizer.gamma.warmdown_frac"),
-            (["optimizer.algo=uscg_wd", "optimizer.mu=2"], "optimizer.mu"),
-            (["optimizer.algo=muon", "optimizer.beta=1.0"], "optimizer.beta"),
-            (["optimizer.algo=muon_nesterov", "optimizer.beta=-0.5"], "optimizer.beta"),
             (["model.hidden="], "model.hidden"),
             (["model.hidden=0"], "model.hidden"),
             (["model.hidden=16,-4"], "model.hidden"),
@@ -766,16 +795,34 @@ class TestCommands:
         assert last.startswith("per-layer max/min ratios: {1: ")
         assert "np." not in last
 
-    @pytest.mark.parametrize("setting", ["optimizer.mu=2", "optimizer.beta=1.0"])
-    def test_unused_rule_parameter_ignored(self, tmp_path, setting):
+    @pytest.mark.parametrize("setting", ["optimizer.mu=2", "optimizer.mu=-0.5",
+                                         "optimizer.beta=1.0", "optimizer.beta=-0.5"])
+    @pytest.mark.parametrize("name", SCHEMAS["train"]["optimizer.algo"].choices)
+    def test_rule_parameter_range_follows_the_rule_table(self, tmp_path, capsys, name,
+                                                          setting):
+        from lmopt.cli import _ALGO_BY_NAME
+        from lmopt.optim import RULES, Move
+
+        row = RULES[_ALGO_BY_NAME[name]]
+        key = setting.partition("=")[0]
+        used = row.move is Move.DECAY if key == "optimizer.mu" else row.beta is not None
         rc = run_cli(
-            "train", "--out", str(tmp_path),
+            "train", "--out", str(tmp_path / "out"),
+            "--set", f"optimizer.algo={name}",
             "--set", "optimizer.steps=2",
             "--set", "problem.train_size=16",
             "--set", "optimizer.batch_size=8",
             "--set", setting,
         )
-        assert rc == 0
+        err = capsys.readouterr().err
+        if not used:  # a rule that does not take the parameter ignores it
+            assert rc == 0
+            return
+        interval = "[0, 1]" if key == "optimizer.mu" else "[0, 1)"
+        assert rc == 1
+        assert err.startswith(f"config error: key '{key}' must be in {interval} for {name}")
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("missing", ["images", "labels"])
     def test_train_idx_missing_file_exit_1(self, tmp_path, capsys, missing):

@@ -6,6 +6,7 @@ import pytest
 
 from lmopt.linalg import derive_seed, rng_gaussian, rng_rademacher, semi_orthogonal_init
 from lmopt.models import (
+    _ACTIVATIONS,
     Activation,
     Domain,
     LayerSpec,
@@ -51,7 +52,18 @@ class TestActivations:
     def test_zero_fixed_point(self, act):
         assert activation_value(act, np.array([0.0]))[0] == 0.0
 
-    @pytest.mark.parametrize("act", HIDDEN_ACTS)
+    def test_table_holds_every_activation(self):
+        assert set(_ACTIVATIONS) == set(Activation)
+        for value, grad in _ACTIVATIONS.values():
+            assert callable(value) and callable(grad)
+
+    @pytest.mark.parametrize("act", ["relu", "RELU", None, [1]])
+    def test_non_member_rejected(self, act):
+        for f in (activation_value, activation_grad):
+            with pytest.raises(ValueError, match="unknown activation"):
+                f(act, np.zeros(2))
+
+    @pytest.mark.parametrize("act", list(_ACTIVATIONS))
     def test_grad_matches_finite_difference(self, act):
         x = np.linspace(-2.0, 2.0, 41) + 0.013  # avoid the relu kink
         h = 1e-6
@@ -518,6 +530,15 @@ class TestCheckpoint:
         doc["biases"][0] = [0.0, 0.0]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"layer 0: biases has shape \(2,\)"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    @pytest.mark.parametrize("entry", [{}, "abc"], ids=["object", "string"])
+    def test_malformed_entry_named(self, tmp_path, field, entry):
+        _, path, doc = self.saved_doc(tmp_path)
+        doc[field][1] = entry
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"checkpoint {field}\[1\] is not an array"):
             load_model(str(path))
 
     @pytest.mark.parametrize("field", ["activation", "weight_norm", "bias_norm"])
