@@ -97,6 +97,9 @@ _TINY, _HUGE = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)
 _ACTIVATIONS = tuple(a.value for a in Activation if a is not Activation.IDENTITY)
 # CLI algo names are the enum values, except that Muon-plain is plain "muon"
 _ALGO_BY_NAME = {"muon" if a is Algo.MUON_PLAIN else a.value: a for a in Algo}
+# The algos whose row of RULES takes mu (its move decays) and beta (it keeps a beta)
+_MU_ALGOS = ", ".join(n for n, a in _ALGO_BY_NAME.items() if RULES[a].move is Move.DECAY)
+_BETA_ALGOS = ", ".join(n for n, a in _ALGO_BY_NAME.items() if RULES[a].beta is not None)
 
 _SPECTRAL_FIELDS = (
     Field("spectral.backend", "str", "exact_svd",
@@ -152,9 +155,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
               "tail fraction for constant_then_linear", within="(0, 1]"),
         Field("optimizer.alpha.kind", "str", "constant", "averaging schedule", _values(AlphaKind)),
         Field("optimizer.alpha.value", "float", 0.1, "averaging weight alpha", within="(0, 1]"),
-        Field("optimizer.mu", "float", 0.5, "weight decay (uscg_wd, in [0, 1])",
+        Field("optimizer.mu", "float", 0.5, f"weight decay ({_MU_ALGOS}, in [0, 1])",
               within="(-inf, inf)"),
-        Field("optimizer.beta", "float", 0.9, "momentum (muon variants, in [0, 1))",
+        Field("optimizer.beta", "float", 0.9, f"momentum ({_BETA_ALGOS}, in [0, 1))",
               within="(-inf, inf)"),
         *_SPECTRAL_FIELDS,
     ),
@@ -304,21 +307,31 @@ def resolve_config(command: str, file_config: dict, overrides: list[str],
         resolved["out"] = str(out)
     for path, field in schema.items():
         _check_range(field, resolved[path])
-    _require(_can_hold_files(resolved["out"]), "out",
+    holder = _holding_dir(resolved["out"])
+    _require(holder is not None, "out",
              "must name a directory, existing or not, under no file and with no NUL byte",
              resolved["out"])
+    # The seed is the only part of `<command>_<confighash>_<seed>.*` whose length varies;
+    # a train run's checkpoint, written through a temporary file, has the longest suffix.
+    suffix = ".checkpoint.json.tmp" if command == "train" else ".jsonl"
+    longest = len(f"{command}_{config_hash(resolved)}_{resolved['seed']}{suffix}")
+    limit = os.pathconf(holder, "PC_NAME_MAX")  # -1 where the file system sets none
+    _require(limit < 0 or longest <= limit, "seed",
+             f"makes the artifact name {longest} bytes long, past the file system's {limit}",
+             resolved["seed"])
     return resolved
 
 
-def _can_hold_files(out: str) -> bool:
-    """Whether `out` is a directory, or can be made one: nonempty, free of NUL bytes,
-    and its nearest existing ancestor is a directory (not a file)."""
+def _holding_dir(out: str) -> str | None:
+    """The directory `out` is or will be made under: `out` itself or its nearest
+    existing ancestor. None where `out` is empty, holds a NUL byte or lies under a
+    file, so it cannot become a directory."""
     if out == "" or "\0" in out:
-        return False
+        return None
     path = os.path.abspath(out)
     while not os.path.exists(path):
         path = os.path.dirname(path)
-    return os.path.isdir(path)
+    return path if os.path.isdir(path) else None
 
 
 def config_hash(resolved: dict) -> str:

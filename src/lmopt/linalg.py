@@ -1,12 +1,12 @@
 """Dense linear algebra primitives.
 
-Reduced SVD with deterministic sign conventions, singular values without vectors,
-the reduced SVD of a low-rank product taken from its factors (`LowRank`,
-`lowrank_svd`), Newton-Schulz orthogonalization, semi-orthogonal initializers,
-and a small counter-based PRNG (splitmix64 + Box-Muller) so that every random
-draw is reproducible across platforms and numpy versions. The Gaussian draw also
-takes a sequence or uint64 array of seeds and returns one draw per seed on leading
-axes; `derive_seeds` derives such an array for many indices in one vectorized pass.
+Reduced SVD, singular values without vectors, the reduced SVD of a low-rank
+product taken from its factors (`LowRank`, `lowrank_svd`), Newton-Schulz
+orthogonalization, semi-orthogonal initializers, and a small counter-based PRNG
+(splitmix64 + Box-Muller) so that every random draw is reproducible across
+platforms and numpy versions. The Gaussian draw also takes a sequence or uint64
+array of seeds and returns one draw per seed on leading axes; `derive_seeds`
+derives such an array for many indices in one vectorized pass.
 All operations are pure functions of their inputs; there is no hidden state.
 """
 
@@ -101,26 +101,14 @@ class LowRank:
 def svd_reduced(a) -> SvdResult:
     """Reduced SVD, rank-truncated at RANK_RTOL relative to the largest singular value.
 
-    Left singular vectors are sign-canonicalized (largest-magnitude entry made
-    positive, the first such entry where a column has several) so repeated calls
-    are deterministic. The factors are LAPACK's own arrays, copied only when the
-    cutoff drops a trailing column. A zero matrix has rank 0: empty factors, whose
-    orthogonal factor is the zero matrix, as lowrank_svd gives a zero product.
+    The factors are LAPACK's own arrays, copied only when the cutoff drops a
+    trailing column. A zero matrix has rank 0: empty factors, whose orthogonal
+    factor is the zero matrix, as lowrank_svd gives a zero product.
     """
     u, s, vt = np.linalg.svd(as_matrix(a), full_matrices=False)
     keep = s > RANK_RTOL * s[0]
     if not keep.all():
         u, s, vt = u[:, keep], s[keep], vt[keep, :]
-    # A column's largest-magnitude entry is negative where -min passes max. Where the
-    # two tie, the pivot is the first entry of largest magnitude, as argmax picks it.
-    top, bottom = u.max(axis=0), u.min(axis=0)
-    flip = -bottom > top
-    for j in np.flatnonzero(-bottom == top):
-        flip[j] = u[np.argmax(np.abs(u[:, j])), j] < 0.0
-    # A product with +-1 flips a sign exactly, in one pass over each factor.
-    sign = np.where(flip, -1.0, 1.0)
-    u *= sign
-    vt *= sign[:, None]
     return SvdResult(u=u, sigma=s, vt=vt)
 
 
@@ -163,9 +151,9 @@ def lowrank_svd(a: LowRank) -> SvdResult:
     2011) with the factors as the range: QR each factor, left = Ql Rl and
     right = Qr Rr, take the SVD of the b x b core Rl Rr^T and map its vectors back
     through Ql and Qr. The cutoff is RANK_RTOL relative to the largest singular
-    value, as in svd_reduced, and the signs are not canonicalized. A product
-    below RANK_RTOL * ||Rl||_F ||Rr||_F, which bounds sigma_max, is numerically
-    zero, including factors that cancel: it has rank 0 and empty factors.
+    value, as in svd_reduced. A product below RANK_RTOL * ||Rl||_F ||Rr||_F, which
+    bounds sigma_max, is numerically zero, including factors that cancel: it has
+    rank 0 and empty factors.
     """
     a = a.checked()
     ql, rl = np.linalg.qr(a.left)

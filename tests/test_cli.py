@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lmopt.cli import SCHEMAS, build_parser, config_hash, main, resolve_config
+from lmopt.cli import SCHEMAS, ConfigError, build_parser, config_hash, main, resolve_config
 
 
 def run_cli(*args):
@@ -98,6 +98,23 @@ class TestConfigPlumbing:
                 line = next(l for l in lines if l.startswith(f"  {path} ("))
                 if field.interval is not None:
                     assert f"in {field.interval}," in line, line
+
+    def test_train_help_names_the_mu_and_beta_rows_of_rules(self, capsys):
+        from lmopt.cli import _ALGO_BY_NAME
+        from lmopt.optim import RULES, Move
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        users = {
+            "optimizer.mu": {n for n, a in _ALGO_BY_NAME.items() if RULES[a].move is Move.DECAY},
+            "optimizer.beta": {n for n, a in _ALGO_BY_NAME.items() if RULES[a].beta is not None},
+        }
+        for path, names in users.items():
+            assert names
+            line = next(l for l in lines if l.startswith(f"  {path} ("))
+            listed = line.split("): ", 1)[1].split("(", 1)[1].split(", in ")[0]
+            assert set(listed.split(", ")) == names, line
 
     def test_defaults_lie_in_their_intervals(self):
         for command in SCHEMAS:
@@ -522,6 +539,41 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: key 'out'") and "Traceback" not in err
         assert os.listdir(tmp_path) == ([] if where == "name_too_long" else ["config.json"])
+
+    def test_seed_that_makes_artifact_names_too_long_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli("lmo-check", "--out", "o", "--set", "trials=1", "--set", "max_dim=2",
+                     "--seed", str(10**300))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: key 'seed'")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, settings", [
+        ("lmo-check", ["trials=1", "max_dim=2"]),
+        ("train", ["optimizer.steps=2", "optimizer.batch_size=4", "problem.dim=3",
+                   "problem.classes=2", "problem.train_size=8", "problem.test_size=2",
+                   "model.hidden=3"]),
+    ])
+    def test_longest_accepted_seed_writes_every_artifact(self, tmp_path, command, settings):
+        # The seed with one digit more than the longest accepted one is refused by name,
+        # and the longest accepted one names files the file system takes.
+        for digits in range(1, os.pathconf(tmp_path, "PC_NAME_MAX") + 1):
+            try:
+                resolve_config(command, {}, settings, 10**digits, str(tmp_path))
+            except ConfigError as exc:
+                assert str(exc).startswith("config error: key 'seed'")
+                break
+        else:
+            pytest.fail("no seed is refused, however long its artifact names")
+        seed = 10**digits - 1
+        assert run_cli(command, "--out", str(tmp_path), "--seed", str(seed),
+                       *[arg for s in settings for arg in ("--set", s)]) == 0
+        suffixes = {".csv", ".jsonl"} | ({".checkpoint.json"} if command == "train" else set())
+        names = os.listdir(tmp_path)
+        assert {n[n.index("."):] for n in names} == suffixes
+        assert all(n.endswith(f"_{seed}" + n[n.index("."):]) for n in names)
 
     @pytest.mark.parametrize(
         "command, settings, keys",

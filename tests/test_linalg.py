@@ -59,45 +59,38 @@ class TestSvdReduced:
         rel = np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a)
         assert rel <= 1e-8
 
-    @pytest.mark.parametrize("shape", [(16, 7), (7, 16), (1, 5), (5, 1), (32, 32)])
-    def test_sign_convention_matches_column_loop(self, shape):
-        # reference: flip each column so its largest-magnitude entry is positive
-        a = random_matrix(*shape, seed=shape[0] * 7 + shape[1])
-        if min(shape) > 2:
-            a[:, 1] = a[:, 0]  # rank deficient, so truncation runs too
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        keep = s > 1e-10 * s[0]
-        u, s, vt = u[:, keep], s[keep], vt[keep, :]
-        for j in range(s.size):
-            i = int(np.argmax(np.abs(u[:, j])))
-            if u[i, j] < 0.0:
-                u[:, j] = -u[:, j]
-                vt[j, :] = -vt[j, :]
-        res = svd_reduced(a)
-        np.testing.assert_array_equal(res.u, u)
-        np.testing.assert_array_equal(res.sigma, s)
-        np.testing.assert_array_equal(res.vt, vt)
-
-    def test_signs_match_masked_argmax_bit_for_bit(self):
+    def test_polar_factor_matches_sign_fixed_factors_bit_for_bit(self):
+        # The lmo reads only u @ vt and sigma, which no sign pair changes: flipping
+        # column j of u and row j of vt negates both factors of every product. The
+        # reference fixes each column's first largest-|entry| positive, the
+        # convention svd_reduced once applied, and must give the same bits.
+        cases = {"full rank": 0, "rank deficient": 0, "tie": 0}
+        inputs = []
+        for shape in [(16, 7), (7, 16), (1, 5), (5, 1), (32, 32)]:
+            a = random_matrix(*shape, seed=shape[0] * 7 + shape[1])
+            if min(shape) > 2:
+                a[:, 1] = a[:, 0]  # rank deficient, so truncation runs too
+            inputs.append(a)
         # Small integer matrices give rank-deficient operands and columns of u whose
         # largest |entry| is held by a positive and a negative entry alike.
-        cases = {"full rank": 0, "rank deficient": 0, "tie": 0}
         for shape in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 4), (5, 3)]:
             for k in range(150):
                 a = np.clip(np.rint(rng_gaussian(*shape, derive_seed(71, *shape, k))), -2, 2)
-                if not a.any():
-                    continue
-                u, s, vt = np.linalg.svd(a, full_matrices=False)
-                keep = s > RANK_RTOL * s[0]
+                if a.any():
+                    inputs.append(a)
+        for a in inputs:
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+            keep = s > RANK_RTOL * s[0]
+            if not keep.all():
                 u, s, vt = u[:, keep], s[keep], vt[keep, :]
-                cases["rank deficient" if s.size < min(shape) else "full rank"] += 1
-                cases["tie"] += bool(np.any(-u.min(axis=0) == u.max(axis=0)))
-                flip = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)] < 0.0
-                np.negative(u, out=u, where=flip)
-                np.negative(vt, out=vt, where=flip[:, None])
-                res = svd_reduced(a)
-                assert res.u.tobytes() == u.tobytes() and res.vt.tobytes() == vt.tobytes()
-                assert res.sigma.tobytes() == s.tobytes()
+            cases["rank deficient" if s.size < min(a.shape) else "full rank"] += 1
+            cases["tie"] += bool(np.any(-u.min(axis=0) == u.max(axis=0)))
+            flip = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)] < 0.0
+            np.negative(u, out=u, where=flip)
+            np.negative(vt, out=vt, where=flip[:, None])
+            res = svd_reduced(a)
+            assert res.orthogonal_factor().tobytes() == (u @ vt).tobytes()
+            assert res.sigma.tobytes() == s.tobytes()
         assert min(cases.values()) >= 20, cases
 
     def test_rank_truncation(self):

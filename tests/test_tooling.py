@@ -181,6 +181,33 @@ def _coordinate_job(experiments):
     return 2 * 2 * 2  # two weight layers, two widths, two samples
 
 
+def test_traced_svd_counts_the_rank_of_each_operand(monkeypatch):
+    """The tracer's svd_reduced observer books the returned rank against min(shape)
+    of the operand it was called with, so rank_frac reads a share in (0, 1]."""
+    from lmopt import experiments, linalg, norms
+
+    tracer_mod = _tracer_module()
+    shapes = []
+    svd_reduced = linalg.svd_reduced
+
+    def recorded(a):
+        shapes.append(np.shape(a))
+        return svd_reduced(a)
+
+    monkeypatch.setattr(linalg, "svd_reduced", recorded)
+    monkeypatch.setattr(norms, "svd_reduced", recorded)
+    tracer = tracer_mod.Tracer()
+    with tracer.job_span(0):
+        _classifier_job(experiments)
+    a = tracer.arrays()
+    spans = a["name_id"] == tracer.names.index("linalg.svd_reduced")
+    assert int(spans.sum()) == len(shapes) > 0
+    np.testing.assert_array_equal(a["count_b"][spans], [min(shape) for shape in shapes])
+    assert np.all(a["count_a"][spans] > 0) and np.all(a["count_a"][spans] <= a["count_b"][spans])
+    rank_frac = tracer_mod.summarize(tracer, 1, 3)["linalg.svd_reduced.rank_frac"]
+    assert 0.0 < rank_frac <= 1.0
+
+
 @pytest.mark.parametrize("job", [_quadratic_job, _classifier_job, _coordinate_job],
                          ids=["train_quadratic", "train_classifier", "coordinate_check"])
 def test_traced_harness_steps_inside_the_step_span(job):
