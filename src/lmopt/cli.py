@@ -31,6 +31,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .experiments import (
+    RATE_MODES,
+    RATE_OPTIMIZERS,
     NumericalFailure,
     RunDiagnostics,
     coordinate_check,
@@ -42,7 +44,7 @@ from .experiments import (
     train_quadratic,
 )
 from .linalg import derive_seed, rng_gaussian
-from .models import Activation, Domain, MlpModel, build_config, init_model, save_model
+from .models import FAMILIES, Activation, Domain, MlpModel, build_config, init_model, save_model
 from .norms import (
     VECTOR_KINDS,
     NormKind,
@@ -143,8 +145,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         Field("problem.limit", "int", 0, "cap on idx samples, 0 = all", within="[0, inf)"),
         Field("model.hidden", "int_list", [64, 64], "hidden layer widths"),
         Field("model.domain", "str", "image", "input-domain preset", _values(Domain)),
-        Field("model.family", "str", "recommended", "layer norm family",
-              ("recommended", "spectral", "colnorm", "rownorm", "sign")),
+        Field("model.family", "str", "recommended", "layer norm family", FAMILIES),
         Field("model.activation", "str", "relu", "hidden activation", _ACTIVATIONS),
         Field("optimizer.algo", "str", "uscg", "update rule", tuple(_ALGO_BY_NAME)),
         Field("optimizer.steps", "int", 100, "horizon n"),
@@ -194,8 +195,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     ),
     "rate": _fields(
         *_COMMON_FIELDS,
-        Field("optimizer", "str", "uscg", "method under test", ("uscg", "scg")),
-        Field("mode", "str", "vanishing", "momentum regime", ("vanishing", "constant")),
+        Field("optimizer", "str", "uscg", "method under test", RATE_OPTIMIZERS),
+        Field("mode", "str", "vanishing", "momentum regime", RATE_MODES),
         Field("n_list", "int_list", [100, 400, 1600, 6400], "horizons (2 distinct if vanishing)"),
         Field("trials", "int", 10, "independent runs per horizon"),
         Field("alpha", "float", 0.1, "averaging weight (constant mode)", within="(0, 1]"),

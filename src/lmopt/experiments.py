@@ -50,6 +50,10 @@ from .optim import (
 
 FEASIBLE_TOL = 1e-8
 
+# The methods and momentum regimes rate_harness takes
+RATE_OPTIMIZERS = ("uscg", "scg")
+RATE_MODES = ("vanishing", "constant")
+
 # Steps of quadratic gradient noise drawn at once: one seed derivation and one
 # Gaussian draw per block, holding _NOISE_BLOCK * trials * dim doubles, where a
 # whole-horizon draw would grow with the horizon.
@@ -620,10 +624,10 @@ def rate_harness(
     The reported constants block documents the problem's known regularity values;
     they are not enforced at runtime.
     """
-    if optimizer not in ("uscg", "scg"):
-        raise ValueError(f"optimizer must be 'uscg' or 'scg', got {optimizer!r}")
-    if mode not in ("vanishing", "constant"):
-        raise ValueError(f"mode must be 'vanishing' or 'constant', got {mode!r}")
+    for key, value, choices in (("optimizer", optimizer, RATE_OPTIMIZERS),
+                                ("mode", mode, RATE_MODES)):
+        if value not in choices:
+            raise ValueError(f"{key} must be {' or '.join(map(repr, choices))}, got {value!r}")
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 1:
         raise ValueError("n_list must hold at least one horizon")

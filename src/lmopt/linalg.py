@@ -82,20 +82,12 @@ class LowRank:
     right: np.ndarray
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.left.shape[0], self.right.shape[0])
+    def shape(self) -> tuple[int, ...]:
+        # Sliced, so a factor that is not 2-D gives a wrong shape, not an IndexError.
+        return self.left.shape[:1] + self.right.shape[:1]
 
     def dense(self) -> np.ndarray:
         return self.left @ self.right.T
-
-    def checked(self) -> "LowRank":
-        """Both factors through as_matrix, with a shared column count."""
-        left, right = as_matrix(self.left, "left factor"), as_matrix(self.right, "right factor")
-        if left.shape[1] != right.shape[1]:
-            raise ValueError(
-                f"factors must share their column count, got {left.shape} and {right.shape}"
-            )
-        return LowRank(left, right)
 
 
 def svd_reduced(a) -> SvdResult:
@@ -153,11 +145,16 @@ def lowrank_svd(a: LowRank) -> SvdResult:
     through Ql and Qr. The cutoff is RANK_RTOL relative to the largest singular
     value, as in svd_reduced. A product below RANK_RTOL * ||Rl||_F ||Rr||_F, which
     bounds sigma_max, is numerically zero, including factors that cancel: it has
-    rank 0 and empty factors.
+    rank 0 and empty factors. Each factor is validated as in as_matrix, and the two
+    must share their column count.
     """
-    a = a.checked()
-    ql, rl = np.linalg.qr(a.left)
-    qr, rr = np.linalg.qr(a.right)
+    left, right = as_matrix(a.left, "left factor"), as_matrix(a.right, "right factor")
+    if left.shape[1] != right.shape[1]:
+        raise ValueError(
+            f"factors must share their column count, got {left.shape} and {right.shape}"
+        )
+    ql, rl = np.linalg.qr(left)
+    qr, rr = np.linalg.qr(right)
     core = rl @ rr.T
     scale = np.linalg.norm(rl) * np.linalg.norm(rr)
     if not (np.isfinite(core).all() and np.isfinite(scale)):

@@ -25,6 +25,8 @@ from .norms import ModelNormSpec, NormKind, NormSpec, scale_by_lmo_coefficient
 
 CHECKPOINT_FORMAT = "lmopt-checkpoint"
 CHECKPOINT_VERSION = 2  # version 1 also loads: its extra layer keys are ignored
+# The layer norm families build_config takes
+FAMILIES = ("recommended", "spectral", "colnorm", "rownorm", "sign")
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_K = 0.044715
@@ -205,7 +207,7 @@ def build_config(
     dims = [int(d) for d in dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"dims must list >= 2 positive widths, got {dims}")
-    if family not in ("recommended", "spectral", "colnorm", "rownorm", "sign"):
+    if family not in FAMILIES:
         raise ValueError(f"unknown config family {family!r}")
     n_layers = len(dims) - 1
     specs: list[LayerSpec] = []

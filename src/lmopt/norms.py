@@ -290,15 +290,20 @@ class NormSpec:
 def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowRank:
     """Validate an operand against the spec's shape and return it as float64.
 
-    A LowRank needs a matrix kind and has its factors checked. It comes back as its
-    factors when keep_factors is set, and otherwise as its product. A non-finite
-    entry raises ValueError; the l2 and spectral kinds leave that check to the
-    range guard of `_l2_rows` and to linalg, whose every route ends in `as_matrix`.
+    A LowRank needs a matrix kind and has its factors taken as float64 arrays. It
+    comes back as those factors when keep_factors is set, for `lowrank_svd` to
+    check, and otherwise as their product, checked like any dense operand. A
+    non-finite entry raises ValueError; the l2 and spectral kinds leave that check to
+    the range guard of `_l2_rows` and to linalg, whose every route ends in `as_matrix`.
     """
-    factored = isinstance(s, LowRank)
-    if factored and not spec._matrix:
-        raise ValueError(f"a low-rank operand needs a matrix kind, not {spec.kind.value}")
-    a = s.checked() if factored else np.asarray(s, dtype=np.float64)
+    if isinstance(s, LowRank):
+        if not spec._matrix:
+            raise ValueError(f"a low-rank operand needs a matrix kind, not {spec.kind.value}")
+        a = LowRank(np.asarray(s.left, dtype=np.float64), np.asarray(s.right, dtype=np.float64))
+        if not keep_factors:
+            a = a.dense()
+    else:
+        a = np.asarray(s, dtype=np.float64)
     if spec._matrix and a.shape != (spec.d_out, spec.d_in):
         raise ValueError(
             f"expected shape ({spec.d_out}, {spec.d_in}) for {spec.kind.value}, "
@@ -309,10 +314,6 @@ def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowR
             f"expected a vector of length {spec.d_out}, or a stack of them, for "
             f"{spec.kind.value}, got shape {a.shape}"
         )
-    if factored:
-        if keep_factors:
-            return a
-        a = a.dense()
     if spec._oracle.op is _max_abs:
         _check_finite(a)
     return a

@@ -28,8 +28,11 @@ array shares memory with them. A parameter on a vector-kind atom may be a (T, d)
 stack of independent runs, which every rule updates row by row. A weight gradient
 may be a `linalg.LowRank` where the rule does no arithmetic on it: the AVERAGE
 buffer at alpha = 1 hands it to the lmo as is, so a single step from a fresh buffer
-takes the factored spectral route. The buffer then holds the gradient's own arrays
-until the next update, which forms one fresh buffer rather than write into them.
+takes the factored spectral route, and the ORIENTED buffer and SSD hand it to the
+oracle alone. The buffer then holds the gradient's own arrays until the next
+update, which forms one fresh buffer rather than write into them. A step that
+would scale a LowRank, in g or in that buffer (AVERAGE at alpha < 1, and every
+ACCUMULATE step), raises ValueError naming its atom before it writes any buffer.
 
 SCG iterates are read-only. The CONVEX move needs a feasible iterate, and an exact
 lmo output sits on the ball boundary, so the move certifies its own output by
@@ -48,6 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import LowRank
 from .norms import ModelNormSpec, composite_norm, model_lmo, sharp_op
 
 FEASIBILITY_SLACK = 1e-6
@@ -285,6 +289,15 @@ def step(
     atoms = spec.atoms
     if len(x) != len(atoms):
         raise ValueError(f"step: {len(x)} parameter arrays for {len(atoms)} norm atoms")
+    if (alpha < 1.0 and rule.buffer is Buffer.AVERAGE) or rule.buffer is Buffer.ACCUMULATE:
+        # This buffer update scales g and the buffer; a LowRank holds no array to scale,
+        # and only a buffer an averaged alpha = 1 step handed g to can hold one.
+        for i, a in enumerate([*g, *state.d] if state.borrowed else g):
+            if isinstance(a, LowRank):
+                raise ValueError(
+                    f"step: the {rule.buffer.value} buffer would scale a LowRank at atom "
+                    f"{i % len(g)}; pass its dense product"
+                )
     if rule.move is Move.CONVEX:
         bound = _feasible_bound(x, state, spec)
     d_k = v = list(g)

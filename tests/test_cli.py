@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from lmopt.cli import SCHEMAS, ConfigError, build_parser, config_hash, main, resolve_config
+from lmopt.experiments import RATE_MODES, RATE_OPTIMIZERS, rate_harness
+from lmopt.models import FAMILIES, Domain, build_config
+from lmopt.problems import StochasticQuadratic
 
 
 def run_cli(*args):
@@ -977,3 +980,99 @@ class TestDeterminism:
             "--set", "max_dim=12",
         )
         assert a == b
+
+
+# Each choice list has one owner, the library module that checks it; the CLI field
+# reads that tuple. The last entry is the library's message for the name "nope".
+_CHOICE_OWNERS = [
+    ("train", "model.family", FAMILIES, "unknown config family 'nope'"),
+    ("rate", "optimizer", RATE_OPTIMIZERS, "optimizer must be 'uscg' or 'scg', got 'nope'"),
+    ("rate", "mode", RATE_MODES, "mode must be 'vanishing' or 'constant', got 'nope'"),
+]
+
+
+def _library_call(key, value):
+    if key == "model.family":
+        return build_config(Domain.IMAGE, (4, 3, 2), family=value)
+    choices = {"optimizer": "uscg", "mode": "vanishing", key: value}
+    return rate_harness(n_list=(4, 8), problem=StochasticQuadratic(2), trials=1, **choices)
+
+
+class TestChoiceOwners:
+    @pytest.mark.parametrize("command, key, owner, message", _CHOICE_OWNERS)
+    def test_field_reads_the_library_tuple(self, command, key, owner, message):
+        assert SCHEMAS[command][key].choices is owner
+
+    @pytest.mark.parametrize("command, key, owner, message", _CHOICE_OWNERS)
+    def test_every_choice_accepted_by_the_library(self, command, key, owner, message):
+        for value in owner:
+            _library_call(key, value)
+
+    @pytest.mark.parametrize("command, key, owner, message", _CHOICE_OWNERS)
+    def test_name_outside_rejected_by_both(self, tmp_path, capsys, command, key, owner,
+                                           message):
+        out = tmp_path / "out"
+        assert run_cli(command, "--out", str(out), "--set", f"{key}=nope") == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: key '{key}' must be one of {', '.join(owner)}, got 'nope'\n"
+        assert not out.exists()
+        with pytest.raises(ValueError) as exc:
+            _library_call(key, "nope")
+        assert str(exc.value) == message
+
+
+class TestRejectionsReached:
+    """Rejections that only a malformed config file or flag reaches: exit 1, a
+    message naming the key or file, no traceback and nothing written."""
+
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            ('{"model": {"hidden": 64}}', [], "key 'model.hidden' expects int_list, got 64"),
+            (None, ["--set", "optimizer.steps"],
+             "--set expects key=value, got 'optimizer.steps'"),
+            ("{not json", [], "conf.json is not valid JSON"),
+            ("[1, 2]", [], "conf.json must hold a JSON object"),
+        ],
+        ids=["int_list_from_json_number", "set_without_equals", "config_not_json",
+             "config_not_an_object"],
+    )
+    def test_exit_1_names_it(self, tmp_path, capsys, config, flags, message):
+        if config is not None:
+            (tmp_path / "conf.json").write_text(config)
+            flags = ["--config", str(tmp_path / "conf.json"), *flags]
+        assert run_cli("train", "--out", str(tmp_path / "out"), *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error") and message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_idx_limit_keeps_the_first_samples(self, tmp_path):
+        import struct
+
+        import numpy as np
+
+        arr = (np.arange(6 * 4 * 4) % 255).astype(np.uint8).reshape(6, 4, 4)
+        labels = bytes([0, 1, 1, 0, 1, 0])
+        for n in (6, 4):
+            (tmp_path / f"img{n}.idx").write_bytes(
+                struct.pack(">IIII", 0x00000803, n, 4, 4) + arr[:n].tobytes())
+            (tmp_path / f"lab{n}.idx").write_bytes(
+                struct.pack(">II", 0x00000801, n) + labels[:n])
+        rows = []
+        for n, limit in ((6, 4), (4, 0)):
+            out = tmp_path / f"out{n}"
+            assert run_cli(
+                "train", "--out", str(out),
+                "--set", "problem.kind=idx",
+                "--set", f"problem.images={tmp_path / f'img{n}.idx'}",
+                "--set", f"problem.labels={tmp_path / f'lab{n}.idx'}",
+                "--set", f"problem.limit={limit}",
+                "--set", "optimizer.steps=3",
+                "--set", "optimizer.batch_size=2",
+                "--set", "model.hidden=8",
+            ) == 0
+            csv = Path(artifact(str(out), "train", ".csv")).read_text().splitlines()
+            rows.append([line for line in csv if not line.startswith("#")])
+        # a limit of 4 on six samples trains as the first four alone do
+        assert rows[0] == rows[1] and len(rows[0]) == 4

@@ -24,12 +24,14 @@ from lmopt.linalg import derive_seed, rng_gaussian
 from lmopt.models import (
     Activation,
     Domain,
+    LayerSpec,
+    MlpModel,
     backward,
     build_config,
     init_model,
     loss_and_grad,
 )
-from lmopt.norms import composite_norm, dual_norm, fw_gap, gap_from_duals
+from lmopt.norms import NormKind, NormSpec, composite_norm, dual_norm, fw_gap, gap_from_duals
 from lmopt.optim import (
     Algo,
     AlphaKind,
@@ -1001,3 +1003,71 @@ class TestRuleOncePerRun:
         else:
             coordinate_check([4, 8], depth=2, samples=3, input_dim=4, classes=3)
             assert built == [(Algo.USCG,)]
+
+
+def _overflowing_sharp_step():
+    """SSD on a two-layer net whose hidden activations are near float64's largest:
+    the loss and gradients are finite, but the output layer's gradient has an l1
+    dual norm past float64's range, so its sharp move sends the weights to inf."""
+    layers = (LayerSpec(Activation.RELU, NormSpec(NormKind.SIGN, 1.0, 8, 2)),
+              LayerSpec(Activation.IDENTITY, NormSpec(NormKind.SIGN, 1.0, 2, 8)))
+    weights = [np.ones((8, 2)), np.full((2, 8), 1e-308) * [[1.0], [-1.0]]]
+    model = MlpModel(layers, weights, [None, None])
+    train_classifier(model, np.full((2, 2), 4e307), np.array([0, 1]), Algo.SSD,
+                     ScheduleSpec(horizon=2, gamma0=0.5), batch_size=2)
+
+
+def _idx_file(tmp_path, name, magic, shape):
+    import struct
+
+    path = tmp_path / name
+    path.write_bytes(struct.pack(f">I{len(shape)}I", magic, *shape) + bytes(int(np.prod(shape))))
+    return str(path)
+
+
+_IMAGES, _LABELS = 0x00000803, 0x00000801
+
+_REJECTIONS = {
+    "coord_check_widths": (
+        lambda _: coordinate_check([], depth=2, samples=1, input_dim=2, classes=2),
+        ValueError, "need at least one width and depth >= 2"),
+    "coord_check_depth": (
+        lambda _: coordinate_check([4], depth=1, samples=1, input_dim=2, classes=2),
+        ValueError, "need at least one width and depth >= 2"),
+    "classifier_parameters": (
+        lambda _: _overflowing_sharp_step(), NumericalFailure,
+        "at step 1: non-finite parameters"),
+    # a subnormal radius rounds the boundary start outside the ball: the oracle's
+    # rejection is neither the gradient's nor the buffer's, so it is raised as it is
+    "quadratic_start_outside_the_ball": (
+        lambda _: train_quadratic(StochasticQuadratic(8, noise=1.0), Algo.SCG,
+                                  ScheduleSpec(horizon=3), rho=2e-323),
+        ValueError, "the convex move needs a feasible iterate"),
+    "problem_dim": (lambda _: SyntheticClassification(dim=0), ValueError, "need dim >= 1"),
+    "problem_classes": (lambda _: SyntheticClassification(dim=2, classes=1), ValueError,
+                        "classes >= 2"),
+    "problem_clusters": (lambda _: SyntheticClassification(dim=2, clusters=0), ValueError,
+                         "clusters >= 1"),
+    "problem_train_size": (lambda _: SyntheticClassification(dim=2, train_size=0), ValueError,
+                           "need train_size >= 1"),
+    "problem_test_size": (lambda _: SyntheticClassification(dim=2, test_size=-1), ValueError,
+                          "test_size >= 0"),
+    "idx_zero_dimension": (
+        lambda tmp: load_idx(_idx_file(tmp, "img.idx", _IMAGES, (2, 0, 3))), ValueError,
+        "bad IDX dimension 1: zero length in .*img.idx"),
+    "idx_images_hold_labels": (
+        lambda tmp: load_idx_dataset(_idx_file(tmp, "lab.idx", _LABELS, (2,)),
+                                     _idx_file(tmp, "lab2.idx", _LABELS, (2,))),
+        ValueError, "lab.idx does not hold images"),
+    "idx_labels_hold_images": (
+        lambda tmp: load_idx_dataset(_idx_file(tmp, "img.idx", _IMAGES, (2, 2, 2)),
+                                     _idx_file(tmp, "img2.idx", _IMAGES, (2, 2, 2))),
+        ValueError, "img2.idx does not hold labels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_rejection_names_its_field_or_step(tmp_path, case):
+    call, kind, message = _REJECTIONS[case]
+    with pytest.raises(kind, match=message):
+        call(tmp_path)

@@ -481,3 +481,18 @@ class TestRngPinned:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * z.nbytes, f"tracemalloc peak {peak / 2**20:.2f} MiB"
+
+
+_REJECTIONS = {
+    "empty_matrix": (lambda: svd_reduced(np.zeros((0, 3))), "matrix must be nonempty"),
+    "empty_factor": (lambda: lowrank_svd(LowRank(np.zeros((3, 0)), np.zeros((2, 0)))),
+                     "left factor must be nonempty"),
+    "permutation_length": (lambda: rng_permutation(0, 1), "n must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_rejection_names_its_field(case):
+    call, message = _REJECTIONS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

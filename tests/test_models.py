@@ -10,6 +10,7 @@ from lmopt.models import (
     Activation,
     Domain,
     LayerSpec,
+    MlpModel,
     activation_grad,
     activation_value,
     backward,
@@ -592,3 +593,55 @@ class TestModelValidation:
             model.set_parameters(params)
         for got, want in zip(model.parameters(), before, strict=True):
             np.testing.assert_array_equal(got, want)
+
+
+def _layer(d_out, d_in, activation=Activation.IDENTITY, bias=False):
+    return LayerSpec(activation, NormSpec(NormKind.SPECTRAL, 1.0, d_out, d_in),
+                     NormSpec.vector(NormKind.RMS_VEC, d_out) if bias else None)
+
+
+def _write_checkpoint(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_REJECTIONS = {
+    "vector_weight_norm": (
+        lambda _: LayerSpec(Activation.RELU, NormSpec.vector(NormKind.RMS_VEC, 3)),
+        "weight_norm must be a matrix norm"),
+    "bias_norm_length": (
+        lambda _: LayerSpec(Activation.RELU, NormSpec(NormKind.SPECTRAL, 1.0, 3, 2),
+                            NormSpec.vector(NormKind.RMS_VEC, 4)),
+        "bias_norm must be a vector norm of length d_out"),
+    "no_layers": (lambda _: MlpModel((), [], []), "model needs at least one layer"),
+    "weights_misaligned": (
+        lambda _: MlpModel((_layer(2, 3),), [], [None]), "weights/biases must align with layers"),
+    "last_layer_bias": (
+        lambda _: MlpModel((_layer(2, 3, bias=True),), [np.zeros((2, 3))], [np.zeros(2)]),
+        "last layer carries no bias"),
+    "parameter_count": (
+        lambda _: simple_model((4, 3, 2)).set_parameters([np.zeros((3, 4))]),
+        "expected 2 parameter arrays, got 1"),
+    "config_family": (
+        lambda _: build_config(Domain.IMAGE, (4, 3, 2), family="dense"),
+        "unknown config family 'dense'"),
+    "empty_batch": (
+        lambda _: loss_and_grad(simple_model((4, 3, 2)), np.zeros((4, 0)), np.zeros(0, int)),
+        "batch must be nonempty"),
+    "label_count": (
+        lambda _: loss_and_grad(simple_model((4, 3, 2)), np.zeros((4, 2)), [0, 1, 0]),
+        r"labels must be one integer per sample, got shape \(3,\)"),
+    "checkpoint_version": (
+        lambda tmp_path: load_model(_write_checkpoint(tmp_path, {
+            "format": "lmopt-checkpoint", "version": 3, "layers": [], "weights": [],
+            "biases": []})),
+        "unsupported checkpoint version 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_rejection_names_its_field(tmp_path, case):
+    call, message = _REJECTIONS[case]
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

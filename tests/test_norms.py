@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lmopt import norms
+from lmopt import linalg, norms
 from lmopt.linalg import (
     LowRank,
     derive_seed,
@@ -22,6 +22,7 @@ from lmopt.norms import (
     composite_norm,
     dual_norm,
     fw_gap,
+    gap_from_duals,
     lmo,
     lmo_coefficient,
     model_lmo,
@@ -754,6 +755,49 @@ class TestLowRankOperand:
         with pytest.raises(ValueError, match="matrix kind"):
             lmo(LowRank(x, np.ones((1, 1))), NormSpec.vector(NormKind.EUCLIDEAN_VEC, 10))
 
+    def test_factored_lmo_checks_each_factor_once(self, monkeypatch):
+        # linalg alone checks a factored operand's factors: lowrank_svd takes each
+        # through as_matrix once, and _operand only coerces them
+        names = []
+        as_matrix = linalg.as_matrix
+
+        def counting(a, name="matrix"):
+            names.append(name)
+            return as_matrix(a, name)
+
+        monkeypatch.setattr(linalg, "as_matrix", counting)
+        forbid_dense_svd(monkeypatch)
+        lmo(random_low_rank(10, 8, 2, seed=5), NormSpec(NormKind.SPECTRAL, 1.0, 10, 8))
+        assert sorted(names) == ["left factor", "right factor"]
+
+    @pytest.mark.parametrize(
+        "kind", [NormKind.SIGN, NormKind.COL_NORM, NormKind.ROW_NORM, NormKind.SPECTRAL]
+    )
+    def test_factors_that_are_not_matrices_rejected_on_both_routes(self, kind):
+        # a 1-D left factor whose product is a (5,) vector, and a 0-d left factor
+        spec = NormSpec(kind, 1.0, 3, 5)
+        for s in (LowRank(np.ones(3), np.ones((5, 3))), LowRank(np.float64(1.0), np.ones((5, 1)))):
+            for fn in (lmo, dual_norm, op_norm, sharp_op):
+                with pytest.raises(ValueError):
+                    fn(s, spec)
+            with pytest.raises(ValueError):  # the Newton-Schulz lmo takes the product
+                lmo(s, spec, ns_iters=5)
+
+    @pytest.mark.parametrize(
+        "kind", [NormKind.SIGN, NormKind.COL_NORM, NormKind.ROW_NORM, NormKind.SPECTRAL]
+    )
+    def test_nested_list_factors_accepted_on_both_routes(self, kind):
+        spec = NormSpec(kind, 0.5, 10, 8)
+        s = random_low_rank(10, 8, 2, seed=6)
+        nested = LowRank(s.left.tolist(), s.right.tolist())
+        for fn in (lmo, sharp_op):
+            np.testing.assert_array_equal(fn(nested, spec), fn(s, spec))
+            if kind is NormKind.SPECTRAL:  # the dense route
+                np.testing.assert_array_equal(fn(nested, spec, ns_iters=5),
+                                              fn(s, spec, ns_iters=5))
+        for fn in (dual_norm, op_norm):
+            assert fn(nested, spec) == fn(s, spec)
+
 
 class TestSpectralRange:
     """The exact spectral lmo scales a matrix, or each factor of a LowRank, by a power
@@ -837,3 +881,19 @@ class TestSpectralZero:
             # by value, so either sign of zero passes
             assert out.shape == (5, 3) and np.all(out == 0.0)
         assert values == [0.0, 0.0]
+
+
+_REJECTIONS = {
+    "no_atoms": (lambda: ModelNormSpec(()), "ModelNormSpec needs at least one atom"),
+    "x_layout": (
+        lambda: gap_from_duals([np.ones(3)], [], ModelNormSpec(
+            (NormSpec.vector(NormKind.RMS_VEC, 3),)), [1.0]),
+        "x and grads must have the same layout"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_rejection_names_its_field(case):
+    call, message = _REJECTIONS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

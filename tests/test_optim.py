@@ -445,6 +445,74 @@ class TestStepOwnership:
                 assert not np.shares_memory(d, gi)
 
 
+class TestFactoredGradient:
+    """A LowRank weight gradient reaches the oracle where the rule does no arithmetic
+    on it: the AVERAGE buffer at alpha = 1, the ORIENTED buffer and SSD. A step that
+    would scale one, in g or in the buffer an averaged alpha = 1 step left it (the
+    AVERAGE buffer at alpha < 1, every ACCUMULATE step), raises ValueError naming its
+    atom and the buffer before it writes anything, so the state is unchanged."""
+
+    AVERAGE_ROWS = {Algo.USCG, Algo.SCG, Algo.USCG_WD}
+    ACCUMULATE_ROWS = {Algo.MUON_PLAIN, Algo.MUON_NESTEROV, Algo.USCG_LIGHT}
+    # the LowRank on the second atom, so a late rejection would show in the first's buffer
+    SPEC = ModelNormSpec(
+        (NormSpec.vector(NormKind.RMS_VEC, 6), NormSpec(NormKind.SPECTRAL, 1.0, 6, 4))
+    )
+
+    def gradient(self, seed, factored):
+        g = LowRank(rng_gaussian(6, 2, seed), rng_gaussian(4, 2, seed + 1))
+        return [rng_gaussian(6, 1, seed + 2)[:, 0], g if factored else g.dense()]
+
+    def snapshot(self, state):
+        return ([id(d) for d in state.d], _raw_bytes(state.d), state.alpha,
+                state.borrowed, state.certificate)
+
+    def rejects(self, algo, alpha, factored, after):
+        if algo in self.ACCUMULATE_ROWS:
+            return factored
+        return algo in self.AVERAGE_ROWS and alpha < 1.0 and (factored or after)
+
+    def run(self, algo, alpha, factored, after, lowrank):
+        """The step under test, with every LowRank gradient dense unless `lowrank`:
+        (new x, d_k, state) or the ValueError and the state's snapshot before it."""
+        rule = rule_for(algo)
+        x = [0.5 * p for p in boundary_params(self.SPEC, 98)]  # feasible for SCG
+        state = OptimizerState.init(x)
+        if after:  # a factored step at alpha = 1 first; an accumulated buffer rejects it
+            g1 = self.gradient(99, lowrank)
+            if algo not in self.ACCUMULATE_ROWS:
+                x, _ = step(x, state, g1, 0.3, 1.0, self.SPEC, rule)
+            elif lowrank:
+                with pytest.raises(ValueError, match="LowRank at atom 1"):
+                    step(x, state, g1, 0.3, 1.0, self.SPEC, rule)
+        g = self.gradient(101, factored and lowrank)
+        before = self.snapshot(state)
+        try:
+            new, d_k = step(x, state, g, 0.3, alpha, self.SPEC, rule)
+        except ValueError as exc:
+            return exc, before, state
+        return new, d_k, state
+
+    @pytest.mark.parametrize("after", [False, True], ids=["fresh", "after_factored_step"])
+    @pytest.mark.parametrize("factored", [True, False], ids=["factored", "dense"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("algo", list(Algo))
+    def test_every_row(self, algo, alpha, factored, after):
+        got = self.run(algo, alpha, factored, after, lowrank=True)
+        if self.rejects(algo, alpha, factored, after):
+            exc, before, state = got
+            assert isinstance(exc, ValueError)
+            assert f"the {RULES[algo].buffer.value} buffer" in str(exc)
+            assert "LowRank at atom 1" in str(exc)
+            assert self.snapshot(state) == before
+            return
+        # the same matrices held dense take the dense SVD, so agree to rounding
+        want = self.run(algo, alpha, factored, after, lowrank=False)
+        for a, b in zip(got[:2], want[:2]):  # the new parameters, then d_k
+            a = [ai.dense() if isinstance(ai, LowRank) else ai for ai in a]
+            assert_close_lists(a, b, tol=1e-12)
+
+
 class TestStepMemory:
     """tracemalloc over one step (the third, exact lmo) on a 16-256-256-4 IMAGE
     model, whose 256 x 256 spectral atom holds 93 % of the parameters, in units of
@@ -907,3 +975,31 @@ class TestStateBookkeeping:
         uscg_step(x, state, random_params(spec, 16), 0.1, 0.5, spec)
         for di, xi in zip(state.d, x):
             assert di.shape == xi.shape
+
+
+_REJECTIONS = {
+    "list_lengths": (
+        lambda: step([np.zeros(3)], OptimizerState.init([np.zeros(3)]),
+                     [np.zeros(3), np.zeros(3)], 0.1, 0.5,
+                     ModelNormSpec((NormSpec.vector(NormKind.RMS_VEC, 3),)), RULES[Algo.USCG]),
+        "step: got 1 and 2 entries"),
+    "horizon": (lambda: ScheduleSpec(horizon=0), "horizon must be >= 1, got 0"),
+    "gamma0": (lambda: ScheduleSpec(horizon=4, gamma0=1.5), r"gamma0 must be in \[0, 1\], got 1.5"),
+    "alpha0": (lambda: ScheduleSpec(horizon=4, alpha0=0.0), r"alpha0 must be in \(0, 1\], got 0.0"),
+    "warmdown": (
+        lambda: ScheduleSpec(horizon=4, gamma_kind=GammaKind.CONSTANT_THEN_LINEAR, warmdown=5),
+        "constant-then-linear decay needs 0 < warmdown <= horizon"),
+    # a kind given by its value rather than as the enum member
+    "gamma_kind": (lambda: gamma_at(ScheduleSpec(horizon=4, gamma_kind="linear"), 1),
+                   "unknown gamma kind linear"),
+    "alpha_kind": (lambda: alpha_at(ScheduleSpec(horizon=4, alpha_kind="vanishing"), 1),
+                   "unknown alpha kind vanishing"),
+    "theory_horizon": (lambda: theory_gamma(0), "horizon must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_rejection_names_its_field(case):
+    call, message = _REJECTIONS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
