@@ -13,6 +13,7 @@ most the stepsize sum.
 import numpy as np
 
 from lmopt import (
+    RULES,
     Algo,
     ModelNormSpec,
     NormKind,
@@ -22,9 +23,7 @@ from lmopt import (
     derive_seed,
     rng_gaussian,
     rule_for,
-    scg_step,
     step,
-    uscg_step,
 )
 
 spec = ModelNormSpec((
@@ -45,7 +44,7 @@ stream = [fresh(1000 + k) for k in range(steps)]
 xa, xb = fresh(1), fresh(1)
 sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
 for g in stream:
-    xa = uscg_step(xa, sa, g, gamma, 1.0 - beta, spec)
+    xa = step(xa, sa, g, gamma, 1.0 - beta, spec, RULES[Algo.USCG])[0]
     xb, _ = step(xb, sb, g, gamma, 1.0, spec, rule_for(Algo.MUON_PLAIN, beta=beta))
 gap = max(float(np.max(np.abs(a - b))) for a, b in zip(xa, xb))
 print(f"accumulator vs averaged-direction, {steps} steps: max gap {gap:.2e}")
@@ -60,7 +59,7 @@ sa = OptimizerState.init(xa)
 sb = OptimizerState.init(xb)
 for g in stream:
     xa, _ = step(xa, sa, g, gamma, 0.15, spec, rule_for(Algo.USCG_WD, mu=mu))
-    xb = scg_step(xb, sb, g, gamma * mu, 0.15, inflated)
+    xb = step(xb, sb, g, gamma * mu, 0.15, inflated, RULES[Algo.SCG])[0]
 gap = max(float(np.max(np.abs(a - b))) for a, b in zip(xa, xb))
 print(f"weight-decay vs inflated-ball constrained run:  max gap {gap:.2e}")
 
@@ -70,7 +69,7 @@ for label, alpha_of in (("constant", lambda k: 0.1), ("vanishing", lambda k: 1.0
     xa, xb = fresh(3), fresh(3)
     sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
     for k, g in enumerate(stream, start=1):
-        xa = uscg_step(xa, sa, g, gamma, alpha_of(k), spec)
+        xa = step(xa, sa, g, gamma, alpha_of(k), spec, RULES[Algo.USCG])[0]
         xb, _ = step(xb, sb, g, gamma, alpha_of(k), spec, rule_for(Algo.USCG_LIGHT))
     gap = max(float(np.max(np.abs(a - b))) for a, b in zip(xa, xb))
     print(f"Scion-light vs averaged form, {label + ' alpha:':17s} max gap {gap:.2e}")
@@ -84,8 +83,8 @@ s_con = OptimizerState.init(x_con)
 s_unc = OptimizerState.init(x_unc)
 gamma_sum = 0.0
 for g in stream:
-    x_con = scg_step(x_con, s_con, g, 0.05, 0.3, spec)
-    x_unc = uscg_step(x_unc, s_unc, g, 0.05, 0.3, spec)
+    x_con = step(x_con, s_con, g, 0.05, 0.3, spec, RULES[Algo.SCG])[0]
+    x_unc = step(x_unc, s_unc, g, 0.05, 0.3, spec, RULES[Algo.USCG])[0]
     gamma_sum += 0.05
 print(f"\nafter {steps} steps: constrained composite norm = "
       f"{composite_norm(x_con, spec):.4f} (stays <= 1)")

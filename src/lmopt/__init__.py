@@ -60,12 +60,9 @@ from .optim import (
     ScheduleSpec,
     alpha_at,
     gamma_at,
-    momentum_update,
     rule_for,
-    scg_step,
     step,
     theory_gamma,
-    uscg_step,
 )
 
 __version__ = "0.1.0"

@@ -290,7 +290,7 @@ class NormSpec:
 def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowRank:
     """Validate an operand against the spec's shape and return it as float64.
 
-    A LowRank needs a matrix kind and has its factors taken as float64 arrays. It
+    A LowRank needs a matrix kind and nonempty factors, taken as float64 arrays. It
     comes back as those factors when keep_factors is set, for `lowrank_svd` to
     check, and otherwise as their product, checked like any dense operand. A
     non-finite entry raises ValueError; the l2 and spectral kinds leave that check to
@@ -300,6 +300,10 @@ def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowR
         if not spec._matrix:
             raise ValueError(f"a low-rank operand needs a matrix kind, not {spec.kind.value}")
         a = LowRank(np.asarray(s.left, dtype=np.float64), np.asarray(s.right, dtype=np.float64))
+        if a.left.size == 0 or a.right.size == 0:
+            raise ValueError(
+                f"low-rank factors must be nonempty, got shapes {a.left.shape} and {a.right.shape}"
+            )
         if not keep_factors:
             a = a.dense()
     else:

@@ -234,6 +234,10 @@ def momentum_update(
     alpha = 1 discards the history and returns g's own arrays, untouched by any
     arithmetic, the conventional first-iteration choice when the caller manages the
     buffer itself.
+
+    `step` alone calls it, for its AVERAGE and ORIENTED buffers. It is a function of
+    its own only so that the benchmark tracer's `TRACED` (lmopt_bench/tracer.py) can
+    time it, and goes, with its second check, once the tracer traces `step`.
     """
     _check_alpha(alpha)
     _check_like(d, g, "momentum_update")
@@ -370,7 +374,11 @@ def uscg_step(
     ns_iters: int | None = None,
 ) -> list[np.ndarray]:
     """Unconstrained conditional-gradient step x <- x + gamma * lmo(d), layer by
-    layer: `step` under the Algo.USCG rule, returning the new parameters."""
+    layer: `step` under the Algo.USCG rule, returning the new parameters.
+
+    Nothing calls it: run a rule as `step(..., RULES[Algo.USCG])`. It stays only as
+    a hook for the benchmark tracer's `TRACED` and `STEP_SPANS` (lmopt_bench/tracer.py)
+    and goes once the tracer traces `step`."""
     return step(x, state, g, gamma, alpha, spec, RULES[Algo.USCG], ns_iters)[0]
 
 
@@ -385,7 +393,11 @@ def scg_step(
 ) -> list[np.ndarray]:
     """Constrained conditional-gradient step x <- (1 - gamma) * x + gamma * lmo(d):
     `step` under the Algo.SCG rule, returning the new parameters. Needs a feasible
-    iterate."""
+    iterate.
+
+    Nothing calls it: run a rule as `step(..., RULES[Algo.SCG])`. It stays only as a
+    hook for the benchmark tracer's `TRACED` and `STEP_SPANS` (lmopt_bench/tracer.py)
+    and goes once the tracer traces `step`."""
     return step(x, state, g, gamma, alpha, spec, RULES[Algo.SCG], ns_iters)[0]
 
 
@@ -412,6 +424,10 @@ class ScheduleSpec:
     alpha0: float = 0.1
 
     def __post_init__(self):
+        if not isinstance(self.gamma_kind, GammaKind):
+            raise ValueError(f"gamma_kind must be a GammaKind, got {self.gamma_kind!r}")
+        if not isinstance(self.alpha_kind, AlphaKind):
+            raise ValueError(f"alpha_kind must be an AlphaKind, got {self.alpha_kind!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0.0 <= self.gamma0 <= 1.0:
@@ -442,10 +458,8 @@ def gamma_at(schedule: ScheduleSpec, k):
         return np.full(np.shape(k), schedule.gamma0, dtype=np.float64)
     if schedule.gamma_kind is GammaKind.LINEAR_DECAY:
         return schedule.gamma0 * (1.0 - k / n)
-    if schedule.gamma_kind is GammaKind.CONSTANT_THEN_LINEAR:
-        m = schedule.warmdown
-        return np.where(k < n - m, schedule.gamma0, schedule.gamma0 * (n - k) / m)
-    raise ValueError(f"unknown gamma kind {schedule.gamma_kind}")
+    m = schedule.warmdown
+    return np.where(k < n - m, schedule.gamma0, schedule.gamma0 * (n - k) / m)
 
 
 def alpha_at(schedule: ScheduleSpec, k):
@@ -454,9 +468,7 @@ def alpha_at(schedule: ScheduleSpec, k):
     _check_step(schedule, k)
     if schedule.alpha_kind is AlphaKind.CONSTANT:
         return np.full(np.shape(k), schedule.alpha0, dtype=np.float64)
-    if schedule.alpha_kind is AlphaKind.VANISHING:
-        return 1.0 / np.sqrt(k)
-    raise ValueError(f"unknown alpha kind {schedule.alpha_kind}")
+    return 1.0 / np.sqrt(k)
 
 
 def theory_gamma(n: int) -> float:

@@ -46,12 +46,11 @@ from lmopt.norms import (
     op_norm,
 )
 from lmopt.optim import (
+    RULES,
     Algo,
     OptimizerState,
     rule_for,
-    scg_step,
     step,
-    uscg_step,
 )
 from lmopt.problems import StochasticQuadratic, SyntheticClassification
 
@@ -155,7 +154,7 @@ def test_criterion_03_scg_feasibility():
     x = model_lmo(random_params(spec, 30), spec)  # boundary start
     state = OptimizerState.init(x)
     for k, g in enumerate(gradient_stream(spec, 31, 500), start=1):
-        x = scg_step(x, state, g, 0.05, 0.3, spec)
+        x = step(x, state, g, 0.05, 0.3, spec, RULES[Algo.SCG])[0]
         assert composite_norm(x, spec) <= 1.0 + 1e-8, f"infeasible at step {k}"
 
 
@@ -168,7 +167,7 @@ def test_criterion_04_uscg_norm_growth():
     total = 0.0
     for k, g in enumerate(gradient_stream(spec, 33, 500), start=1):
         gamma = 0.08 * (1.0 - k / 501.0)
-        x = uscg_step(x, state, g, gamma, 0.2, spec)
+        x = step(x, state, g, gamma, 0.2, spec, RULES[Algo.USCG])[0]
         total += gamma
     disp = [xi - x0i for xi, x0i in zip(x, x0)]
     assert composite_norm(disp, spec) <= total + 1e-8
@@ -187,7 +186,7 @@ def test_criterion_05_equivalences():
     xb = [p.copy() for p in xa]
     sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
     for g in stream:
-        xa = uscg_step(xa, sa, g, 0.02, 1.0 - beta, spec)
+        xa = step(xa, sa, g, 0.02, 1.0 - beta, spec, RULES[Algo.USCG])[0]
         xb, _ = step(xb, sb, g, 0.02, 1.0, spec, rule_for(Algo.MUON_PLAIN, beta=beta))
     for a, b in zip(xa, xb):
         np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
@@ -204,7 +203,7 @@ def test_criterion_05_equivalences():
     sb = OptimizerState.init(xb)
     for g in stream:
         xa, _ = step(xa, sa, g, gamma, 0.15, spec, rule_for(Algo.USCG_WD, mu=mu))
-        xb = scg_step(xb, sb, g, gamma * mu, 0.15, inflated)
+        xb = step(xb, sb, g, gamma * mu, 0.15, inflated, RULES[Algo.SCG])[0]
     for a, b in zip(xa, xb):
         np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
 
@@ -214,7 +213,7 @@ def test_criterion_05_equivalences():
     xb = [p.copy() for p in xa]
     sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
     for g in stream:
-        xa = uscg_step(xa, sa, g, 0.03, alpha, spec)
+        xa = step(xa, sa, g, 0.03, alpha, spec, RULES[Algo.USCG])[0]
         xb, _ = step(xb, sb, g, 0.03, alpha, spec, rule_for(Algo.USCG_LIGHT))
     for a, b in zip(xa, xb):
         np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
@@ -225,7 +224,7 @@ def test_criterion_05_equivalences():
     sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
     for k, g in enumerate(stream, start=1):
         alpha = 1.0 / np.sqrt(k)
-        xa = uscg_step(xa, sa, g, 0.03, alpha, spec)
+        xa = step(xa, sa, g, 0.03, alpha, spec, RULES[Algo.USCG])[0]
         xb, _ = step(xb, sb, g, 0.03, alpha, spec, rule_for(Algo.USCG_LIGHT))
     for a, b in zip(xa, xb):
         np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)

@@ -783,6 +783,22 @@ class TestLowRankOperand:
             with pytest.raises(ValueError):  # the Newton-Schulz lmo takes the product
                 lmo(s, spec, ns_iters=5)
 
+    EMPTY_FACTOR_ROUTES = {
+        "lmo": lmo,
+        "lmo_newton_schulz": lambda s, spec: lmo(s, spec, ns_iters=5),
+        "op_norm": op_norm,
+        "dual_norm": dual_norm,
+        "sharp_op": sharp_op,
+    }
+
+    @pytest.mark.parametrize("route", sorted(EMPTY_FACTOR_ROUTES))
+    def test_factors_without_columns_rejected_on_every_route(self, route):
+        # their product would be the zero matrix; every route refuses them by name
+        spec = NormSpec(NormKind.SPECTRAL, 1.0, 3, 5)
+        s = LowRank(np.zeros((3, 0)), np.zeros((5, 0)))
+        with pytest.raises(ValueError, match="low-rank factors must be nonempty"):
+            self.EMPTY_FACTOR_ROUTES[route](s, spec)
+
     @pytest.mark.parametrize(
         "kind", [NormKind.SIGN, NormKind.COL_NORM, NormKind.ROW_NORM, NormKind.SPECTRAL]
     )

@@ -28,12 +28,9 @@ from lmopt.optim import (
     ScheduleSpec,
     alpha_at,
     gamma_at,
-    momentum_update,
     rule_for,
-    scg_step,
     step,
     theory_gamma,
-    uscg_step,
 )
 
 
@@ -81,50 +78,73 @@ def assert_close_lists(a, b, tol=1e-10):
         np.testing.assert_allclose(x, y, atol=tol, rtol=0.0)
 
 
-class TestMomentumUpdate:
-    def test_alpha_one_returns_gradient(self):
+def averaged_buffer(algo, d, g, alpha, spec, borrowed=False):
+    """The gradient estimate d_k that optim.step forms from buffer d and gradient g
+    under the algo's AVERAGE row, from a zero (feasible) iterate."""
+    x = [np.zeros(np.shape(gi)) for gi in g]
+    state = OptimizerState(d=d, borrowed=borrowed)
+    return step(x, state, g, 0.1, alpha, spec, RULES[algo])[1]
+
+
+def vector_spec(dim):
+    return ModelNormSpec((NormSpec.vector(NormKind.EUCLIDEAN_VEC, dim),))
+
+
+@pytest.mark.parametrize("algo", [a for a in Algo if RULES[a].buffer is Buffer.AVERAGE])
+class TestAveragedBuffer:
+    def test_alpha_one_returns_gradient(self, algo):
         d = [np.array([5.0, -2.0])]
         g = [np.array([1.0, 1.0])]
-        assert_close_lists(momentum_update(d, g, 1.0), g, tol=0.0)
+        assert_close_lists(averaged_buffer(algo, d, g, 1.0, vector_spec(2)), g, tol=0.0)
 
-    def test_alpha_one_returns_gradient_arrays_untouched(self):
+    def test_alpha_one_returns_gradient_arrays_untouched(self, algo):
+        spec = ModelNormSpec(
+            (NormSpec(NormKind.SPECTRAL, 1.0, 3, 2), NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2))
+        )
         d = [np.full((3, 2), np.nan), np.array([5.0, -2.0])]
         g = [LowRank(np.ones((3, 1)), np.ones((2, 1))), np.array([-0.0, 1.0])]
-        out = momentum_update(d, g, 1.0)
+        out = averaged_buffer(algo, d, g, 1.0, spec)
         assert len(out) == 2 and all(o is gi for o, gi in zip(out, g))
 
-    def test_convex_combination(self):
+    def test_convex_combination(self, algo):
         d = [np.array([1.0, 1.0])]
         g = [np.array([0.0, 2.0])]
-        np.testing.assert_allclose(momentum_update(d, g, 0.1)[0], [0.9, 1.1])
+        out = averaged_buffer(algo, d, g, 0.1, vector_spec(2))
+        np.testing.assert_allclose(out[0], [0.9, 1.1])
 
-    def test_fixed_point(self):
+    def test_fixed_point(self, algo):
         g = [np.array([2.0, -1.0])]
-        assert_close_lists(momentum_update([gi.copy() for gi in g], g, 0.5), g, tol=0.0)
+        out = averaged_buffer(algo, [gi.copy() for gi in g], g, 0.5, vector_spec(2))
+        assert_close_lists(out, g, tol=0.0)
 
-    def test_written_into_owned_buffer(self):
+    def test_written_into_owned_buffer(self, algo):
+        spec = ModelNormSpec(
+            (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2), NormSpec(NormKind.SIGN, 1.0, 1, 1))
+        )
         d = [np.array([1.0, 1.0]), np.array([[4.0]])]
         g = [np.array([0.0, 2.0]), np.array([[-4.0]])]
-        out = momentum_update(d, g, 0.25)
+        out = averaged_buffer(algo, d, g, 0.25, spec)
         assert all(o is di for o, di in zip(out, d))
         np.testing.assert_array_equal(d[1], [[2.0]])
 
-    def test_borrowed_buffer_left_alone(self):
-        # Arrays the caller does not own get one fresh buffer with the same bits.
+    def test_borrowed_buffer_left_alone(self, algo):
+        # Arrays the state does not own get one fresh buffer with the same bits.
         d = [np.array([1.0, 1.0])]
         g = [np.array([0.0, 2.0])]
-        out = momentum_update(d, g, 0.1, owned=False)
+        out = averaged_buffer(algo, d, g, 0.1, vector_spec(2), borrowed=True)
         assert not np.shares_memory(out[0], d[0])
         np.testing.assert_array_equal(d[0], [1.0, 1.0])
         np.testing.assert_array_equal(out[0], (1.0 - 0.1) * d[0] + 0.1 * g[0])
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            momentum_update([np.zeros(2)], [np.zeros(3)], 0.5)
+    def test_shape_mismatch(self, algo):
+        x = [np.zeros(2)]
+        with pytest.raises(ValueError, match="shapes"):
+            step(x, OptimizerState.init(x), [np.zeros(3)], 0.1, 0.5, vector_spec(2), RULES[algo])
 
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            momentum_update([np.zeros(2)], [np.zeros(2)], 0.0)
+    def test_alpha_range(self, algo):
+        x = [np.zeros(2)]
+        with pytest.raises(ValueError, match="alpha must be in"):
+            step(x, OptimizerState.init(x), [np.zeros(2)], 0.1, 0.0, vector_spec(2), RULES[algo])
 
 
 class TestUscg:
@@ -133,7 +153,7 @@ class TestUscg:
         x = [np.zeros((1, 2))]
         state = OptimizerState.init(x)
         g = [np.array([[2.0, -3.0]])]
-        x = uscg_step(x, state, g, gamma=0.5, alpha=1.0, spec=spec)
+        x = step(x, state, g, gamma=0.5, alpha=1.0, spec=spec, rule=RULES[Algo.USCG])[0]
         np.testing.assert_allclose(x[0], [[-0.5, 0.5]])
 
     def test_zero_gradient_freezes(self):
@@ -141,7 +161,7 @@ class TestUscg:
         x = random_params(spec, 1)
         state = OptimizerState.init(x)
         zeros = [np.zeros_like(p) for p in x]
-        x2 = uscg_step(x, state, zeros, gamma=0.3, alpha=0.5, spec=spec)
+        x2 = step(x, state, zeros, gamma=0.3, alpha=0.5, spec=spec, rule=RULES[Algo.USCG])[0]
         assert_close_lists(x2, x, tol=0.0)
 
     def test_displacement_bound_500_steps(self):
@@ -155,7 +175,7 @@ class TestUscg:
         total = 0.0
         for k, g in enumerate(gradient_stream(spec, 17, 500), start=1):
             gamma = gamma_at(schedule, k)
-            x = uscg_step(x, state, g, gamma, alpha_at(schedule, k), spec)
+            x = step(x, state, g, gamma, alpha_at(schedule, k), spec, RULES[Algo.USCG])[0]
             total += gamma
         disp = [xi - x0i for xi, x0i in zip(x, x0)]
         assert composite_norm(disp, spec) <= total + 1e-8
@@ -169,7 +189,7 @@ class TestUscg:
             state = OptimizerState.init(x)
             for k, g in enumerate(stream, start=1):
                 scaled = [c * gi for gi in g]
-                x = uscg_step(x, state, scaled, 0.02, 0.1, spec)
+                x = step(x, state, scaled, 0.02, 0.1, spec, RULES[Algo.USCG])[0]
             results.append(x)
         assert_close_lists(results[0], results[1], tol=1e-10)
 
@@ -182,7 +202,7 @@ class TestUscg:
             state = OptimizerState.init(x)
             for g in stream:
                 scaled = [c * gi for gi in g]
-                x = scg_step(x, state, scaled, 0.05, 0.2, spec)
+                x = step(x, state, scaled, 0.05, 0.2, spec, RULES[Algo.SCG])[0]
             results.append(x)
         assert_close_lists(results[0], results[1], tol=1e-10)
 
@@ -196,7 +216,7 @@ class TestScg:
         state = OptimizerState.init(x)
         # gradient pointing along +x so lmo(d) = [-1, 0]
         g = [np.array([1.0, 0.0])]
-        x = scg_step(x, state, g, gamma=0.5, alpha=1.0, spec=spec)
+        x = step(x, state, g, gamma=0.5, alpha=1.0, spec=spec, rule=RULES[Algo.SCG])[0]
         np.testing.assert_allclose(x[0], [0.0, 0.0], atol=1e-15)
 
     def test_gamma_one_lands_on_boundary(self):
@@ -206,7 +226,7 @@ class TestScg:
         x = [np.zeros(3)]
         state = OptimizerState.init(x)
         g = [np.array([1.0, 2.0, -2.0])]
-        x = scg_step(x, state, g, gamma=1.0, alpha=1.0, spec=spec)
+        x = step(x, state, g, gamma=1.0, alpha=1.0, spec=spec, rule=RULES[Algo.SCG])[0]
         assert composite_norm(x, spec) == pytest.approx(1.0)
         np.testing.assert_allclose(x[0], lmo(g[0], spec.atoms[0]))
 
@@ -216,7 +236,7 @@ class TestScg:
         assert composite_norm(x, spec) == pytest.approx(1.0, abs=1e-9)
         state = OptimizerState.init(x)
         for k, g in enumerate(gradient_stream(spec, 29, 500), start=1):
-            x = scg_step(x, state, g, 0.05, 0.3, spec)
+            x = step(x, state, g, 0.05, 0.3, spec, RULES[Algo.SCG])[0]
             assert composite_norm(x, spec) <= 1.0 + 1e-8
 
     def test_infeasible_start_rejected(self):
@@ -225,7 +245,7 @@ class TestScg:
         state = OptimizerState.init(x)
         g = random_params(spec, 14)
         with pytest.raises(ValueError, match="feasible"):
-            scg_step(x, state, g, 0.1, 0.5, spec)
+            step(x, state, g, 0.1, 0.5, spec, RULES[Algo.SCG])
 
 
     def test_one_infeasible_trial_in_a_stack_rejected(self):
@@ -235,10 +255,10 @@ class TestScg:
         rows = rng_gaussian(6, 1, [derive_seed(15, t) for t in range(4)])[..., 0]
         x = [2.0 * rows / np.linalg.norm(rows, axis=1, keepdims=True)]
         g = [rng_gaussian(6, 1, [derive_seed(16, t) for t in range(4)])[..., 0]]
-        scg_step(x, OptimizerState.init(x), g, 0.1, 0.5, spec)
+        step(x, OptimizerState.init(x), g, 0.1, 0.5, spec, RULES[Algo.SCG])
         x[0][2] *= 1.5
         with pytest.raises(ValueError, match="feasible"):
-            scg_step(x, OptimizerState.init(x), g, 0.1, 0.5, spec)
+            step(x, OptimizerState.init(x), g, 0.1, 0.5, spec, RULES[Algo.SCG])
 
 
 @pytest.fixture
@@ -261,7 +281,7 @@ class TestScgCertificate:
         state = OptimizerState.init(x)
         assert state.certificate is None
         for k, g in enumerate(gradient_stream(spec, 71, 20), start=1):
-            x = scg_step(x, state, g, 0.05, 0.3, spec)
+            x = step(x, state, g, 0.05, 0.3, spec, RULES[Algo.SCG])[0]
             assert len(norm_calls) == 1, k
             assert all(c is p for c, p in zip(state.certificate.x, x, strict=True))
             assert composite_norm(x, spec) <= state.certificate.bound <= 1.0 + 1e-10
@@ -271,15 +291,15 @@ class TestScgCertificate:
         x = boundary_params(spec, 72)
         state = OptimizerState.init(x)
         g = random_params(spec, 73)
-        vouched = scg_step(x, state, g, 0.1, 0.5, spec)
+        vouched = step(x, state, g, 0.1, 0.5, spec, RULES[Algo.SCG])[0]
         infeasible = [3.0 * p for p in vouched]
         for p in infeasible:
             p.flags.writeable = False
         with pytest.raises(ValueError, match="feasible"):
-            scg_step(infeasible, state, g, 0.1, 0.5, spec)
+            step(infeasible, state, g, 0.1, 0.5, spec, RULES[Algo.SCG])
         assert len(norm_calls) == 2
         # The rejected step left the certificate standing for the arrays it names.
-        scg_step(list(vouched), state, g, 0.1, 0.5, spec)
+        step(list(vouched), state, g, 0.1, 0.5, spec, RULES[Algo.SCG])
         assert len(norm_calls) == 2
 
     def test_newton_schulz_measures_every_step(self, norm_calls):
@@ -287,14 +307,15 @@ class TestScgCertificate:
         x = [0.5 * p for p in boundary_params(spec, 74)]
         state = OptimizerState.init(x)
         for k, g in enumerate(gradient_stream(spec, 75, 5), start=1):
-            x = scg_step(x, state, g, 0.1, 0.3, spec, ns_iters=5)
+            x = step(x, state, g, 0.1, 0.3, spec, RULES[Algo.SCG], ns_iters=5)[0]
             assert len(norm_calls) == k
             assert state.certificate is None
 
     def test_outputs_are_read_only(self):
         spec = mixed_spec()
         x = boundary_params(spec, 76)
-        out = scg_step(x, OptimizerState.init(x), random_params(spec, 77), 0.1, 0.5, spec)
+        g = random_params(spec, 77)
+        out = step(x, OptimizerState.init(x), g, 0.1, 0.5, spec, RULES[Algo.SCG])[0]
         for p in out:
             assert not p.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -305,11 +326,11 @@ class TestScgCertificate:
         x = boundary_params(spec, 78)
         state = OptimizerState.init(x)
         g = random_params(spec, 79)
-        x = scg_step(x, state, g, 0.1, 0.5, spec)
+        x = step(x, state, g, 0.1, 0.5, spec, RULES[Algo.SCG])[0]
         x[0].flags.writeable = True
         x[0] *= 3.0
         with pytest.raises(ValueError, match="feasible"):
-            scg_step(x, state, g, 0.1, 0.5, spec)
+            step(x, state, g, 0.1, 0.5, spec, RULES[Algo.SCG])
         assert len(norm_calls) == 2
 
     def test_other_spec_is_measured(self, norm_calls):
@@ -317,12 +338,12 @@ class TestScgCertificate:
         x = boundary_params(spec, 80)
         state = OptimizerState.init(x)
         g = random_params(spec, 81)
-        x = scg_step(x, state, g, 0.1, 0.5, spec)
+        x = step(x, state, g, 0.1, 0.5, spec, RULES[Algo.SCG])[0]
         shrunk = ModelNormSpec(tuple(
             replace(atom, radius=atom.radius / 4) for atom in spec.atoms
         ))
         with pytest.raises(ValueError, match="feasible"):
-            scg_step(x, state, g, 0.1, 0.5, shrunk)
+            step(x, state, g, 0.1, 0.5, shrunk, RULES[Algo.SCG])
         assert len(norm_calls) == 2
 
     def test_bound_past_slack_measures_once_and_resets(self, norm_calls):
@@ -330,13 +351,13 @@ class TestScgCertificate:
         x = boundary_params(spec, 82)
         state = OptimizerState.init(x)
         stream = gradient_stream(spec, 83, 3)
-        x = scg_step(x, state, stream[0], 0.1, 0.5, spec)
+        x = step(x, state, stream[0], 0.1, 0.5, spec, RULES[Algo.SCG])[0]
         state.certificate = replace(state.certificate, bound=1.0 + 2 * FEASIBILITY_SLACK)
         measured = float(np.max(composite_norm(x, spec)))
-        x = scg_step(x, state, stream[1], 0.1, 0.5, spec)
+        x = step(x, state, stream[1], 0.1, 0.5, spec, RULES[Algo.SCG])[0]
         assert len(norm_calls) == 2
         assert state.certificate.bound == 0.9 * measured + 0.1 + CERTIFICATE_ROUNDING
-        scg_step(x, state, stream[2], 0.1, 0.5, spec)
+        step(x, state, stream[2], 0.1, 0.5, spec, RULES[Algo.SCG])
         assert len(norm_calls) == 2
 
     def test_stacked_rows_vouched(self, norm_calls):
@@ -348,7 +369,7 @@ class TestScgCertificate:
         state = OptimizerState.init(x)
         for k in range(5):
             g = [rng_gaussian(6, 1, [derive_seed(85, k, t) for t in range(4)])[..., 0]]
-            x = scg_step(x, state, g, 0.2, 0.5, spec)
+            x = step(x, state, g, 0.2, 0.5, spec, RULES[Algo.SCG])[0]
             assert np.max(composite_norm(x, spec)) <= state.certificate.bound
         assert len(norm_calls) == 1
 
@@ -556,7 +577,7 @@ class TestWeightDecay:
         xb = [p.copy() for p in xa]
         sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
         for g in stream:
-            xa = uscg_step(xa, sa, g, 0.03, 0.2, spec)
+            xa = step(xa, sa, g, 0.03, 0.2, spec, RULES[Algo.USCG])[0]
             xb = rule_step(Algo.USCG_WD, xb, sb, g, 0.03, 0.2, spec, mu=0.0)
         assert_close_lists(xa, xb, tol=0.0)
 
@@ -568,7 +589,7 @@ class TestWeightDecay:
         sa = OptimizerState.init(xa)
         sb = OptimizerState.init(xb)
         for g in stream:
-            xa = scg_step(xa, sa, g, 0.05, 0.2, spec)
+            xa = step(xa, sa, g, 0.05, 0.2, spec, RULES[Algo.SCG])[0]
             xb = rule_step(Algo.USCG_WD, xb, sb, g, 0.05, 0.2, spec, mu=1.0)
         assert_close_lists(xa, xb, tol=1e-12)
 
@@ -595,7 +616,7 @@ class TestWeightDecay:
         sb = OptimizerState.init(xb)
         for g in stream:
             xa = rule_step(Algo.USCG_WD, xa, sa, g, gamma, 0.15, base, mu=mu)
-            xb = scg_step(xb, sb, g, gamma * mu, 0.15, inflated)
+            xb = step(xb, sb, g, gamma * mu, 0.15, inflated, RULES[Algo.SCG])[0]
         assert_close_lists(xa, xb, tol=1e-10)
 
 
@@ -648,7 +669,7 @@ class TestMuon:
         sa = OptimizerState.init(xa)
         sb = OptimizerState.init(xb)
         for g in stream:
-            xa = uscg_step(xa, sa, g, 0.02, 1.0 - beta, spec)
+            xa = step(xa, sa, g, 0.02, 1.0 - beta, spec, RULES[Algo.USCG])[0]
             xb = muon(xb, sb, g, 0.02, beta, False, spec)
         assert_close_lists(xa, xb, tol=1e-10)
 
@@ -743,7 +764,7 @@ class TestScionLight:
         state = OptimizerState.init(xa)
         sb = OptimizerState.init(xb)
         for g in stream:
-            xa = uscg_step(xa, state, g, 0.03, alpha, spec)
+            xa = step(xa, state, g, 0.03, alpha, spec, RULES[Algo.USCG])[0]
             xb = rule_step(Algo.USCG_LIGHT, xb, sb, g, 0.03, alpha, spec)
         assert_close_lists(xa, xb, tol=1e-10)
 
@@ -869,7 +890,7 @@ class TestRuleTable:
             rule = rule_for(algo, beta=beta)
             for g in stream:
                 a = alpha if algo is not Algo.MUON_PLAIN else 1.0 - beta
-                ref = momentum_update(ref, g, a)
+                ref = [(1 - a) * r + a * gi for r, gi in zip(ref, g)]
                 x, d_k = step(x, state, g, 0.1, alpha, spec, rule)
                 assert_close_lists(d_k, ref, tol=1e-12)
                 if algo is not Algo.USCG:
@@ -965,14 +986,14 @@ class TestStateBookkeeping:
         state = OptimizerState.init(x)
         assert state.alpha is None
         for k, g in enumerate(gradient_stream(spec, 67, 5), start=1):
-            x = uscg_step(x, state, g, 0.1, 1.0 / np.sqrt(k), spec)
+            x = step(x, state, g, 0.1, 1.0 / np.sqrt(k), spec, RULES[Algo.USCG])[0]
             assert state.alpha == 1.0 / np.sqrt(k)
 
     def test_direction_shapes_mirror_params(self):
         spec = mixed_spec()
         x = random_params(spec, 15)
         state = OptimizerState.init(x)
-        uscg_step(x, state, random_params(spec, 16), 0.1, 0.5, spec)
+        step(x, state, random_params(spec, 16), 0.1, 0.5, spec, RULES[Algo.USCG])
         for di, xi in zip(state.d, x):
             assert di.shape == xi.shape
 
@@ -990,10 +1011,10 @@ _REJECTIONS = {
         lambda: ScheduleSpec(horizon=4, gamma_kind=GammaKind.CONSTANT_THEN_LINEAR, warmdown=5),
         "constant-then-linear decay needs 0 < warmdown <= horizon"),
     # a kind given by its value rather than as the enum member
-    "gamma_kind": (lambda: gamma_at(ScheduleSpec(horizon=4, gamma_kind="linear"), 1),
-                   "unknown gamma kind linear"),
-    "alpha_kind": (lambda: alpha_at(ScheduleSpec(horizon=4, alpha_kind="vanishing"), 1),
-                   "unknown alpha kind vanishing"),
+    "gamma_kind": (lambda: ScheduleSpec(horizon=4, gamma_kind="linear"),
+                   "gamma_kind must be a GammaKind, got 'linear'"),
+    "alpha_kind": (lambda: ScheduleSpec(horizon=4, alpha_kind="vanishing"),
+                   "alpha_kind must be an AlphaKind, got 'vanishing'"),
     "theory_horizon": (lambda: theory_gamma(0), "horizon must be >= 1, got 0"),
 }
 

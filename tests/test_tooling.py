@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,26 @@ def test_traced_name_resolves(name):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+# The step entry points that lmopt.optim keeps only as the tracer's hooks; everything
+# else runs a rule as `step` under `RULES`.
+TRACER_HOOKS = re.compile(r"\b(uscg_step|scg_step|momentum_update)\b")
+
+
+def test_tracer_hooks_named_only_by_optim():
+    skipped = {ROOT / "src" / "lmopt" / "optim.py", Path(__file__).resolve()}
+    files = [ROOT / "README.md"] + [
+        p for d in ("src", "tests", "demos") for p in sorted((ROOT / d).rglob("*"))
+        if p.is_file() and "__pycache__" not in p.parts and p not in skipped
+    ]
+    named = [
+        f"{path.relative_to(ROOT)}:{n}"
+        for path in files
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if TRACER_HOOKS.search(line)
+    ]
+    assert not named
 
 
 def test_tier1_runs_on_one_blas_thread():
