@@ -292,7 +292,10 @@ def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowR
 
     A LowRank needs a matrix kind and nonempty factors, taken as float64 arrays. It
     comes back as those factors when keep_factors is set, for `lowrank_svd` to
-    check, and otherwise as their product, checked like any dense operand. A
+    check, and otherwise as their product, checked like any dense operand. The
+    empty-factor check repeats `lowrank_svd`'s because it must come before the
+    route splits: the dense routes would take the product, a zero matrix, and the
+    exact route's scaling fails inside numpy before `lowrank_svd` is reached. A
     non-finite entry raises ValueError; the l2 and spectral kinds leave that check to
     the range guard of `_l2_rows` and to linalg, whose every route ends in `as_matrix`.
     """

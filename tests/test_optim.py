@@ -78,73 +78,78 @@ def assert_close_lists(a, b, tol=1e-10):
         np.testing.assert_allclose(x, y, atol=tol, rtol=0.0)
 
 
-def averaged_buffer(algo, d, g, alpha, spec, borrowed=False):
+def averaged_buffer(d, g, alpha, spec, borrowed=False):
     """The gradient estimate d_k that optim.step forms from buffer d and gradient g
-    under the algo's AVERAGE row, from a zero (feasible) iterate."""
+    under uSCG's AVERAGE row, from a zero iterate. SCG and uSCG-WD form d_k the same
+    way and differ only in their move."""
     x = [np.zeros(np.shape(gi)) for gi in g]
     state = OptimizerState(d=d, borrowed=borrowed)
-    return step(x, state, g, 0.1, alpha, spec, RULES[algo])[1]
+    return step(x, state, g, 0.1, alpha, spec, RULES[Algo.USCG])[1]
 
 
 def vector_spec(dim):
     return ModelNormSpec((NormSpec.vector(NormKind.EUCLIDEAN_VEC, dim),))
 
 
-@pytest.mark.parametrize("algo", [a for a in Algo if RULES[a].buffer is Buffer.AVERAGE])
 class TestAveragedBuffer:
-    def test_alpha_one_returns_gradient(self, algo):
+    def test_alpha_one_returns_gradient(self):
         d = [np.array([5.0, -2.0])]
         g = [np.array([1.0, 1.0])]
-        assert_close_lists(averaged_buffer(algo, d, g, 1.0, vector_spec(2)), g, tol=0.0)
+        assert_close_lists(averaged_buffer(d, g, 1.0, vector_spec(2)), g, tol=0.0)
 
-    def test_alpha_one_returns_gradient_arrays_untouched(self, algo):
+    def test_alpha_one_returns_gradient_arrays_untouched(self):
         spec = ModelNormSpec(
             (NormSpec(NormKind.SPECTRAL, 1.0, 3, 2), NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2))
         )
         d = [np.full((3, 2), np.nan), np.array([5.0, -2.0])]
         g = [LowRank(np.ones((3, 1)), np.ones((2, 1))), np.array([-0.0, 1.0])]
-        out = averaged_buffer(algo, d, g, 1.0, spec)
+        out = averaged_buffer(d, g, 1.0, spec)
         assert len(out) == 2 and all(o is gi for o, gi in zip(out, g))
 
-    def test_convex_combination(self, algo):
+    def test_convex_combination(self):
         d = [np.array([1.0, 1.0])]
         g = [np.array([0.0, 2.0])]
-        out = averaged_buffer(algo, d, g, 0.1, vector_spec(2))
+        out = averaged_buffer(d, g, 0.1, vector_spec(2))
         np.testing.assert_allclose(out[0], [0.9, 1.1])
 
-    def test_fixed_point(self, algo):
+    def test_fixed_point(self):
         g = [np.array([2.0, -1.0])]
-        out = averaged_buffer(algo, [gi.copy() for gi in g], g, 0.5, vector_spec(2))
+        out = averaged_buffer([gi.copy() for gi in g], g, 0.5, vector_spec(2))
         assert_close_lists(out, g, tol=0.0)
 
-    def test_written_into_owned_buffer(self, algo):
+    def test_written_into_owned_buffer(self):
         spec = ModelNormSpec(
             (NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2), NormSpec(NormKind.SIGN, 1.0, 1, 1))
         )
         d = [np.array([1.0, 1.0]), np.array([[4.0]])]
         g = [np.array([0.0, 2.0]), np.array([[-4.0]])]
-        out = averaged_buffer(algo, d, g, 0.25, spec)
+        out = averaged_buffer(d, g, 0.25, spec)
         assert all(o is di for o, di in zip(out, d))
         np.testing.assert_array_equal(d[1], [[2.0]])
 
-    def test_borrowed_buffer_left_alone(self, algo):
+    def test_borrowed_buffer_left_alone(self):
         # Arrays the state does not own get one fresh buffer with the same bits.
         d = [np.array([1.0, 1.0])]
         g = [np.array([0.0, 2.0])]
-        out = averaged_buffer(algo, d, g, 0.1, vector_spec(2), borrowed=True)
+        out = averaged_buffer(d, g, 0.1, vector_spec(2), borrowed=True)
         assert not np.shares_memory(out[0], d[0])
         np.testing.assert_array_equal(d[0], [1.0, 1.0])
         np.testing.assert_array_equal(out[0], (1.0 - 0.1) * d[0] + 0.1 * g[0])
 
-    def test_shape_mismatch(self, algo):
-        x = [np.zeros(2)]
+    def test_shape_mismatch(self):
+        x, rule = [np.zeros(2)], RULES[Algo.USCG]
         with pytest.raises(ValueError, match="shapes"):
-            step(x, OptimizerState.init(x), [np.zeros(3)], 0.1, 0.5, vector_spec(2), RULES[algo])
+            step(x, OptimizerState.init(x), [np.zeros(3)], 0.1, 0.5, vector_spec(2), rule)
 
-    def test_alpha_range(self, algo):
-        x = [np.zeros(2)]
+    def test_buffer_shape_mismatch(self):
+        # A (2,) buffer would take a (1,) gradient by broadcasting; the step rejects it.
+        with pytest.raises(ValueError, match="shapes"):
+            averaged_buffer([np.zeros(2)], [np.ones(1)], 0.5, vector_spec(1))
+
+    def test_alpha_range(self):
+        x, rule = [np.zeros(2)], RULES[Algo.USCG]
         with pytest.raises(ValueError, match="alpha must be in"):
-            step(x, OptimizerState.init(x), [np.zeros(2)], 0.1, 0.0, vector_spec(2), RULES[algo])
+            step(x, OptimizerState.init(x), [np.zeros(2)], 0.1, 0.0, vector_spec(2), rule)
 
 
 class TestUscg:
