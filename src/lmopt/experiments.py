@@ -600,6 +600,11 @@ class RateReport:
     constants: dict
 
 
+def _theory_schedule(n: int) -> ScheduleSpec:
+    """The rate theory's schedule: alpha_k = 1 / sqrt(k), gamma = theory_gamma(n)."""
+    return ScheduleSpec(horizon=n, gamma0=theory_gamma(n), alpha_kind=AlphaKind.VANISHING)
+
+
 def rate_harness(
     optimizer: str,
     mode: str,
@@ -658,8 +663,7 @@ def rate_harness(
             return float(np.mean([float(np.mean(row[tail:])) for row in column]))
 
     if mode == "vanishing":
-        runs = [(problem, ScheduleSpec(horizon=n, gamma0=theory_gamma(n),
-                                       alpha_kind=AlphaKind.VANISHING), 0) for n in n_list]
+        runs = [(problem, _theory_schedule(n), 0) for n in n_list]
     else:
         runs, n = [], max(n_list)
         schedule = ScheduleSpec(horizon=n, gamma0=float(1.0 / np.sqrt(n)), alpha0=alpha)
@@ -707,8 +711,7 @@ def error_decay_probe(problem, n: int = 4096, trials: int = 20) -> ErrorDecayRep
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n < 2:
         raise ValueError(f"n must be >= 2 to fit a slope, got {n}")
-    schedule = ScheduleSpec(horizon=n, gamma0=theory_gamma(n), alpha_kind=AlphaKind.VANISHING)
-    _, diags = train_quadratic(problem, Algo.USCG, schedule, range(trials), rho=1.0)
+    _, diags = train_quadratic(problem, Algo.USCG, _theory_schedule(n), range(trials), rho=1.0)
     with np.errstate(over="ignore"):  # an overflow is reported below, by its step
         mean_sq = np.square(diags.est_error).sum(axis=0) / trials
     bad = np.flatnonzero(~np.isfinite(mean_sq))

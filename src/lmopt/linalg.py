@@ -75,16 +75,29 @@ class LowRank:
 
     A product of b outer products, such as a batch-of-b weight gradient, has rank at
     most b; `lowrank_svd` factors it without forming the (m, n) product. It is an
-    operand, not an array: `dense()` forms the product.
+    operand, not an array: `dense()` forms the product. Its factors are taken as
+    float64 when it is built, and must be 2-D, nonempty and share their column count.
     """
 
     left: np.ndarray
     right: np.ndarray
 
+    def __post_init__(self):
+        for name in ("left", "right"):
+            f = np.asarray(getattr(self, name), dtype=np.float64)
+            if f.ndim != 2:
+                raise ValueError(f"{name} factor must be 2-D, got shape {f.shape}")
+            if f.size == 0:
+                raise ValueError(f"{name} factor must be nonempty, got shape {f.shape}")
+            object.__setattr__(self, name, f)
+        if self.left.shape[1] != self.right.shape[1]:
+            raise ValueError(
+                f"factors must share a column count, got {self.left.shape} and {self.right.shape}"
+            )
+
     @property
-    def shape(self) -> tuple[int, ...]:
-        # Sliced, so a factor that is not 2-D gives a wrong shape, not an IndexError.
-        return self.left.shape[:1] + self.right.shape[:1]
+    def shape(self) -> tuple[int, int]:
+        return self.left.shape[0], self.right.shape[0]
 
     def dense(self) -> np.ndarray:
         return self.left @ self.right.T
@@ -145,14 +158,10 @@ def lowrank_svd(a: LowRank) -> SvdResult:
     through Ql and Qr. The cutoff is RANK_RTOL relative to the largest singular
     value, as in svd_reduced. A product below RANK_RTOL * ||Rl||_F ||Rr||_F, which
     bounds sigma_max, is numerically zero, including factors that cancel: it has
-    rank 0 and empty factors. Each factor is validated as in as_matrix, and the two
-    must share their column count.
+    rank 0 and empty factors. Each factor is checked for finiteness by as_matrix;
+    the LowRank checked their shapes when it was built.
     """
     left, right = as_matrix(a.left, "left factor"), as_matrix(a.right, "right factor")
-    if left.shape[1] != right.shape[1]:
-        raise ValueError(
-            f"factors must share their column count, got {left.shape} and {right.shape}"
-        )
     ql, rl = np.linalg.qr(left)
     qr, rr = np.linalg.qr(right)
     core = rl @ rr.T

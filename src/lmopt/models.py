@@ -93,6 +93,8 @@ class LayerSpec:
     bias_norm: NormSpec | None = None
 
     def __post_init__(self):
+        if not isinstance(self.activation, Activation):
+            raise ValueError(f"activation must be an Activation, got {self.activation!r}")
         if not isinstance(self.weight_norm, NormSpec) or self.weight_norm.is_vector:
             raise ValueError("weight_norm must be a matrix norm")
         if self.bias_norm is not None and (

@@ -255,6 +255,8 @@ class NormSpec:
     d_in: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.kind, NormKind):
+            raise ValueError(f"kind must be a NormKind, got {self.kind!r}")
         if self.radius <= 0.0 or not np.isfinite(self.radius):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.d_out < 1 or self.d_in < 1:
@@ -290,25 +292,16 @@ class NormSpec:
 def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowRank:
     """Validate an operand against the spec's shape and return it as float64.
 
-    A LowRank needs a matrix kind and nonempty factors, taken as float64 arrays. It
-    comes back as those factors when keep_factors is set, for `lowrank_svd` to
-    check, and otherwise as their product, checked like any dense operand. The
-    empty-factor check repeats `lowrank_svd`'s because it must come before the
-    route splits: the dense routes would take the product, a zero matrix, and the
-    exact route's scaling fails inside numpy before `lowrank_svd` is reached. A
-    non-finite entry raises ValueError; the l2 and spectral kinds leave that check to
-    the range guard of `_l2_rows` and to linalg, whose every route ends in `as_matrix`.
+    A LowRank, whose factors were checked when it was built, needs a matrix kind. It
+    comes back as itself when keep_factors is set, for `lowrank_svd`, and otherwise
+    as its product, checked like any dense operand. A non-finite entry raises
+    ValueError; the l2 and spectral kinds leave that check to the range guard of
+    `_l2_rows` and to linalg, whose every route ends in `as_matrix`.
     """
     if isinstance(s, LowRank):
         if not spec._matrix:
             raise ValueError(f"a low-rank operand needs a matrix kind, not {spec.kind.value}")
-        a = LowRank(np.asarray(s.left, dtype=np.float64), np.asarray(s.right, dtype=np.float64))
-        if a.left.size == 0 or a.right.size == 0:
-            raise ValueError(
-                f"low-rank factors must be nonempty, got shapes {a.left.shape} and {a.right.shape}"
-            )
-        if not keep_factors:
-            a = a.dense()
+        a = s if keep_factors else s.dense()
     else:
         a = np.asarray(s, dtype=np.float64)
     if spec._matrix and a.shape != (spec.d_out, spec.d_in):
@@ -452,6 +445,8 @@ class ModelNormSpec:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if len(self.atoms) == 0:
             raise ValueError("ModelNormSpec needs at least one atom")
+        if not all(isinstance(atom, NormSpec) for atom in self.atoms):
+            raise ValueError(f"atoms must be NormSpecs, got {self.atoms!r}")
 
 
 def _check_aligned(params: Sequence[np.ndarray], spec: ModelNormSpec) -> tuple[NormSpec, ...]:

@@ -100,7 +100,8 @@ class Rule:
     `mu` is the DECAY move's decay, in [0, 1]. `beta` is the ACCUMULATE buffer's keep
     factor, in [0, 1); without one the buffer keeps (1 - alpha_k) * (alpha_{k-1} /
     alpha_k), which tracks the averaged buffer under any alpha schedule (Scion-light).
-    Both are range-checked here, when the rule is built, not on every step.
+    Both are range-checked here, when the rule is built, not on every step, as are
+    the buffer and move kinds.
     """
 
     buffer: Buffer
@@ -110,6 +111,10 @@ class Rule:
     beta: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.buffer, Buffer):
+            raise ValueError(f"buffer must be a Buffer, got {self.buffer!r}")
+        if not isinstance(self.move, Move):
+            raise ValueError(f"move must be a Move, got {self.move!r}")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must be in [0, 1], got {self.mu}")
         if self.beta is not None and not 0.0 <= self.beta < 1.0:
@@ -189,24 +194,6 @@ class OptimizerState:
         return cls(d=[np.zeros(np.shape(p)) for p in params])
 
 
-def _check_like(a: Sequence[np.ndarray], b: Sequence[np.ndarray], what: str) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"{what}: got {len(a)} and {len(b)} entries")
-    for x, y in zip(a, b):
-        if np.shape(x) != np.shape(y):
-            raise ValueError(f"{what}: shapes {np.shape(x)} vs {np.shape(y)}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-
-
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-
-
 def _scaled_add(
     d: Sequence[np.ndarray], keep: float, g: Sequence[np.ndarray], owned: bool, weight: float = 1.0
 ) -> list[np.ndarray]:
@@ -235,12 +222,11 @@ def momentum_update(
     arithmetic, the conventional first-iteration choice when the caller manages the
     buffer itself.
 
-    `step` alone calls it, for its AVERAGE and ORIENTED buffers. It is a function of
-    its own only so that the benchmark tracer's `TRACED` (lmopt_bench/tracer.py) can
-    time it, and goes, with its second check, once the tracer traces `step`.
+    `step` alone calls it, for its AVERAGE and ORIENTED buffers, and checks its
+    operands first, so it checks nothing itself. It is a function of its own only so
+    that the benchmark tracer's `TRACED` (lmopt_bench/tracer.py) can time it, and goes
+    once the tracer traces `step`.
     """
-    _check_alpha(alpha)
-    _check_like(d, g, "momentum_update")
     if alpha == 1.0:
         return list(g)
     return _scaled_add(d, 1.0 - alpha, g, owned, alpha)
@@ -286,22 +272,32 @@ def step(
     norm (radii included). The ADD, CONVEX and DECAY moves call the oracle once, on
     the buffer or its Nesterov look-ahead; when it rejects that operand, the
     ValueError carries the list as its `operand` attribute.
+
+    Under every rule, SSD's too, the step first checks gamma, alpha, and that x, g and
+    the state's buffer hold one array per atom, of one shape at each atom.
     """
-    _check_gamma(gamma)
-    _check_alpha(alpha)
-    _check_like(x, g, "step")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     atoms = spec.atoms
+    for other in (g, state.d):
+        if len(other) != len(x):
+            raise ValueError(f"step: got {len(x)} and {len(other)} entries")
     if len(x) != len(atoms):
         raise ValueError(f"step: {len(x)} parameter arrays for {len(atoms)} norm atoms")
-    if (alpha < 1.0 and rule.buffer is Buffer.AVERAGE) or rule.buffer is Buffer.ACCUMULATE:
-        # This buffer update scales g and the buffer; a LowRank holds no array to scale,
-        # and only a buffer an averaged alpha = 1 step handed g to can hold one.
-        for i, a in enumerate([*g, *state.d] if state.borrowed else g):
-            if isinstance(a, LowRank):
-                raise ValueError(
-                    f"step: the {rule.buffer.value} buffer would scale a LowRank at atom "
-                    f"{i % len(g)}; pass its dense product"
-                )
+    # This buffer update scales g and the buffer; a LowRank holds no array to scale,
+    # and only a buffer an averaged alpha = 1 step handed g to can hold one.
+    scales = (alpha < 1.0 and rule.buffer is Buffer.AVERAGE) or rule.buffer is Buffer.ACCUMULATE
+    for i, (xi, gi, di) in enumerate(zip(x, g, state.d)):
+        shapes = np.shape(xi), np.shape(gi), np.shape(di)
+        if not shapes[0] == shapes[1] == shapes[2]:
+            raise ValueError(f"step: x, g and the buffer have shapes {shapes} at atom {i}")
+        if scales and (isinstance(gi, LowRank) or state.borrowed and isinstance(di, LowRank)):
+            raise ValueError(
+                f"step: the {rule.buffer.value} buffer would scale a LowRank at atom {i}; "
+                "pass its dense product"
+            )
     if rule.move is Move.CONVEX:
         bound = _feasible_bound(x, state, spec)
     d_k = v = list(g)
@@ -374,11 +370,9 @@ def uscg_step(
     ns_iters: int | None = None,
 ) -> list[np.ndarray]:
     """Unconstrained conditional-gradient step x <- x + gamma * lmo(d), layer by
-    layer: `step` under the Algo.USCG rule, returning the new parameters.
-
-    Nothing calls it: run a rule as `step(..., RULES[Algo.USCG])`. It stays only as
-    a hook for the benchmark tracer's `TRACED` and `STEP_SPANS` (lmopt_bench/tracer.py)
-    and goes once the tracer traces `step`."""
+    layer: `step` under the Algo.USCG rule, returning the new parameters. Nothing
+    calls it; it stays as a hook for the benchmark tracer's `TRACED` and `STEP_SPANS`
+    (lmopt_bench/tracer.py) until the tracer traces `step`."""
     return step(x, state, g, gamma, alpha, spec, RULES[Algo.USCG], ns_iters)[0]
 
 
@@ -393,11 +387,7 @@ def scg_step(
 ) -> list[np.ndarray]:
     """Constrained conditional-gradient step x <- (1 - gamma) * x + gamma * lmo(d):
     `step` under the Algo.SCG rule, returning the new parameters. Needs a feasible
-    iterate.
-
-    Nothing calls it: run a rule as `step(..., RULES[Algo.SCG])`. It stays only as a
-    hook for the benchmark tracer's `TRACED` and `STEP_SPANS` (lmopt_bench/tracer.py)
-    and goes once the tracer traces `step`."""
+    iterate. Nothing calls it; it is a tracer hook, as uscg_step is."""
     return step(x, state, g, gamma, alpha, spec, RULES[Algo.SCG], ns_iters)[0]
 
 

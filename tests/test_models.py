@@ -607,6 +607,10 @@ def _write_checkpoint(tmp_path, doc):
 
 
 _REJECTIONS = {
+    # an activation given by its value rather than as the enum member
+    "activation": (
+        lambda _: LayerSpec("relu", NormSpec(NormKind.SPECTRAL, 1.0, 3, 2)),
+        "activation must be an Activation, got 'relu'"),
     "vector_weight_norm": (
         lambda _: LayerSpec(Activation.RELU, NormSpec.vector(NormKind.RMS_VEC, 3)),
         "weight_norm must be a matrix norm"),

@@ -734,17 +734,18 @@ class TestLowRankOperand:
     def test_bad_factors_rejected(self):
         spec = NormSpec(NormKind.SPECTRAL, 1.0, 10, 8)
         x, y = rng_gaussian(10, 1, 1), rng_gaussian(8, 1, 2)
+        # the last two are refused when the LowRank is built, before any route runs
         bad = [
-            LowRank(np.where(x > 0, np.nan, x), y),  # non-finite left factor
-            LowRank(x, np.full((8, 1), np.inf)),  # non-finite right factor
-            LowRank(x[:9], y),  # product (9, 8)
-            LowRank(x, rng_gaussian(8, 2, 3)),  # column counts differ
-            LowRank(x[:, 0], y),  # a 1-D factor
+            (np.where(x > 0, np.nan, x), y),  # non-finite left factor
+            (x, np.full((8, 1), np.inf)),  # non-finite right factor
+            (x[:9], y),  # product (9, 8)
+            (x, rng_gaussian(8, 2, 3)),  # column counts differ
+            (x[:, 0], y),  # a 1-D factor
         ]
-        for s in bad:
+        for left, right in bad:
             for fn in (lmo, dual_norm, op_norm, sharp_op):
                 with np.errstate(over="ignore"), pytest.raises(ValueError):
-                    fn(s, spec)
+                    fn(LowRank(left, right), spec)
         # Finite factors with an overflowing product: the functions that form the
         # product reject it, while the lmo still takes its direction (TestSpectralRange).
         huge = LowRank(1e200 * x, 1e200 * y)
@@ -774,14 +775,15 @@ class TestLowRankOperand:
         "kind", [NormKind.SIGN, NormKind.COL_NORM, NormKind.ROW_NORM, NormKind.SPECTRAL]
     )
     def test_factors_that_are_not_matrices_rejected_on_both_routes(self, kind):
-        # a 1-D left factor whose product is a (5,) vector, and a 0-d left factor
+        # a 1-D left factor whose product is a (5,) vector, and a 0-d left factor;
+        # the LowRank refuses them when it is built, before any route runs
         spec = NormSpec(kind, 1.0, 3, 5)
-        for s in (LowRank(np.ones(3), np.ones((5, 3))), LowRank(np.float64(1.0), np.ones((5, 1)))):
+        for left, right in ((np.ones(3), np.ones((5, 3))), (np.float64(1.0), np.ones((5, 1)))):
             for fn in (lmo, dual_norm, op_norm, sharp_op):
-                with pytest.raises(ValueError):
-                    fn(s, spec)
-            with pytest.raises(ValueError):  # the Newton-Schulz lmo takes the product
-                lmo(s, spec, ns_iters=5)
+                with pytest.raises(ValueError, match="2-D"):
+                    fn(LowRank(left, right), spec)
+            with pytest.raises(ValueError, match="2-D"):  # the Newton-Schulz route
+                lmo(LowRank(left, right), spec, ns_iters=5)
 
     EMPTY_FACTOR_ROUTES = {
         "lmo": lmo,
@@ -793,11 +795,11 @@ class TestLowRankOperand:
 
     @pytest.mark.parametrize("route", sorted(EMPTY_FACTOR_ROUTES))
     def test_factors_without_columns_rejected_on_every_route(self, route):
-        # their product would be the zero matrix; every route refuses them by name
+        # their product would be the zero matrix; the LowRank refuses them by name
+        # when it is built, before any route runs
         spec = NormSpec(NormKind.SPECTRAL, 1.0, 3, 5)
-        s = LowRank(np.zeros((3, 0)), np.zeros((5, 0)))
-        with pytest.raises(ValueError, match="low-rank factors must be nonempty"):
-            self.EMPTY_FACTOR_ROUTES[route](s, spec)
+        with pytest.raises(ValueError, match="left factor must be nonempty"):
+            self.EMPTY_FACTOR_ROUTES[route](LowRank(np.zeros((3, 0)), np.zeros((5, 0))), spec)
 
     @pytest.mark.parametrize(
         "kind", [NormKind.SIGN, NormKind.COL_NORM, NormKind.ROW_NORM, NormKind.SPECTRAL]
@@ -901,6 +903,9 @@ class TestSpectralZero:
 
 _REJECTIONS = {
     "no_atoms": (lambda: ModelNormSpec(()), "ModelNormSpec needs at least one atom"),
+    # a kind given by its value rather than as the enum member, and atoms not NormSpecs
+    "kind": (lambda: NormSpec("spectral", 1.0, 3, 2), "kind must be a NormKind, got 'spectral'"),
+    "atoms": (lambda: ModelNormSpec((1, 2)), r"atoms must be NormSpecs, got \(1, 2\)"),
     "x_layout": (
         lambda: gap_from_duals([np.ones(3)], [], ModelNormSpec(
             (NormSpec.vector(NormKind.RMS_VEC, 3),)), [1.0]),

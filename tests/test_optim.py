@@ -879,6 +879,23 @@ class TestRuleTable:
         assert state.alpha is None and state.certificate is None
         assert all(not d.any() for d in state.d)
 
+    @pytest.mark.parametrize("buffer, param", [((2,), (1,)), ((3, 2), (1, 2))],
+                             ids=["vector", "stack"])
+    @pytest.mark.parametrize("algo", list(Algo))
+    def test_buffer_shape_must_match_on_every_row(self, algo, buffer, param):
+        """step checks the buffer's shape against x and g under every rule, before it
+        writes: an accumulated buffer would otherwise broadcast a (3, 2) buffer against
+        a (1, 2) stack, or be rewritten before the oracle refused it. SSD keeps no
+        buffer, yet under the one check a state whose buffer does not match x is
+        refused by every row, SSD's too."""
+        spec = ModelNormSpec((NormSpec.vector(NormKind.EUCLIDEAN_VEC, param[-1]),))
+        x, g = [np.zeros(param)], [np.ones(param)]  # x is feasible for SCG
+        state = OptimizerState(d=[np.full(buffer, 7.0)], alpha=0.5)
+        before = _raw_bytes(state.d), state.alpha, state.certificate
+        with pytest.raises(ValueError, match="shapes"):
+            step(x, state, g, 0.1, 0.3, spec, rule_for(algo))
+        assert (_raw_bytes(state.d), state.alpha, state.certificate) == before
+
     def test_gradient_estimate_per_buffer(self):
         # d_k is the averaged direction each rule's buffer stands for
         spec = mixed_spec()
@@ -1021,6 +1038,7 @@ _REJECTIONS = {
     "alpha_kind": (lambda: ScheduleSpec(horizon=4, alpha_kind="vanishing"),
                    "alpha_kind must be an AlphaKind, got 'vanishing'"),
     "theory_horizon": (lambda: theory_gamma(0), "horizon must be >= 1, got 0"),
+    "rule_kind": (lambda: Rule("average", Move.CONVEX), "buffer must be a Buffer, got 'average'"),
 }
 
 
