@@ -79,8 +79,9 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class RunDiagnostics:
-    """Dense per-step records from one training run (step k = 1..n, no gaps), one
-    array per column: bool for feasible, int for steps, float64 for the rest.
+    """Dense per-step records of a stack of training runs (step k = 1..n, no gaps),
+    one array per column, in COLUMNS order: bool for feasible, int for step,
+    float64 for the rest.
 
     loss / grad_dual_norm / fw_gap / param_norm / feasible describe the iterate x^k
     before the step; est_error is ||d^k - g_ref(x^k)||_2 pairing the freshly updated
@@ -90,12 +91,12 @@ class RunDiagnostics:
     param_norm measures, so fw_gap = <g_ref, x^k> + grad_dual_norm. Both training
     drivers fill these six columns through `record` alone.
 
-    A trial stack allocates its per-trial columns as (T, n) arrays; each trial's
-    record then holds row views of them and shares the stack's steps, gamma and
-    alpha columns.
+    The step, gamma and alpha columns are (n,) and shared by the stack's trials;
+    the six per-trial columns are (T, n). `trial(i)` is the record of one trial, whose
+    columns are all (n,).
     """
 
-    steps: np.ndarray
+    step: np.ndarray
     gamma: np.ndarray
     alpha: np.ndarray
     loss: np.ndarray
@@ -105,29 +106,15 @@ class RunDiagnostics:
     est_error: np.ndarray
     feasible: np.ndarray
 
-    COLUMNS = (
-        "step",
-        "gamma",
-        "alpha",
-        "loss",
-        "grad_dual_norm",
-        "fw_gap",
-        "param_norm",
-        "est_error",
-        "feasible",
-    )
-
     @classmethod
-    def allocate(cls, n: int, trials: int | None = None) -> "RunDiagnostics":
-        """Columns for n steps, to be filled in: (n,) each, or (trials, n) for the
-        per-trial columns of a stack (steps, gamma and alpha stay (n,))."""
-        shape = (n,) if trials is None else (trials, n)
+    def allocate(cls, n: int, trials: int = 1) -> "RunDiagnostics":
+        """A stack of `trials` runs of n steps, to be filled in."""
         return cls(
             np.arange(1, n + 1),
             np.empty(n),
             np.empty(n),
-            *(np.empty(shape) for _ in range(5)),
-            np.empty(shape, dtype=bool),
+            *(np.empty((trials, n)) for _ in range(5)),
+            np.empty((trials, n), dtype=bool),
         )
 
     def record(self, cut, spec: ModelNormSpec, loss, x, ref, d) -> tuple:
@@ -154,16 +141,24 @@ class RunDiagnostics:
 
     def trial(self, i: int) -> "RunDiagnostics":
         """Row i of a stack's record, as views."""
-        return RunDiagnostics(
-            self.steps, self.gamma, self.alpha, *(c[i] for c in self.columns()[3:])
-        )
+        return RunDiagnostics(*self.columns()[:3], *(c[i] for c in self.columns()[3:]))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The column arrays, in COLUMNS order."""
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return tuple(getattr(self, name) for name in self.COLUMNS)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.step)
+
+
+RunDiagnostics.COLUMNS = tuple(f.name for f in fields(RunDiagnostics))
+
+
+def _check_counts(**counts: int) -> None:
+    """Raise ValueError naming the first of the counts that is below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _squared_l2(e: np.ndarray, atom: NormSpec):
@@ -360,20 +355,19 @@ def train_classifier(
     warnings off. A batch_size below 1, or an unknown algo, raises ValueError before
     the first gradient.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    _check_counts(batch_size=batch_size)
     rule = rule_for(algo, mu, beta)
     spec = model.norm_spec()
     n = train_x.shape[1]
     batch_size = min(batch_size, n)
     x = model.parameters()
     state = OptimizerState.init(x)
-    diags = RunDiagnostics.allocate(schedule.horizon if record else 0)
+    stack = RunDiagnostics.allocate(schedule.horizon if record else 0)
     probe_n = min(n, _PROBE_FACTOR * batch_size)
     cursor = 0
     epoch = 0
     order = rng_permutation(n, derive_seed(seed, 7, epoch))
-    for k, gamma, alpha in _scheduled_steps(schedule, diags, record):
+    for k, gamma, alpha in _scheduled_steps(schedule, stack, record):
         if cursor + batch_size > n:
             epoch += 1
             order = rng_permutation(n, derive_seed(seed, 7, epoch))
@@ -387,14 +381,14 @@ def train_classifier(
                 raise NumericalFailure(k, f"non-finite {what}")
         new_x, d_k = apply_step(rule, x, state, g, gamma, alpha, spec, ns_iters)
         if record:
-            diags.record(slice(k - 1, k), spec, batch_loss, x, probe_g, d_k)
+            stack.record(slice(k - 1, k), spec, batch_loss, x, probe_g, d_k)
         del d_k  # a rescaled d_k is a fresh buffer; the next step's oracle runs without it
         x = new_x
         for p in x:
             if not np.all(np.isfinite(p)):
                 raise NumericalFailure(k, "non-finite parameters")
         model.set_parameters(x)
-    return model, diags
+    return model, stack.trial(0)
 
 
 def _probe_grad(
@@ -450,6 +444,7 @@ def coordinate_check(
     """
     if len(widths) < 1 or depth < 2:
         raise ValueError("need at least one width and depth >= 2")
+    _check_counts(samples=samples)
     rule = rule_for(Algo.USCG)
     rows: list[CoordinateCheckRow] = []
     for width in widths:
@@ -546,6 +541,7 @@ def lr_transfer_sweep(
 
     if len(widths) < 1 or len(gamma_grid) < 1 or depth < 2:
         raise ValueError("need nonempty widths and gamma grid and depth >= 2")
+    _check_counts(epochs=epochs, batch_size=batch_size)
     train_x, train_y, test_x, test_y = gen_synthetic(problem)
     if test_x.shape[1] == 0:
         test_x, test_y = train_x, train_y
@@ -636,12 +632,13 @@ def rate_harness(
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 1:
         raise ValueError("n_list must hold at least one horizon")
+    if min(n_list) < 1:
+        raise ValueError(f"n_list horizons must be >= 1, got {n_list}")
     if mode == "vanishing" and len(set(n_list)) < 2:
         raise ValueError(
             f"vanishing mode fits a slope and needs two distinct horizons, got {n_list}"
         )
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_counts(trials=trials)
     algo = Algo(optimizer)
     constrained = rule_for(algo).move is Move.CONVEX
     rho = rho_constrained if constrained else rho_unconstrained
@@ -707,8 +704,7 @@ def error_decay_probe(problem, n: int = 4096, trials: int = 20) -> ErrorDecayRep
     float64's range raises NumericalFailure at the first step it reaches, and so
     does a run with fewer than two steps of positive mean (no slope), at step n.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_counts(trials=trials)
     if n < 2:
         raise ValueError(f"n must be >= 2 to fit a slope, got {n}")
     _, diags = train_quadratic(problem, Algo.USCG, _theory_schedule(n), range(trials), rho=1.0)

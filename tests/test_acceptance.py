@@ -173,61 +173,75 @@ def test_criterion_04_uscg_norm_growth():
     assert composite_norm(disp, spec) <= total + 1e-8
 
 
+def assert_equivalent(spec, seed, stream, run_a, run_b, scale=1.0):
+    """Assert that two runs from one random start over a gradient stream agree to
+    1e-10 in every entry of the final iterate. A run is (rule, spec, gamma, alpha),
+    with alpha a function of the 1-based step."""
+    x0 = random_params(spec, seed, scale)
+    ends = []
+    for rule, run_spec, gamma, alpha in (run_a, run_b):
+        x = [p.copy() for p in x0]
+        state = OptimizerState.init(x)
+        for k, g in enumerate(stream, start=1):
+            x = step(x, state, g, gamma, alpha(k), run_spec, rule)[0]
+        ends.append(x)
+    for a, b in zip(*ends):
+        np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
+
+
+def muon_plain_runs(spec, beta):
+    """Plain momentum accumulator at beta vs averaged direction at alpha = 1 - beta."""
+    return ((RULES[Algo.USCG], spec, 0.02, lambda k: 1.0 - beta),
+            (rule_for(Algo.MUON_PLAIN, beta=beta), spec, 0.02, lambda k: 1.0))
+
+
+def weight_decay_runs(spec, mu, gamma=0.01, alpha=0.15):
+    """Weight decay mu on radius rho vs the constrained method on radius rho / mu with
+    stepsize gamma * mu."""
+    inflated = ModelNormSpec(
+        tuple(NormSpec(a.kind, a.radius / mu, a.d_out, a.d_in) for a in spec.atoms)
+    )
+    return ((rule_for(Algo.USCG_WD, mu=mu), spec, gamma, lambda k: alpha),
+            (RULES[Algo.SCG], inflated, gamma * mu, lambda k: alpha))
+
+
+def scion_light_runs(spec, alpha):
+    """Two-buffer rearrangement vs averaged-direction form, at alpha(k)."""
+    return ((RULES[Algo.USCG], spec, 0.03, alpha),
+            (rule_for(Algo.USCG_LIGHT), spec, 0.03, alpha))
+
+
 @criterion(5, "exact equivalences: momentum-accumulator, weight-decay, two-buffer forms, "
               "the last under constant and vanishing alpha")
 def test_criterion_05_equivalences():
     spec = mixed_model_spec()
-    steps = 120
-    stream = gradient_stream(spec, 34, steps)
+    stream = gradient_stream(spec, 34, 120)
+    assert_equivalent(spec, 35, stream, *muon_plain_runs(spec, 0.9))
+    assert_equivalent(spec, 36, stream, *weight_decay_runs(spec, 0.5), scale=0.05)
+    assert_equivalent(spec, 37, stream, *scion_light_runs(spec, lambda k: 0.1))
+    # the vanishing alpha_k = 1 / sqrt(k) of the rate theory
+    assert_equivalent(spec, 38, stream, *scion_light_runs(spec, lambda k: 1.0 / np.sqrt(k)))
 
-    # plain momentum accumulator (beta) vs averaged direction (alpha = 1 - beta)
-    beta = 0.9
-    xa = random_params(spec, 35)
-    xb = [p.copy() for p in xa]
-    sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
-    for g in stream:
-        xa = step(xa, sa, g, 0.02, 1.0 - beta, spec, RULES[Algo.USCG])[0]
-        xb, _ = step(xb, sb, g, 0.02, 1.0, spec, rule_for(Algo.MUON_PLAIN, beta=beta))
-    for a, b in zip(xa, xb):
-        np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
 
-    # weight decay mu on radius rho == constrained method on radius rho/mu with
-    # stepsize gamma * mu
-    mu, gamma = 0.5, 0.01
-    inflated = ModelNormSpec(
-        tuple(NormSpec(a.kind, a.radius / mu, a.d_out, a.d_in) for a in spec.atoms)
-    )
-    xa = random_params(spec, 36, scale=0.05)
-    xb = [p.copy() for p in xa]
-    sa = OptimizerState.init(xa)
-    sb = OptimizerState.init(xb)
-    for g in stream:
-        xa, _ = step(xa, sa, g, gamma, 0.15, spec, rule_for(Algo.USCG_WD, mu=mu))
-        xb = step(xb, sb, g, gamma * mu, 0.15, inflated, RULES[Algo.SCG])[0]
-    for a, b in zip(xa, xb):
-        np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
+# Criterion 5's equivalences across the range of each one's parameter: beta for
+# Muon-plain, mu for weight decay, and a constant alpha for Scion-light.
+EQUIVALENCE_GRID = (
+    [("muon_plain", beta) for beta in (0.0, 0.5, 0.9, 0.999, 0.999999)]
+    + [("weight_decay", mu) for mu in (1e-6, 0.01, 0.5, 1.0)]
+    + [("scion_light", alpha) for alpha in (1.0, 0.1, 1e-3, 1e-8)]
+)
 
-    # two-buffer rearrangement == averaged-direction form
-    alpha = 0.1
-    xa = random_params(spec, 37)
-    xb = [p.copy() for p in xa]
-    sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
-    for g in stream:
-        xa = step(xa, sa, g, 0.03, alpha, spec, RULES[Algo.USCG])[0]
-        xb, _ = step(xb, sb, g, 0.03, alpha, spec, rule_for(Algo.USCG_LIGHT))
-    for a, b in zip(xa, xb):
-        np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
 
-    # the same under the vanishing alpha_k = 1 / sqrt(k) of the rate theory
-    xa = random_params(spec, 38)
-    xb = [p.copy() for p in xa]
-    sa, sb = OptimizerState.init(xa), OptimizerState.init(xb)
-    for k, g in enumerate(stream, start=1):
-        alpha = 1.0 / np.sqrt(k)
-        xa = step(xa, sa, g, 0.03, alpha, spec, RULES[Algo.USCG])[0]
-        xb, _ = step(xb, sb, g, 0.03, alpha, spec, rule_for(Algo.USCG_LIGHT))
-    for a, b in zip(xa, xb):
-        np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
+@pytest.mark.parametrize("pair, point", EQUIVALENCE_GRID)
+def test_criterion_05_equivalence_grid(pair, point):
+    spec = mixed_model_spec()
+    stream = gradient_stream(spec, 34, 120)
+    if pair == "muon_plain":
+        assert_equivalent(spec, 35, stream, *muon_plain_runs(spec, point))
+    elif pair == "weight_decay":
+        assert_equivalent(spec, 36, stream, *weight_decay_runs(spec, point), scale=0.05)
+    else:
+        assert_equivalent(spec, 37, stream, *scion_light_runs(spec, lambda k: point))
 
 
 @criterion(6, "matrix-sign iteration against the exact-SVD oracle")

@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -293,7 +293,7 @@ class TestTrainQuadratic:
         prob = small_quadratic()
         sch = ScheduleSpec(horizon=30, gamma0=0.05)
         diags = train_quadratic(prob, Algo.USCG, sch)[1].trial(0)
-        assert np.array_equal(diags.steps, np.arange(1, 31))
+        assert np.array_equal(diags.step, np.arange(1, 31))
         assert [len(c) for c in diags.columns()] == [30] * len(RunDiagnostics.COLUMNS)
 
     def test_scg_stays_feasible(self):
@@ -360,7 +360,7 @@ class TestTrialStack:
             x, alone = train_quadratic(prob, algo, sch, [t], **kw)
             row, d = stack.trial(i), alone.trial(0)
             np.testing.assert_allclose(xs[i], x[0], rtol=1e-12, atol=0)
-            assert np.array_equal(row.steps, d.steps)
+            assert np.array_equal(row.step, d.step)
             assert np.array_equal(row.feasible, d.feasible)
             assert np.array_equal(row.gamma, d.gamma)
             assert np.array_equal(row.alpha, d.alpha)
@@ -386,7 +386,7 @@ class TestTrialStack:
         assert np.array_equal(xs, x)
         for i in range(len(trials)):
             d = stack.trial(i)
-            assert np.array_equal(d.steps, np.arange(1, horizon + 1))
+            assert np.array_equal(d.step, np.arange(1, horizon + 1))
             assert d.feasible.dtype == bool
             for name, values in columns.items():
                 want = values if name in ("gamma", "alpha") else values[:, i]
@@ -617,8 +617,8 @@ class TestRecordedDiagnostics:
 
         monkeypatch.setattr(RunDiagnostics, "record", spy)
         _, diags = train_classifier(init_model(specs, 0), tx, ty, Algo.SCG, sch, **kw)
-        want = RunDiagnostics.allocate(sch.horizon)
-        for k in diags.steps:
+        want = RunDiagnostics.allocate(sch.horizon).trial(0)
+        for k in diags.step:
             model = init_model(specs, 0)
             if k > 1:
                 model, _ = train_classifier(
@@ -646,7 +646,7 @@ class TestRecordedDiagnostics:
         rho = 2.0
         spec = quadratic_norm_spec(prob.dim, rho)
         diags = train_quadratic(prob, Algo.SCG, sch, rho=rho)[1].trial(0)
-        for k in diags.steps:
+        for k in diags.step:
             if k == 1:
                 x = prob.start_point(0, scale=rho)
             else:
@@ -687,6 +687,19 @@ class TestTrainClassifier:
         sch = ScheduleSpec(horizon=10, gamma0=0.1)
         with pytest.raises(NumericalFailure, match="step"):
             train_classifier(model, tx, ty, Algo.USCG, sch, batch_size=64)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_record_is_one_trial_of_a_stack(self, record):
+        # The columns are named once, by the dataclass fields; the run records into a
+        # one-trial stack and returns its row, so every column is (n,).
+        assert RunDiagnostics.COLUMNS == tuple(f.name for f in fields(RunDiagnostics))
+        model, tx, ty = self._setup()
+        sch = ScheduleSpec(horizon=3, gamma0=0.1, alpha0=0.2)
+        _, diags = train_classifier(model, tx, ty, Algo.SCG, sch, record=record)
+        n = 3 if record else 0
+        assert len(diags) == n
+        assert [c.shape for c in diags.columns()] == [(n,)] * len(RunDiagnostics.COLUMNS)
+        assert [c.dtype.kind for c in diags.columns()] == ["i"] + ["f"] * 7 + ["b"]
 
     def test_zero_gamma_keeps_params(self):
         model, tx, ty = self._setup()
@@ -943,6 +956,50 @@ class TestSweep:
         prob = SyntheticClassification(dim=8, classes=3, train_size=16, test_size=8, seed=0)
         with pytest.raises(ValueError, match="depth >= 2"):
             lr_transfer_sweep([8, 16], [0.05], prob, epochs=1, depth=1)
+
+
+def _untouched(*args, **kwargs):
+    raise AssertionError("a harness did work before checking its counts")
+
+
+_SWEEP_PROBLEM = SyntheticClassification(dim=4, classes=2, train_size=16, test_size=8, seed=0)
+
+# Each harness refuses a count below 1 by name before any draw, gradient or step.
+_COUNT_REJECTIONS = {
+    "coord_check_no_samples": (
+        lambda: coordinate_check([8], depth=2, samples=0, input_dim=4, classes=2),
+        "samples must be >= 1, got 0"),
+    "coord_check_negative_samples": (
+        lambda: coordinate_check([8], depth=2, samples=-1, input_dim=4, classes=2),
+        "samples must be >= 1, got -1"),
+    "sweep_zero_batch": (
+        lambda: lr_transfer_sweep([8], [0.05], _SWEEP_PROBLEM, epochs=1, batch_size=0),
+        "batch_size must be >= 1, got 0"),
+    "sweep_zero_epochs": (
+        lambda: lr_transfer_sweep([8], [0.05], _SWEEP_PROBLEM, epochs=0),
+        "epochs must be >= 1, got 0"),
+    "sweep_negative_epochs": (
+        lambda: lr_transfer_sweep([8], [0.05], _SWEEP_PROBLEM, epochs=-3),
+        "epochs must be >= 1, got -3"),
+    "rate_constant_zero_horizon": (
+        lambda: rate_harness("uscg", "constant", [0], small_quadratic(noise=1.0)),
+        r"n_list horizons must be >= 1, got \(0,\)"),
+    "rate_vanishing_zero_horizon": (
+        lambda: rate_harness("scg", "vanishing", [0, 16], small_quadratic(noise=1.0)),
+        r"n_list horizons must be >= 1, got \(0, 16\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COUNT_REJECTIONS))
+def test_count_rejected_by_name_before_any_work(monkeypatch, case):
+    call, message = _COUNT_REJECTIONS[case]
+    for name in ("rng_gaussian", "init_model", "train_quadratic", "train_classifier"):
+        monkeypatch.setattr(experiments, name, _untouched)
+    monkeypatch.setattr("lmopt.problems.gen_synthetic", _untouched)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 class TestUnknownAlgo:

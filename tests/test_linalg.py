@@ -485,6 +485,7 @@ class TestRngPinned:
 
 _REJECTIONS = {
     "empty_matrix": (lambda: svd_reduced(np.zeros((0, 3))), "matrix must be nonempty"),
+    "vector_matrix": (lambda: svd_reduced(np.ones(3)), r"matrix must be 2-D, got shape \(3,\)"),
     "empty_factor": (lambda: lowrank_svd(LowRank(np.zeros((3, 0)), np.zeros((2, 0)))),
                      "left factor must be nonempty"),
     "permutation_length": (lambda: rng_permutation(0, 1), "n must be >= 1, got 0"),

@@ -71,6 +71,30 @@ class TestActivations:
         fd = (activation_value(act, x + h) - activation_value(act, x - h)) / (2 * h)
         np.testing.assert_allclose(activation_grad(act, x), fd, atol=1e-8)
 
+    def test_scaled_gelu_keeps_the_combined_formula_bits(self):
+        # The value and the derivative are computed apart; each keeps the operation
+        # order of the one formula that computed both, so every bit matches it.
+        c, k = np.sqrt(2.0 / np.pi), 0.044715
+
+        def combined(x):
+            x2 = x * x
+            t = np.tanh(c * (x + k * (x2 * x)))
+            val = 0.5 * x * (1.0 + t)
+            grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * k * x2)
+            return np.sqrt(2.0) * val, np.sqrt(2.0) * grad
+
+        x = np.concatenate([
+            rng_gaussian(64, 64, 5).ravel() * 3.0,
+            np.linspace(-40.0, 40.0, 4001),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e100, -1e100, 1e300, -1e300],
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = combined(x)
+            got = (activation_value(Activation.SCALED_GELU, x),
+                   activation_grad(Activation.SCALED_GELU, x))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
 
 class TestBuildConfig:
     def test_image_first_layer_scale_guard(self):

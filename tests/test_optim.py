@@ -1039,6 +1039,7 @@ _REJECTIONS = {
                    "alpha_kind must be an AlphaKind, got 'vanishing'"),
     "theory_horizon": (lambda: theory_gamma(0), "horizon must be >= 1, got 0"),
     "rule_kind": (lambda: Rule("average", Move.CONVEX), "buffer must be a Buffer, got 'average'"),
+    "rule_move": (lambda: Rule(Buffer.AVERAGE, "add"), "move must be a Move, got 'add'"),
 }
 
 
