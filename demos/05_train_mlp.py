@@ -7,6 +7,9 @@ update then keeps them inside it for the whole run. The model round-trips throug
 a JSON checkpoint exactly.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from lmopt import Algo, Domain, GammaKind, ScheduleSpec, build_config, init_model
@@ -35,8 +38,10 @@ from lmopt.models import loss_and_grad
 test_loss, _ = loss_and_grad(model, test_x, test_y)
 print(f"held-out loss: {test_loss:.4f}")
 
-save_model(model, "/tmp/demo_model.json")
-reloaded = load_model("/tmp/demo_model.json")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_model.json")
+    save_model(model, path)
+    reloaded = load_model(path)
 drift = max(float(np.max(np.abs(a - b)))
             for a, b in zip(model.weights, reloaded.weights))
 print(f"checkpoint round-trip max drift: {drift} (exact)")

@@ -565,8 +565,8 @@ def cmd_train(cfg: dict) -> int:
             mu=cfg["optimizer.mu"],
             beta=cfg["optimizer.beta"],
         )
-        summary["final_loss"] = diags.loss[-1] if len(diags) else None
-    summary["final_param_norm"] = diags.param_norm[-1] if len(diags) else None
+        summary["final_loss"] = diags.loss[-1]
+    summary["final_param_norm"] = diags.param_norm[-1]
     base = _write_run("train", cfg, RunDiagnostics.COLUMNS, diags.columns(), summary,
                       model=model)
     print(f"wrote {base}.csv")

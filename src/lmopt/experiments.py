@@ -449,10 +449,10 @@ def coordinate_check(
     rows: list[CoordinateCheckRow] = []
     for width in widths:
         dims = [input_dim] + [int(width)] * (depth - 1) + [classes]
+        specs = build_config(Domain.IMAGE, dims, activation=activation)
         per_layer = np.zeros(depth)
         for s in range(samples):
             run_seed = derive_seed(seed, width, s)
-            specs = build_config(Domain.IMAGE, dims, activation=activation)
             model = init_model(specs, run_seed)
             z = rng_gaussian(input_dim, 1, derive_seed(run_seed, 1))
             z *= np.sqrt(input_dim) / np.linalg.norm(z)
@@ -542,26 +542,31 @@ def lr_transfer_sweep(
     if len(widths) < 1 or len(gamma_grid) < 1 or depth < 2:
         raise ValueError("need nonempty widths and gamma grid and depth >= 2")
     _check_counts(epochs=epochs, batch_size=batch_size)
+    # A zero stepsize has no log2 in the spread, so the grid excludes it
+    for gamma in gamma_grid:
+        if not 0.0 < gamma <= 1.0:
+            raise ValueError(f"gamma_grid entries must be in (0, 1], got {gamma}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     train_x, train_y, test_x, test_y = gen_synthetic(problem)
     if test_x.shape[1] == 0:
         test_x, test_y = train_x, train_y
     n = train_x.shape[1]
     steps_per_epoch = max(1, n // min(batch_size, n))
     horizon = max(2, epochs * steps_per_epoch)
+    schedules = [
+        ScheduleSpec(horizon=horizon, gamma_kind=GammaKind.LINEAR_DECAY,
+                     gamma0=float(gamma), alpha0=alpha)
+        for gamma in gamma_grid
+    ]
     rows: list[SweepRow] = []
     best: dict[int, float] = {}
     for width in widths:
         dims = [problem.dim] + [int(width)] * (depth - 1) + [problem.classes]
+        specs = build_config(Domain.IMAGE, dims, activation=activation)
         losses = []
-        for gamma in gamma_grid:
-            specs = build_config(Domain.IMAGE, dims, activation=activation)
+        for schedule in schedules:
             model = init_model(specs, derive_seed(seed, width))
-            schedule = ScheduleSpec(
-                horizon=horizon,
-                gamma_kind=GammaKind.LINEAR_DECAY,
-                gamma0=float(gamma),
-                alpha0=alpha,
-            )
             model, _ = train_classifier(
                 model,
                 train_x,
@@ -575,7 +580,7 @@ def lr_transfer_sweep(
             )
             final_loss, _ = loss_and_grad(model, test_x, test_y)
             losses.append(final_loss)
-            rows.append(SweepRow(width=int(width), gamma=float(gamma), final_loss=final_loss))
+            rows.append(SweepRow(width=int(width), gamma=schedule.gamma0, final_loss=final_loss))
         best[int(width)] = float(gamma_grid[int(np.argmin(losses))])
     return SweepReport(rows=tuple(rows), best_gamma=best)
 

@@ -63,7 +63,8 @@ def _scaled_gelu_grad(x: np.ndarray) -> np.ndarray:
                            + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_K * x2))
 
 
-# The one per-activation decision: its value and its derivative at x.
+# The one per-activation decision: its value and its derivative at x. LayerSpec
+# admits only members, so forward and backward_factors index it directly.
 _ACTIVATIONS = {
     Activation.RELU: (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(np.float64)),
     Activation.SCALED_RELU2: (lambda x: 2.0 * np.maximum(x, 0.0) ** 2,
@@ -72,21 +73,6 @@ _ACTIVATIONS = {
     Activation.TANH: (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
     Activation.IDENTITY: (lambda x: x, np.ones_like),
 }
-
-
-def _activation(act: Activation) -> tuple:
-    try:
-        return _ACTIVATIONS[act]
-    except (KeyError, TypeError):  # not a member, or not even hashable
-        raise ValueError(f"unknown activation {act}") from None
-
-
-def activation_value(act: Activation, x: np.ndarray) -> np.ndarray:
-    return _activation(act)[0](x)
-
-
-def activation_grad(act: Activation, x: np.ndarray) -> np.ndarray:
-    return _activation(act)[1](x)
 
 
 @dataclass(frozen=True)
@@ -318,7 +304,7 @@ def forward(model: MlpModel, z) -> tuple[np.ndarray, ForwardCache]:
         if b is not None:
             f = f + b[:, None]
         cache.preacts.append(f)
-        h = activation_value(ls.activation, f)
+        h = _ACTIVATIONS[ls.activation][0](f)
         cache.posts.append(h)
     return cache.posts[-1], cache
 
@@ -348,9 +334,9 @@ def backward_factors(
             grads_rev.append(delta.sum(axis=1))
         grads_rev.append(LowRank(delta, h_prev))
         if idx > 0:
-            prev_act = model.layers[idx - 1].activation
+            prev_grad = _ACTIVATIONS[model.layers[idx - 1].activation][1]
             delta = model.weights[idx].T @ delta
-            delta *= activation_grad(prev_act, cache.preacts[idx - 1])
+            delta *= prev_grad(cache.preacts[idx - 1])
     return grads_rev[::-1]
 
 

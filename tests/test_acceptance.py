@@ -173,17 +173,18 @@ def test_criterion_04_uscg_norm_growth():
     assert composite_norm(disp, spec) <= total + 1e-8
 
 
-def assert_equivalent(spec, seed, stream, run_a, run_b, scale=1.0):
+def assert_equivalent(spec, seed, stream, run_a, run_b, scale=1.0, ns_iters=None):
     """Assert that two runs from one random start over a gradient stream agree to
     1e-10 in every entry of the final iterate. A run is (rule, spec, gamma, alpha),
-    with alpha a function of the 1-based step."""
+    with alpha a function of the 1-based step; both runs take the spectral lmo
+    exactly (ns_iters None) or by ns_iters Newton-Schulz iterations."""
     x0 = random_params(spec, seed, scale)
     ends = []
     for rule, run_spec, gamma, alpha in (run_a, run_b):
         x = [p.copy() for p in x0]
         state = OptimizerState.init(x)
         for k, g in enumerate(stream, start=1):
-            x = step(x, state, g, gamma, alpha(k), run_spec, rule)[0]
+            x = step(x, state, g, gamma, alpha(k), run_spec, rule, ns_iters)[0]
         ends.append(x)
     for a, b in zip(*ends):
         np.testing.assert_allclose(a, b, atol=1e-10, rtol=0.0)
@@ -232,16 +233,36 @@ EQUIVALENCE_GRID = (
 )
 
 
-@pytest.mark.parametrize("pair, point", EQUIVALENCE_GRID)
-def test_criterion_05_equivalence_grid(pair, point):
+def check_grid_point(pair, point, ns_iters):
     spec = mixed_model_spec()
     stream = gradient_stream(spec, 34, 120)
     if pair == "muon_plain":
-        assert_equivalent(spec, 35, stream, *muon_plain_runs(spec, point))
+        assert_equivalent(spec, 35, stream, *muon_plain_runs(spec, point), ns_iters=ns_iters)
     elif pair == "weight_decay":
-        assert_equivalent(spec, 36, stream, *weight_decay_runs(spec, point), scale=0.05)
+        assert_equivalent(spec, 36, stream, *weight_decay_runs(spec, point), scale=0.05,
+                          ns_iters=ns_iters)
     else:
-        assert_equivalent(spec, 37, stream, *scion_light_runs(spec, lambda k: point))
+        assert_equivalent(spec, 37, stream, *scion_light_runs(spec, lambda k: point),
+                          ns_iters=ns_iters)
+
+
+@pytest.mark.parametrize("pair, point", EQUIVALENCE_GRID)
+def test_criterion_05_equivalence_grid(pair, point):
+    check_grid_point(pair, point, None)
+
+
+# The equivalences hold under the Newton-Schulz spectral lmo the CLI offers too,
+# which both runs of a pair then share.
+@pytest.mark.parametrize("pair, point", EQUIVALENCE_GRID)
+def test_criterion_05_equivalence_grid_newton_schulz(pair, point):
+    check_grid_point(pair, point, 5)
+
+
+def test_criterion_05_vanishing_scion_light_newton_schulz():
+    spec = mixed_model_spec()
+    stream = gradient_stream(spec, 34, 120)
+    assert_equivalent(spec, 38, stream, *scion_light_runs(spec, lambda k: 1.0 / np.sqrt(k)),
+                      ns_iters=5)
 
 
 @criterion(6, "matrix-sign iteration against the exact-SVD oracle")

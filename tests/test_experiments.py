@@ -959,13 +959,15 @@ class TestSweep:
 
 
 def _untouched(*args, **kwargs):
-    raise AssertionError("a harness did work before checking its counts")
+    raise AssertionError("a harness did work before checking its inputs")
 
 
 _SWEEP_PROBLEM = SyntheticClassification(dim=4, classes=2, train_size=16, test_size=8, seed=0)
 
-# Each harness refuses a count below 1 by name before any draw, gradient or step.
-_COUNT_REJECTIONS = {
+# Each harness refuses a count below 1, and the sweep a stepsize or alpha outside
+# (0, 1], by name before any draw, gradient or step. A zero stepsize would leave the
+# sweep's best-stepsize spread without a log2.
+_ENTRY_REJECTIONS = {
     "coord_check_no_samples": (
         lambda: coordinate_check([8], depth=2, samples=0, input_dim=4, classes=2),
         "samples must be >= 1, got 0"),
@@ -987,12 +989,21 @@ _COUNT_REJECTIONS = {
     "rate_vanishing_zero_horizon": (
         lambda: rate_harness("scg", "vanishing", [0, 16], small_quadratic(noise=1.0)),
         r"n_list horizons must be >= 1, got \(0, 16\)"),
+    "sweep_gamma_above_one": (
+        lambda: lr_transfer_sweep([8], [0.05, 2.0], _SWEEP_PROBLEM, epochs=1),
+        r"gamma_grid entries must be in \(0, 1\], got 2.0"),
+    "sweep_zero_alpha": (
+        lambda: lr_transfer_sweep([8], [0.05], _SWEEP_PROBLEM, epochs=1, alpha=0.0),
+        r"alpha must be in \(0, 1\], got 0.0"),
+    "sweep_zero_gamma_two_widths": (
+        lambda: lr_transfer_sweep([8, 16], [0.0], _SWEEP_PROBLEM, epochs=1),
+        r"gamma_grid entries must be in \(0, 1\], got 0.0"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_COUNT_REJECTIONS))
+@pytest.mark.parametrize("case", sorted(_ENTRY_REJECTIONS))
 def test_count_rejected_by_name_before_any_work(monkeypatch, case):
-    call, message = _COUNT_REJECTIONS[case]
+    call, message = _ENTRY_REJECTIONS[case]
     for name in ("rng_gaussian", "init_model", "train_quadratic", "train_classifier"):
         monkeypatch.setattr(experiments, name, _untouched)
     monkeypatch.setattr("lmopt.problems.gen_synthetic", _untouched)
@@ -1000,6 +1011,35 @@ def test_count_rejected_by_name_before_any_work(monkeypatch, case):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+
+class TestInputsBuiltOnce:
+    """The width harnesses build each width's layer config once, not once per sample
+    or per stepsize, and the sweep builds one schedule per grid point."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        built = []
+        real = getattr(experiments, name)
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+        return built
+
+    def test_coordinate_check_one_config_per_width(self, monkeypatch):
+        configs = self._count(monkeypatch, "build_config")
+        coordinate_check([4, 8], depth=2, samples=3, input_dim=4, classes=3)
+        assert len(configs) == 2
+
+    def test_sweep_one_config_per_width_one_schedule_per_grid_point(self, monkeypatch):
+        configs = self._count(monkeypatch, "build_config")
+        schedules = self._count(monkeypatch, "ScheduleSpec")
+        lr_transfer_sweep([4, 8], [0.05, 0.1, 0.2], _SWEEP_PROBLEM, epochs=1, batch_size=8)
+        assert len(configs) == 2
+        assert len(schedules) == 3
 
 
 class TestUnknownAlgo:

@@ -11,8 +11,6 @@ from lmopt.models import (
     Domain,
     LayerSpec,
     MlpModel,
-    activation_grad,
-    activation_value,
     backward,
     backward_factors,
     build_config,
@@ -37,21 +35,17 @@ def simple_model(dims, activation=Activation.TANH, family="recommended", seed=0,
 
 class TestActivations:
     def test_scaled_relu2_value(self):
-        np.testing.assert_allclose(
-            activation_value(Activation.SCALED_RELU2, np.array([2.0])), [8.0]
-        )
-        np.testing.assert_allclose(
-            activation_value(Activation.SCALED_RELU2, np.array([-2.0])), [0.0]
-        )
+        value = _ACTIVATIONS[Activation.SCALED_RELU2][0]
+        np.testing.assert_allclose(value(np.array([2.0])), [8.0])
+        np.testing.assert_allclose(value(np.array([-2.0])), [0.0])
 
     def test_relu(self):
-        np.testing.assert_allclose(
-            activation_value(Activation.RELU, np.array([-1.0, 3.0])), [0.0, 3.0]
-        )
+        value = _ACTIVATIONS[Activation.RELU][0]
+        np.testing.assert_allclose(value(np.array([-1.0, 3.0])), [0.0, 3.0])
 
     @pytest.mark.parametrize("act", HIDDEN_ACTS)
     def test_zero_fixed_point(self, act):
-        assert activation_value(act, np.array([0.0]))[0] == 0.0
+        assert _ACTIVATIONS[act][0](np.array([0.0]))[0] == 0.0
 
     def test_table_holds_every_activation(self):
         assert set(_ACTIVATIONS) == set(Activation)
@@ -60,16 +54,17 @@ class TestActivations:
 
     @pytest.mark.parametrize("act", ["relu", "RELU", None, [1]])
     def test_non_member_rejected(self, act):
-        for f in (activation_value, activation_grad):
-            with pytest.raises(ValueError, match="unknown activation"):
-                f(act, np.zeros(2))
+        # LayerSpec is the one membership check: forward and backward index the table
+        with pytest.raises(ValueError, match="activation must be an Activation"):
+            LayerSpec(act, NormSpec(NormKind.SPECTRAL, 1.0, 3, 2))
 
     @pytest.mark.parametrize("act", list(_ACTIVATIONS))
     def test_grad_matches_finite_difference(self, act):
         x = np.linspace(-2.0, 2.0, 41) + 0.013  # avoid the relu kink
         h = 1e-6
-        fd = (activation_value(act, x + h) - activation_value(act, x - h)) / (2 * h)
-        np.testing.assert_allclose(activation_grad(act, x), fd, atol=1e-8)
+        value, grad = _ACTIVATIONS[act]
+        fd = (value(x + h) - value(x - h)) / (2 * h)
+        np.testing.assert_allclose(grad(x), fd, atol=1e-8)
 
     def test_scaled_gelu_keeps_the_combined_formula_bits(self):
         # The value and the derivative are computed apart; each keeps the operation
@@ -90,8 +85,8 @@ class TestActivations:
         ])
         with np.errstate(over="ignore", invalid="ignore"):
             want = combined(x)
-            got = (activation_value(Activation.SCALED_GELU, x),
-                   activation_grad(Activation.SCALED_GELU, x))
+            value, grad = _ACTIVATIONS[Activation.SCALED_GELU]
+            got = (value(x), grad(x))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
@@ -336,9 +331,8 @@ class TestBackward:
                 grads_rev.append(delta.sum(axis=1))
             grads_rev.append(delta @ h_prev.T)
             if idx > 0:
-                delta = (model.weights[idx].T @ delta) * activation_grad(
-                    model.layers[idx - 1].activation, cache.preacts[idx - 1]
-                )
+                grad = _ACTIVATIONS[model.layers[idx - 1].activation][1]
+                delta = (model.weights[idx].T @ delta) * grad(cache.preacts[idx - 1])
         return value, grads_rev[::-1]
 
     @pytest.mark.parametrize("act", list(Activation), ids=lambda a: a.value)
