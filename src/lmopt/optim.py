@@ -19,20 +19,19 @@ Buffers start at zero. Because the lmo ignores magnitude, the very first update
 already moves along lmo(g1) exactly as if alpha were 1 on that step.
 
 `step` mutates the passed-in OptimizerState (single-writer contract) and returns
-the new parameter list with the gradient estimate it formed. The state's buffer is
-its own: each buffer update runs in place in its arrays, in the same operation
-order as the out-of-place formula, so the bits do not change. The ADD, CONVEX and
-DECAY moves are written into the oracle's fresh outputs (see `norms.lmo`); the
-caller's parameter and gradient arrays are never written in place, and no buffer
-array shares memory with them. A parameter on a vector-kind atom may be a (T, d)
-stack of independent runs, which every rule updates row by row. A weight gradient
-may be a `linalg.LowRank` where the rule does no arithmetic on it: the AVERAGE
-buffer at alpha = 1 hands it to the lmo as is, so a single step from a fresh buffer
-takes the factored spectral route, and the ORIENTED buffer and SSD hand it to the
-oracle alone. The buffer then holds the gradient's own arrays until the next
-update, which forms one fresh buffer rather than write into them. A step that
-would scale a LowRank, in g or in that buffer (AVERAGE at alpha < 1, and every
-ACCUMULATE step), raises ValueError naming its atom before it writes any buffer.
+the new parameter list with the gradient estimate it formed. One rule says where a
+buffer update goes: into each writeable buffer array, in place, in the out-of-place
+formula's operation order (so with its bits), and into one fresh array in place of
+a read-only one. The ADD, CONVEX and DECAY moves are written into the oracle's
+fresh outputs (see `norms.lmo`); the caller's parameter and gradient arrays are
+never written in place, and no writeable buffer array shares memory with them. A
+parameter on a vector-kind atom may be a (T, d) stack of independent runs, which
+every rule updates row by row. A weight gradient may be a `linalg.LowRank` where
+the rule does no arithmetic on it: the AVERAGE buffer at alpha = 1 hands g through
+(each array as a read-only view, a LowRank as itself), so a single step from a
+fresh buffer takes the factored spectral route; the ORIENTED buffer and SSD hand it
+to the oracle alone. A step that would scale a LowRank, in g or in the buffer,
+raises ValueError naming its atom before it writes any buffer.
 
 SCG iterates are read-only. The CONVEX move needs a feasible iterate, and an exact
 lmo output sits on the ball boundary, so the move certifies its own output by
@@ -180,14 +179,13 @@ class OptimizerState:
     alpha (None until the first step; Scion-light's keep factor reads it), and the
     certificate of the last CONVEX move's output (None until one vouches).
 
-    The state owns d's arrays and updates them in place, except while `borrowed`:
-    then d holds the gradient arrays an AVERAGE step at alpha = 1 handed through,
-    and the next update forms one fresh buffer instead of writing into them."""
+    The state writes each update into d's writeable arrays and forms a fresh array
+    for a read-only one, such as the views of g that an AVERAGE step at alpha = 1
+    leaves in d."""
 
     d: list[np.ndarray]
     alpha: float | None = None
     certificate: Certificate | None = None
-    borrowed: bool = False
 
     @classmethod
     def init(cls, params: Sequence[np.ndarray]) -> "OptimizerState":
@@ -195,14 +193,14 @@ class OptimizerState:
 
 
 def _scaled_add(
-    d: Sequence[np.ndarray], keep: float, g: Sequence[np.ndarray], owned: bool, weight: float = 1.0
+    d: Sequence[np.ndarray], keep: float, g: Sequence[np.ndarray], weight: float = 1.0
 ) -> list[np.ndarray]:
-    """keep * d + weight * g per array, run as d *= keep; d += weight * g in d's
-    arrays when they are `owned`, else in one fresh buffer; the bits are the
-    out-of-place formula's (a weight of 1 adds g itself)."""
+    """keep * d + weight * g per array, run as d *= keep; d += weight * g in each
+    writeable array of d, else in one fresh array; the bits are the out-of-place
+    formula's either way (a weight of 1 adds g itself)."""
     out = []
     for di, gi in zip(d, g):
-        if owned:
+        if di.flags.writeable:
             di *= keep
         else:
             di = di * keep
@@ -211,16 +209,21 @@ def _scaled_add(
     return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def momentum_update(
-    d: Sequence[np.ndarray], g: Sequence[np.ndarray], alpha: float, owned: bool = True
+    d: Sequence[np.ndarray], g: Sequence[np.ndarray], alpha: float
 ) -> list[np.ndarray]:
     """Exponential averaging (1 - alpha) * d + alpha * g, elementwise per array, run
-    as d *= 1 - alpha; d += alpha * g and returned. The update is written into d's
-    arrays when they are `owned` (the caller's to write), else into one fresh buffer.
+    as d *= 1 - alpha; d += alpha * g in each writeable array of d, else in one fresh
+    array, and returned.
 
-    alpha = 1 discards the history and returns g's own arrays, untouched by any
-    arithmetic, the conventional first-iteration choice when the caller manages the
-    buffer itself.
+    alpha = 1 discards the history and hands g through untouched: each array as a
+    read-only view, which no later update writes into, and a LowRank as itself.
 
     `step` alone calls it, for its AVERAGE and ORIENTED buffers, and checks its
     operands first, so it checks nothing itself. It is a function of its own only so
@@ -228,8 +231,8 @@ def momentum_update(
     once the tracer traces `step`.
     """
     if alpha == 1.0:
-        return list(g)
-    return _scaled_add(d, 1.0 - alpha, g, owned, alpha)
+        return [gi if isinstance(gi, LowRank) else _read_only(gi) for gi in g]
+    return _scaled_add(d, 1.0 - alpha, g, alpha)
 
 
 def _feasible_bound(x: Sequence[np.ndarray], state: OptimizerState, spec: ModelNormSpec) -> float:
@@ -263,15 +266,15 @@ def step(
     accumulated buffer rescaled to an average (by 1 - beta, or by alpha), or g
     itself for the rules that keep no gradient buffer (ALMOND averages oracle
     outputs, SSD keeps none). The averaged buffer is returned as the state's own
-    arrays, which the next step updates in place; a caller that keeps d_k past the
-    next step copies it. The CONVEX move needs a feasible iterate (composite
-    norm <= 1, on every row of a stack) and then keeps every iterate feasible, no
-    matter the gradient stream. It returns read-only arrays and records in `state` a
-    bound on their norm, so the next step takes them without measuring them again
-    (see Certificate). The ADD move changes x by at most gamma in the composite
-    norm (radii included). The ADD, CONVEX and DECAY moves call the oracle once, on
-    the buffer or its Nesterov look-ahead; when it rejects that operand, the
-    ValueError carries the list as its `operand` attribute.
+    arrays (at alpha = 1, read-only views of g), which the next step may update in
+    place; a caller that keeps d_k past the next step copies it. The CONVEX move
+    needs a feasible iterate (composite norm <= 1, on every row of a stack) and then
+    keeps every iterate feasible, no matter the gradient stream. It returns read-only
+    arrays and records in `state` a bound on their norm, so the next step takes them
+    without measuring them again (see Certificate). The ADD move changes x by at most
+    gamma in the composite norm (radii included). The ADD, CONVEX and DECAY moves
+    call the oracle once, on the buffer or its Nesterov look-ahead; when it rejects
+    that operand, the ValueError carries the list as its `operand` attribute.
 
     Under every rule, SSD's too, the step first checks gamma, alpha, and that x, g and
     the state's buffer hold one array per atom, of one shape at each atom.
@@ -286,14 +289,15 @@ def step(
             raise ValueError(f"step: got {len(x)} and {len(other)} entries")
     if len(x) != len(atoms):
         raise ValueError(f"step: {len(x)} parameter arrays for {len(atoms)} norm atoms")
-    # This buffer update scales g and the buffer; a LowRank holds no array to scale,
-    # and only a buffer an averaged alpha = 1 step handed g to can hold one.
-    scales = (alpha < 1.0 and rule.buffer is Buffer.AVERAGE) or rule.buffer is Buffer.ACCUMULATE
+    # A LowRank holds no array to scale: refuse one wherever this buffer update scales
+    # it (the ORIENTED buffer scales only d, once the oracle has taken g).
+    scales_g = rule.buffer is Buffer.ACCUMULATE or alpha < 1.0 and rule.buffer is Buffer.AVERAGE
+    scales_d = scales_g or alpha < 1.0 and rule.buffer is Buffer.ORIENTED
     for i, (xi, gi, di) in enumerate(zip(x, g, state.d)):
         shapes = np.shape(xi), np.shape(gi), np.shape(di)
         if not shapes[0] == shapes[1] == shapes[2]:
             raise ValueError(f"step: x, g and the buffer have shapes {shapes} at atom {i}")
-        if scales and (isinstance(gi, LowRank) or state.borrowed and isinstance(di, LowRank)):
+        if scales_d and isinstance(di, LowRank) or scales_g and isinstance(gi, LowRank):
             raise ValueError(
                 f"step: the {rule.buffer.value} buffer would scale a LowRank at atom {i}; "
                 "pass its dense product"
@@ -302,13 +306,9 @@ def step(
         bound = _feasible_bound(x, state, spec)
     d_k = v = list(g)
     if rule.buffer is Buffer.AVERAGE:
-        state.d = d_k = v = momentum_update(state.d, g, alpha, not state.borrowed)
-        state.borrowed = alpha == 1.0
+        state.d = d_k = v = momentum_update(state.d, g, alpha)
     elif rule.buffer is Buffer.ORIENTED:
-        # At alpha = 1 the buffer takes the oracle's fresh outputs, which it owns.
-        oriented = model_lmo(g, spec, ns_iters)
-        state.d = momentum_update(state.d, oriented, alpha, not state.borrowed)
-        state.borrowed = False
+        state.d = momentum_update(state.d, model_lmo(g, spec, ns_iters), alpha)
     elif rule.buffer is Buffer.ACCUMULATE:
         if rule.beta is None:
             # The ratio first: under a constant alpha it is exactly 1, bit for bit.
@@ -318,10 +318,9 @@ def step(
             keep, scale = rule.beta, 1.0 - rule.beta
         # Finite operands can overflow these sums; the oracle then rejects the operand.
         with np.errstate(over="ignore"):
-            state.d = v = _scaled_add(state.d, keep, g, not state.borrowed)
+            state.d = v = _scaled_add(state.d, keep, g)
             if rule.nesterov:
-                v = _scaled_add(state.d, keep, g, False)
-        state.borrowed = False
+                v = [di * keep + gi for di, gi in zip(state.d, g)]
     state.alpha = alpha
     if rule.move is Move.SHARP:
         sharp = [sharp_op(gi, a, ns_iters=ns_iters) for gi, a in zip(g, atoms)]

@@ -78,12 +78,12 @@ def assert_close_lists(a, b, tol=1e-10):
         np.testing.assert_allclose(x, y, atol=tol, rtol=0.0)
 
 
-def averaged_buffer(d, g, alpha, spec, borrowed=False):
+def averaged_buffer(d, g, alpha, spec):
     """The gradient estimate d_k that optim.step forms from buffer d and gradient g
     under uSCG's AVERAGE row, from a zero iterate. SCG and uSCG-WD form d_k the same
     way and differ only in their move."""
     x = [np.zeros(np.shape(gi)) for gi in g]
-    state = OptimizerState(d=d, borrowed=borrowed)
+    state = OptimizerState(d=d)
     return step(x, state, g, 0.1, alpha, spec, RULES[Algo.USCG])[1]
 
 
@@ -98,13 +98,17 @@ class TestAveragedBuffer:
         assert_close_lists(averaged_buffer(d, g, 1.0, vector_spec(2)), g, tol=0.0)
 
     def test_alpha_one_returns_gradient_arrays_untouched(self):
+        # A LowRank comes back as itself, each array as a read-only view of its memory.
         spec = ModelNormSpec(
             (NormSpec(NormKind.SPECTRAL, 1.0, 3, 2), NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2))
         )
         d = [np.full((3, 2), np.nan), np.array([5.0, -2.0])]
         g = [LowRank(np.ones((3, 1)), np.ones((2, 1))), np.array([-0.0, 1.0])]
         out = averaged_buffer(d, g, 1.0, spec)
-        assert len(out) == 2 and all(o is gi for o, gi in zip(out, g))
+        assert len(out) == 2 and out[0] is g[0]
+        assert out[1] is not g[1] and np.shares_memory(out[1], g[1])
+        assert not out[1].flags.writeable and g[1].flags.writeable
+        assert out[1].tobytes() == g[1].tobytes()
 
     def test_convex_combination(self):
         d = [np.array([1.0, 1.0])]
@@ -127,11 +131,12 @@ class TestAveragedBuffer:
         assert all(o is di for o, di in zip(out, d))
         np.testing.assert_array_equal(d[1], [[2.0]])
 
-    def test_borrowed_buffer_left_alone(self):
-        # Arrays the state does not own get one fresh buffer with the same bits.
+    def test_read_only_buffer_left_alone(self):
+        # Read-only buffer arrays get one fresh buffer with the same bits.
         d = [np.array([1.0, 1.0])]
+        d[0].flags.writeable = False
         g = [np.array([0.0, 2.0])]
-        out = averaged_buffer(d, g, 0.1, vector_spec(2), borrowed=True)
+        out = averaged_buffer(d, g, 0.1, vector_spec(2))
         assert not np.shares_memory(out[0], d[0])
         np.testing.assert_array_equal(d[0], [1.0, 1.0])
         np.testing.assert_array_equal(out[0], (1.0 - 0.1) * d[0] + 0.1 * g[0])
@@ -470,6 +475,32 @@ class TestStepOwnership:
             for gi in g1:
                 assert not np.shares_memory(d, gi)
 
+    @pytest.mark.parametrize("algo", [a for a in Algo if RULES[a].buffer is not Buffer.NONE])
+    def test_read_only_buffer_replaced_by_a_fresh_one(self, algo):
+        # A buffer array is written in place only while it is writeable: a read-only
+        # one is left untouched, and the update forms a fresh array with its bits.
+        from lmopt.norms import model_lmo
+
+        spec = mixed_spec()
+        x = [0.5 * p for p in boundary_params(spec, 104)]  # feasible for SCG
+        d, g = random_params(spec, 105), random_params(spec, 106)
+        for di in d:
+            di.flags.writeable = False
+        d_bytes = _raw_bytes(d)
+        rule, alpha = rule_for(algo), 0.25
+        state = OptimizerState(d=list(d), alpha=0.5)
+        step(x, state, g, 0.3, alpha, spec, rule)
+        if rule.buffer is Buffer.ACCUMULATE:
+            keep = (1.0 - alpha) * (0.5 / alpha) if rule.beta is None else rule.beta
+            want = [di * keep + gi for di, gi in zip(d, g)]
+        else:
+            fresh = g if rule.buffer is Buffer.AVERAGE else model_lmo(g, spec)
+            want = [(1.0 - alpha) * di + alpha * fi for di, fi in zip(d, fresh)]
+        assert _raw_bytes(d) == d_bytes
+        for new, old, w in zip(state.d, d, want, strict=True):
+            assert new.flags.writeable and not np.shares_memory(new, old)
+            assert new.tobytes() == w.tobytes()
+
 
 class TestFactoredGradient:
     """A LowRank weight gradient reaches the oracle where the rule does no arithmetic
@@ -490,8 +521,7 @@ class TestFactoredGradient:
         return [rng_gaussian(6, 1, seed + 2)[:, 0], g if factored else g.dense()]
 
     def snapshot(self, state):
-        return ([id(d) for d in state.d], _raw_bytes(state.d), state.alpha,
-                state.borrowed, state.certificate)
+        return [id(d) for d in state.d], _raw_bytes(state.d), state.alpha, state.certificate
 
     def rejects(self, algo, alpha, factored, after):
         if algo in self.ACCUMULATE_ROWS:
@@ -537,6 +567,30 @@ class TestFactoredGradient:
         for a, b in zip(got[:2], want[:2]):  # the new parameters, then d_k
             a = [ai.dense() if isinstance(ai, LowRank) else ai for ai in a]
             assert_close_lists(a, b, tol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("algo", list(Algo))
+    def test_hand_built_lowrank_buffer(self, algo, alpha):
+        # A LowRank put in the buffer by hand rather than by a factored alpha = 1 step:
+        # an update that would scale it refuses by name before it writes anything, and
+        # every other row leaves it untouched.
+        rule = rule_for(algo)
+        x = [0.5 * p for p in boundary_params(self.SPEC, 98)]  # feasible for SCG
+        buffer = self.gradient(103, factored=True)
+        state = OptimizerState(d=list(buffer), alpha=0.5)
+        g = self.gradient(101, factored=False)
+        before = self.snapshot(state)
+        scales = rule.buffer is Buffer.ACCUMULATE or (
+            alpha < 1.0 and rule.buffer is not Buffer.NONE
+        )
+        if not scales:
+            step(x, state, g, 0.3, alpha, self.SPEC, rule)
+            assert _raw_bytes(buffer) == before[1]
+            return
+        with pytest.raises(ValueError, match=f"the {rule.buffer.value} buffer would scale "
+                           "a LowRank at atom 1"):
+            step(x, state, g, 0.3, alpha, self.SPEC, rule)
+        assert self.snapshot(state) == before
 
 
 class TestStepMemory:

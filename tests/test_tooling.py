@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lmopt import optim
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -59,6 +61,30 @@ def test_tracer_hooks_named_only_by_optim():
         if TRACER_HOOKS.search(line)
     ]
     assert not named
+
+
+@pytest.mark.parametrize("algo", list(optim.Algo))
+def test_step_calls_the_traced_buffer_update(algo, monkeypatch):
+    """The tracer counts `optim.momentum_update.calls` by patching lmopt.optim's
+    module global, so `step` must call the update through it, once per AVERAGE or
+    ORIENTED step and never on the other rows: an inlined or bypassed update would
+    read 0 calls and fail nothing else."""
+    from lmopt.norms import ModelNormSpec, NormKind, NormSpec
+
+    calls = []
+    update = optim.momentum_update
+
+    def counting(*args):
+        calls.append(args)
+        return update(*args)
+
+    monkeypatch.setattr(optim, "momentum_update", counting)
+    rule = optim.RULES[algo]
+    spec = ModelNormSpec((NormSpec.vector(NormKind.EUCLIDEAN_VEC, 3),))
+    x = [np.zeros(3)]  # feasible for SCG
+    optim.step(x, optim.OptimizerState.init(x), [np.ones(3)], 0.1, 0.5, spec, rule)
+    averaged = rule.buffer in (optim.Buffer.AVERAGE, optim.Buffer.ORIENTED)
+    assert len(calls) == (1 if averaged else 0)
 
 
 def test_tier1_runs_on_one_blas_thread():
