@@ -70,13 +70,16 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Field:
     path: str
-    kind: str  # int | float | str | int_list
     default: object
     help: str
     choices: tuple[str, ...] | None = None
     # accepted interval, "[" "]" closed and "(" ")" open, e.g. "(0, 1]"; int kinds
     # default to [1, inf), and an int_list must be non-empty with every element inside
     within: str | None = None
+
+    @property
+    def kind(self) -> str:  # read from the default's type
+        return {int: "int", float: "float", str: "str", list: "int_list"}[type(self.default)]
 
     @property
     def interval(self) -> str | None:
@@ -104,110 +107,104 @@ _MU_ALGOS = ", ".join(n for n, a in _ALGO_BY_NAME.items() if RULES[a].move is Mo
 _BETA_ALGOS = ", ".join(n for n, a in _ALGO_BY_NAME.items() if RULES[a].beta is not None)
 
 _SPECTRAL_FIELDS = (
-    Field("spectral.backend", "str", "exact_svd",
-          "spectral lmo backend", ("exact_svd", "newton_schulz")),
-    Field("spectral.iters", "int", 5, "newton-schulz iteration count", within="[0, inf)"),
+    Field("spectral.backend", "exact_svd", "spectral lmo backend", ("exact_svd", "newton_schulz")),
+    Field("spectral.iters", 5, "newton-schulz iteration count", within="[0, inf)"),
 )
 
 _COMMON_FIELDS = (
-    Field("seed", "int", 0, "master seed; every artifact is a pure function of (config, seed)",
+    Field("seed", 0, "master seed; every artifact is a pure function of (config, seed)",
           within="(-inf, inf)"),
-    Field("out", "str", "runs", "output directory"),
+    Field("out", "runs", "output directory"),
 )
 
 SCHEMAS: dict[str, dict[str, Field]] = {
     "lmo-check": _fields(
         *_COMMON_FIELDS,
-        Field("kinds", "str", "all",
-              "comma list of norm kinds to check, or 'all'"),
-        Field("trials", "int", 100, "random inputs per kind"),
-        Field("max_dim", "int", 64, "max operand dimension"),
+        Field("kinds", "all", "comma list of norm kinds to check, or 'all'"),
+        Field("trials", 100, "random inputs per kind"),
+        Field("max_dim", 64, "max operand dimension"),
         *_SPECTRAL_FIELDS,
     ),
     "train": _fields(
         *_COMMON_FIELDS,
-        Field("problem.kind", "str", "classification", "problem family",
+        Field("problem.kind", "classification", "problem family",
               ("classification", "quadratic", "idx")),
-        Field("problem.dim", "int", 32, "input dimension (classification/quadratic)"),
-        Field("problem.classes", "int", 4, "class count (classification)", within="[2, inf)"),
-        Field("problem.clusters", "int", 2, "clusters per class (classification)"),
-        Field("problem.noise", "float", 0.3, "feature noise (classification) or gradient "
+        Field("problem.dim", 32, "input dimension (classification/quadratic)"),
+        Field("problem.classes", 4, "class count (classification)", within="[2, inf)"),
+        Field("problem.clusters", 2, "clusters per class (classification)"),
+        Field("problem.noise", 0.3, "feature noise (classification) or gradient "
               "noise level (quadratic)", within="[0, inf)"),
-        Field("problem.train_size", "int", 512, "training samples (classification)"),
-        Field("problem.test_size", "int", 128, "held-out samples (classification)",
-              within="[0, inf)"),
-        Field("problem.conditioning", "float", 10.0, "curvature spread (quadratic)",
-              within="[1, inf)"),
-        Field("problem.rho", "float", 1.0, "norm-ball radius (quadratic), a normal float64",
+        Field("problem.train_size", 512, "training samples (classification)"),
+        Field("problem.test_size", 128, "held-out samples (classification)", within="[0, inf)"),
+        Field("problem.conditioning", 10.0, "curvature spread (quadratic)", within="[1, inf)"),
+        Field("problem.rho", 1.0, "norm-ball radius (quadratic), a normal float64",
               within=f"[{_TINY!r}, inf)"),
-        Field("problem.images", "str", "", "IDX images path (idx)"),
-        Field("problem.labels", "str", "", "IDX labels path (idx)"),
-        Field("problem.limit", "int", 0, "cap on idx samples, 0 = all", within="[0, inf)"),
-        Field("model.hidden", "int_list", [64, 64], "hidden layer widths"),
-        Field("model.domain", "str", "image", "input-domain preset", _values(Domain)),
-        Field("model.family", "str", "recommended", "layer norm family", FAMILIES),
-        Field("model.activation", "str", "relu", "hidden activation", _ACTIVATIONS),
-        Field("optimizer.algo", "str", "uscg", "update rule", tuple(_ALGO_BY_NAME)),
-        Field("optimizer.steps", "int", 100, "horizon n"),
-        Field("optimizer.batch_size", "int", 64, "minibatch size (data problems)"),
-        Field("optimizer.gamma.kind", "str", "linear", "stepsize schedule", _values(GammaKind)),
-        Field("optimizer.gamma.value", "float", 0.05, "base stepsize gamma", within="[0, 1]"),
-        Field("optimizer.gamma.warmdown_frac", "float", 0.25,
+        Field("problem.images", "", "IDX images path (idx)"),
+        Field("problem.labels", "", "IDX labels path (idx)"),
+        Field("problem.limit", 0, "cap on idx samples, 0 = all", within="[0, inf)"),
+        Field("model.hidden", [64, 64], "hidden layer widths"),
+        Field("model.domain", "image", "input-domain preset", _values(Domain)),
+        Field("model.family", "recommended", "layer norm family", FAMILIES),
+        Field("model.activation", "relu", "hidden activation", _ACTIVATIONS),
+        Field("optimizer.algo", "uscg", "update rule", tuple(_ALGO_BY_NAME)),
+        Field("optimizer.steps", 100, "horizon n"),
+        Field("optimizer.batch_size", 64, "minibatch size (data problems)"),
+        Field("optimizer.gamma.kind", "linear", "stepsize schedule", _values(GammaKind)),
+        Field("optimizer.gamma.value", 0.05, "base stepsize gamma", within="[0, 1]"),
+        Field("optimizer.gamma.warmdown_frac", 0.25,
               "tail fraction for constant_then_linear", within="(0, 1]"),
-        Field("optimizer.alpha.kind", "str", "constant", "averaging schedule", _values(AlphaKind)),
-        Field("optimizer.alpha.value", "float", 0.1, "averaging weight alpha", within="(0, 1]"),
-        Field("optimizer.mu", "float", 0.5, f"weight decay ({_MU_ALGOS}, in [0, 1])",
-              within="(-inf, inf)"),
-        Field("optimizer.beta", "float", 0.9, f"momentum ({_BETA_ALGOS}, in [0, 1))",
-              within="(-inf, inf)"),
+        Field("optimizer.alpha.kind", "constant", "averaging schedule", _values(AlphaKind)),
+        Field("optimizer.alpha.value", 0.1, "averaging weight alpha", within="(0, 1]"),
+        Field("optimizer.mu", 0.5, f"weight decay ({_MU_ALGOS}, in [0, 1])", within="(-inf, inf)"),
+        Field("optimizer.beta", 0.9, f"momentum ({_BETA_ALGOS}, in [0, 1))", within="(-inf, inf)"),
         *_SPECTRAL_FIELDS,
     ),
     "coord-check": _fields(
         *_COMMON_FIELDS,
-        Field("widths", "int_list", [64, 256, 1024], "hidden widths to compare"),
-        Field("depth", "int", 3, "number of weight layers", within="[2, inf)"),
-        Field("gamma", "float", 0.01, "stepsize for the probe update", within="(0, 1]"),
-        Field("samples", "int", 32, "seeds averaged per width"),
-        Field("input_dim", "int", 32, "input dimension"),
-        Field("classes", "int", 10, "output dimension"),
-        Field("activation", "str", "scaled_gelu", "hidden activation", _ACTIVATIONS),
+        Field("widths", [64, 256, 1024], "hidden widths to compare"),
+        Field("depth", 3, "number of weight layers", within="[2, inf)"),
+        Field("gamma", 0.01, "stepsize for the probe update", within="(0, 1]"),
+        Field("samples", 32, "seeds averaged per width"),
+        Field("input_dim", 32, "input dimension"),
+        Field("classes", 10, "output dimension"),
+        Field("activation", "scaled_gelu", "hidden activation", _ACTIVATIONS),
         *_SPECTRAL_FIELDS,
     ),
     "sweep": _fields(
         *_COMMON_FIELDS,
-        Field("widths", "int_list", [128, 512], "hidden widths to compare"),
-        Field("gamma.start", "float", 0.005, "smallest grid stepsize", within="(0, 1]"),
-        Field("gamma.factor", "float", 2.0, "geometric grid spacing (top stepsize <= 1)",
+        Field("widths", [128, 512], "hidden widths to compare"),
+        Field("gamma.start", 0.005, "smallest grid stepsize", within="(0, 1]"),
+        Field("gamma.factor", 2.0, "geometric grid spacing (top stepsize <= 1)",
               within="(0, inf)"),
-        Field("gamma.count", "int", 8, "grid size"),
-        Field("epochs", "int", 4, "training epochs per cell"),
-        Field("alpha", "float", 0.1, "averaging weight", within="(0, 1]"),
-        Field("batch_size", "int", 128, "minibatch size"),
-        Field("depth", "int", 3, "number of weight layers", within="[2, inf)"),
-        Field("activation", "str", "scaled_gelu", "hidden activation", _ACTIVATIONS),
-        Field("problem.dim", "int", 32, "input dimension"),
-        Field("problem.classes", "int", 8, "class count", within="[2, inf)"),
-        Field("problem.clusters", "int", 2, "clusters per class"),
-        Field("problem.noise", "float", 1.0, "feature noise", within="[0, inf)"),
-        Field("problem.train_size", "int", 512, "training samples"),
-        Field("problem.test_size", "int", 256, "held-out samples", within="[0, inf)"),
+        Field("gamma.count", 8, "grid size"),
+        Field("epochs", 4, "training epochs per cell"),
+        Field("alpha", 0.1, "averaging weight", within="(0, 1]"),
+        Field("batch_size", 128, "minibatch size"),
+        Field("depth", 3, "number of weight layers", within="[2, inf)"),
+        Field("activation", "scaled_gelu", "hidden activation", _ACTIVATIONS),
+        Field("problem.dim", 32, "input dimension"),
+        Field("problem.classes", 8, "class count", within="[2, inf)"),
+        Field("problem.clusters", 2, "clusters per class"),
+        Field("problem.noise", 1.0, "feature noise", within="[0, inf)"),
+        Field("problem.train_size", 512, "training samples"),
+        Field("problem.test_size", 256, "held-out samples", within="[0, inf)"),
         *_SPECTRAL_FIELDS,
     ),
     "rate": _fields(
         *_COMMON_FIELDS,
-        Field("optimizer", "str", "uscg", "method under test", RATE_OPTIMIZERS),
-        Field("mode", "str", "vanishing", "momentum regime", RATE_MODES),
-        Field("n_list", "int_list", [100, 400, 1600, 6400], "horizons (2 distinct if vanishing)"),
-        Field("trials", "int", 10, "independent runs per horizon"),
-        Field("alpha", "float", 0.1, "averaging weight (constant mode)", within="(0, 1]"),
-        Field("probe", "str", "none", "extra probe to run", ("none", "error_decay")),
-        Field("probe_n", "int", 4096, "error-decay horizon", within="[2, inf)"),
-        Field("probe_trials", "int", 20, "error-decay trials"),
-        Field("problem.dim", "int", 32, "quadratic dimension"),
-        Field("problem.noise", "float", 1.0, "gradient noise level sigma", within="[0, inf)"),
-        Field("problem.conditioning", "float", 10.0, "curvature spread", within="[1, inf)"),
-        Field("rho", "float", 1.0, "unconstrained ball radius", within="(0, inf)"),
-        Field("rho_constrained", "float", 2.0, "constrained ball radius, a normal float64 "
+        Field("optimizer", "uscg", "method under test", RATE_OPTIMIZERS),
+        Field("mode", "vanishing", "momentum regime", RATE_MODES),
+        Field("n_list", [100, 400, 1600, 6400], "horizons (2 distinct if vanishing)"),
+        Field("trials", 10, "independent runs per horizon"),
+        Field("alpha", 0.1, "averaging weight (constant mode)", within="(0, 1]"),
+        Field("probe", "none", "extra probe to run", ("none", "error_decay")),
+        Field("probe_n", 4096, "error-decay horizon", within="[2, inf)"),
+        Field("probe_trials", 20, "error-decay trials"),
+        Field("problem.dim", 32, "quadratic dimension"),
+        Field("problem.noise", 1.0, "gradient noise level sigma", within="[0, inf)"),
+        Field("problem.conditioning", 10.0, "curvature spread", within="[1, inf)"),
+        Field("rho", 1.0, "unconstrained ball radius", within="(0, inf)"),
+        Field("rho_constrained", 2.0, "constrained ball radius, a normal float64 "
               "whose double, the reported constant D2, is finite",
               within=f"[{_TINY!r}, {_HUGE / 2!r}]"),
     ),
@@ -312,10 +309,10 @@ def resolve_config(command: str, file_config: dict, overrides: list[str],
     _require(holder is not None, "out",
              "must name a directory, existing or not, under no file and with no NUL byte",
              resolved["out"])
-    # The seed is the only part of `<command>_<confighash>_<seed>.*` whose length varies;
-    # a train run's checkpoint, written through a temporary file, has the longest suffix.
+    # The seed is the only part of the artifact name whose length varies; a train
+    # run's checkpoint, written through a temporary file, has the longest suffix.
     suffix = ".checkpoint.json.tmp" if command == "train" else ".jsonl"
-    longest = len(f"{command}_{config_hash(resolved)}_{resolved['seed']}{suffix}")
+    longest = len(_artifact_name(command, resolved) + suffix)
     limit = os.pathconf(holder, "PC_NAME_MAX")  # -1 where the file system sets none
     _require(limit < 0 or longest <= limit, "seed",
              f"makes the artifact name {longest} bytes long, past the file system's {limit}",
@@ -333,6 +330,11 @@ def _holding_dir(out: str) -> str | None:
     while not os.path.exists(path):
         path = os.path.dirname(path)
     return path if os.path.isdir(path) else None
+
+
+def _artifact_name(command: str, cfg: dict) -> str:
+    """The base name `<command>_<confighash>_<seed>` of a run's artifacts."""
+    return f"{command.replace('-', '_')}_{config_hash(cfg)}_{cfg['seed']}"
 
 
 def config_hash(resolved: dict) -> str:
@@ -364,7 +366,7 @@ def _write_run(command: str, cfg: dict, header, columns, summary: dict, comments
     The record, which names the checkpoint, is encoded first, so one holding NaN or an
     infinity raises ValueError before any file or the output directory exists; a file
     system error is a ConfigError naming key 'out'."""
-    name = f"{command.replace('-', '_')}_{config_hash(cfg)}_{cfg['seed']}"
+    name = _artifact_name(command, cfg)
     if model is not None:
         summary = {**summary, "checkpoint": name + ".checkpoint.json"}
     line = json.dumps({"command": command, "config": cfg, **summary},
@@ -394,12 +396,6 @@ def _ns_iters(cfg: dict) -> int | None:
     return None
 
 
-def _random_operand(spec: NormSpec, seed: int) -> np.ndarray:
-    if spec.is_vector:
-        return rng_gaussian(spec.d_out, 1, seed)[:, 0]
-    return rng_gaussian(spec.d_out, spec.d_in, seed)
-
-
 def cmd_lmo_check(cfg: dict) -> int:
     """Boundary, dual-pairing, and scale-invariance suites over random inputs."""
     ns_iters = _ns_iters(cfg)
@@ -427,7 +423,8 @@ def cmd_lmo_check(cfg: dict) -> int:
             d_in = 1 if kind in VECTOR_KINDS else 1 + derive_seed(s0, 1) % max_dim
             radius = 0.25 + (derive_seed(s0, 2) % 8) / 2.0
             spec = NormSpec(kind=kind, radius=radius, d_out=d_out, d_in=d_in)
-            s = _random_operand(spec, derive_seed(s0, 3))
+            s = rng_gaussian(d_out, d_in, derive_seed(s0, 3))
+            s = s[:, 0] if spec.is_vector else s
             out = lmo(s, spec, ns_iters=ns_iters)
             max_boundary = max(
                 max_boundary, abs(op_norm(out, spec) - radius) / radius

@@ -4,7 +4,9 @@ known quadratic, and the momentum-error decay probe.
 
 Every harness is a pure function of (config, seed). Optimizer comparisons inside one
 harness consume identical noise streams (noise is indexed by (seed, trial, step), not
-by optimizer state), so equivalence assertions can demand exact agreement.
+by optimizer state), so equivalence assertions can demand exact agreement. A count
+below 1 (a batch size, epochs, samples, trials or a horizon) raises ValueError naming
+it, before any draw or step.
 """
 
 from __future__ import annotations
@@ -164,9 +166,7 @@ def _check_counts(**counts: int) -> None:
 def _squared_l2(e: np.ndarray, atom: NormSpec):
     """||e||_2^2, one value per row of a stacked vector atom (formed as
     np.linalg.norm forms it)."""
-    if atom.is_vector and e.ndim == 2:
-        return np.add.reduce(e * e, axis=-1)
-    return float(np.vdot(e, e))
+    return np.add.reduce(e * e, axis=-1) if atom.is_vector else float(np.vdot(e, e))
 
 
 # The checks of one quadratic step, in the order a failure is reported: the
@@ -469,14 +469,8 @@ def coordinate_check(
             for layer in range(depth):
                 delta = cache_after.preacts[layer] - pre_before[layer]
                 per_layer[layer] += float(np.sqrt(np.mean(delta**2)))
-        for layer in range(depth):
-            rows.append(
-                CoordinateCheckRow(
-                    width=int(width),
-                    layer=layer + 1,
-                    rms_dpreact=per_layer[layer] / samples,
-                )
-            )
+        rows += [CoordinateCheckRow(int(width), layer + 1, per_layer[layer] / samples)
+                 for layer in range(depth)]
     return rows
 
 
@@ -535,7 +529,8 @@ def lr_transfer_sweep(
     softmax just gets more confident), while held-out loss turns back up, giving the
     interior optimum whose location the width-transfer claim is about. The grid is
     expected to be geometric (2x spacing); transfer means the argmin stays within
-    one grid step as width changes.
+    one grid step as width changes. A gamma_grid entry or an alpha outside (0, 1]
+    raises ValueError naming it, before any draw.
     """
     from .problems import gen_synthetic
 

@@ -6,8 +6,9 @@ orthogonalization, semi-orthogonal initializers, and a small counter-based PRNG
 (splitmix64 + Box-Muller) so that every random draw is reproducible across
 platforms and numpy versions. The Gaussian draw also takes a sequence or uint64
 array of seeds and returns one draw per seed on leading axes; `derive_seeds`
-derives such an array for many indices in one vectorized pass.
-All operations are pure functions of their inputs; there is no hidden state.
+derives such an array for many indices in one vectorized pass. Every factorization
+takes its input through `as_matrix` (a non-finite entry raises ValueError) and gives
+a zero matrix rank 0. All operations are pure functions, with no hidden state.
 """
 
 from __future__ import annotations

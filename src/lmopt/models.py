@@ -2,12 +2,12 @@
 
 Layers compute f_l = W_l h_{l-1} (+ b_l), h_l = act(f_l), with the last layer linear
 (identity activation, no bias) so the logits stay unbounded. Inputs are always a
-(d_in, batch) array, one column per sample. A layer is its activation and its norm
-balls; the weight ball's kind fixes the layer's dimensions, its lmo and its boundary
-initialization. `build_config` assembles the balls for the standard domain presets,
-and `init_model` draws each weight from its kind's unit-boundary draw so the fresh
-model sits exactly on the composite norm-ball boundary, which the constrained
-optimizer requires of its starting point.
+(d_in, batch) array, one column per sample; a 1-D array is rejected. A layer is its
+activation and its norm balls; the weight ball's kind fixes the layer's dimensions,
+its lmo and its boundary initialization. `build_config` assembles the balls for the
+standard domain presets, and `init_model` draws each weight from its kind's
+unit-boundary draw so the fresh model sits exactly on the composite norm-ball
+boundary, which the constrained optimizer requires of its starting point.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ _ACTIVATIONS = {
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer: its activation and its norm balls. The weight ball fixes the
-    layer's dimensions, and its kind the weight's boundary initialization."""
+    """One layer: its activation (an Activation member, checked when built) and its
+    norm balls. The weight ball fixes the layer's dimensions, and its kind the
+    weight's boundary initialization."""
 
     activation: Activation
     weight_norm: NormSpec

@@ -28,8 +28,11 @@ Conventions, chosen once and relied on by everything downstream:
     kind's dual sums its rows at one power of two), so a norm that c brings back
     into float64's range stays finite; a norm still past it is inf, silently.
     So is the l1 dual of MaxVec and Sign, whose c is 1.
-  * Vector kinds also take a (T, d) stack and act row by row: op_norm, dual_norm
-    and composite_norm return one value per row. Matrix kinds take one matrix.
+  * Vector kinds also take a (T, d) stack and act row by row, a row being the last
+    axis: op_norm and dual_norm return one value per row. Matrix kinds take one
+    matrix. The list functions reduce over atoms by broadcasting, so a list may mix
+    matrix atoms with stacked vector atoms (of one T) in any order: a matrix atom's
+    value applies to every row, and the list gives one value per row.
   * Matrix kinds also take a `linalg.LowRank` left @ right.T. The exact spectral
     lmo works from its factors (`lowrank_svd`), so a rank-b gradient needs no
     (m, n) SVD; every other function, kind and backend works on the product. A
@@ -247,7 +250,8 @@ _KINDS = {
 
 @dataclass(frozen=True)
 class NormSpec:
-    """A norm ball: kind + radius + operand dimensions (vector kinds use d_in = 1)."""
+    """A norm ball: kind (a NormKind member) + radius (positive, finite) + operand
+    dimensions (>= 1; vector kinds use d_in = 1), each checked when built."""
 
     kind: NormKind
     radius: float
@@ -325,7 +329,7 @@ def lmo_coefficient(spec: NormSpec) -> float:
     per row and RmsVec's sqrt(d); the others' is 1. It is the lmo's own coefficient,
     so a product past float64's range is inf, without a warning."""
     coef, e = spec._lmo_coef
-    return -coef if e is None else _map_back(-coef, e)
+    return _map_back(-coef, e)
 
 
 def scale_by_lmo_coefficient(w: np.ndarray, spec: NormSpec) -> np.ndarray:
@@ -336,16 +340,14 @@ def scale_by_lmo_coefficient(w: np.ndarray, spec: NormSpec) -> np.ndarray:
     silently. In range this is one product with the coefficient, bit for bit."""
     coef, e = spec._lmo_coef
     w *= -coef
-    return w if e is None else _map_back(w, e)
+    return _map_back(w, e)
 
 
 def op_norm(a, spec: NormSpec) -> float | np.ndarray:
     """The norm named by `spec` (operator norm for matrix kinds, vector norm otherwise)."""
     m = _operand(a, spec)
     values, e = spec._oracle.op(spec._oracle.split(m))
-    values = values / spec._c
-    if e is not None:
-        values = _map_back(values, e)
+    values = _map_back(values / spec._c, e)
     if spec._matrix:
         return float(np.max(values))
     return values if values.ndim else float(values)
@@ -370,7 +372,7 @@ def lmo(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
     oracle = spec._oracle
     coef, e = spec._lmo_coef
     out = oracle.join(oracle.lmo(oracle.split(m), coef, ns_iters), m)
-    return out if e is None else _map_back(out, e)
+    return _map_back(out, e)
 
 
 def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
@@ -387,9 +389,7 @@ def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
     m = _operand(s, spec)
     values, e = spec._oracle.dual(spec._oracle.split(m))
     if not spec._matrix:
-        values = spec._c * values
-        if e is not None:
-            values = _map_back(values, e)
+        values = _map_back(spec._c * values, e)
         return values if values.ndim else float(values)
     if e is None:
         return float(spec._c * np.sum(values))
@@ -400,8 +400,10 @@ def dual_norm(s, spec: NormSpec) -> float | np.ndarray:
 
 def _map_back(values, e):
     """values * 2**e, as op_norm and dual_norm map a scaled row's norm back and lmo
-    applies its coefficient's exponent; a value past float64's range is inf, without
-    a warning."""
+    applies its coefficient's exponent, or values itself when e is None; a value past
+    float64's range is inf, without a warning."""
+    if e is None:
+        return values
     with np.errstate(over="ignore"):
         return np.ldexp(values, e)
 
@@ -414,9 +416,7 @@ def sharp_op(s, spec: NormSpec, ns_iters: int | None = None) -> np.ndarray:
     stack each row is scaled by its own dual norm.
     """
     m = _operand(s, spec)
-    dual = dual_norm(m, spec)
-    if np.ndim(dual):
-        dual = dual[:, None]
+    dual = np.expand_dims(dual_norm(m, spec), -1)
     with np.errstate(over="ignore"):
         scale = -dual / spec.radius
     direction = lmo(m, spec, ns_iters=ns_iters)
@@ -437,6 +437,7 @@ class ModelNormSpec:
     op_norm(x_i) / radius_i, so feasibility (composite <= 1) means every array sits
     inside its own scaled ball. Minimizing a linear functional over that composite
     ball splits into independent per-atom lmos, each already carrying its radius.
+    An empty list, or an atom that is not a NormSpec, is refused when built.
     """
 
     atoms: tuple[NormSpec, ...]
@@ -461,13 +462,13 @@ def _check_aligned(params: Sequence[np.ndarray], spec: ModelNormSpec) -> tuple[N
 def composite_norm(params: Sequence[np.ndarray], spec: ModelNormSpec) -> float | np.ndarray:
     """max over atoms of op_norm(param) / radius; feasible parameters have value <= 1.
 
-    Stacked vector atoms give one value per row.
+    A list may mix matrix atoms with stacked vector atoms in any order and gives one
+    value per row; a single run gives a float.
     """
     atoms = _check_aligned(params, spec)
     values = [op_norm(p, a) / a.radius for p, a in zip(params, atoms)]
-    if np.ndim(values[0]):
-        return functools.reduce(np.maximum, values)
-    return max(values)
+    value = functools.reduce(np.maximum, values)
+    return value if np.ndim(value) else float(value)
 
 
 def model_lmo(
@@ -485,7 +486,7 @@ def gap_from_duals(
     duals: Sequence[float | np.ndarray],
 ) -> float | np.ndarray:
     """fw_gap's identity <grad, x> + sum_i radius_i * duals_i, from per-atom dual norms
-    the caller has already taken. Stacked vector atoms give one value per row."""
+    the caller has already taken, with fw_gap's rule for stacks."""
     atoms = _check_aligned(grads, spec)
     if len(x) != len(atoms):
         raise ValueError("x and grads must have the same layout")
@@ -493,12 +494,9 @@ def gap_from_duals(
     for g, xi, a, dual in zip(grads, x, atoms, duals):
         g = np.asarray(g, dtype=np.float64)
         xi = np.asarray(xi, dtype=np.float64)
-        if a.is_vector and g.ndim == 2:
-            total += np.einsum("td,td->t", g, xi)
-        else:
-            total += float(np.vdot(g, xi))
+        total += np.einsum("...d,...d->...", g, xi) if a.is_vector else float(np.vdot(g, xi))
         total += a.radius * dual
-    return total
+    return total if np.ndim(total) else float(total)
 
 
 def fw_gap(
@@ -507,8 +505,9 @@ def fw_gap(
     """Frank-Wolfe gap <grad, x - lmo(grad)> = <grad, x> + sum_i radius_i * dual(grad_i).
 
     Nonnegative whenever x is feasible for the composite ball; values near zero
-    certify criticality for the constrained problem. Stacked vector atoms give one
-    value per row.
+    certify criticality for the constrained problem. A list may mix matrix atoms
+    with stacked vector atoms in any order and gives one value per row; a single run
+    gives a float.
     """
     atoms = _check_aligned(grads, spec)
     return gap_from_duals(grads, x, spec, [dual_norm(g, a) for g, a in zip(grads, atoms)])

@@ -277,7 +277,8 @@ def step(
     that operand, the ValueError carries the list as its `operand` attribute.
 
     Under every rule, SSD's too, the step first checks gamma, alpha, and that x, g and
-    the state's buffer hold one array per atom, of one shape at each atom.
+    the state's buffer hold one array per atom, of one shape at each atom, each entry
+    of g an ndarray or a LowRank.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
@@ -297,6 +298,8 @@ def step(
         shapes = np.shape(xi), np.shape(gi), np.shape(di)
         if not shapes[0] == shapes[1] == shapes[2]:
             raise ValueError(f"step: x, g and the buffer have shapes {shapes} at atom {i}")
+        if not isinstance(gi, (np.ndarray, LowRank)):
+            raise ValueError(f"step: g holds a {type(gi).__name__} at atom {i}, not an array")
         if scales_d and isinstance(di, LowRank) or scales_g and isinstance(gi, LowRank):
             raise ValueError(
                 f"step: the {rule.buffer.value} buffer would scale a LowRank at atom {i}; "
@@ -403,7 +406,8 @@ class AlphaKind(Enum):
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    """Stepsize and averaging schedules over a fixed horizon of n steps (k = 1..n)."""
+    """Stepsize and averaging schedules over a fixed horizon of n steps (k = 1..n);
+    the kinds (GammaKind / AlphaKind members) and ranges are checked when built."""
 
     horizon: int
     gamma_kind: GammaKind = GammaKind.CONSTANT

@@ -32,7 +32,8 @@ class StochasticQuadratic:
 
     Every method also takes a (T, dim) stack of iterates, one row per trial; the
     trial-keyed methods then take a sequence of T trial indices, and row i is
-    bit-identical to the single-trial call with trial[i].
+    bit-identical to the single-trial call with trial[i]. A non-finite noise or
+    conditioning is refused when built, naming the field.
     """
 
     dim: int
@@ -137,7 +138,8 @@ class SyntheticClassification:
 def gen_synthetic(
     spec: SyntheticClassification,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic (train_x, train_y, test_x, test_y); x arrays are (dim, n)."""
+    """Deterministic (train_x, train_y, test_x, test_y); x arrays are (dim, n). Every
+    finite noise level gives finite, nonzero features; the spec refuses any other."""
     centers = rng_gaussian(
         spec.dim, spec.classes * spec.clusters, derive_seed(spec.seed, 0)
     )

@@ -375,6 +375,34 @@ class TestVectorStacks:
         for i in range(5):
             assert gaps[i] == pytest.approx(fw_gap([g[i]], [x[i]], spec), rel=1e-15)
 
+    def test_mixed_list_in_either_atom_order(self):
+        # A spectral 3 x 2 atom beside a (3, 4) Euclidean stack whose zero row leaves
+        # the max to the matrix: every row's value, in either order, is the single run's.
+        spectral = NormSpec(NormKind.SPECTRAL, 0.5, 3, 2)
+        euclidean = NormSpec.vector(NormKind.EUCLIDEAN_VEC, 4, radius=1.7)
+        w, gw = 0.1 * rng_gaussian(3, 2, 21), rng_gaussian(3, 2, 22)
+        v, gv = self.stack(4, 23)[:3], self.stack(4, 24)[:3]
+        per_order = []
+        for stack_first in (False, True):
+            spec = ModelNormSpec((euclidean, spectral) if stack_first else (spectral, euclidean))
+
+            def layout(matrix, vector):
+                return [vector, matrix] if stack_first else [matrix, vector]
+
+            row_norms = composite_norm(layout(w, v), spec)
+            row_gaps = fw_gap(layout(gw, gv), layout(w, v), spec)
+            assert row_norms.shape == row_gaps.shape == (3,)
+            for i in range(3):
+                norm_i = composite_norm(layout(w, v[i]), spec)
+                gap_i = fw_gap(layout(gw, gv[i]), layout(w, v[i]), spec)
+                assert type(norm_i) is float and type(gap_i) is float
+                assert row_norms[i] == pytest.approx(norm_i, rel=1e-15)
+                assert row_gaps[i] == pytest.approx(gap_i, rel=1e-15)
+            per_order.append((row_norms, row_gaps))
+        assert per_order[0][0][2] == op_norm(w, spectral) / 0.5
+        for a, b in zip(*per_order):
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("shape", [(5, 8), (5, 10), (2, 5, 9), (9, 1)])
     def test_wrong_shape_rejected(self, shape):
         spec = NormSpec.vector(NormKind.RMS_VEC, 9)

@@ -394,6 +394,37 @@ class TestScgCertificate:
         assert state.certificate is None
 
 
+class TestMixedStack:
+    """A parameter list may mix a matrix atom with a (T, d) vector stack, in either
+    atom order."""
+
+    @pytest.mark.parametrize("algo", [Algo.SCG, Algo.SSD])
+    def test_either_atom_order_gives_the_same_iterates(self, algo, norm_calls):
+        spectral = NormSpec(NormKind.SPECTRAL, 1.0, 3, 2)
+        euclidean = NormSpec.vector(NormKind.EUCLIDEAN_VEC, 4, radius=2.0)
+
+        def stack(seed):
+            return rng_gaussian(4, 1, [derive_seed(seed, t) for t in range(3)])[..., 0]
+
+        rows = stack(110)
+        start = (0.5 * lmo(rng_gaussian(3, 2, 111), spectral),
+                 rows / np.linalg.norm(rows, axis=1, keepdims=True))  # feasible for SCG
+        stream = [(rng_gaussian(3, 2, derive_seed(112, k)), stack(derive_seed(113, k)))
+                  for k in range(4)]
+        finals = []
+        for order in ((0, 1), (1, 0)):
+            spec = ModelNormSpec(tuple((spectral, euclidean)[i] for i in order))
+            x = [start[i] for i in order]
+            state = OptimizerState.init(x)
+            for g in stream:
+                x = step(x, state, [g[i] for i in order], 0.2, 0.5, spec, RULES[algo])[0]
+            finals.append([x[order.index(i)] for i in range(2)])
+        # SCG measures its fresh start once per order, then its certificate vouches.
+        assert len(norm_calls) == (2 if algo is Algo.SCG else 0)
+        for a, b in zip(*finals, strict=True):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def _memory(arrays):
     """The arrays, with each LowRank as its two factors."""
     for a in arrays:
@@ -948,6 +979,19 @@ class TestRuleTable:
         before = _raw_bytes(state.d), state.alpha, state.certificate
         with pytest.raises(ValueError, match="shapes"):
             step(x, state, g, 0.1, 0.3, spec, rule_for(algo))
+        assert (_raw_bytes(state.d), state.alpha, state.certificate) == before
+
+    @pytest.mark.parametrize("algo, alpha", [(Algo.USCG, 1.0), (Algo.USCG, 0.5),
+                                             (Algo.MUON_PLAIN, 0.5)])
+    def test_non_array_gradient_refused_by_name(self, algo, alpha):
+        # The list is the second atom's, so a buffer written before the check would
+        # show in the first.
+        spec = ModelNormSpec((NormSpec.vector(NormKind.EUCLIDEAN_VEC, 2),) * 2)
+        x = [np.zeros(2), np.zeros(2)]
+        state = OptimizerState(d=[np.full(2, 7.0), np.full(2, 7.0)], alpha=0.5)
+        before = _raw_bytes(state.d), state.alpha, state.certificate
+        with pytest.raises(ValueError, match="g holds a list at atom 1, not an array"):
+            step(x, state, [np.ones(2), [1.0, 2.0]], 0.1, alpha, spec, rule_for(algo))
         assert (_raw_bytes(state.d), state.alpha, state.certificate) == before
 
     def test_gradient_estimate_per_buffer(self):

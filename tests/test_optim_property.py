@@ -1,6 +1,6 @@
-"""The rule table by property: on specs of 1-4 atoms of every kind (or of vector
-atoms holding (T, d) stacks), with the exact or the Newton-Schulz backend, under
-every stepsize schedule, a constant or vanishing alpha, any beta and mu, and
+"""The rule table by property: on specs of 1-4 atoms of every kind, whose vector
+atoms may hold (T, d) stacks of one T, with the exact or the Newton-Schulz backend,
+under every stepsize schedule, a constant or vanishing alpha, any beta and mu, and
 Gaussian gradient streams at power-of-two scales across float64's range:
 
 - the paper's three equivalences hold at criterion 5's 1e-10: Muon plain is uSCG
@@ -62,7 +62,7 @@ _SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=
 @dataclass(frozen=True)
 class Run:
     spec: ModelNormSpec
-    stack: int | None  # T, when every atom is a vector atom holding a (T, d) stack
+    stack: int | None  # T, when every vector atom holds a (T, d) stack
     ns_iters: int | None
     schedule: ScheduleSpec
     beta: float
@@ -85,7 +85,7 @@ class Run:
         return [0.5 * s for s in model_lmo(draw, self.spec)]
 
     def _draw(self, atom, seed):
-        if self.stack is not None:
+        if atom.is_vector and self.stack is not None:
             seeds = [derive_seed(seed, t) for t in range(self.stack)]
             return rng_gaussian(atom.d_out, 1, seeds)[..., 0]
         if atom.is_vector:
@@ -96,7 +96,7 @@ class Run:
 @st.composite
 def runs(draw) -> Run:
     stack = draw(st.one_of(st.none(), st.integers(1, MAX_STACK)))
-    kinds = sorted(VECTOR_KINDS if stack is not None else NormKind, key=lambda k: k.value)
+    kinds = sorted(NormKind, key=lambda k: k.value)
     atoms = []
     for _ in range(draw(st.integers(1, MAX_ATOMS))):
         kind = draw(st.sampled_from(kinds))
