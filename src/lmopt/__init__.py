@@ -42,6 +42,7 @@ from .norms import (
     composite_norm,
     dual_norm,
     fw_gap,
+    inner,
     lmo,
     lmo_coefficient,
     model_lmo,

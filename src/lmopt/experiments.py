@@ -33,7 +33,7 @@ from .norms import (
     NormSpec,
     composite_norm,
     dual_norm,
-    gap_from_duals,
+    inner,
 )
 from .optim import (
     Algo,
@@ -129,13 +129,12 @@ class RunDiagnostics:
         row per recorded (step, trial) pair, step-major, and its values fill the
         (T, n) columns of a stack. A value past float64's range is recorded as it is.
         """
-        atoms = spec.atoms
         with np.errstate(over="ignore", invalid="ignore"):
-            duals = [dual_norm(r, a) for r, a in zip(ref, atoms)]
-            dual = sum(a.radius * v for a, v in zip(atoms, duals))
-            gap = gap_from_duals(ref, x, spec, duals)
+            dual = sum(a.radius * dual_norm(r, a) for r, a in zip(ref, spec.atoms))
+            gap = inner(ref, x, spec) + dual
             pnorm = composite_norm(x, spec)
-            err = np.sqrt(sum(_squared_l2(di - ri, a) for di, ri, a in zip(d, ref, atoms)))
+            e = [di - ri for di, ri in zip(d, ref)]
+            err = np.sqrt(inner(e, e, spec))
         values = (loss, dual, gap, pnorm, err, pnorm <= 1.0 + FEASIBLE_TOL)
         for column, v in zip(self.columns()[3:], values):
             column[..., cut] = np.reshape(v, (-1, *column.shape[:-1])).T
@@ -161,12 +160,6 @@ def _check_counts(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def _squared_l2(e: np.ndarray, atom: NormSpec):
-    """||e||_2^2, one value per row of a stacked vector atom (formed as
-    np.linalg.norm forms it)."""
-    return np.add.reduce(e * e, axis=-1) if atom.is_vector else float(np.vdot(e, e))
 
 
 # The checks of one quadratic step, in the order a failure is reported: the

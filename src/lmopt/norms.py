@@ -18,8 +18,9 @@ Conventions, chosen once and relied on by everything downstream:
     one element of a set-valued oracle; zero keeps the output in the ball and
     makes the oracle odd.
   * The lmo is positively scale invariant: lmo(a * s) == lmo(s) for a > 0.
-  * A non-finite entry raises ValueError. The l2 and spectral kinds leave that
-    check to `_l2_rows` and linalg, and linalg gives a zero matrix rank 0.
+  * A non-finite entry raises ValueError in the row oracle: the max kinds check
+    their rows, the l2 kinds leave it to `_l2_rows` and Spectral to linalg, which
+    gives a zero matrix rank 0. `inner` runs no oracle and checks nothing.
   * The l2 kinds (EuclideanVec, RmsVec, ColNorm, RowNorm) are scale-safe: a row
     whose sum of squares would overflow or underflow is normalized at a power of
     two (`_l2_rows`), so the lmo stays on the boundary for every finite operand;
@@ -30,14 +31,15 @@ Conventions, chosen once and relied on by everything downstream:
     So is the l1 dual of MaxVec and Sign, whose c is 1.
   * Vector kinds also take a (T, d) stack and act row by row, a row being the last
     axis: op_norm and dual_norm return one value per row. Matrix kinds take one
-    matrix. The list functions reduce over atoms by broadcasting, so a list may mix
-    matrix atoms with stacked vector atoms (of one T) in any order: a matrix atom's
-    value applies to every row, and the list gives one value per row.
+    matrix. The list functions (`composite_norm`, `inner`, `fw_gap`) reduce over
+    atoms by broadcasting, so a list may mix matrix atoms with stacked vector atoms
+    (of one T) in any order: a matrix atom's value applies to every row, and the
+    list gives one value per row.
   * Matrix kinds also take a `linalg.LowRank` left @ right.T. The exact spectral
     lmo works from its factors (`lowrank_svd`), so a rank-b gradient needs no
-    (m, n) SVD; every other function, kind and backend works on the product. A
-    product that is numerically zero relative to its factors, as when they
-    cancel, has the zero lmo.
+    (m, n) SVD; every other function, `inner` included, and every kind and
+    backend works on the product. A product that is numerically zero relative to
+    its factors, as when they cancel, has the zero lmo.
   * The exact spectral lmo is scale-safe as well: a matrix or factor far outside
     float64's midrange is brought to it by a power of two before its SVD or QR
     (`_svd_scaled`), and every other operand keeps its bits. The spectral op_norm
@@ -158,16 +160,19 @@ class _RowOracle(NamedTuple):
 
 
 def _sign_lmo(r, coef, ns_iters):
+    _check_finite(r)
     out = np.sign(r)
     out *= coef
     return out
 
 
 def _max_abs(r):
+    _check_finite(r)
     return np.max(np.abs(r), axis=-1), None
 
 
 def _l1(r):
+    _check_finite(r)
     with np.errstate(over="ignore"):  # a sum past float64's range is inf, silently
         return np.sum(np.abs(r), axis=-1), None
 
@@ -298,9 +303,8 @@ def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowR
 
     A LowRank, whose factors were checked when it was built, needs a matrix kind. It
     comes back as itself when keep_factors is set, for `lowrank_svd`, and otherwise
-    as its product, checked like any dense operand. A non-finite entry raises
-    ValueError; the l2 and spectral kinds leave that check to the range guard of
-    `_l2_rows` and to linalg, whose every route ends in `as_matrix`.
+    as its product, checked like any dense operand. Entries are not checked here:
+    each row oracle refuses a non-finite one (see the module docstring).
     """
     if isinstance(s, LowRank):
         if not spec._matrix:
@@ -318,8 +322,6 @@ def _operand(s, spec: NormSpec, keep_factors: bool = False) -> np.ndarray | LowR
             f"expected a vector of length {spec.d_out}, or a stack of them, for "
             f"{spec.kind.value}, got shape {a.shape}"
         )
-    if spec._oracle.op is _max_abs:
-        _check_finite(a)
     return a
 
 
@@ -479,23 +481,20 @@ def model_lmo(
     return [lmo(g, a, ns_iters=ns_iters) for g, a in zip(grads, atoms)]
 
 
-def gap_from_duals(
-    grads: Sequence[np.ndarray],
-    x: Sequence[np.ndarray],
-    spec: ModelNormSpec,
-    duals: Sequence[float | np.ndarray],
-) -> float | np.ndarray:
-    """fw_gap's identity <grad, x> + sum_i radius_i * duals_i, from per-atom dual norms
-    the caller has already taken, with fw_gap's rule for stacks."""
-    atoms = _check_aligned(grads, spec)
-    if len(x) != len(atoms):
-        raise ValueError("x and grads must have the same layout")
+def inner(a: Sequence, b: Sequence, spec: ModelNormSpec) -> float | np.ndarray:
+    """sum_i <a_i, b_i> over the atoms of two parameter lists in spec's layout.
+
+    Each operand is taken as the oracles take it: a LowRank as its product, and each
+    array's shape checked against its atom. A stacked vector atom pairs row by row,
+    so a list with one gives one value per row, and a single run gives a float.
+    Entries are not checked: a non-finite pairing is returned as it is.
+    """
+    atoms = _check_aligned(a, spec)
+    _check_aligned(b, spec)
     total = 0.0
-    for g, xi, a, dual in zip(grads, x, atoms, duals):
-        g = np.asarray(g, dtype=np.float64)
-        xi = np.asarray(xi, dtype=np.float64)
-        total += np.einsum("...d,...d->...", g, xi) if a.is_vector else float(np.vdot(g, xi))
-        total += a.radius * dual
+    for ai, bi, atom in zip(a, b, atoms):
+        ai, bi = _operand(ai, atom), _operand(bi, atom)
+        total += float(np.vdot(ai, bi)) if atom._matrix else np.einsum("...d,...d->...", ai, bi)
     return total if np.ndim(total) else float(total)
 
 
@@ -510,4 +509,4 @@ def fw_gap(
     gives a float.
     """
     atoms = _check_aligned(grads, spec)
-    return gap_from_duals(grads, x, spec, [dual_norm(g, a) for g, a in zip(grads, atoms)])
+    return inner(grads, x, spec) + sum(a.radius * dual_norm(g, a) for g, a in zip(grads, atoms))

@@ -31,7 +31,7 @@ from lmopt.models import (
     init_model,
     loss_and_grad,
 )
-from lmopt.norms import NormKind, NormSpec, composite_norm, dual_norm, fw_gap, gap_from_duals
+from lmopt.norms import NormKind, NormSpec, composite_norm, dual_norm, fw_gap, inner
 from lmopt.optim import (
     Algo,
     AlphaKind,
@@ -538,7 +538,7 @@ def _per_step_run(prob, algo, sch, trials, rho):
         exact = prob.grad(x[0])
         with np.errstate(over="ignore", invalid="ignore"):
             dual = dual_norm(exact, spec.atoms[0])
-            gap = gap_from_duals([exact], x, spec, (dual,))
+            gap = fw_gap([exact], x, spec)
             pnorm = composite_norm(x, spec)
         check(gap, k, "fw_gap")
         check(pnorm, k, "param_norm")
@@ -555,7 +555,7 @@ def _per_step_run(prob, algo, sch, trials, rho):
             raise
         check(x[0], k, "parameters")
         with np.errstate(over="ignore"):
-            err = np.linalg.norm(d_k[0] - exact, axis=1)
+            err = np.sqrt(inner([d_k[0] - exact], [d_k[0] - exact], spec))
         check(err, k, "est_error")
         rows.append((*row, err, pnorm <= 1.0 + FEASIBLE_TOL))
     names = RunDiagnostics.COLUMNS[1:]

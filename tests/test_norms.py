@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from lmopt.norms import (
     composite_norm,
     dual_norm,
     fw_gap,
-    gap_from_duals,
+    inner,
     lmo,
     lmo_coefficient,
     model_lmo,
@@ -391,14 +392,20 @@ class TestVectorStacks:
 
             row_norms = composite_norm(layout(w, v), spec)
             row_gaps = fw_gap(layout(gw, gv), layout(w, v), spec)
-            assert row_norms.shape == row_gaps.shape == (3,)
+            row_inners = inner(layout(gw, gv), layout(w, v), spec)
+            assert row_norms.shape == row_gaps.shape == row_inners.shape == (3,)
             for i in range(3):
                 norm_i = composite_norm(layout(w, v[i]), spec)
                 gap_i = fw_gap(layout(gw, gv[i]), layout(w, v[i]), spec)
-                assert type(norm_i) is float and type(gap_i) is float
+                inner_i = inner(layout(gw, gv[i]), layout(w, v[i]), spec)
+                assert type(norm_i) is type(gap_i) is type(inner_i) is float
                 assert row_norms[i] == pytest.approx(norm_i, rel=1e-15)
                 assert row_gaps[i] == pytest.approx(gap_i, rel=1e-15)
-            per_order.append((row_norms, row_gaps))
+                assert row_inners[i] == pytest.approx(inner_i, rel=1e-15)
+                flat = [np.concatenate([a.ravel() for a in layout(gw, gv[i])]),
+                        np.concatenate([a.ravel() for a in layout(w, v[i])])]
+                assert inner_i == pytest.approx(float(np.vdot(*flat)), rel=1e-15)
+            per_order.append((row_norms, row_gaps, row_inners))
         assert per_order[0][0][2] == op_norm(w, spectral) / 0.5
         for a, b in zip(*per_order):
             np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
@@ -638,6 +645,16 @@ class TestScaleSafeL2:
                 with pytest.raises(ValueError, match="non-finite"):
                     fn(s, spec)
 
+    @pytest.mark.parametrize("kind", [NormKind.SIGN, NormKind.MAX_VEC], ids=lambda k: k.value)
+    def test_inner_returns_a_non_finite_pairing(self, kind):
+        # inner runs no oracle, so the harness checks can name a non-finite column
+        spec = make_spec(kind, 6, 1 if kind in VECTOR_KINDS else 4)
+        s = random_operand(spec, 29)
+        s.flat[1] = np.inf
+        assert not np.isfinite(inner([s], [s], ModelNormSpec((spec,))))
+        with pytest.raises(ValueError, match="non-finite"):
+            op_norm(s, spec)
+
 
 class TestFwGap:
     def test_at_origin_is_scaled_dual(self):
@@ -674,6 +691,17 @@ class TestFwGap:
                            rng_gaussian(4, 1, trial + 300)[:, 0]], spec)
             assert composite_norm(x, spec) <= 1.0 + 1e-9
             assert fw_gap(g, x, spec) >= -1e-10
+
+    @pytest.mark.parametrize(
+        "kind, shape", [(NormKind.SPECTRAL, (3, 2)), (NormKind.SIGN, (2, 3))],
+        ids=lambda v: getattr(v, "value", None),
+    )
+    def test_transposed_x_rejected(self, kind, shape):
+        # flattened, a transposed x would pair the wrong entries
+        spec = ModelNormSpec((NormSpec(kind, 1.0, *shape),))
+        expected = re.escape(f"expected shape {shape}")
+        with pytest.raises(ValueError, match=expected):
+            fw_gap([np.ones(shape)], [np.zeros(shape[::-1])], spec)
 
 
 class TestSpecValidation:
@@ -744,6 +772,9 @@ class TestLowRankOperand:
         np.testing.assert_array_equal(sharp_op(s, spec), sharp_op(s.dense(), spec))
         if kind is not NormKind.SPECTRAL:
             np.testing.assert_array_equal(lmo(s, spec), lmo(s.dense(), spec))
+        model, x = ModelNormSpec((spec,)), [rng_gaussian(16, 12, 8)]
+        for fn in (fw_gap, inner):
+            assert fn([s], x, model) == fn([s.dense()], x, model)
 
     def test_newton_schulz_takes_the_product(self):
         spec = NormSpec(NormKind.SPECTRAL, 1.0, 16, 12)
@@ -935,9 +966,8 @@ _REJECTIONS = {
     "kind": (lambda: NormSpec("spectral", 1.0, 3, 2), "kind must be a NormKind, got 'spectral'"),
     "atoms": (lambda: ModelNormSpec((1, 2)), r"atoms must be NormSpecs, got \(1, 2\)"),
     "x_layout": (
-        lambda: gap_from_duals([np.ones(3)], [], ModelNormSpec(
-            (NormSpec.vector(NormKind.RMS_VEC, 3),)), [1.0]),
-        "x and grads must have the same layout"),
+        lambda: fw_gap([np.ones(3)], [], ModelNormSpec((NormSpec.vector(NormKind.RMS_VEC, 3),))),
+        "parameter list has 0 entries but the norm spec has 1"),
 }
 
 

@@ -63,6 +63,21 @@ def test_tracer_hooks_named_only_by_optim():
     assert not named
 
 
+# The per-atom row rule of a reduction over a parameter list, which lmopt.norms owns
+# (`inner`, `composite_norm`); the harness reduces only through those.
+ROW_RULE = re.compile(r"\b(is_vector|VECTOR_KINDS|vdot|einsum)\b|\badd\.reduce\b")
+
+
+def test_row_rule_not_named_by_experiments():
+    path = ROOT / "src" / "lmopt" / "experiments.py"
+    named = [
+        f"{path.relative_to(ROOT)}:{n}"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if ROW_RULE.search(line)
+    ]
+    assert not named
+
+
 @pytest.mark.parametrize("algo", list(optim.Algo))
 def test_step_calls_the_traced_buffer_update(algo, monkeypatch):
     """The tracer counts `optim.momentum_update.calls` by patching lmopt.optim's
