@@ -128,6 +128,8 @@ class RunDiagnostics:
         in spec's layout, and loss is the loss at x. A stacked vector atom holds one
         row per recorded (step, trial) pair, step-major, and its values fill the
         (T, n) columns of a stack. A value past float64's range is recorded as it is.
+        The gap spells out norms.fw_gap's identity so that the duals it records are
+        the ones it adds: each spectral dual costs one SVD.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             dual = sum(a.radius * dual_norm(r, a) for r, a in zip(ref, spec.atoms))

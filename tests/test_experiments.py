@@ -31,7 +31,7 @@ from lmopt.models import (
     init_model,
     loss_and_grad,
 )
-from lmopt.norms import NormKind, NormSpec, composite_norm, dual_norm, fw_gap, inner
+from lmopt.norms import NormKind, NormSpec, composite_norm, dual_norm, fw_gap
 from lmopt.optim import (
     Algo,
     AlphaKind,
@@ -554,8 +554,9 @@ def _per_step_run(prob, algo, sch, trials, rho):
             check(exc.operand[0], k, "buffer")
             raise
         check(x[0], k, "parameters")
+        e = d_k[0] - exact
         with np.errstate(over="ignore"):
-            err = np.sqrt(inner([d_k[0] - exact], [d_k[0] - exact], spec))
+            err = np.sqrt(np.einsum("td,td->t", e, e))
         check(err, k, "est_error")
         rows.append((*row, err, pnorm <= 1.0 + FEASIBLE_TOL))
     names = RunDiagnostics.COLUMNS[1:]
